@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveBase,
     ParseError,
     SingularJacobian,
-    ToleranceNotMet,
     WindowOutOfRange,
 )
 from .estimate import (
@@ -90,7 +89,7 @@ __all__ = [
     "parse_events", "convert_unit",
     # errors
     "HawkesError", "ExplosionRisk", "NonPositiveBase", "NegativeInput",
-    "ToleranceNotMet", "CapacityExceeded", "WindowOutOfRange",
+    "CapacityExceeded", "WindowOutOfRange",
     "InsufficientData", "NoConvergence", "SingularJacobian", "ParseError",
     "NegativeTimestamp", "EmptyFile",
 ]

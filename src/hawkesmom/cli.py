@@ -129,7 +129,8 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(cfg.out_dir / "events.txt", traj.events)
     n_pts = int(round(cfg.horizon / cfg.grid_step)) + 1
-    grid = np.arange(n_pts) * cfg.grid_step
+    grid = np.arange(n_pts, dtype=np.float64)
+    grid *= cfg.grid_step  # in place: no second grid-sized array
     values = intensity_on_grid(params, traj.events, grid)
     intensity_path = write_intensity_csv(cfg.out_dir / "intensity.csv", grid, values)
     print(f"simulated {len(traj.events)} events on [0, {cfg.horizon}] (seed {seed})")

@@ -17,10 +17,6 @@ class NegativeInput(HawkesError):
     """A parameter that must be nonnegative is negative."""
 
 
-class ToleranceNotMet(HawkesError):
-    """Adaptive ODE integration could not reach the requested accuracy."""
-
-
 class CapacityExceeded(HawkesError):
     """A simulated trajectory exceeded the configured event cap."""
 

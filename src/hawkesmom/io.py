@@ -114,12 +114,24 @@ def write_events(path, events: EventSequence) -> Path:
     return path
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_intensity_csv(path, grid, values) -> Path:
+    """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
+
+    Rows are formatted from Python floats a chunk at a time, which keeps
+    memory flat for any grid length.
+    """
     path = Path(path)
+    grid = np.asarray(grid, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,intensity\n")
-        for t, v in zip(grid, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        for lo in range(0, min(grid.size, values.size), _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            fh.write("".join([f"{t!r},{v!r}\n" for t, v in
+                              zip(grid[lo:hi].tolist(), values[lo:hi].tolist())]))
     return path
 
 

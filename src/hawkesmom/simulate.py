@@ -61,6 +61,19 @@ class IncrementSample:
     counts: np.ndarray
 
 
+def _redraw_nonzero(rng) -> float:
+    """Next nonzero uniform draw.
+
+    Used as ``rng.random() or _redraw_nonzero(rng)``: a draw of exactly 0,
+    whose log is undefined, is replaced by the next nonzero one, and every
+    other draw leaves the stream as it was.
+    """
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return u
+
+
 def simulate_exact(
     params: HawkesParams,
     horizon: float,
@@ -94,18 +107,18 @@ def simulate_exact(
     post: list[float] = []
     while True:
         excess = lam - lam_inf
-        u1 = rng.random()
+        u1 = rng.random() or _redraw_nonzero(rng)
         if excess > 0.0:
             d = 1.0 + beta * math.log(u1) / excess
             s1 = -math.log(d) / beta if d > 0.0 else math.inf
-            s2 = -math.log(rng.random()) / lam_inf
+            s2 = -math.log(rng.random() or _redraw_nonzero(rng)) / lam_inf
             s = min(s1, s2)
             if t + s > horizon:
                 break
             t += s
             lam = lam_inf + excess * math.exp(-beta * s) + alpha
         elif excess == 0.0:
-            s = -math.log(rng.random()) / lam_inf
+            s = -math.log(rng.random() or _redraw_nonzero(rng)) / lam_inf
             if t + s > horizon:
                 break
             t += s

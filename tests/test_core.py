@@ -15,6 +15,8 @@ from hawkesmom import (
     intensity_at,
     intensity_on_grid,
     post_jump_intensities,
+    simulate_cluster,
+    simulate_exact,
     validate_params,
 )
 
@@ -179,6 +181,54 @@ class TestRecursiveSweep:
         vals = intensity_on_grid(p, events, grid)
         for i in range(0, grid.size, 17):
             assert vals[i] == pytest.approx(intensity_at(p, events, float(grid[i])), rel=1e-12)
+
+
+def _kernel_cases():
+    """(params, events, grid) triples the block-rescaled kernel must get right."""
+    rng = np.random.default_rng(29)
+    # beta * horizon = 4000: about seven rescaling blocks, and a grid of
+    # three evaluation blocks
+    many = validate_params(0.5, 2.0, 1.0, 1.5)
+    many_events = simulate_cluster(many, 2000.0, 3).events.times
+    tied = np.repeat(np.sort(rng.uniform(0.0, 40.0, size=25)), rng.integers(1, 4, size=25))
+    below = validate_params(0.3, 1.1, 1.0, 0.3)
+    # beta ~ 1e5 per day and ~ 1e-5 per second
+    days = validate_params(4e4, 1e5, 2e4, 3e4)
+    seconds = validate_params(4e-6, 1e-5, 2e-6, 1e-6)
+    cases = {
+        "many_blocks": (many, many_events, np.linspace(0.0, 2000.0, 20_011)),
+        "tied": (validate_params(0.4, 1.2, 1.0, 1.0), tied, np.linspace(0.0, 41.0, 801)),
+        "grid_at_events": (validate_params(0.3, 1.1, 0.6, 1.1), tied, np.unique(tied)),
+        "lambda0_above": (validate_params(0.3, 1.1, 0.6, 2.4), tied, np.linspace(0.0, 41.0, 401)),
+        "lambda0_below": (below, simulate_exact(below, 700.0, 5).events.times,
+                          np.linspace(0.0, 700.0, 1401)),
+        "alpha_zero": (validate_params(0.0, 1.3, 0.8, 1.9), tied, np.linspace(0.0, 41.0, 401)),
+        "empty": (validate_params(0.2, 1.0, 1.0, 1.6), np.empty(0), np.linspace(0.0, 5.0, 51)),
+        "days": (days, simulate_cluster(days, 0.05, 8).events.times,
+                 np.linspace(0.0, 0.05, 1001)),
+        "seconds": (seconds, simulate_cluster(seconds, 5e8, 8).events.times,
+                    np.linspace(0.0, 5e8, 1001)),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+class TestIntensityKernel:
+    """post_jump_intensities and intensity_on_grid against the direct sum."""
+
+    @pytest.mark.parametrize("params, events, grid", _kernel_cases())
+    def test_post_jump_matches_direct_sum(self, params, events, grid):
+        post = post_jump_intensities(params, events)
+        assert post.shape == events.shape
+        for k, tk in enumerate(events):
+            tied_before = k - int(np.searchsorted(events, tk, side="left"))
+            direct = intensity_at(params, events, float(tk)) + params.alpha * (tied_before + 1)
+            assert post[k] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("params, events, grid", _kernel_cases())
+    def test_grid_matches_direct_sum(self, params, events, grid):
+        vals = intensity_on_grid(params, events, grid)
+        direct = np.array([intensity_at(params, events, float(t)) for t in grid])
+        np.testing.assert_allclose(vals, direct, rtol=1e-12, atol=0.0)
 
 
 class TestCountAt:

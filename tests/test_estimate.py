@@ -10,6 +10,7 @@ from hawkesmom import (
     EstimateConfig,
     EventSequence,
     InsufficientData,
+    MomentTriple,
     NoConvergence,
     empirical_moments,
     estimate,
@@ -81,6 +82,22 @@ class TestSolveMomentSystem:
         assert report.params_hat.alpha == pytest.approx(alpha, abs=1e-6)
         assert report.params_hat.beta == pytest.approx(beta, abs=1e-6)
         assert report.params_hat.lambda_inf == pytest.approx(lam_inf, abs=1e-6)
+
+    # (M1, M2, M3, delta) of two bursty posts (alpha/beta near 0.9) whose
+    # best roots leave an M3 residual of 1.2e-9 and 1.5e-8: float64 rounding
+    # at M3 ~ 2e3 and 1e4, not a failed solve
+    @pytest.mark.parametrize("m1, m2, m3, delta", [
+        (1.925593329057088, 49.801796023091725, 2439.134060295061, 0.41997830710484774),
+        (2.279503105590062, 114.88819875776397, 11321.894409937888, 0.3342530784287687),
+    ], ids=["m3_2e3", "m3_1e4"])
+    def test_tolerance_scales_with_large_m3(self, m1, m2, m3, delta):
+        triple = MomentTriple(m1=m1, m2=m2, m3=m3, delta=delta)
+        report = solve_moment_system(triple, delta, init=(0.5, 1.5, 2.0))
+        assert report.converged and report.flags == ()
+        assert 1e-9 < report.residual_norm <= 1e-9 * m3  # reported unscaled
+        hat = report.params_hat
+        assert stationary_m1(hat, delta) == pytest.approx(m1, rel=1e-12)
+        assert hat.alpha / hat.beta > 0.9
 
     def test_constraints_hold_by_construction(self):
         p = validate_params(0.3, 1.4, 0.8)

@@ -8,10 +8,11 @@ import pytest
 from hawkesmom import (
     BivariatePolynomial,
     MomentIndex,
-    ToleranceNotMet,
     apply_generator,
     integrate_moments,
     integrate_polynomial_on_path,
+    mean_count,
+    mean_intensity,
     moment_closure,
     moment_ode_rhs,
     second_moment_intensity,
@@ -233,9 +234,14 @@ class TestIntegrateMoments:
             out = integrate_moments(params, [(2, 0)], t)
             assert out[(2, 0)] == pytest.approx(second_moment_intensity(params, t), rel=1e-7)
 
-    def test_step_cap_raises(self):
-        with pytest.raises(ToleranceNotMet):
-            integrate_moments(P, [(2, 0)], 30.0, steps=2)
+    @pytest.mark.parametrize("lambda0", [0.3, 1.0, 2.5])
+    def test_matrix_exponential_matches_closed_forms(self, lambda0):
+        params = validate_params(0.35, 1.5, 0.6, lambda0)
+        for t in (0.01, 0.5, 3.0, 40.0, 500.0):
+            out = integrate_moments(params, [(1, 0), (2, 0), (0, 1)], t)
+            assert out[(1, 0)] == pytest.approx(mean_intensity(params, t), rel=1e-12)
+            assert out[(2, 0)] == pytest.approx(second_moment_intensity(params, t), rel=1e-12)
+            assert out[(0, 1)] == pytest.approx(mean_count(params, t), rel=1e-12)
 
     def test_accepts_moment_index_objects(self):
         out = integrate_moments(P, [MomentIndex(1, 0)], 5.0)

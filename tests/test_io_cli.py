@@ -1,5 +1,6 @@
 """Event-file ingestion, unit handling, CLI subcommands and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from hawkesmom.cli import (
     cmd_validate,
     main,
 )
+from hawkesmom.io import _CSV_CHUNK_ROWS, write_intensity_csv
 
 
 def write(tmp_path, name, text):
@@ -99,6 +101,19 @@ class TestParseEvents:
         seq = parse_events(path, unit="fortnights")
         with pytest.raises(ValueError):
             convert_unit(seq, "minutes")
+
+
+class TestWriteIntensityCsv:
+    def test_chunked_rows_match_per_row_format(self, tmp_path):
+        rng = np.random.default_rng(31)
+        n = 2 * _CSV_CHUNK_ROWS + 123
+        grid = np.arange(n) * 0.01
+        values = rng.lognormal(0.0, 3.0, size=n)
+        values[:4] = [1.0, 0.1, 1e-300, 12345678901234.5]
+        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values)
+        expected = "t,intensity\n" + "".join(
+            f"{float(t)!r},{float(v)!r}\n" for t, v in zip(grid, values))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestCmdSimulate:
@@ -305,3 +320,36 @@ class TestMainExitCodes:
     def test_moments_ok(self):
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
+
+
+class TestCliGoldens:
+    """SHA-256 of CLI outputs for fixed seeds, so a refactor that changes any
+    byte shows.  Recorded on x86-64 Linux (glibc libm, numpy 2); the last
+    digits of intensity.csv come from numpy's vectorised exp and may differ
+    on other hardware."""
+
+    RUNS = {
+        "exact": ["simulate", "--alpha", "0.15", "--beta", "1", "--lambda-inf", "1",
+                  "--lambda0", "1.2", "--horizon", "20", "--seed", "7"],
+        "cluster": ["simulate", "--method", "cluster", "--alpha", "0.2", "--beta", "1",
+                    "--lambda-inf", "1", "--horizon", "20", "--seed", "8"],
+        "validate": ["validate", "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+                     "--horizon", "2000", "--count", "3", "--delta", "0.5", "--t0", "500",
+                     "--seed", "6"],
+    }
+    DIGESTS = {
+        "exact/events.txt": "288ad1ac9c75632e982731787c2c325be3c20fe00842a8c139d1f4094453c950",
+        "exact/intensity.csv": "5bb1bf45554538f3727f70829217e4707d1b2be40306c351624146d6544b71f5",
+        "cluster/events.txt": "dc0dc42718aabef91d648e3c066832e1bfc75b3704d006acdfa817eb0f0020cb",
+        "cluster/intensity.csv":
+            "913e1257bac2ce0c4fb631f58a14a2c4a6700859f9559cdc4f91050816d27863",
+        "validate/table.csv": "9f9d0edeb2a0b90df8c6d3577d9a3302531ff46c24d1f124c3bb9186a19f8df1",
+        "validate/validate.json":
+            "908c59cdbee52ab9c507c984092f8ebc789dbd54195b775d4b6d00d921f68670",
+    }
+
+    def test_output_digests(self, tmp_path):
+        for name, argv in self.RUNS.items():
+            assert main(argv + ["--out-dir", str(tmp_path / name)]) == EXIT_OK
+        for rel, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel

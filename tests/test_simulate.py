@@ -79,6 +79,33 @@ class TestSimulateExact:
         assert traj.events.horizon == 123.0
         assert traj.events.times[-1] <= 123.0
 
+    # (lambda0, draws that come before the PCG64 stream): the first draw
+    # feeds ln(u1) in the excess and deficit branches; in the equal branch it
+    # is unused and the second draw feeds ln, as does s2 in the excess branch
+    @pytest.mark.parametrize("lambda0, script", [
+        (1.6, (0.0,)), (1.6, (0.5, 0.0)),
+        (1.0, (0.0,)), (1.0, (0.5, 0.0)),
+        (0.4, (0.0,)),
+    ], ids=["excess", "excess_s2", "equal_unused", "equal", "deficit"])
+    def test_zero_uniform_draw_is_redrawn(self, monkeypatch, lambda0, script):
+        class ScriptedRng:
+            def __init__(self, draws, seed):
+                self.draws = list(draws)
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def random(self):
+                return self.draws.pop(0) if self.draws else self.rng.random()
+
+        p = validate_params(0.3, 1.0, 1.0, lambda0)
+        runs = []
+        for draws in (script, [u for u in script if u != 0.0]):
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, draws=draws: ScriptedRng(draws, seed))
+            runs.append(simulate_exact(p, 40.0, 17))
+        with_zero, without_zero = runs
+        assert len(with_zero.events) > 0
+        assert np.array_equal(with_zero.events.times, without_zero.events.times)
+
 
 class TestSimulateCluster:
     def test_poisson_reduction_immigrants_only(self):
