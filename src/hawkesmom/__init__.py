@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NonPositiveBase,
     ParseError,
-    SingularJacobian,
     WindowOutOfRange,
 )
 from .estimate import (
@@ -59,6 +58,7 @@ from .moments import (
 from .simulate import (
     IncrementSample,
     Trajectory,
+    sampler,
     simulate_batch,
     simulate_cluster,
     simulate_exact,
@@ -77,7 +77,7 @@ __all__ = [
     "moment_closure", "integrate_moments", "integrate_polynomial_on_path",
     # simulate
     "Trajectory", "IncrementSample", "simulate_exact", "simulate_cluster",
-    "simulate_batch", "windowed_counts",
+    "sampler", "simulate_batch", "windowed_counts",
     # moments
     "MomentTriple", "mean_intensity", "second_moment_intensity", "mean_count",
     "increment_mean_exact", "stationary_m1", "stationary_m2", "stationary_m3",
@@ -90,6 +90,6 @@ __all__ = [
     # errors
     "HawkesError", "ExplosionRisk", "NonPositiveBase", "NegativeInput",
     "CapacityExceeded", "WindowOutOfRange",
-    "InsufficientData", "NoConvergence", "SingularJacobian", "ParseError",
+    "InsufficientData", "NoConvergence", "ParseError",
     "NegativeTimestamp", "EmptyFile",
 ]

@@ -17,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesParams, intensity_on_grid, validate_params
+from .core import HawkesParams, count_at, intensity_on_grid, validate_params
 from .errors import (
     CapacityExceeded,
     HawkesError,
     InsufficientData,
     NoConvergence,
     ParseError,
-    SingularJacobian,
 )
 from .estimate import EstimateConfig, EstimateReport, estimate
 from .io import (
@@ -36,7 +35,7 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .simulate import DEFAULT_EVENT_CAP, simulate_cluster, simulate_exact
+from .simulate import DEFAULT_EVENT_CAP, sampler, simulate_batch
 
 __all__ = [
     "EXIT_OK",
@@ -113,18 +112,11 @@ class HarnessReport:
     real_counts: np.ndarray | None = None
 
 
-def _simulator(method: str):
-    try:
-        return {"exact": simulate_exact, "cluster": simulate_cluster}[method]
-    except KeyError:
-        raise ValueError(f"unknown simulation method {method!r}") from None
-
-
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     """Simulate one trajectory; write the events file and an intensity grid."""
     params = cfg.params()
     seed = cfg.require_seed()
-    traj = _simulator(cfg.method)(params, cfg.horizon, seed, cap=cfg.cap, unit=cfg.unit)
+    traj = sampler(cfg.method)(params, cfg.horizon, seed, cap=cfg.cap, unit=cfg.unit)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(cfg.out_dir / "events.txt", traj.events)
@@ -174,10 +166,6 @@ def cmd_estimate(cfg: RunConfig) -> EstimateReport:
     return report
 
 
-def _cumulative_counts(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(times, grid, side="right")
-
-
 def cmd_validate(cfg: RunConfig) -> HarnessReport:
     """Simulate K trajectories, estimate each, and emit the summary table.
 
@@ -190,17 +178,15 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
     params = cfg.params()
     seed = cfg.require_seed()
-    sim = _simulator(cfg.method)
+    trajectories = simulate_batch(params, cfg.horizon, seed, cfg.count, method=cfg.method,
+                                  cap=cfg.cap, unit=cfg.unit)
 
     reports: list[EstimateReport] = []
-    trajectories = []
     est_cfg = EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init)
-    for i in range(cfg.count):
-        traj = sim(params, cfg.horizon, seed + i, cap=cfg.cap, unit=cfg.unit)
-        trajectories.append(traj)
+    for traj in trajectories:
         try:
             reports.append(estimate(traj.events, est_cfg))
-        except (InsufficientData, SingularJacobian) as exc:
+        except InsufficientData as exc:
             # keep the run in the table as non-converged rather than aborting
             reports.append(EstimateReport(
                 params_hat=None, residual_norm=float("inf"), iterations=0,
@@ -244,11 +230,11 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     if cfg.envelope:
         step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
         grid = np.arange(int(round(cfg.horizon / step)) + 1) * step
-        counts = np.vstack([_cumulative_counts(t.events.times, grid) for t in trajectories])
+        counts = np.vstack([count_at(t.events, grid) for t in trajectories])
         real = None
         if cfg.real_events_path is not None:
             real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
-            real = _cumulative_counts(real_events.times, grid)
+            real = count_at(real_events, grid)
         harness.envelope_grid = grid
         harness.envelope_counts = counts
         harness.real_counts = real
@@ -367,7 +353,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoConvergence, SingularJacobian, InsufficientData) as exc:
+    except (NoConvergence, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except CapacityExceeded as exc:

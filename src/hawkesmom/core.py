@@ -247,9 +247,14 @@ def intensity_on_grid(params: HawkesParams, events, grid) -> np.ndarray:
     return out
 
 
-def count_at(events, t: float) -> int:
-    """Number of events with T_k <= t (right-continuous counting)."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    times = _times(events)
-    return int(np.searchsorted(times, t, side="right"))
+def count_at(events, t):
+    """Number of events with T_k <= t (right-continuous counting).
+
+    A scalar t gives an int; an array of times gives an int array of the
+    same shape.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0.0):
+        raise ValueError(f"t must be >= 0, got {t.min()}")
+    counts = np.searchsorted(_times(events), t, side="right")
+    return int(counts) if counts.ndim == 0 else counts

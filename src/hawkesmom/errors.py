@@ -29,10 +29,6 @@ class InsufficientData(HawkesError):
     """Not enough data to form even a single count window."""
 
 
-class SingularJacobian(HawkesError):
-    """The Newton step could not be computed from the current iterate."""
-
-
 class NoConvergence(HawkesError):
     """The moment-system solver converged from no starting point.
 

@@ -2,11 +2,11 @@
 
 Two independent constructions of the same law are provided:
 
-* simulate_exact -- interarrival composition for the Markov intensity: the
-  time to the next event is the minimum of an arrival from the constant
-  base level and an arrival from the exponentially decaying excess, both
-  sampled by inversion (no thinning rejection in the usual case
-  lambda >= lambda_inf).
+* simulate_exact -- interarrival composition for the Markov intensity, the
+  exact scheme of Dassios & Zhao (2013): the time to the next event is the
+  minimum of an arrival from the constant base level and an arrival from
+  the exponentially decaying excess, both sampled by inversion (no thinning
+  rejection in the usual case lambda >= lambda_inf).
 * simulate_cluster -- the branching construction: immigrants from the
   inhomogeneous Poisson process with the deterministic rate
   lambda_inf + (lambda0 - lambda_inf) e^{-beta t}, each point spawning a
@@ -14,8 +14,13 @@ Two independent constructions of the same law are provided:
   e^{-beta s}, generation by generation.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently; batch helpers use seeds seed + i and
-return results ordered by path index.
+distinct seeds may run concurrently.  simulate_batch draws path i from seed
+seed + i and returns the paths in index order; each is bit for bit what the
+single-path sampler gives for that seed.  For the exact method it steps
+groups of paths in lockstep: every path keeps its own generator, draws its
+uniforms in blocks, and one vectorised step per loop iteration repeats
+simulate_exact's float operations in its order, with libm's log and exp
+(math.log, math.exp) rather than numpy's, whose last bit can differ.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "IncrementSample",
     "simulate_exact",
     "simulate_cluster",
+    "sampler",
     "simulate_batch",
     "windowed_counts",
 ]
@@ -98,11 +104,19 @@ def simulate_exact(
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    rng = np.random.default_rng(seed)
-    alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    events, post = _run_exact(np.random.default_rng(seed), params, horizon, cap,
+                              0.0, params.lambda0)
+    seq = EventSequence(np.asarray(events), horizon=horizon, unit=unit)
+    return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
 
-    t = 0.0
-    lam = params.lambda0
+
+def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
+               recorded: int = 0) -> tuple[list[float], list[float]]:
+    """simulate_exact's loop from time t and intensity lam, on a path that
+    already holds ``recorded`` events; returns the new events and post-jump
+    intensities."""
+    alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    room = cap - recorded
     events: list[float] = []
     post: list[float] = []
     while True:
@@ -138,12 +152,11 @@ def simulate_exact(
                 continue
         events.append(t)
         post.append(lam)
-        if len(events) > cap:
+        if len(events) > room:
             raise CapacityExceeded(
                 f"trajectory exceeded {cap} events before t={t:.6g} (horizon {horizon})"
             )
-    seq = EventSequence(np.asarray(events), horizon=horizon, unit=unit)
-    return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
+    return events, post
 
 
 def _spawn_offspring(rng, parents: np.ndarray, params: HawkesParams, horizon: float):
@@ -197,6 +210,156 @@ def simulate_cluster(
     return Trajectory(events=seq, intensity_at_events=post_jump_intensities(params, seq), seed=seed)
 
 
+def sampler(method: str):
+    """The single-path sampler for ``method``: "exact" or "cluster"."""
+    if method == "exact":
+        return simulate_exact
+    if method == "cluster":
+        return simulate_cluster
+    raise ValueError(f"unknown simulation method {method!r}")
+
+
+# Paths stepped together: bounds the live generators and the per-path
+# arrays that grow at the same time.
+_GROUP = 250
+# Below this many live paths a numpy step costs more than the scalar loop,
+# which then finishes the paths from where they stand.
+_MIN_LOCKSTEP = 12
+# A path's first block holds _FIRST_BLOCK loop iterations (two uniforms
+# each); later blocks double, up to _BLOCK_CELLS path-iterations across the
+# live paths, so short paths waste few draws and the block buffers stay small.
+_FIRST_BLOCK = 4
+_BLOCK_CELLS = 1 << 14
+# uniforms logged per call: the temporary stays small
+_LOG_SLICE = 4096
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (math.log or math.exp) of every element of the contiguous 1-D ``x``.
+
+    numpy's SIMD log and exp can differ from libm in the last bit, and the
+    lockstep sampler must reproduce simulate_exact's scalar math exactly.
+    """
+    return np.fromiter(map(fn, memoryview(x)), np.float64, x.size)
+
+
+def _append(arr: np.ndarray, values) -> None:
+    """Extends ``arr``, which owns its data, in place by ``values``.
+
+    realloc grows a path's array where it lies when it can, so no list of
+    pieces is kept and then copied into one array at the end."""
+    old = arr.size
+    arr.resize(old + len(values), refcheck=False)
+    arr[old:] = values
+
+
+def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> list:
+    """simulate_exact's loop for every seed at once: one numpy step per loop
+    iteration, across the live paths.
+
+    Each path draws its uniforms from its own generator in blocks, two per
+    iteration, and every step repeats simulate_exact's float operations in
+    its order, so each path is bit for bit simulate_exact's.  A path that
+    crosses the horizon mid-block runs on to the block's end and its steps
+    past the horizon are dropped.  At a block's end every live generator
+    stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
+    paths are live, _run_exact finishes them.
+
+    Returns one (times, post-jump intensities) pair per seed, or None for a
+    path whose block held an exact 0: simulate_exact redraws it, which
+    shifts the rest of its stream, so the caller runs simulate_exact there.
+    """
+    alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    rngs = [np.random.default_rng(s) for s in seeds]
+    # per path: its times and post-jump intensities so far (None: handed back)
+    found_t = [np.empty(0) for _ in seeds]
+    found_lam = [np.empty(0) for _ in seeds]
+    ids = np.arange(len(seeds))  # the live paths
+    t = np.zeros(ids.size)
+    lam = np.full(ids.size, params.lambda0)
+    deficit = params.lambda0 < lam_inf  # once no path is below the base level, none returns
+    size = _FIRST_BLOCK
+    # one buffer each for the uniforms and the two record arrays, reused by
+    # every block so that blocks leave no holes in the heap
+    cells = max(_FIRST_BLOCK * ids.size, _BLOCK_CELLS)
+    buf_u, buf_t, buf_lam = np.empty(2 * cells), np.empty(cells), np.empty(cells)
+    while ids.size >= _MIN_LOCKSTEP:
+        # row k holds the block's draws for path ids[k]: u1, u2 of iteration j
+        # at columns 2j and 2j + 1
+        u = buf_u[:2 * size * ids.size].reshape(ids.size, 2 * size)
+        for row, i in zip(u, ids):
+            rngs[i].random(out=row)
+        clean = u.all(axis=1)
+        if not clean.all():
+            for i in ids[~clean]:
+                found_t[i] = found_lam[i] = None
+            kept = u[clean]
+            ids, t, lam = ids[clean], t[clean], lam[clean]
+            u = buf_u[:kept.size].reshape(kept.shape)
+            u[...] = kept
+        if deficit:
+            u2 = u[:, 1::2].copy()
+        logs = u  # in place, in slices, so no block-sized temporary
+        flat = logs.reshape(-1)
+        for lo in range(0, flat.size, _LOG_SLICE):
+            flat[lo:lo + _LOG_SLICE] = _libm(math.log, flat[lo:lo + _LOG_SLICE])
+        if deficit:
+            w = logs[:, 0::2] / -lam_inf
+        logs[:, 0::2] *= beta  # beta ln(u1)
+        logs[:, 1::2] /= -lam_inf  # s2 = -ln(u2) / lambda_inf
+        # row j: every live path's time and intensity after iteration j
+        rec_t = buf_t[:size * ids.size].reshape(size, ids.size)
+        rec_lam = buf_lam[:size * ids.size].reshape(size, ids.size)
+        for j in range(size):
+            excess = lam - lam_inf
+            # excess > 0: inversion; excess == 0 makes d = -inf, so s = s2
+            d = logs[:, 2 * j] / excess
+            d += 1.0
+            s = logs[:, 2 * j + 1]
+            ok = (d > 0.0).nonzero()[0]
+            if ok.size:
+                s1 = np.full(ids.size, np.inf)
+                s1[ok] = _libm(math.log, d[ok]) / -beta
+                s = np.minimum(s1, s)
+            if deficit:
+                below = excess < 0.0
+                deficit = bool(np.count_nonzero(below))
+                s = np.where(below, w[:, j], s)
+            t = np.add(t, s, out=rec_t[j])
+            lam_here = excess * _libm(math.exp, s * -beta)
+            lam_here += lam_inf
+            lam = np.add(lam_here, alpha, out=rec_lam[j])
+            if deficit:
+                # thinning against lambda_inf: a rejected proposal records no event
+                accept = ~below | (u2[:, j] * lam_inf <= lam_here)
+                t = t.copy()
+                rec_t[j, ~accept] = np.nan
+                lam = rec_lam[j] = np.where(accept, lam, lam_here)
+        # copy each path's events up to the horizon (a rejection's NaN fails
+        # the test too) out of the buffers, onto the path's own arrays
+        found = rec_t.T <= horizon
+        per_path = np.count_nonzero(found, axis=1)
+        block_t, block_lam = rec_t.T[found], rec_lam.T[found]
+        ends = np.cumsum(per_path)
+        for k in per_path.nonzero()[0].tolist():
+            i, n, end = ids[k], per_path[k], ends[k]
+            _append(found_t[i], block_t[end - n:end])
+            _append(found_lam[i], block_lam[end - n:end])
+            if found_t[i].size > cap:
+                raise CapacityExceeded(
+                    f"trajectory exceeded {cap} events before t={found_t[i][cap]:.6g} "
+                    f"(horizon {horizon})"
+                )
+        live = t <= horizon
+        ids, t, lam = ids[live], t[live], lam[live]
+        size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
+    for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
+        tail = _run_exact(rngs[i], params, horizon, cap, t_i, lam_i, found_t[i].size)
+        _append(found_t[i], tail[0])
+        _append(found_lam[i], tail[1])
+    return [None if t_i is None else (t_i, lam_i) for t_i, lam_i in zip(found_t, found_lam)]
+
+
 def simulate_batch(
     params: HawkesParams,
     horizon: float,
@@ -209,11 +372,32 @@ def simulate_batch(
 ) -> list[Trajectory]:
     """n_paths independent trajectories with per-path seeds seed + i.
 
-    Results are ordered by path index regardless of how callers schedule
-    the underlying per-seed calls.
+    Path i is bit for bit sampler(method)(params, horizon, seed + i), in
+    its times and its post-jump intensities, and the results are ordered by
+    path index.  The exact method runs the paths in groups of _GROUP, each
+    group in lockstep (see _lockstep), so one numpy step advances every live
+    path of the group by one interarrival; a path whose uniform block holds
+    an exact 0 is drawn by simulate_exact instead.  Any path over ``cap``
+    events raises CapacityExceeded.
     """
-    sim = {"exact": simulate_exact, "cluster": simulate_cluster}[method]
-    return [sim(params, horizon, seed + i, cap=cap, unit=unit) for i in range(n_paths)]
+    sim = sampler(method)
+    if method != "exact":
+        return [sim(params, horizon, seed + i, cap=cap, unit=unit) for i in range(n_paths)]
+    if horizon <= 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    out = []
+    for lo in range(0, n_paths, _GROUP):
+        seeds = range(seed + lo, seed + min(lo + _GROUP, n_paths))
+        # excess == 0 divides by zero on purpose; a tiny excess may overflow d
+        with np.errstate(divide="ignore", over="ignore"):
+            paths = _lockstep(params, horizon, seeds, cap)
+        for s, path in zip(seeds, paths):
+            if path is None:
+                out.append(simulate_exact(params, horizon, s, cap=cap, unit=unit))
+            else:
+                seq = EventSequence(path[0], horizon=horizon, unit=unit)
+                out.append(Trajectory(events=seq, intensity_at_events=path[1], seed=s))
+    return out
 
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:

@@ -249,3 +249,17 @@ class TestCountAt:
         counts = [count_at(seq, float(t)) for t in grid]
         assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
         assert count_at(seq, seq.horizon) == len(seq)
+
+    def test_array_of_times(self):
+        times = [1.0, 1.0, 2.0, 3.5]
+        grid = np.array([0.0, 1.0, 1.5, 3.5, 9.0])
+        counts = count_at(times, grid)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [0, 2, 2, 4, 4]
+        assert counts.tolist() == [count_at(times, float(t)) for t in grid]
+        assert type(count_at(times, 2.0)) is int
+
+    @pytest.mark.parametrize("t", [-0.5, np.array([0.0, 1.0, -1e-9])])
+    def test_negative_time_rejected(self, t):
+        with pytest.raises(ValueError):
+            count_at([1.0, 2.0], t)

@@ -16,6 +16,7 @@ from hawkesmom import (
     moment_closure,
     moment_ode_rhs,
     second_moment_intensity,
+    simulate_batch,
     simulate_exact,
     validate_params,
 )
@@ -260,8 +261,7 @@ class TestDynkinIdentity:
                   poly({(1, 0): 1.0}), poly({(1, 1): 1.0})]
         images = [apply_generator(params, k) for k in kfuncs]
         defects = np.empty((len(kfuncs), n_paths))
-        for i in range(n_paths):
-            traj = simulate_exact(params, t_end, 50_000 + i)
+        for i, traj in enumerate(simulate_batch(params, t_end, 50_000, n_paths)):
             times = traj.events.times
             n_t = len(times)
             lam_t = (params.lambda_inf

@@ -311,6 +311,13 @@ class TestMainExitCodes:
                      "--cap", "500", "--out-dir", str(tmp_path)])
         assert code == EXIT_CAPACITY
 
+    def test_validate_capacity_error(self, tmp_path):
+        # enough paths that the batch steps them in lockstep
+        code = main(["validate", "--alpha", "0.95", "--beta", "1.0", "--lambda-inf", "5.0",
+                     "--horizon", "5000", "--count", "20", "--delta", "0.5", "--t0", "10",
+                     "--seed", "1", "--cap", "500", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CAPACITY
+
     def test_validation_error(self, tmp_path):
         code = main(["simulate", "--alpha", "1.5", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--horizon", "10", "--seed", "1",

@@ -25,6 +25,7 @@ from hawkesmom import (
     mean_intensity,
     moment_triple,
     second_moment_intensity,
+    simulate_batch,
     simulate_exact,
     stationary_m1,
     stationary_m2,
@@ -138,8 +139,7 @@ class TestIncrementMeanExact:
         p = validate_params(0.2, 1.0, 1.0, 3.0)
         t, d, n_paths = 1.0, 2.0, 4000
         incs = np.empty(n_paths)
-        for i in range(n_paths):
-            traj = simulate_exact(p, t + d, 90_000 + i)
+        for i, traj in enumerate(simulate_batch(p, t + d, 90_000, n_paths)):
             times = traj.events.times
             incs[i] = np.searchsorted(times, t + d, side="right") - np.searchsorted(
                 times, t, side="right")

@@ -18,7 +18,8 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
-from hawkesmom.simulate import _spawn_offspring
+from hawkesmom import simulate as simulate_module
+from hawkesmom.simulate import _run_exact, _spawn_offspring, sampler
 
 
 class TestSimulateExact:
@@ -68,8 +69,7 @@ class TestSimulateExact:
     def test_deficit_start_mean_count(self):
         # lambda0 below the base level exercises the thinning branch
         p = validate_params(0.3, 1.0, 2.0, 0.2)
-        n = [len(simulate_exact(p, 8.0, 40_000 + i).events) for i in range(3000)]
-        n = np.asarray(n, float)
+        n = np.array([len(t.events) for t in simulate_batch(p, 8.0, 40_000, 3000)], float)
         se = n.std(ddof=1) / math.sqrt(n.size)
         assert abs(n.mean() - mean_count(p, 8.0)) <= 3.0 * se
 
@@ -159,8 +159,8 @@ class TestSimulateCluster:
         # reduced version of the acceptance cross-validation
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         n_paths = 3000
-        n_exact = np.array([len(simulate_exact(p, 10.0, 1_000 + i).events)
-                            for i in range(n_paths)], float)
+        n_exact = np.array([len(t.events) for t in simulate_batch(p, 10.0, 1_000, n_paths)],
+                           float)
         n_clust = np.array([len(simulate_cluster(p, 10.0, 2_000 + i).events)
                             for i in range(n_paths)], float)
         se = math.sqrt(n_exact.var(ddof=1) / n_paths + n_clust.var(ddof=1) / n_paths)
@@ -250,3 +250,122 @@ class TestBatch:
             assert np.array_equal(a.events.times, b.events.times)
         single = simulate_exact(p, 50.0, 1003)
         assert np.array_equal(batch[3].events.times, single.events.times)
+
+    # (alpha, beta, lambda_inf, lambda0, horizon, paths): lambda0 equal to,
+    # above and below lambda_inf, with enough excess paths that numpy's log
+    # in place of libm's changes some; the cascade forecast's near-critical
+    # parameters; alpha = 0 from each side; a horizon so short that most
+    # paths hold no event; one path; paths of many blocks; one group and a
+    # remainder
+    REGIMES = {
+        "equal": (0.2, 1.0, 1.0, 1.0, 60.0, 30),
+        "excess": (0.3, 1.0, 1.0, 2.5, 40.0, 100),
+        "criterion8": (0.772, 1.133, 0.243, 0.243, 600.0, 40),
+        "deficit": (0.3, 1.0, 2.0, 0.1, 10.0, 40),
+        "alpha0": (0.0, 1.0, 1.0, 1.0, 60.0, 20),
+        "alpha0_excess": (0.0, 1.0, 1.0, 3.0, 20.0, 20),
+        "alpha0_deficit": (0.0, 1.0, 1.0, 0.3, 20.0, 20),
+        "short": (0.2, 1.0, 1.0, 1.0, 0.05, 40),
+        "one_path": (0.2, 1.0, 1.0, 1.2, 300.0, 1),
+        "many_blocks": (0.2, 1.0, 1.0, 1.0, 500.0, 13),
+        "group_and_remainder": (0.2, 1.0, 1.0, 1.0, 4.0, simulate_module._GROUP + 13),
+    }
+
+    @staticmethod
+    def _assert_bitwise_exact(batch, params, horizon, seed, n_paths):
+        assert [t.seed for t in batch] == [seed + i for i in range(n_paths)]
+        for i, traj in enumerate(batch):
+            ref = simulate_exact(params, horizon, seed + i)
+            assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
+            assert traj.intensity_at_events.tobytes() == ref.intensity_at_events.tobytes(), i
+            assert traj.events.horizon == horizon
+
+    # 1 steps every path in lockstep to its end; the default hands the last
+    # few live paths to the scalar loop mid-stream
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_bitwise_equal_to_simulate_exact(self, monkeypatch, regime, min_lockstep):
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
+        *raw, horizon, n_paths = self.REGIMES[regime]
+        p = validate_params(*raw)
+        batch = simulate_batch(p, horizon, 3_000, n_paths)
+        self._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
+        sizes = [len(t.events) for t in batch]
+        if regime == "short":
+            assert 0 in sizes and max(sizes) > 0
+        if regime == "many_blocks":
+            # more loop iterations than the first four blocks hold
+            assert min(sizes) > 15 * simulate_module._FIRST_BLOCK
+
+    def test_deficit_regime_rejects_proposals(self):
+        # the deficit case above must exercise thinning rejections: every
+        # loop iteration draws two uniforms, so more draws than two per
+        # event (plus the final one or two) means some proposal was rejected
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.draws = 0
+
+            def random(self):
+                self.draws += 1
+                return self.rng.random()
+
+        *raw, horizon, n_paths = self.REGIMES["deficit"]
+        p = validate_params(*raw)
+        rejected = 0
+        for i in range(n_paths):
+            rng = CountingRng(3_000 + i)
+            events, _ = _run_exact(rng, p, horizon, 10**6, 0.0, p.lambda0)
+            rejected += rng.draws > 2 * len(events) + 2
+        assert rejected >= n_paths // 2
+
+    @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
+    def test_zero_draw_path_matches_simulate_exact(self, monkeypatch, position):
+        """A scripted stream puts an exact 0 at one draw of one path: that
+        path leaves the lockstep and still equals simulate_exact."""
+        target = 3_005
+
+        class ScriptedRng:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+                self.pos = 0
+                self.zero_at = position if seed == target else -1
+
+            def random(self, out=None):
+                if out is not None:
+                    out[:] = [self.random() for _ in range(out.size)]
+                    return out
+                self.pos += 1
+                return 0.0 if self.pos - 1 == self.zero_at else self.rng.random()
+
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        horizon, n_paths = 400.0, 16
+        plain = simulate_exact(p, horizon, target)
+        monkeypatch.setattr(np.random, "default_rng", ScriptedRng)
+        batch = simulate_batch(p, horizon, 3_000, n_paths)
+        self._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
+        # the zero fell inside the used stream and was redrawn
+        assert len(plain.events) > position
+        assert batch[target - 3_000].events.times.tobytes() == plain.events.times.tobytes()
+
+    def test_capacity_exceeded(self):
+        p = validate_params(0.95, 1.0, 5.0, 5.0)  # near-critical, lambda* = 100
+        with pytest.raises(CapacityExceeded):
+            simulate_batch(p, 10_000.0, 5, 20, cap=1000)
+
+    def test_unknown_method(self):
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown simulation method"):
+            simulate_batch(p, 10.0, 1, 3, method="thinning")
+        with pytest.raises(ValueError, match="unknown simulation method"):
+            sampler("thinning")
+        assert sampler("exact") is simulate_exact
+        assert sampler("cluster") is simulate_cluster
+
+    def test_cluster_method_uses_per_path_seeds(self):
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        batch = simulate_batch(p, 30.0, 40, 3, method="cluster")
+        for i, traj in enumerate(batch):
+            ref = simulate_cluster(p, 30.0, 40 + i)
+            assert np.array_equal(traj.events.times, ref.events.times)
