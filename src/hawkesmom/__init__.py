@@ -2,7 +2,6 @@
 calibration for the exponentially decaying self-exciting (Hawkes) process."""
 
 from .core import (
-    DerivedQuantities,
     EventSequence,
     HawkesParams,
     count_at,
@@ -70,7 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "DerivedQuantities", "HawkesParams", "EventSequence", "validate_params",
+    "HawkesParams", "EventSequence", "validate_params",
     "intensity_at", "intensity_on_grid", "post_jump_intensities", "count_at",
     # generator
     "BivariatePolynomial", "MomentIndex", "apply_generator", "moment_ode_rhs",

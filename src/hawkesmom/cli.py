@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .errors import (
     NoConvergence,
     ParseError,
 )
-from .estimate import EstimateConfig, EstimateReport, estimate
+from .estimate import DEFAULT_INIT, EstimateConfig, EstimateReport, estimate
 from .io import (
     parse_events,
     report_to_dict,
@@ -63,7 +64,8 @@ SEED_ENV_VAR = "HAWKES_SEED"
 
 @dataclass
 class RunConfig:
-    """Resolved parameters of one CLI invocation."""
+    """Resolved parameters of one CLI invocation; the field names are the
+    parser's dest names, so main builds it as RunConfig(**vars(args))."""
 
     command: str
     alpha: float | None = None
@@ -75,7 +77,7 @@ class RunConfig:
     count: int = 20
     delta: float | None = None
     t0: float = 0.0
-    init: tuple[float, float, float] = (0.5, 1.5, 2.0)
+    init: tuple[float, float, float] = DEFAULT_INIT
     unit: str = "minutes"
     method: str = "exact"
     grid_step: float = 0.01
@@ -100,6 +102,11 @@ class RunConfig:
         )
 
 
+def _check_step(flag: str, step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {step}")
+
+
 @dataclass
 class HarnessReport:
     """Per-trajectory estimates with summary statistics and envelope data."""
@@ -114,6 +121,7 @@ class HarnessReport:
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     """Simulate one trajectory; write the events file and an intensity grid."""
+    _check_step("--grid-step", cfg.grid_step)
     params = cfg.params()
     seed = cfg.require_seed()
     traj = sampler(cfg.method)(params, cfg.horizon, seed, cap=cfg.cap, unit=cfg.unit)
@@ -176,6 +184,9 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     """
     if cfg.count < 2:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
+    if cfg.envelope:
+        step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
+        _check_step("--envelope-step", step)
     params = cfg.params()
     seed = cfg.require_seed()
     trajectories = simulate_batch(params, cfg.horizon, seed, cfg.count, method=cfg.method,
@@ -228,7 +239,6 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
 
     harness = HarnessReport(reports=reports, summary=summary, non_converged=non_converged)
     if cfg.envelope:
-        step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
         grid = np.arange(int(round(cfg.horizon / step)) + 1) * step
         counts = np.vstack([count_at(t.events, grid) for t in trajectories])
         real = None
@@ -284,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--delta", type=float, required=True, help="window length")
 
     p_est = sub.add_parser("estimate", help="fit parameters to an events file")
-    p_est.add_argument("--events", type=Path, required=True, help="events file (one timestamp per line)")
+    p_est.add_argument("--events", dest="events_path", metavar="EVENTS", type=Path,
+                       required=True, help="events file (one timestamp per line)")
     p_est.add_argument("--delta", type=float, required=True, help="window length")
     p_est.add_argument("--t0", type=float, default=0.0, help="burn-in start of the window grid")
-    p_est.add_argument("--init", type=float, nargs=3, default=(0.5, 1.5, 2.0),
+    p_est.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
                        metavar=("ALPHA", "BETA", "LAMBDA_INF"), help="solver starting point")
     p_est.add_argument("--horizon", type=float, default=None,
                        help="truncate events beyond this time (default: last event)")
@@ -302,39 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--delta", type=float, required=True)
     p_val.add_argument("--t0", type=float, default=3000.0,
                        help="burn-in before the window grid (default 3000)")
-    p_val.add_argument("--init", type=float, nargs=3, default=(0.5, 1.5, 2.0),
+    p_val.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
                        metavar=("ALPHA", "BETA", "LAMBDA_INF"))
     p_val.add_argument("--method", choices=("exact", "cluster"), default="exact")
     p_val.add_argument("--envelope", action="store_true",
                        help="also write per-trajectory cumulative counts on a shared grid")
     p_val.add_argument("--envelope-step", type=float, default=None)
-    p_val.add_argument("--real-events", type=Path, default=None,
+    p_val.add_argument("--real-events", dest="real_events_path", metavar="REAL_EVENTS",
+                       type=Path, default=None,
                        help="overlay this events file on the envelope grid")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("alpha", "beta", "lambda0", "horizon", "seed", "count", "delta",
-                 "t0", "unit", "method", "cap"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "lambda_inf", None) is not None:
-        cfg.lambda_inf = args.lambda_inf
-    if getattr(args, "init", None) is not None:
-        cfg.init = tuple(args.init)
-    if getattr(args, "grid_step", None) is not None:
-        cfg.grid_step = args.grid_step
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    if getattr(args, "events", None) is not None:
-        cfg.events_path = args.events
-    if getattr(args, "real_events", None) is not None:
-        cfg.real_events_path = args.real_events
-    cfg.envelope = bool(getattr(args, "envelope", False))
-    if getattr(args, "envelope_step", None) is not None:
-        cfg.envelope_step = args.envelope_step
-    return cfg
 
 
 _DISPATCH = {
@@ -347,7 +335,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**vars(args))
     try:
         result = _DISPATCH[cfg.command](cfg)
     except ParseError as exc:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ExplosionRisk, NegativeInput, NonPositiveBase
 
 __all__ = [
-    "DerivedQuantities",
     "HawkesParams",
     "EventSequence",
     "validate_params",
@@ -38,19 +37,6 @@ __all__ = [
     "post_jump_intensities",
     "count_at",
 ]
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Stationary mean intensity and relaxation rate implied by the parameters.
-
-    lambda_star = beta * lambda_inf / (beta - alpha) is the t -> infinity
-    limit of E[lambda_t]; kappa = beta - alpha is the rate at which the
-    mean intensity relaxes toward it.
-    """
-
-    lambda_star: float
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -94,15 +80,13 @@ class HawkesParams:
 
     @property
     def kappa(self) -> float:
+        """Rate at which the mean intensity relaxes toward lambda_star."""
         return self.beta - self.alpha
 
     @property
     def lambda_star(self) -> float:
+        """The t -> infinity limit of E[lambda_t]."""
         return self.beta * self.lambda_inf / (self.beta - self.alpha)
-
-    @property
-    def derived(self) -> DerivedQuantities:
-        return DerivedQuantities(lambda_star=self.lambda_star, kappa=self.kappa)
 
 
 def validate_params(alpha, beta, lambda_inf, lambda0=None) -> HawkesParams:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .simulate import windowed_counts
 
 __all__ = [
     "MIN_WINDOWS",
+    "DEFAULT_INIT",
     "EmpiricalMoments",
     "EstimateConfig",
     "EstimateReport",
@@ -51,6 +52,8 @@ MIN_WINDOWS = 30
 # alpha-hat this far below beta-hat (relatively) is reported as a boundary
 # fit: the data look Poisson and beta is then unidentified.
 BOUNDARY_ALPHA_RATIO = 1e-6
+# the solver's default starting point (alpha, beta, lambda_inf)
+DEFAULT_INIT = (0.5, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,8 @@ class EstimateConfig:
 
     delta: float
     t0: float = 0.0
-    init: tuple[float, float, float] = (0.5, 1.5, 2.0)
-    multistart: tuple[tuple[float, float, float], ...] | None = None  # None -> default grid
+    init: tuple[float, float, float] = DEFAULT_INIT
     tol: float = 1e-9
-    max_iter: int = 200
 
 
 def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:
@@ -176,15 +177,6 @@ _SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-7, 200.0, 600
 _LOCAL_BRACKET_HALF_WIDTH = 0.5
 
 
-def _brent_minimize(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Deterministic bounded scalar minimization; returns (x, f(x), evaluations)."""
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": tol, "maxiter": max_iter})
-    return float(res.x), float(res.fun), int(res.nfev)
-
-
 def _residuals(p: HawkesParams, triple: MomentTriple, delta: float) -> tuple[float, float, float]:
     return (stationary_m1(p, delta) - triple.m1,
             stationary_m2(p, delta) - triple.m2,
@@ -197,7 +189,6 @@ def solve_moment_system(
     init: tuple[float, float, float],
     *,
     tol: float = 1e-9,
-    max_iter: int = 200,
     multistart: tuple = (),
     window_stats: EmpiricalMoments | None = None,
 ) -> EstimateReport:
@@ -228,12 +219,7 @@ def solve_moment_system(
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"moment {name} must be finite and positive, got {v}")
-    starts = [_check_start(init)]
-    for extra in multistart:
-        try:
-            starts.append(_check_start(extra))
-        except ValueError:
-            continue  # skip inadmissible multistart points
+    starts = [_check_start(theta) for theta in (init, *multistart)]
 
     m1, m2, m3 = triple.m1, triple.m2, triple.m3
     lam_star = m1 / delta
@@ -284,7 +270,7 @@ def solve_moment_system(
         return val if math.isfinite(val) else math.inf
 
     # bracket every exact root on a wide dimensionless grid
-    from scipy.optimize import brentq
+    from scipy.optimize import brentq, minimize_scalar
 
     grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
     vals = np.array([scalar_residual(x) for x in grid])
@@ -293,7 +279,7 @@ def solve_moment_system(
         lo, hi = vals[i], vals[i + 1]
         if math.isfinite(lo) and math.isfinite(hi) and lo * hi < 0.0:
             roots.append(brentq(scalar_residual, grid[i], grid[i + 1],
-                                xtol=1e-15, rtol=8.9e-16, maxiter=max_iter))
+                                xtol=1e-15, rtol=8.9e-16, maxiter=200))
         elif lo == 0.0:
             roots.append(float(grid[i]))
 
@@ -323,8 +309,9 @@ def solve_moment_system(
         x0 = min(max((b0 - a0) * delta, _SCAN_LO), _SCAN_HI)
         lo = max(x0 * math.exp(-_LOCAL_BRACKET_HALF_WIDTH), _SCAN_LO)
         hi = min(x0 * math.exp(_LOCAL_BRACKET_HALF_WIDTH), _SCAN_HI)
-        best_x, _, _ = _brent_minimize(lambda x: abs(scalar_residual(x)), lo, hi)
-        best = make_report(_params_on_manifold(best_x, lam_star, excess, delta),
+        res = minimize_scalar(lambda x: abs(scalar_residual(x)), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-10, "maxiter": 200})
+        best = make_report(_params_on_manifold(float(res.x), lam_star, excess, delta),
                            0, ("m3_best_fit",))
     if not best.converged:
         raise NoConvergence(
@@ -336,21 +323,21 @@ def solve_moment_system(
 
 
 def default_multistart(emp: EmpiricalMoments) -> tuple[tuple[float, float, float], ...]:
-    """Fallback starting points: the two standard inits plus a data-driven
-    one seeding lambda_inf with M1/delta at alpha = beta/2, beta = 1."""
-    grid: list[tuple[float, float, float]] = [(0.5, 1.5, 2.0), (0.5, 1.5, 0.75)]
-    lam_seed = emp.triple.m1 / emp.delta
-    if lam_seed > 0.0:
-        grid.append((0.5, 1.0, lam_seed))
-    return tuple(grid)
+    """Extra starting points: the default init and a data-driven one seeding
+    lambda_inf with M1/delta at alpha = beta/2, beta = 1.
+
+    Root choice reads only a start's alpha and beta, so starts differing
+    only in lambda_inf never change the fit."""
+    return DEFAULT_INIT, (0.5, 1.0, emp.triple.m1 / emp.delta)
 
 
 def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
     """Empirical moments followed by the moment-system solve.
 
-    Retries from every multistart point on non-convergence and then reports
-    the best attempt (converged = False) rather than raising, so harness
-    callers can keep partial results.  InsufficientData propagates.
+    The solve starts from config.init with default_multistart's points as
+    extra starts.  On non-convergence it warns and returns the solver's best
+    attempt (converged = False) rather than raising, so harness callers can
+    keep partial results.  InsufficientData propagates.
     """
     emp = empirical_moments(events, config.t0, config.delta)
     extra_flags: tuple[str, ...] = ()
@@ -363,24 +350,14 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
         )
         extra_flags = ("t0_in_transient",)
 
-    multistart = config.multistart if config.multistart is not None else default_multistart(emp)
     try:
         report = solve_moment_system(
-            emp.triple, config.delta, config.init,
-            tol=config.tol, max_iter=config.max_iter,
-            multistart=multistart, window_stats=emp,
+            emp.triple, config.delta, config.init, tol=config.tol,
+            multistart=default_multistart(emp), window_stats=emp,
         )
     except NoConvergence as exc:
         warnings.warn(str(exc), UserWarning, stacklevel=2)
         report = exc.best_report
     if extra_flags:
-        report = EstimateReport(
-            params_hat=report.params_hat,
-            residual_norm=report.residual_norm,
-            iterations=report.iterations,
-            init=report.init,
-            converged=report.converged,
-            window_stats=report.window_stats,
-            flags=report.flags + extra_flags,
-        )
+        report = replace(report, flags=report.flags + extra_flags)
     return report

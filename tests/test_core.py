@@ -59,7 +59,7 @@ class TestValidateParams:
         # lambda* = beta lambda_inf / (beta - alpha)
         assert p.lambda_star == pytest.approx(1.133 * 0.243 / (1.133 - 0.772), rel=1e-12)
         assert p.lambda_star == pytest.approx(0.7627, abs=5e-5)
-        assert p.derived.kappa == pytest.approx(0.361, rel=1e-12)
+        assert p.kappa == pytest.approx(0.361, rel=1e-12)
 
     def test_nonpositive_base(self):
         with pytest.raises(NonPositiveBase):
@@ -88,8 +88,8 @@ class TestValidateParams:
 
     def test_derived_invariants(self):
         p = validate_params(0.3, 1.1, 0.9, 0.2)
-        assert p.derived.lambda_star >= p.lambda_inf
-        assert p.derived.kappa > 0
+        assert p.lambda_star >= p.lambda_inf
+        assert p.kappa > 0
 
 
 class TestEventSequence:

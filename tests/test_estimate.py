@@ -20,7 +20,7 @@ from hawkesmom import (
     stationary_m1,
     validate_params,
 )
-from hawkesmom.estimate import empirical_from_counts
+from hawkesmom.estimate import DEFAULT_INIT, default_multistart, empirical_from_counts
 
 
 class TestEmpiricalMoments:
@@ -138,6 +138,31 @@ class TestSolveMomentSystem:
         with pytest.raises(ValueError):
             solve_moment_system(moment_triple(p, 0.5), 0.5, init=(1.5, 1.0, 1.0))
 
+    # a start that differs from init only in lambda_inf picks the same root
+    # (root choice reads a start's alpha and beta), so it never changes the fit
+    @pytest.mark.parametrize("m3_scale", [1.0, 1.01], ids=["exact_root", "m3_best_fit"])
+    @pytest.mark.parametrize("init, extra", [
+        (DEFAULT_INIT, (0.5, 1.5, 0.75)),
+        ((0.1, 2.5, 0.3), (0.1, 2.5, 7.0)),
+    ])
+    def test_start_differing_only_in_lambda_inf_changes_nothing(self, m3_scale, init, extra):
+        exact = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
+        triple = MomentTriple(exact.m1, exact.m2, exact.m3 * m3_scale, 0.5)
+        alone = solve_moment_system(triple, 0.5, init=init)
+        both = solve_moment_system(triple, 0.5, init=init, multistart=(extra,))
+        assert ("m3_best_fit" in alone.flags) == (m3_scale != 1.0)
+        for name in ("params_hat", "init", "iterations", "residual_norm", "flags"):
+            assert getattr(both, name) == getattr(alone, name), name
+
+    def test_inadmissible_extra_start_rejected(self):
+        triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
+        with pytest.raises(ValueError, match="start point"):
+            solve_moment_system(triple, 0.5, init=DEFAULT_INIT, multistart=((1.5, 1.0, 1.0),))
+
+    def test_default_multistart(self):
+        emp = empirical_from_counts(np.arange(40) % 3, delta=0.5)
+        assert default_multistart(emp) == (DEFAULT_INIT, (0.5, 1.0, emp.triple.m1 / 0.5))
+
     def test_deterministic(self):
         p = validate_params(0.25, 1.2, 0.9)
         triple = moment_triple(p, 0.5)
@@ -200,7 +225,7 @@ class TestEstimate:
         events = EventSequence(times=np.array([0.1, 5.0]), horizon=40.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = estimate(events, EstimateConfig(delta=1.0, t0=0.0, max_iter=40))
+            report = estimate(events, EstimateConfig(delta=1.0, t0=0.0))
         assert not report.converged
         assert math.isfinite(report.residual_norm)
 

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hawkesmom import (
+    EventSequence,
     EmptyFile,
     NegativeTimestamp,
     ParseError,
@@ -26,7 +29,7 @@ from hawkesmom.cli import (
     cmd_validate,
     main,
 )
-from hawkesmom.io import _CSV_CHUNK_ROWS, write_intensity_csv
+from hawkesmom.io import _CSV_CHUNK_ROWS, write_events, write_intensity_csv
 
 
 def write(tmp_path, name, text):
@@ -101,6 +104,30 @@ class TestParseEvents:
         seq = parse_events(path, unit="fortnights")
         with pytest.raises(ValueError):
             convert_unit(seq, "minutes")
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(times=st.lists(st.floats(min_value=0.0, max_value=1e15), min_size=1, max_size=50))
+    def test_write_then_parse_is_bitwise(self, tmp_path, times):
+        times = np.sort(np.array(times))
+        events = EventSequence(times=times, horizon=float(times[-1]))
+        parsed = parse_events(write_events(tmp_path / "ev.txt", events), unit="unitless")
+        assert parsed.times.tobytes() == times.tobytes()
+        assert parsed.horizon == events.horizon
+
+    # seconds -> days multiplies by ~1.2e-5; below ~1e-290 s the day value
+    # would be subnormal and lose bits, which no timestamp comes near
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(times=st.lists(st.just(0.0) | st.floats(min_value=1e-290, max_value=1e15),
+                          min_size=1, max_size=50))
+    def test_seconds_to_days_and_back_within_4_ulp(self, times):
+        times = np.sort(np.array(times))
+        events = EventSequence(times=times, horizon=float(times[-1]), unit="seconds")
+        back = convert_unit(convert_unit(events, "days"), "seconds")
+        assert back.unit == "seconds"
+        assert np.all(np.abs(back.times - times) <= 4 * np.spacing(times))
 
 
 class TestWriteIntensityCsv:
@@ -327,6 +354,27 @@ class TestMainExitCodes:
     def test_moments_ok(self):
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_bad_grid_step_writes_nothing(self, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "10", "--seed", "4", "--grid-step", step,
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "error: --grid-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_bad_envelope_step_writes_nothing(self, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "200", "--count", "2", "--delta", "0.5", "--t0", "10",
+                     "--seed", "4", "--envelope", "--envelope-step", step,
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "error: --envelope-step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliGoldens:

@@ -14,6 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hawkesmom import (
@@ -283,6 +285,17 @@ class TestNearCriticalBranch:
                 float(_m2_mp(a, p.beta, li, d)), rel=1e-8)
             assert stationary_m3(p, d) == pytest.approx(
                 float(_m3_mp(a, p.beta, li, d)), rel=1e-8)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(log_alpha=st.floats(-3.0, 2.0), log_lam=st.floats(-2.0, 1.0),
+           log_delta=st.floats(-3.0, 2.0))
+    def test_branches_agree_at_the_threshold(self, log_alpha, log_lam, log_delta):
+        a, li, d = 10.0**log_alpha, 10.0**log_lam, 10.0**log_delta
+        below, above = (validate_params(a, a + NEAR_CRITICAL_THRESHOLD * s / d, li)
+                        for s in (1.0 - 1e-9, 1.0 + 1e-9))
+        assert below.kappa * d < NEAR_CRITICAL_THRESHOLD <= above.kappa * d
+        assert stationary_m2(below, d) == pytest.approx(stationary_m2(above, d), rel=1e-6)
+        assert stationary_m3(below, d) == pytest.approx(stationary_m3(above, d), rel=1e-6)
 
 
 class TestLimitIntensityMoments:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hawkesmom import (
     CapacityExceeded,
+    EventSequence,
+    count_at,
     WindowOutOfRange,
     intensity_at,
     mean_count,
@@ -224,13 +228,30 @@ class TestWindowedCounts:
         assert np.array_equal(whole, np.concatenate([first, second]))
 
     def test_total_matches_counting(self):
-        from hawkesmom import count_at
-
         rng = np.random.default_rng(78)
         events = np.sort(rng.uniform(0, 25, size=150))
         sample = windowed_counts(events, 1.3, 0.9, 20)
         total = count_at(events, 1.3 + 20 * 0.9) - count_at(events, 1.3)
         assert sample.counts.sum() == total
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(ticks=st.lists(st.integers(0, 60), max_size=200),
+           quantum=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+           t0_ticks=st.integers(0, 20), delta_ticks=st.integers(1, 6),
+           pairs=st.integers(1, 15))
+    def test_halving_windows_with_ties(self, ticks, quantum, t0_ticks, delta_ticks, pairs):
+        # timestamps on a coarse lattice: many ties, some on window edges
+        times = np.sort(np.array(ticks, dtype=float)) * quantum
+        t0, delta = t0_ticks * quantum, delta_ticks * quantum
+        end = t0 + delta * (2 * pairs)
+        events = EventSequence(times=times, horizon=max(end, times.max(initial=0.0)))
+        fine = windowed_counts(events, t0, delta, 2 * pairs).counts
+        coarse = windowed_counts(events, t0, 2.0 * delta, pairs).counts
+        assert np.array_equal(fine[0::2] + fine[1::2], coarse)
+        # windows are [t0, end), count_at is right-continuous
+        total = (count_at(events, end) - count_at(events, t0)
+                 - np.count_nonzero(times == end) + np.count_nonzero(times == t0))
+        assert fine.sum() == total
 
     def test_stationary_window_mean(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
