@@ -9,8 +9,14 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
+import tempfile
+import traceback
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -109,29 +115,124 @@ def write_events(path, events: EventSequence) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t\n")
-        for t in events.times:
-            fh.write(f"{float(t)!r}\n")
+        _write_rows(fh, _event_rows, events.times)
     return path
 
 
 _CSV_CHUNK_ROWS = 4096
+# Below 2 * MIN_ROWS_PER_WORKER rows (about 0.25 s of formatting) an
+# intensity grid is written by this process alone.
+MIN_ROWS_PER_WORKER = 1 << 16
+
+
+def _write_rows(fh, format_rows, *columns) -> None:
+    """Write the rows of equal-length 1-D arrays a chunk at a time:
+    ``format_rows`` gets one chunk of each column as a list of Python
+    scalars and returns that chunk's text lines.  Memory stays flat for any
+    length."""
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        hi = lo + _CSV_CHUNK_ROWS
+        fh.write("".join(format_rows(*[c[lo:hi].tolist() for c in columns])))
+
+
+def _repr_rows(*columns):
+    # repr of a Python int is its decimal digits
+    return [",".join(map(repr, row)) + "\n" for row in zip(*columns)]
+
+
+# The bytes of _repr_rows for one and two float columns; the f-strings take
+# 15-45% less time.
+def _event_rows(times):
+    return [f"{t!r}\n" for t in times]
+
+
+def _intensity_rows(grid, values):
+    return [f"{t!r},{v!r}\n" for t, v in zip(grid, values)]
+
+
+def _worker_count(rows: int) -> int:
+    """One worker per available CPU, each with at least MIN_ROWS_PER_WORKER rows."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows // MIN_ROWS_PER_WORKER))
+
+
+def _format_in_child(tmp, grid, values) -> NoReturn:
+    """In a forked child: write the rows into ``tmp`` and exit, 0 on success."""
+    status = 1
+    try:
+        with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
+            _write_rows(out, _intensity_rows, grid, values)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _write_in_slices(fh, grid, values) -> None:
+    """Write the intensity rows to ``fh`` in _worker_count contiguous slices.
+
+    A forked child formats each slice after the first into an unlinked
+    temporary file in the directory of ``fh`` while this process writes the
+    first slice; the children's files are then appended in row order.  A
+    failed child makes the call raise OSError, and every child is reaped
+    even when this process raises.
+    """
+    n = _worker_count(grid.size)
+    bounds = [grid.size * k // n for k in range(n + 1)]
+    worker_slices = list(zip(bounds[1:-1], bounds[2:]))
+    temps, pids = [], []
+    try:
+        for lo, hi in worker_slices:
+            temps.append(tempfile.TemporaryFile(dir=Path(fh.name).parent))
+            fh.flush()
+            pid = os.fork()
+            if pid == 0:
+                _format_in_child(temps[-1], grid[lo:hi], values[lo:hi])
+            pids.append(pid)
+        _write_rows(fh, _intensity_rows, grid[:bounds[1]], values[:bounds[1]])
+        fh.flush()
+        for tmp, (lo, hi) in zip(temps, worker_slices):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+            if status != 0:
+                raise OSError(f"{fh.name}: the worker formatting rows {lo} to {hi} "
+                              f"exited with status {status}")
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for tmp in temps:
+            tmp.close()
 
 
 def write_intensity_csv(path, grid, values) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
-    Rows are formatted from Python floats a chunk at a time, which keeps
-    memory flat for any grid length.
+    Large grids are formatted by one process per available CPU (see
+    _write_in_slices); every row is formatted by the same function in the
+    same order, so the bytes are those of a one-process run.  No file is
+    left at ``path`` when the call raises.
     """
     path = Path(path)
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("t,intensity\n")
-        for lo in range(0, min(grid.size, values.size), _CSV_CHUNK_ROWS):
-            hi = lo + _CSV_CHUNK_ROWS
-            fh.write("".join([f"{t!r},{v!r}\n" for t, v in
-                              zip(grid[lo:hi].tolist(), values[lo:hi].tolist())]))
+    if grid.size != values.size:
+        raise ValueError(f"grid has {grid.size} points but values has {values.size}")
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("t,intensity\n")
+            _write_in_slices(fh, grid, values)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -157,15 +258,13 @@ def write_envelope_csv(path, grid, counts, real_counts=None) -> Path:
     path = Path(path)
     counts = np.asarray(counts)
     header = ["t"] + [f"run_{i}" for i in range(counts.shape[0])]
+    columns = [np.asarray(grid, dtype=np.float64), *counts.astype(np.int64)]
     if real_counts is not None:
         header.append("real")
+        columns.append(np.asarray(real_counts).astype(np.int64))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for j, t in enumerate(grid):
-            row = [repr(float(t))] + [str(int(counts[i, j])) for i in range(counts.shape[0])]
-            if real_counts is not None:
-                row.append(str(int(real_counts[j])))
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, _repr_rows, *columns)
     return path
 
 

@@ -67,6 +67,12 @@ class IncrementSample:
     counts: np.ndarray
 
 
+def _check_horizon(horizon: float) -> None:
+    """Reject a horizon before any sampling: NaN or infinity would run to the cap."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
 def _redraw_nonzero(rng) -> float:
     """Next nonzero uniform draw.
 
@@ -102,8 +108,7 @@ def simulate_exact(
     no valid inversion and the next event is drawn exactly by thinning
     against the dominating constant rate lambda_inf.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     events, post = _run_exact(np.random.default_rng(seed), params, horizon, cap,
                               0.0, params.lambda0)
     seq = EventSequence(np.asarray(events), horizon=horizon, unit=unit)
@@ -182,8 +187,7 @@ def simulate_cluster(
     unit: str = "unitless",
 ) -> Trajectory:
     """Draw one path via the immigrant/offspring branching construction."""
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     rng = np.random.default_rng(seed)
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
 
@@ -380,11 +384,10 @@ def simulate_batch(
     an exact 0 is drawn by simulate_exact instead.  Any path over ``cap``
     events raises CapacityExceeded.
     """
+    _check_horizon(horizon)
     sim = sampler(method)
     if method != "exact":
         return [sim(params, horizon, seed + i, cap=cap, unit=unit) for i in range(n_paths)]
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
     out = []
     for lo in range(0, n_paths, _GROUP):
         seeds = range(seed + lo, seed + min(lo + _GROUP, n_paths))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from hawkesmom.cli import (
     cmd_validate,
     main,
 )
-from hawkesmom.io import _CSV_CHUNK_ROWS, write_events, write_intensity_csv
+from hawkesmom import io as io_module
+from hawkesmom.io import (
+    _CSV_CHUNK_ROWS,
+    MIN_ROWS_PER_WORKER,
+    write_envelope_csv,
+    write_events,
+    write_intensity_csv,
+)
 
 
 def write(tmp_path, name, text):
@@ -141,6 +149,117 @@ class TestWriteIntensityCsv:
         expected = "t,intensity\n" + "".join(
             f"{float(t)!r},{float(v)!r}\n" for t, v in zip(grid, values))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_mismatched_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="grid has 3 points but values has 2"):
+            write_intensity_csv(tmp_path / "intensity.csv", np.arange(3.0), np.ones(2))
+        assert not (tmp_path / "intensity.csv").exists()
+
+    def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(32)
+        n = 3 * MIN_ROWS_PER_WORKER + 17
+        grid = np.arange(n) * 0.01
+        values = rng.lognormal(0.0, 3.0, size=n)
+        # 17-digit reprs, exponent forms and integral values, some of them
+        # on the rows where the slices of two and three workers meet
+        special = [0.1 + 0.2, 1e-05, 1e+16, 1.0, 2.0 / 3.0, 1e-300, 12345678901234.5]
+        for at in (0, n // 3 - 3, n // 2 - 3, 2 * n // 3 - 3, n - len(special)):
+            values[at:at + len(special)] = special
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        default_workers = min(len(os.sched_getaffinity(0)), 3)
+        default = write_intensity_csv(tmp_path / "default.csv", grid, values).read_bytes()
+        assert len(forks) == default_workers - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        three = write_intensity_csv(tmp_path / "three.csv", grid, values).read_bytes()
+        assert len(forks) == default_workers - 1 + 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = write_intensity_csv(tmp_path / "serial.csv", grid, values).read_bytes()
+        assert len(forks) == default_workers - 1 + 2
+        assert default == serial
+        assert three == serial
+        assert serial.count(b"\n") == n + 1
+        for v in (b",0.30000000000000004\n", b",1e-05\n", b",1e+16\n", b",1.0\n"):
+            assert v in serial
+
+    def test_failed_worker_raises_and_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        rows = io_module._intensity_rows
+
+        def fail_in_worker(grid, values):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return rows(grid, values)
+
+        monkeypatch.setattr(io_module, "_intensity_rows", fail_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n = 2 * MIN_ROWS_PER_WORKER
+        with pytest.raises(OSError, match="exited with status 1"):
+            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+        assert os.listdir(tmp_path) == []
+        out = tmp_path / "out"
+        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "20", "--grid-step", "0.0001", "--seed", "4",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "exited with status 1" in capsys.readouterr().err
+        assert os.listdir(out) == ["events.txt"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_parent_reaps_workers(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        rows = io_module._intensity_rows
+
+        def fail_in_parent(grid, values):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            return rows(grid, values)
+
+        monkeypatch.setattr(io_module, "_intensity_rows", fail_in_parent)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        n = 3 * MIN_ROWS_PER_WORKER
+        with pytest.raises(RuntimeError, match="parent failed"):
+            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_small_grid_never_forks(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        n = 2 * MIN_ROWS_PER_WORKER - 1
+        path = write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+        assert path.read_bytes().count(b"\n") == n + 1
+
+
+class TestWriteEnvelopeCsv:
+    def test_rows_match_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(33)
+        n = _CSV_CHUNK_ROWS + 5
+        grid = np.arange(n) * (1.0 / 3.0)
+        counts = np.cumsum(rng.poisson(2.0, size=(4, n)), axis=1)
+        real = np.cumsum(rng.poisson(2.0, size=n))
+        for overlay in (None, real):
+            path = write_envelope_csv(tmp_path / "envelope.csv", grid, counts, overlay)
+            lines = ["t,run_0,run_1,run_2,run_3" + ("" if overlay is None else ",real")]
+            for j, t in enumerate(grid):
+                cells = [repr(float(t))] + [str(int(c)) for c in counts[:, j]]
+                if overlay is not None:
+                    cells.append(str(int(overlay[j])))
+                lines.append(",".join(cells))
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("\n")
+            assert text.split("\n")[:-1] == lines
 
 
 class TestCmdSimulate:
@@ -354,6 +473,19 @@ class TestMainExitCodes:
     def test_moments_ok(self):
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["simulate", "--method", "cluster"],
+        ["validate", "--count", "2", "--delta", "0.5", "--t0", "10"],
+    ], ids=["simulate_exact", "simulate_cluster", "validate"])
+    def test_bad_horizon_writes_nothing(self, tmp_path, capsys, command, horizon):
+        out = tmp_path / "out"
+        code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                               f"--horizon={horizon}", "--seed", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert "error: horizon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
     def test_bad_grid_step_writes_nothing(self, tmp_path, capsys, step):

@@ -390,3 +390,23 @@ class TestBatch:
         for i, traj in enumerate(batch):
             ref = simulate_cluster(p, 30.0, 40 + i)
             assert np.array_equal(traj.events.times, ref.events.times)
+
+
+class TestHorizonCheck:
+    SAMPLERS = {
+        "exact": lambda p, h: simulate_exact(p, h, 1),
+        "cluster": lambda p, h: simulate_cluster(p, h, 1),
+        "batch_exact": lambda p, h: simulate_batch(p, h, 1, 3),
+        "batch_cluster": lambda p, h: simulate_batch(p, h, 1, 3, method="cluster"),
+    }
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_rejected_before_sampling(self, monkeypatch, name, horizon):
+        def no_rng(seed):
+            raise AssertionError("sampling started")
+
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            self.SAMPLERS[name](p, horizon)
