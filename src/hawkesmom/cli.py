@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .simulate import DEFAULT_EVENT_CAP, sampler, simulate_batch
+from .simulate import DEFAULT_EVENT_CAP, _check_horizon, sampler, simulate_batch
 
 __all__ = [
     "EXIT_OK",
@@ -102,9 +102,21 @@ class RunConfig:
         )
 
 
-def _check_step(flag: str, step: float) -> None:
+def _step_grid(flag: str, horizon: float, step: float) -> np.ndarray:
+    """The grid 0, step, 2 step, ... up to horizon, built before anything is
+    sampled or written, so a bad step or horizon, or a grid too large to
+    allocate, is an error with no output."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"{flag} must be positive and finite, got {step}")
+    _check_horizon(horizon)
+    n_pts = int(round(horizon / step)) + 1
+    try:
+        grid = np.arange(n_pts, dtype=np.float64)
+    except (MemoryError, ValueError):  # numpy's ValueError: "Maximum allowed size exceeded"
+        raise ValueError(f"{flag} {step} asks for {n_pts} grid points, "
+                         f"more than can be allocated") from None
+    grid *= step  # in place: no second grid-sized array
+    return grid
 
 
 @dataclass
@@ -121,16 +133,13 @@ class HarnessReport:
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     """Simulate one trajectory; write the events file and an intensity grid."""
-    _check_step("--grid-step", cfg.grid_step)
+    grid = _step_grid("--grid-step", cfg.horizon, cfg.grid_step)
     params = cfg.params()
     seed = cfg.require_seed()
     traj = sampler(cfg.method)(params, cfg.horizon, seed, cap=cfg.cap, unit=cfg.unit)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(cfg.out_dir / "events.txt", traj.events)
-    n_pts = int(round(cfg.horizon / cfg.grid_step)) + 1
-    grid = np.arange(n_pts, dtype=np.float64)
-    grid *= cfg.grid_step  # in place: no second grid-sized array
     values = intensity_on_grid(params, traj.events, grid)
     intensity_path = write_intensity_csv(cfg.out_dir / "intensity.csv", grid, values)
     print(f"simulated {len(traj.events)} events on [0, {cfg.horizon}] (seed {seed})")
@@ -146,8 +155,7 @@ def cmd_moments(cfg: RunConfig) -> dict:
     triple = moment_triple(params, cfg.delta)
     lam1, lam2, lam3 = limit_intensity_moments(params)
     payload = {
-        "params": {"alpha": params.alpha, "beta": params.beta,
-                   "lambda_inf": params.lambda_inf, "lambda0": params.lambda0},
+        "params": asdict(params),
         "delta": cfg.delta,
         "m1": triple.m1,
         "m2": triple.m2,
@@ -186,7 +194,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
     if cfg.envelope:
         step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
-        _check_step("--envelope-step", step)
+        grid = _step_grid("--envelope-step", cfg.horizon, step)
     params = cfg.params()
     seed = cfg.require_seed()
     trajectories = simulate_batch(params, cfg.horizon, seed, cfg.count, method=cfg.method,
@@ -226,8 +234,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     ]
     table_path = write_table_csv(cfg.out_dir / "table.csv", rows)
     payload = {
-        "params": {"alpha": params.alpha, "beta": params.beta,
-                   "lambda_inf": params.lambda_inf, "lambda0": params.lambda0},
+        "params": asdict(params),
         "delta": cfg.delta,
         "t0": cfg.t0,
         "seed": seed,
@@ -239,7 +246,6 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
 
     harness = HarnessReport(reports=reports, summary=summary, non_converged=non_converged)
     if cfg.envelope:
-        grid = np.arange(int(round(cfg.horizon / step)) + 1) * step
         counts = np.vstack([count_at(t.events, grid) for t in trajectories])
         real = None
         if cfg.real_events_path is not None:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.linalg import expm
 
-from .core import EventSequence, HawkesParams
+from .core import HawkesParams, _times
 
 __all__ = [
     "MAX_EXPONENT",
@@ -274,7 +274,7 @@ def integrate_polynomial_on_path(
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    times = events.times if isinstance(events, EventSequence) else np.asarray(events, float)
+    times = _times(events)
     beta, lam_inf = params.beta, params.lambda_inf
     terms = list(poly.terms())
 

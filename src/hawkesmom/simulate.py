@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventSequence, HawkesParams, post_jump_intensities
+from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
 
 __all__ = [
@@ -413,7 +413,7 @@ def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSam
         raise WindowOutOfRange(
             f"need t0 >= 0, delta > 0, count >= 1; got t0={t0}, delta={delta}, count={count}"
         )
-    times = events.times if isinstance(events, EventSequence) else np.asarray(events, float)
+    times = _times(events)
     if isinstance(events, EventSequence):
         end = t0 + count * delta
         # small relative slack so a window count computed by floor() is not

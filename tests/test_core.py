@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from hawkesmom import (
@@ -184,10 +186,9 @@ class TestRecursiveSweep:
 
 
 def _kernel_cases():
-    """(params, events, grid) triples the block-rescaled kernel must get right."""
+    """(params, events, grid) triples the doubling-scan kernel must get right."""
     rng = np.random.default_rng(29)
-    # beta * horizon = 4000: about seven rescaling blocks, and a grid of
-    # three evaluation blocks
+    # beta * horizon = 4000, and a grid of three evaluation blocks
     many = validate_params(0.5, 2.0, 1.0, 1.5)
     many_events = simulate_cluster(many, 2000.0, 3).events.times
     tied = np.repeat(np.sort(rng.uniform(0.0, 40.0, size=25)), rng.integers(1, 4, size=25))
@@ -195,6 +196,9 @@ def _kernel_cases():
     # beta ~ 1e5 per day and ~ 1e-5 per second
     days = validate_params(4e4, 1e5, 2e4, 3e4)
     seconds = validate_params(4e-6, 1e-5, 2e-6, 1e-6)
+    # beta not a power of two, so beta * (T_k - T_j) rounds for most pairs
+    odd = validate_params(0.5, 1.7, 1.0, 2.0)
+    fast = validate_params(2000.0, 7000.5, 5000.0, 3000.0)
     cases = {
         "many_blocks": (many, many_events, np.linspace(0.0, 2000.0, 20_011)),
         "tied": (validate_params(0.4, 1.2, 1.0, 1.0), tied, np.linspace(0.0, 41.0, 801)),
@@ -208,6 +212,13 @@ def _kernel_cases():
                  np.linspace(0.0, 0.05, 1001)),
         "seconds": (seconds, simulate_cluster(seconds, 5e8, 8).events.times,
                     np.linspace(0.0, 5e8, 1001)),
+        # every gap 1000 / beta: each event sees only alpha on top of lambda_inf
+        "sparse": (many, np.arange(1, 10_001) * (1000.0 / many.beta),
+                   np.linspace(0.0, 5.1e6, 1001)),
+        "beta_1_7": (odd, simulate_cluster(odd, 2000.0, 3).events.times,
+                     np.linspace(0.0, 2000.0, 1001)),
+        "beta_7000_5": (fast, simulate_cluster(fast, 0.5, 3).events.times,
+                        np.linspace(0.0, 0.5, 1001)),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
@@ -222,13 +233,33 @@ class TestIntensityKernel:
         for k, tk in enumerate(events):
             tied_before = k - int(np.searchsorted(events, tk, side="left"))
             direct = intensity_at(params, events, float(tk)) + params.alpha * (tied_before + 1)
-            assert post[k] == pytest.approx(direct, rel=1e-12)
+            # abs=0: approx's default abs=1e-12 would swamp rel at intensities near 1
+            assert post[k] == pytest.approx(direct, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("params, events, grid", _kernel_cases())
     def test_grid_matches_direct_sum(self, params, events, grid):
         vals = intensity_on_grid(params, events, grid)
         direct = np.array([intensity_at(params, events, float(t)) for t in grid])
         np.testing.assert_allclose(vals, direct, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(log_beta=st.floats(-5.0, 5.0), alpha_frac=st.just(0.0) | st.floats(0.0, 0.95),
+           log_lambda0_ratio=st.floats(-1.0, 1.0),
+           gaps=st.lists(st.just(0.0) | st.floats(0.0, 2000.0), max_size=300))
+    def test_post_jump_matches_scalar_recurrence(self, log_beta, alpha_frac,
+                                                 log_lambda0_ratio, gaps):
+        """Gaps are in units of 1/beta; 0 draws ties.  lambda0 within a factor
+        10 of lambda_inf keeps lambda >= lambda_inf / 10, so no cancellation."""
+        beta = 10.0**log_beta
+        params = validate_params(alpha_frac * beta, beta, 1.0, 10.0**log_lambda0_ratio)
+        events = np.cumsum(gaps) / beta
+        excess, prev, expected = params.lambda0 - params.lambda_inf, 0.0, []
+        for tk in events.tolist():
+            excess = excess * math.exp(-beta * (tk - prev)) + params.alpha
+            prev = tk
+            expected.append(params.lambda_inf + excess)
+        post = post_jump_intensities(params, events)
+        assert post.tolist() == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestCountAt:

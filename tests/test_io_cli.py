@@ -39,6 +39,12 @@ from hawkesmom.io import (
     write_intensity_csv,
 )
 
+try:
+    with open("/proc/sys/vm/overcommit_memory") as _fh:
+        _OVERCOMMIT_ALWAYS = _fh.read().strip() == "1"
+except OSError:
+    _OVERCOMMIT_ALWAYS = False
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -497,6 +503,23 @@ class TestMainExitCodes:
         assert "error: --grid-step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", [
+        # 10^13 points, 72.8 TiB: more than any heuristic overcommit grants
+        pytest.param("1e-12", marks=pytest.mark.skipif(
+            _OVERCOMMIT_ALWAYS, reason="vm.overcommit_memory=1 would grant the grid")),
+        "1e-300",  # 10^301 points: beyond numpy's maximum array size
+    ])
+    def test_ungrantable_grid_writes_nothing(self, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "10", "--seed", "1", "--grid-step", step,
+                     "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid-step {float(step)} asks for ")
+        assert f"{int(round(10 / float(step))) + 1} grid points" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["0", "-1", "nan"])
     def test_bad_envelope_step_writes_nothing(self, tmp_path, capsys, step):
         out = tmp_path / "out"
@@ -513,7 +536,9 @@ class TestCliGoldens:
     """SHA-256 of CLI outputs for fixed seeds, so a refactor that changes any
     byte shows.  Recorded on x86-64 Linux (glibc libm, numpy 2); the last
     digits of intensity.csv come from numpy's vectorised exp and may differ
-    on other hardware."""
+    on other hardware.  intensity.csv's post-jump values come from the
+    doubling scan in core._excess_after_events, within a few ulp (under
+    1e-15 relative) of a per-event exp recurrence on these paths."""
 
     RUNS = {
         "exact": ["simulate", "--alpha", "0.15", "--beta", "1", "--lambda-inf", "1",
@@ -526,10 +551,10 @@ class TestCliGoldens:
     }
     DIGESTS = {
         "exact/events.txt": "288ad1ac9c75632e982731787c2c325be3c20fe00842a8c139d1f4094453c950",
-        "exact/intensity.csv": "5bb1bf45554538f3727f70829217e4707d1b2be40306c351624146d6544b71f5",
+        "exact/intensity.csv": "4763bb2a32e99b8d770479f7123285f347fc87c1cd08297929d0d80f925309d4",
         "cluster/events.txt": "dc0dc42718aabef91d648e3c066832e1bfc75b3704d006acdfa817eb0f0020cb",
         "cluster/intensity.csv":
-            "913e1257bac2ce0c4fb631f58a14a2c4a6700859f9559cdc4f91050816d27863",
+            "81c1c50014a7b1d493214aa4084eee9fa5c6b58a11979d9a6ab8de5c529dd942",
         "validate/table.csv": "9f9d0edeb2a0b90df8c6d3577d9a3302531ff46c24d1f124c3bb9186a19f8df1",
         "validate/validate.json":
             "908c59cdbee52ab9c507c984092f8ebc789dbd54195b775d4b6d00d921f68670",
