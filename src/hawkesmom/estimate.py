@@ -15,7 +15,11 @@ with eta = alpha/beta and x = kappa delta, G invertible in closed form.
 That leaves the third-moment equation as a scalar root-find in x, which is
 solved by bracketing on a log grid -- far more robust than Newton iteration
 on the raw 3-by-3 system, whose Jacobian is near-singular along a
-beta-degenerate direction (condition number ~1e6 at typical roots).
+beta-degenerate direction (condition number ~1e6 at typical roots).  The
+grid is evaluated in one numpy pass that repeats the scalar residual's float
+operations in order, with libm's pow, exp, expm1 and sqrt applied
+element-wise, so every grid value equals the scalar residual's bit for bit
+and the brackets, roots and reports do not depend on which form ran.
 Positivity constraints hold by construction: x > 0 and eta in [0, 1) map to
 beta > alpha >= 0, lambda_inf > 0.  lambda0 is not identifiable from
 stationary window moments; fitted parameter records carry
@@ -27,12 +31,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from ._libm import elementwise, power
 from .core import EventSequence, HawkesParams
 from .errors import HawkesError, InsufficientData, NoConvergence
-from .moments import MomentTriple, stationary_m1, stationary_m2, stationary_m3
+from .moments import (MomentTriple, _stationary_m3_array, stationary_m1, stationary_m2,
+                      stationary_m3)
 from .simulate import windowed_counts
 
 __all__ = [
@@ -151,8 +158,23 @@ def _excess_shape(x: float) -> float:
     """phi(x) = 1 - (1 - e^{-x})/x, the window-shape factor of the variance
     excess; increases from 0 to 1 as x = kappa * delta grows."""
     if x < 1e-4:
-        return x / 2.0 - x * x / 6.0 + x**3 / 24.0 - x**4 / 120.0
+        return _excess_shape_series(x, math.pow)
     return 1.0 + math.expm1(-x) / x
+
+
+def _excess_shape_series(x, pw):
+    # phi's Taylor series, for floats with pw = math.pow and for arrays with
+    # pw = _libm.power
+    return x / 2.0 - x * x / 6.0 + pw(x, 3) / 24.0 - pw(x, 4) / 120.0
+
+
+def _manifold(x, phi, lam_star: float, excess: float, delta: float, sqrt):
+    # (alpha, beta, lambda_inf) at x given phi(x), for floats and arrays alike
+    g = excess / phi
+    one_minus_eta = 1.0 / sqrt(1.0 + g)
+    kappa = x / delta
+    beta = kappa / one_minus_eta
+    return beta - kappa, beta, lam_star * one_minus_eta
 
 
 def _params_on_manifold(x: float, lam_star: float, excess: float, delta: float) -> HawkesParams:
@@ -162,13 +184,47 @@ def _params_on_manifold(x: float, lam_star: float, excess: float, delta: float) 
     eta = alpha/beta and G(eta) = eta (2 - eta)/(1 - eta)^2, so G inverts in
     closed form: 1 - eta = 1/sqrt(1 + G).  lambda* is pinned by M1 = lambda* delta.
     """
-    g = excess / _excess_shape(x)
-    one_minus_eta = 1.0 / math.sqrt(1.0 + g)
-    kappa = x / delta
-    beta = kappa / one_minus_eta
-    alpha = beta - kappa
-    lam_inf = lam_star * one_minus_eta
-    return HawkesParams(alpha, beta, lam_inf)
+    return HawkesParams(*_manifold(x, _excess_shape(x), lam_star, excess, delta, math.sqrt))
+
+
+def _m3_residual(x: float, lam_star: float, excess: float, delta: float, m3: float) -> float:
+    """stationary_m3 - M3 at the parameters _params_on_manifold gives for x;
+    inf where those are invalid, where the formula raises (a pow overflow,
+    a zero division) or where its value is not finite."""
+    try:
+        # in Python floats: numpy scalars would overflow or divide by zero to
+        # inf where Python raises
+        p = _params_on_manifold(float(x), lam_star, excess, delta)
+        val = stationary_m3(p, delta) - m3
+    except (OverflowError, ZeroDivisionError, ValueError, HawkesError):
+        return math.inf
+    return val if math.isfinite(val) else math.inf
+
+
+def _m3_residual_on_grid(grid: np.ndarray, lam_star: float, excess: float, delta: float,
+                         m3: float) -> np.ndarray:
+    """_m3_residual at every grid point in one numpy pass, bit for bit.
+
+    The float operations repeat _params_on_manifold's and stationary_m3's in
+    their order, with libm's pow, expm1, sqrt and exp applied element-wise.
+    Where the scalar code raises (invalid parameters, a pow overflow, a zero
+    division), the array path's value is non-finite, and so becomes inf.
+    """
+    with np.errstate(all="ignore"):
+        small = grid < 1e-4
+        phi = np.empty(grid.size)
+        phi[small] = _excess_shape_series(grid[small], power)
+        x = grid[~small]
+        phi[~small] = 1.0 + elementwise(math.expm1, -x) / x
+        alpha, beta, lam_inf = _manifold(grid, phi, lam_star, excess, delta,
+                                         partial(elementwise, math.sqrt))
+        # HawkesParams' checks
+        ok = (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(lam_inf)
+              & (alpha >= 0.0) & (lam_inf > 0.0) & (beta > alpha)).nonzero()[0]
+        vals = np.full(grid.size, np.inf)
+        res = _stationary_m3_array(alpha[ok], beta[ok], lam_inf[ok], delta) - m3
+        vals[ok] = np.where(np.isfinite(res), res, np.inf)
+    return vals
 
 
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-7, 200.0, 600
@@ -214,7 +270,11 @@ def solve_moment_system(
     no positive-excess solution) yield NoConvergence carrying the best
     attempt.
 
-    ``iterations`` reports the number of scalar-residual evaluations.
+    The 600-point bracketing grid is evaluated as arrays in one pass
+    (_m3_residual_on_grid), equal bit for bit to the scalar residual at every
+    point, inf included; brentq and the bounded least-squares search call
+    the scalar residual.  ``iterations`` reports the number of residual
+    evaluations, each grid point counting as one.
     """
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
@@ -262,25 +322,23 @@ def solve_moment_system(
     def scalar_residual(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        try:
-            p = _params_on_manifold(x, lam_star, excess, delta)
-            val = stationary_m3(p, delta) - m3
-        except (OverflowError, ZeroDivisionError, ValueError, HawkesError):
-            return math.inf
-        return val if math.isfinite(val) else math.inf
+        return _m3_residual(x, lam_star, excess, delta, m3)
 
     # bracket every exact root on a wide dimensionless grid
     from scipy.optimize import brentq, minimize_scalar
 
     grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = np.array([scalar_residual(x) for x in grid])
+    vals = _m3_residual_on_grid(grid, lam_star, excess, delta, m3)
+    evaluations += grid.size
+    left, right = vals[:-1], vals[1:]
+    with np.errstate(all="ignore"):
+        sign_change = np.isfinite(left) & np.isfinite(right) & (left * right < 0.0)
     roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if math.isfinite(lo) and math.isfinite(hi) and lo * hi < 0.0:
+    for i in (sign_change | (left == 0.0)).nonzero()[0].tolist():
+        if sign_change[i]:
             roots.append(brentq(scalar_residual, grid[i], grid[i + 1],
                                 xtol=1e-15, rtol=8.9e-16, maxiter=200))
-        elif lo == 0.0:
+        else:
             roots.append(float(grid[i]))
 
     if roots:

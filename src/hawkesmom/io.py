@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import signal
@@ -67,7 +68,7 @@ def parse_events(path, unit: str = "minutes", horizon: float | None = None) -> E
                     f"{path}:{line_number}: cannot parse timestamp {text!r}",
                     line_number=line_number,
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ParseError(
                     f"{path}:{line_number}: timestamp must be finite, got {text!r}",
                     line_number=line_number,

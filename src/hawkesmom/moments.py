@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._libm import elementwise, power
 from .core import HawkesParams
 
 __all__ = [
@@ -146,17 +149,46 @@ def stationary_m3(params: HawkesParams, delta: float) -> float:
     a, b, li = params.alpha, params.beta, params.lambda_inf
     k = params.kappa
     if k * delta < NEAR_CRITICAL_THRESHOLD:
-        return _stationary_m3_series(a, li, delta, k)
-    e1 = math.exp(-k * delta)
+        return _laurent(k, _m3_series_coefficients(a, li, delta, math.pow))
+    return _m3_closed_form(a, b, li, k, delta, math.exp(-k * delta), math.pow)
+
+
+def _stationary_m3_array(a: np.ndarray, b: np.ndarray, li: np.ndarray,
+                         delta: float) -> np.ndarray:
+    """stationary_m3 at every (alpha, beta, lambda_inf) of the arrays, bit for
+    bit: the same float operations in the same order, with libm's pow and exp
+    applied element-wise.  The parameters must pass HawkesParams' checks and
+    delta must be > 0.  Where stationary_m3 raises, the value is NaN or inf.
+    """
+    k = b - a
+    near = k * delta < NEAR_CRITICAL_THRESHOLD
+    out = np.empty(k.size)
+    with np.errstate(all="ignore"):
+        s = near.nonzero()[0]
+        total = 0.0
+        for p, c in _m3_series_coefficients(a[s], li[s], delta, power):
+            # _laurent skips a zero coefficient and with it a k^p that may overflow
+            total = np.where(c != 0.0, total + c * power(k[s], p), total)
+        out[s] = total
+        f = (~near).nonzero()[0]
+        out[f] = _m3_closed_form(a[f], b[f], li[f], k[f], delta,
+                                 elementwise(math.exp, -k[f] * delta), power)
+    return out
+
+
+def _m3_closed_form(a, b, li, k, delta, e1, pw):
+    # stationary_m3's seven-term closed form, for floats with pw = math.pow and
+    # for arrays with pw = _libm.power; e1 = e^{-kappa delta}
     e2 = e1 * e1
-    return (delta**3 * b**3 * li**3 / k**3
-            + delta**2 * 3.0 * b**4 * li**2 / k**4
-            + delta * b * b * li / k**5
+    b3, k5, k6 = pw(b, 3), pw(k, 5), pw(k, 6)
+    return (pw(delta, 3) * b3 * pw(li, 3) / pw(k, 3)
+            + pw(delta, 2) * 3.0 * pw(b, 4) * pw(li, 2) / pw(k, 4)
+            + delta * b * b * li / k5
             * (3.0 * li * a * (a - 2.0 * b) + b * b * (2.0 * a + b))
-            + 3.0 * a * b * b * li / (2.0 * k**6) * (a * a - a * b - 4.0 * b * b)
-            + a * a * b * li * (2.0 * a - 3.0 * b) / (2.0 * k**5) * e2
-            + a * b * li / k**6 * (a**3 - 4.0 * a * a * b + 3.0 * a * b * b + 6.0 * b**3) * e1
-            - 3.0 * a * b * b * li * (li + a) * (a - 2.0 * b) / k**5 * delta * e1)
+            + 3.0 * a * b * b * li / (2.0 * k6) * (a * a - a * b - 4.0 * b * b)
+            + a * a * b * li * (2.0 * a - 3.0 * b) / (2.0 * k5) * e2
+            + a * b * li / k6 * (pw(a, 3) - 4.0 * a * a * b + 3.0 * a * b * b + 6.0 * b3) * e1
+            - 3.0 * a * b * b * li * (li + a) * (a - 2.0 * b) / k5 * delta * e1)
 
 
 def _laurent(k: float, coeffs_by_power) -> float:
@@ -166,7 +198,7 @@ def _laurent(k: float, coeffs_by_power) -> float:
     total = 0.0
     for p, c in coeffs_by_power:
         if c != 0.0:
-            total += c * k**p
+            total += c * math.pow(k, p)
     return total
 
 
@@ -181,28 +213,31 @@ def _stationary_m2_series(a: float, li: float, d: float, k: float) -> float:
     return _laurent(k, [(-2, c_m2), (-1, c_m1), (0, c_0), (1, c_1), (2, c_2)])
 
 
-def _stationary_m3_series(a: float, li: float, d: float, k: float) -> float:
-    # Laurent expansion of stationary_m3 in kappa: orders kappa^-3 .. kappa^1.
-    c_m3 = d**3 * a**3 * li * (a + li) * (a + 2.0 * li) / 2.0
-    c_m2 = d * d * a * a * li * (-3.0 * d * d * a**3 - 6.0 * d * d * a * a * li
+def _m3_series_coefficients(a, li, d, pw):
+    # Laurent coefficients of stationary_m3 in kappa, orders kappa^-3 ..
+    # kappa^1, paired with their powers; pw as in _m3_closed_form
+    d3, d4, d5 = pw(d, 3), pw(d, 4), pw(d, 5)
+    a3, a4 = pw(a, 3), pw(a, 4)
+    c_m3 = d3 * a3 * li * (a + li) * (a + 2.0 * li) / 2.0
+    c_m2 = d * d * a * a * li * (-3.0 * d * d * a3 - 6.0 * d * d * a * a * li
                                  + 28.0 * d * a * a + 72.0 * d * a * li
                                  + 36.0 * d * li * li + 18.0 * a + 36.0 * li) / 12.0
-    c_m1 = d * a * li * (9.0 * d**4 * a**4 + 15.0 * d**4 * a**3 * li
-                         - 150.0 * d**3 * a**3 - 240.0 * d**3 * a * a * li
+    c_m1 = d * a * li * (9.0 * d4 * a4 + 15.0 * d4 * a3 * li
+                         - 150.0 * d3 * a3 - 240.0 * d3 * a * a * li
                          + 400.0 * d * d * a * a + 900.0 * d * d * a * li
                          + 360.0 * d * d * li * li + 540.0 * d * a
                          + 720.0 * d * li + 120.0) / 120.0
-    c_0 = d * li * (-2.0 * d**5 * a**5 - 3.0 * d**5 * a**4 * li
-                    + 50.0 * d**4 * a**4 + 60.0 * d**4 * a**3 * li
-                    - 255.0 * d**3 * a**3 - 300.0 * d**3 * a * a * li
+    c_0 = d * li * (-2.0 * d5 * pw(a, 5) - 3.0 * d5 * a4 * li
+                    + 50.0 * d4 * a4 + 60.0 * d4 * a3 * li
+                    - 255.0 * d3 * a3 - 300.0 * d3 * a * a * li
                     + 60.0 * d * d * a * a + 360.0 * d * d * a * li
                     + 120.0 * d * d * li * li + 360.0 * d * a
                     + 360.0 * d * li + 120.0) / 120.0
-    c_1 = d**3 * a * li * (5.0 * d**4 * a**4 + 7.0 * d**4 * a**3 * li
-                           - 182.0 * d**3 * a**3 - 168.0 * d**3 * a * a * li
-                           + 1372.0 * d * d * a * a + 1050.0 * d * d * a * li
-                           - 1470.0 * d * a - 1680.0 * d * li - 1680.0) / 1680.0
-    return _laurent(k, [(-3, c_m3), (-2, c_m2), (-1, c_m1), (0, c_0), (1, c_1)])
+    c_1 = d3 * a * li * (5.0 * d4 * a4 + 7.0 * d4 * a3 * li
+                         - 182.0 * d3 * a3 - 168.0 * d3 * a * a * li
+                         + 1372.0 * d * d * a * a + 1050.0 * d * d * a * li
+                         - 1470.0 * d * a - 1680.0 * d * li - 1680.0) / 1680.0
+    return [(-3, c_m3), (-2, c_m2), (-1, c_m1), (0, c_0), (1, c_1)]
 
 
 def moment_triple(params: HawkesParams, delta: float) -> MomentTriple:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._libm import elementwise
 from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
 
@@ -238,15 +239,6 @@ _BLOCK_CELLS = 1 << 14
 _LOG_SLICE = 4096
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` (math.log or math.exp) of every element of the contiguous 1-D ``x``.
-
-    numpy's SIMD log and exp can differ from libm in the last bit, and the
-    lockstep sampler must reproduce simulate_exact's scalar math exactly.
-    """
-    return np.fromiter(map(fn, memoryview(x)), np.float64, x.size)
-
-
 def _append(arr: np.ndarray, values) -> None:
     """Extends ``arr``, which owns its data, in place by ``values``.
 
@@ -306,7 +298,7 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         logs = u  # in place, in slices, so no block-sized temporary
         flat = logs.reshape(-1)
         for lo in range(0, flat.size, _LOG_SLICE):
-            flat[lo:lo + _LOG_SLICE] = _libm(math.log, flat[lo:lo + _LOG_SLICE])
+            flat[lo:lo + _LOG_SLICE] = elementwise(math.log, flat[lo:lo + _LOG_SLICE])
         if deficit:
             w = logs[:, 0::2] / -lam_inf
         logs[:, 0::2] *= beta  # beta ln(u1)
@@ -323,14 +315,14 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             ok = (d > 0.0).nonzero()[0]
             if ok.size:
                 s1 = np.full(ids.size, np.inf)
-                s1[ok] = _libm(math.log, d[ok]) / -beta
+                s1[ok] = elementwise(math.log, d[ok]) / -beta
                 s = np.minimum(s1, s)
             if deficit:
                 below = excess < 0.0
                 deficit = bool(np.count_nonzero(below))
                 s = np.where(below, w[:, j], s)
             t = np.add(t, s, out=rec_t[j])
-            lam_here = excess * _libm(math.exp, s * -beta)
+            lam_here = excess * elementwise(math.exp, s * -beta)
             lam_here += lam_inf
             lam = np.add(lam_here, alpha, out=rec_lam[j])
             if deficit:

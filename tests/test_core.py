@@ -116,12 +116,12 @@ class TestEventSequence:
 class TestIntensityAt:
     def test_no_events_at_zero(self):
         p = validate_params(0.15, 1.0, 1.0, 1.2)
-        assert intensity_at(p, [], 0.0) == pytest.approx(1.2, rel=1e-15)
+        assert intensity_at(p, [], 0.0) == pytest.approx(1.2, rel=1e-15, abs=0.0)
 
     def test_flat_when_started_at_base(self):
         p = validate_params(0.15, 1.0, 1.0, 1.0)
         for t in (0.0, 0.3, 2.0, 50.0):
-            assert intensity_at(p, [], t) == pytest.approx(1.0, rel=1e-15)
+            assert intensity_at(p, [], t) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_single_event_closed_form_and_ode_oracle(self):
         p = validate_params(0.15, 1.0, 1.0, 1.2)
@@ -133,7 +133,7 @@ class TestIntensityAt:
 
     def test_left_continuity_excludes_event_at_t(self):
         p = validate_params(0.5, 2.0, 1.0, 1.0)
-        assert intensity_at(p, [1.0], 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert intensity_at(p, [1.0], 1.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_lower_bound(self):
         rng = np.random.default_rng(3)

@@ -5,22 +5,48 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkesmom import (
     EstimateConfig,
     EventSequence,
+    ExplosionRisk,
     InsufficientData,
     MomentTriple,
     NoConvergence,
+    NonPositiveBase,
     empirical_moments,
     estimate,
     moment_triple,
     simulate_exact,
     solve_moment_system,
     stationary_m1,
+    stationary_m3,
     validate_params,
 )
-from hawkesmom.estimate import DEFAULT_INIT, default_multistart, empirical_from_counts
+from hawkesmom.estimate import (
+    _SCAN_HI,
+    _SCAN_LO,
+    _SCAN_POINTS,
+    DEFAULT_INIT,
+    _m3_residual,
+    _m3_residual_on_grid,
+    _params_on_manifold,
+    default_multistart,
+    empirical_from_counts,
+)
+from hawkesmom.moments import NEAR_CRITICAL_THRESHOLD, _stationary_m3_array
+
+GRID = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
+
+
+def scan_both_ways(m1, excess, m3, delta):
+    """The solver's M3 scan as one array pass and point by point."""
+    lam_star = m1 / delta
+    array = _m3_residual_on_grid(GRID, lam_star, excess, delta, m3)
+    scalar = np.array([_m3_residual(x, lam_star, excess, delta, m3) for x in GRID])
+    return array, scalar
 
 
 class TestEmpiricalMoments:
@@ -56,6 +82,69 @@ class TestEmpiricalMoments:
         emp = empirical_moments(traj.events, t0=3_000.0, delta=0.5)
         assert emp.window_count == 14_000
         assert abs(emp.triple.m1 - stationary_m1(p, 0.5)) <= 0.03  # ~3.5 adjusted SE
+
+
+class TestM3ResidualScan:
+    """The array scan equals the scalar residual bit for bit, inf included."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(log_m1=st.floats(-6.0, 6.0), log_excess=st.floats(-13.0, 6.0),
+           log_m3=st.floats(-8.0, 12.0), log_delta=st.floats(-60.0, 60.0))
+    def test_array_equals_scalar(self, log_m1, log_excess, log_m3, log_delta):
+        array, scalar = scan_both_ways(10.0**log_m1, 10.0**log_excess, 10.0**log_m3,
+                                       10.0**log_delta)
+        assert np.array_equal(array, scalar)
+
+    def test_both_branches_and_the_phi_series(self):
+        m1, excess, m3, delta = 0.625, 0.36, 2.35, 0.5
+        array, scalar = scan_both_ways(m1, excess, m3, delta)
+        assert np.array_equal(array, scalar) and np.isfinite(array).all()
+        kd = np.array([_params_on_manifold(float(x), m1 / delta, excess, delta).kappa * delta
+                       for x in GRID])
+        assert (kd < NEAR_CRITICAL_THRESHOLD).any() and (kd >= NEAR_CRITICAL_THRESHOLD).any()
+        assert (GRID < 1e-4).any()
+
+    @pytest.mark.parametrize("excess", [1e-12, 1e-20], ids=["small_alpha", "alpha_zero"])
+    def test_alpha_to_zero(self, excess):
+        m1, delta = 0.8, 0.5
+        array, scalar = scan_both_ways(m1, excess, m1 + 3 * m1**2 + m1**3, delta)
+        assert np.array_equal(array, scalar) and np.isfinite(array).all()
+        params = [_params_on_manifold(float(x), m1 / delta, excess, delta) for x in GRID]
+        if excess == 1e-20:
+            # the series branch at alpha = 0, whose pole coefficients vanish
+            assert any(p.alpha == 0.0 and p.kappa * delta < NEAR_CRITICAL_THRESHOLD
+                       for p in params)
+        else:
+            assert 0.0 < min(p.alpha for p in params) < 1e-11
+
+    def test_zero_coefficient_skips_its_power(self):
+        # alpha = 0 and kappa = 1e-110: kappa^-3 overflows, but its coefficient
+        # vanishes, and the scalar Laurent sum never evaluates it
+        expected = stationary_m3(validate_params(0.0, 1e-110, 1.0), 1.0)
+        assert math.isfinite(expected)
+        got = _stationary_m3_array(np.zeros(1), np.full(1, 1e-110), np.ones(1), 1.0)
+        assert np.array_equal(got, [expected])
+
+    @pytest.mark.parametrize("m1, excess, delta, error", [
+        (1.0, 1.0, 1e-55, OverflowError),  # kappa^6 overflows at the large-x end
+        (1.0, 1.0, 1e55, ZeroDivisionError),  # kappa^6 underflows to a zero divisor
+        (1.0, 1e40, 1.0, ExplosionRisk),  # beta == alpha in floats at every point
+        (1e-300, 1e12, 1e20, NonPositiveBase),  # lambda_inf underflows to 0
+        (1.0, 1.0, 1e-310, ValueError),  # lambda* or kappa overflow: non-finite params
+    ])
+    def test_inf_exactly_where_the_scalar_code_raises(self, m1, excess, delta, error):
+        array, scalar = scan_both_ways(m1, excess, 2.0, delta)
+        assert np.array_equal(array, scalar)
+        raised = []
+        for x in GRID:
+            try:
+                stationary_m3(_params_on_manifold(float(x), m1 / delta, excess, delta), delta)
+            except error:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert any(raised)
+        assert np.array_equal(np.isinf(array), raised)
 
 
 class TestSolveMomentSystem:

@@ -76,6 +76,13 @@ class TestParseEvents:
             parse_events(path)
         assert excinfo.value.line_number == 3
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, tmp_path, text):
+        path = write(tmp_path, "ev.txt", f"t\n1.0\n2.0\n{text}\n3.0\n")
+        with pytest.raises(ParseError, match="must be finite") as excinfo:
+            parse_events(path)
+        assert excinfo.value.line_number == 4
+
     def test_negative_timestamp(self, tmp_path):
         path = write(tmp_path, "ev.txt", "1.0\n-0.5\n")
         with pytest.raises(NegativeTimestamp):

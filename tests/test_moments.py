@@ -58,7 +58,7 @@ def stationary_increment_moments_by_ode(params, delta):
 class TestMeanIntensity:
     def test_initial_value(self):
         p = validate_params(0.3, 1.1, 0.9, 1.7)
-        assert mean_intensity(p, 0.0) == pytest.approx(1.7, rel=1e-15)
+        assert mean_intensity(p, 0.0) == pytest.approx(1.7, rel=1e-15, abs=0.0)
 
     def test_stationary_start_constant(self):
         p = validate_params(0.2, 1.0, 1.0, 1.25)
@@ -151,14 +151,15 @@ class TestIncrementMeanExact:
 
 class TestStationaryMoments:
     def test_m1_value(self):
-        assert stationary_m1(P, 0.5) == pytest.approx(0.625, rel=1e-15)
+        assert stationary_m1(P, 0.5) == pytest.approx(0.625, rel=1e-15, abs=0.0)
 
     def test_m1_poisson(self):
         p = validate_params(0.0, 1.0, 1.7, 1.7)
-        assert stationary_m1(p, 0.4) == pytest.approx(1.7 * 0.4, rel=1e-15)
+        assert stationary_m1(p, 0.4) == pytest.approx(1.7 * 0.4, rel=1e-15, abs=0.0)
 
     def test_m1_linear_in_delta(self):
-        assert stationary_m1(P, 1.0) == pytest.approx(2.0 * stationary_m1(P, 0.5), rel=1e-15)
+        assert stationary_m1(P, 1.0) == pytest.approx(2.0 * stationary_m1(P, 0.5),
+                                                      rel=1e-15, abs=0.0)
 
     def test_m2_value(self):
         assert stationary_m2(P, 0.5) == pytest.approx(M2_REF, rel=1e-12)
