@@ -129,6 +129,18 @@ class EventSequence:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "horizon", float(self.horizon))
 
+    @classmethod
+    def _sampled(cls, times: np.ndarray, horizon: float, unit: str) -> EventSequence:
+        """A sampler's path, without __post_init__'s checks: ``times`` is a
+        1-D float64 array that the sampler built nondecreasing and within
+        [0, horizon], and ``horizon`` was checked before sampling."""
+        seq = object.__new__(cls)
+        times.setflags(write=False)
+        object.__setattr__(seq, "times", times)
+        object.__setattr__(seq, "horizon", float(horizon))
+        object.__setattr__(seq, "unit", unit)
+        return seq
+
     def __len__(self) -> int:
         return int(self.times.size)
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import tempfile
 import traceback
 import warnings
@@ -21,6 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from ._fork import available_cpus, reap
 from .core import EventSequence
 from .errors import EmptyFile, NegativeTimestamp, ParseError
 from .estimate import EstimateReport
@@ -153,13 +153,7 @@ def _intensity_rows(grid, values):
 
 def _worker_count(rows: int) -> int:
     """One worker per available CPU, each with at least MIN_ROWS_PER_WORKER rows."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // MIN_ROWS_PER_WORKER))
+    return max(1, min(available_cpus(), rows // MIN_ROWS_PER_WORKER))
 
 
 def _format_in_child(tmp, grid, values) -> NoReturn:
@@ -207,9 +201,7 @@ def _write_in_slices(fh, grid, values) -> None:
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh.buffer)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        reap(pids)
         for tmp in temps:
             tmp.close()
 

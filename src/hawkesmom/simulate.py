@@ -21,15 +21,33 @@ groups of paths in lockstep: every path keeps its own generator, draws its
 uniforms in blocks, and one vectorised step per loop iteration repeats
 simulate_exact's float operations in its order, with libm's log and exp
 (math.log, math.exp) rather than numpy's, whose last bit can differ.
+
+A batch of more than one group is spread over the available CPUs: each
+forked child samples a contiguous slice of groups with the same code and
+sends its raw times and intensities back through a pipe.  A path depends
+only on its seed, so the output bytes do not depend on the CPU count;
+a batch of at most _GROUP paths (validate's K = 20, say) stays in one
+process.
+
+The samplers build their EventSequences without re-checking the times;
+simulate_exact's and the lockstep's are nondecreasing and within
+[0, horizon] by construction.  simulate_cluster keeps the checks: an
+offspring time is a rounded T - ln(1 - U F) / beta, which is not bounded by
+the horizon to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import traceback
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
+from ._fork import available_cpus, reap
 from ._libm import elementwise
 from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
@@ -112,7 +130,7 @@ def simulate_exact(
     _check_horizon(horizon)
     events, post = _run_exact(np.random.default_rng(seed), params, horizon, cap,
                               0.0, params.lambda0)
-    seq = EventSequence(np.asarray(events), horizon=horizon, unit=unit)
+    seq = EventSequence._sampled(np.asarray(events), horizon, unit)
     return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
 
 
@@ -356,6 +374,78 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     return [None if t_i is None else (t_i, lam_i) for t_i, lam_i in zip(found_t, found_lam)]
 
 
+def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
+                  cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(times, post-jump intensities) of the path of each seed, in seed order,
+    sampled a group of _GROUP paths at a time.
+
+    The exact method steps each group in lockstep (see _lockstep); a path
+    it hands back, and every path of another method, is drawn by the
+    single-path sampler.
+    """
+    out = []
+    for lo in range(seeds.start, seeds.stop, _GROUP):
+        group = range(lo, min(lo + _GROUP, seeds.stop))
+        if method == "exact":
+            # excess == 0 divides by zero on purpose; a tiny excess may overflow d
+            with np.errstate(divide="ignore", over="ignore"):
+                paths = _lockstep(params, horizon, group, cap)
+        else:
+            paths = [None] * len(group)
+        for s, path in zip(group, paths):
+            if path is None:
+                traj = sampler(method)(params, horizon, s, cap=cap)
+                path = (traj.events.times, traj.intensity_at_events)
+            out.append(path)
+    return out
+
+
+def _sample_in_child(fd: int, params: HawkesParams, horizon: float, seeds: range,
+                     method: str, cap: int) -> NoReturn:
+    """In a forked child: sample ``seeds``, write them to the pipe ``fd`` and exit.
+
+    The stream is b"\\0", one int64 event count per path, every path's times
+    and then every path's post-jump intensities, all float64; or, when
+    sampling raises, b"\\1" and the pickled exception.  Exits 0 once the
+    stream is written.
+    """
+    status = 1
+    try:
+        with open(fd, "wb") as out:
+            try:
+                paths = _sample_slice(params, horizon, seeds, method, cap)
+            except Exception as exc:
+                out.write(b"\1" + pickle.dumps(exc))
+            else:
+                out.write(b"\0")
+                out.write(np.array([t.size for t, _ in paths], dtype=np.int64))
+                for column in (0, 1):
+                    for path in paths:
+                        out.write(path[column])
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _read_slice(reader, n_paths: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The paths _sample_in_child wrote, as views into one times array and
+    one intensity array; raises the child's exception, and returns None
+    when the stream ends early."""
+    status = reader.read(1)
+    if status == b"\1":
+        raise pickle.loads(reader.read())
+    counts = np.empty(n_paths, dtype=np.int64)
+    if status != b"\0" or reader.readinto(counts) != counts.nbytes:
+        return None
+    ends = np.cumsum(counts).tolist()
+    times, post = np.empty(ends[-1]), np.empty(ends[-1])
+    if not all(reader.readinto(arr) == arr.nbytes for arr in (times, post)):
+        return None
+    return [(times[a:b], post[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
 def simulate_batch(
     params: HawkesParams,
     horizon: float,
@@ -373,26 +463,51 @@ def simulate_batch(
     path index.  The exact method runs the paths in groups of _GROUP, each
     group in lockstep (see _lockstep), so one numpy step advances every live
     path of the group by one interarrival; a path whose uniform block holds
-    an exact 0 is drawn by simulate_exact instead.  Any path over ``cap``
-    events raises CapacityExceeded.
+    an exact 0 is drawn by simulate_exact instead.
+
+    The groups are split into one contiguous slice per available CPU: a
+    forked child samples each slice after the first while this process
+    samples the first, and the children's paths are read back through
+    pipes in slice order.  A path depends only on its seed, so the output
+    does not depend on the CPU count; a batch of one group (at most _GROUP
+    paths) never forks.  Any path over ``cap`` events raises
+    CapacityExceeded; an exception in a child is raised here, the one the
+    lowest-index failing group raises, as in one process.  Every child is
+    reaped before the call returns or raises.
     """
     _check_horizon(horizon)
-    sim = sampler(method)
-    if method != "exact":
-        return [sim(params, horizon, seed + i, cap=cap, unit=unit) for i in range(n_paths)]
-    out = []
-    for lo in range(0, n_paths, _GROUP):
-        seeds = range(seed + lo, seed + min(lo + _GROUP, n_paths))
-        # excess == 0 divides by zero on purpose; a tiny excess may overflow d
-        with np.errstate(divide="ignore", over="ignore"):
-            paths = _lockstep(params, horizon, seeds, cap)
-        for s, path in zip(seeds, paths):
-            if path is None:
-                out.append(simulate_exact(params, horizon, s, cap=cap, unit=unit))
-            else:
-                seq = EventSequence(path[0], horizon=horizon, unit=unit)
-                out.append(Trajectory(events=seq, intensity_at_events=path[1], seed=s))
-    return out
+    sampler(method)  # an unknown method fails before any fork
+    groups = -(-n_paths // _GROUP)
+    workers = max(1, min(available_cpus(), groups))
+    bounds = [seed + min(n_paths, _GROUP * (groups * k // workers)) for k in range(workers + 1)]
+    readers, pids = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _sample_in_child(w, params, horizon, range(lo, hi), method, cap)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        paths = _sample_slice(params, horizon, range(bounds[0], bounds[1]), method, cap)
+        for reader, pid, lo, hi in zip(readers, list(pids), bounds[1:-1], bounds[2:]):
+            slice_paths = _read_slice(reader, hi - lo)
+            if slice_paths is None:
+                pids.remove(pid)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise OSError(f"the worker sampling seeds {lo} to {hi - 1} "
+                              f"exited with status {status}")
+            paths += slice_paths
+    finally:
+        reap(pids)
+        for reader in readers:
+            reader.close()
+    return [Trajectory(events=EventSequence._sampled(times, horizon, unit),
+                       intensity_at_events=post, seed=seed + i)
+            for i, (times, post) in enumerate(paths)]
 
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:

@@ -1,6 +1,7 @@
 """Distributional checks for both samplers and the window extraction."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -390,6 +391,111 @@ class TestBatch:
         for i, traj in enumerate(batch):
             ref = simulate_cluster(p, 30.0, 40 + i)
             assert np.array_equal(traj.events.times, ref.events.times)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(regime=st.sampled_from(list(REGIMES)), seed=st.integers(0, 2**32),
+           scale=st.floats(min_value=0.01, max_value=1.0))
+    def test_sampled_times_within_horizon(self, regime, seed, scale):
+        # the samplers build EventSequences without __post_init__'s checks
+        *raw, horizon, n_paths = self.REGIMES[regime]
+        p, horizon = validate_params(*raw), horizon * scale
+        batch = simulate_batch(p, horizon, seed, n_paths)
+        for traj in batch + [simulate_exact(p, horizon, seed)]:
+            times = traj.events.times
+            assert np.all(np.diff(times) >= 0.0)
+            assert times.size == 0 or (times[0] >= 0.0 and times[-1] <= horizon)
+            assert times.dtype == np.float64 and not times.flags.writeable
+            assert traj.events.horizon == horizon
+
+
+class TestBatchSlices:
+    """simulate_batch spreads its groups over one forked child per CPU."""
+
+    N_PATHS = 2 * simulate_module._GROUP + 7  # three groups
+
+    @staticmethod
+    def count_forks(monkeypatch, cpus):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return forks
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("regime", ["excess", "deficit"])
+    def test_bitwise_equal_for_any_cpu_count(self, monkeypatch, regime, cpus):
+        *raw, horizon, _ = TestBatch.REGIMES[regime]
+        p = validate_params(*raw)
+        forks = self.count_forks(monkeypatch, cpus)
+        batch = simulate_batch(p, horizon, 3_000, self.N_PATHS)
+        assert len(forks) == min(cpus, 3) - 1
+        TestBatch._assert_bitwise_exact(batch, p, horizon, 3_000, self.N_PATHS)
+
+    def test_cluster_method_in_slices(self, monkeypatch):
+        p = validate_params(0.2, 1.0, 1.0, 1.5)
+        forks = self.count_forks(monkeypatch, 3)
+        batch = simulate_batch(p, 5.0, 40, self.N_PATHS, method="cluster")
+        assert len(forks) == 2
+        assert [t.seed for t in batch] == [40 + i for i in range(self.N_PATHS)]
+        for i, traj in enumerate(batch):
+            ref = simulate_cluster(p, 5.0, 40 + i)
+            assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
+            assert traj.intensity_at_events.tobytes() == ref.intensity_at_events.tobytes(), i
+
+    def test_one_group_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        assert len(simulate_batch(p, 4.0, 1, simulate_module._GROUP)) == simulate_module._GROUP
+
+    @staticmethod
+    def _error(p, cap, **kwargs):
+        with pytest.raises(CapacityExceeded) as info:
+            simulate_batch(p, 4.0, 11, TestBatchSlices.N_PATHS, cap=cap, **kwargs)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("method", ["exact", "cluster"])
+    def test_child_error_is_raised_as_in_one_process(self, monkeypatch, method):
+        # with two CPUs this process samples group 0 and the child groups 1 and 2
+        p = validate_params(0.5, 1.0, 2.0, 2.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        sizes = [len(t.events) for t in simulate_batch(p, 4.0, 11, self.N_PATHS, method=method)]
+        cap = max(sizes[:simulate_module._GROUP])
+        assert max(sizes[simulate_module._GROUP:]) > cap
+        serial = self._error(p, cap, method=method)
+        forks = self.count_forks(monkeypatch, 2)
+        assert self._error(p, cap, method=method) == serial
+        assert len(forks) == 1
+
+    def test_parent_error_reaps_children(self, monkeypatch):
+        p = validate_params(0.5, 1.0, 2.0, 2.0)
+        forks = self.count_forks(monkeypatch, 3)
+        with pytest.raises(CapacityExceeded):
+            simulate_batch(p, 4.0, 11, self.N_PATHS, cap=1)
+        assert len(forks) == 2
+
+    def test_dead_child_raises(self, monkeypatch):
+        parent = os.getpid()
+        lockstep = simulate_module._lockstep
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return lockstep(*args)
+
+        monkeypatch.setattr(simulate_module, "_lockstep", die_in_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        with pytest.raises(OSError, match="seeds 251 to 507 exited with status 3"):
+            simulate_batch(p, 4.0, 1, self.N_PATHS)
 
 
 class TestHorizonCheck:
