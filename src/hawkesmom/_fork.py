@@ -1,15 +1,25 @@
 """Process fan-out shared by the intensity CSV writer and the batch sampler.
 
-Both split their work into contiguous slices, fork one child per slice
-after the first, do the first slice in this process and collect the
-children's results in slice order, so their output does not depend on the
-CPU count.
+in_slices forks one child per contiguous slice after the first, does the
+first slice in this process and collects the children's output in slice
+order, so the result does not depend on the CPU count.  Each child writes
+into its own unlinked temporary file, not a pipe, so it never waits for
+this process to read.  Its exit status is the whole protocol: 0 when the
+file is complete, _RAISED when it holds the child's pickled exception,
+which this process raises unchanged, and anything else is an OSError.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import tempfile
+import traceback
+from typing import NoReturn
+
+# exit status of a child whose file holds its pickled exception
+_RAISED = 86
 
 
 def available_cpus() -> int:
@@ -28,3 +38,56 @@ def reap(pids: list[int]) -> None:
         pid = pids.pop()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+def _run_child(work, lo: int, hi: int, out) -> NoReturn:
+    """In a forked child: run ``work(lo, hi, out)`` and exit, 0 when ``out``
+    is complete and flushed, _RAISED when it holds the pickled exception."""
+    status = 1
+    try:
+        try:
+            work(lo, hi, out)
+            out.flush()
+            status = 0
+        except Exception as exc:
+            out.seek(0)
+            out.truncate()
+            pickle.dump(exc, out)
+            out.flush()
+            status = _RAISED
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def in_slices(bounds: list[int], work, collect, what: str) -> None:
+    """Run ``work(lo, hi, out)`` on each slice [bounds[k], bounds[k + 1]):
+    here with ``out=None`` for the first, in a forked child writing the
+    binary file ``out`` for each later one.  Then ``collect(lo, hi, file)``
+    gets each child's rewound file in slice order.  Every child is reaped
+    and every file closed before the call returns or raises.
+    """
+    slices = list(zip(bounds[1:-1], bounds[2:]))
+    files, pids = [], []
+    try:
+        for lo, hi in slices:
+            files.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, lo, hi, files[-1])
+            pids.append(pid)
+        work(bounds[0], bounds[1], None)
+        for file, (lo, hi) in zip(files, slices):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+            file.seek(0)
+            if status == _RAISED:
+                raise pickle.load(file)
+            if status != 0:
+                raise OSError(f"the worker {what} {lo} to {hi - 1} exited with status {status}")
+            collect(lo, hi, file)
+    finally:
+        reap(pids)
+        for file in files:
+            file.close()

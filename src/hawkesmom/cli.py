@@ -119,6 +119,15 @@ def _step_grid(flag: str, horizon: float, step: float) -> np.ndarray:
     return grid
 
 
+def _check_windows(delta: float, t0: float) -> None:
+    """Reject a window length or start before anything is sampled or
+    written: NaN or infinity would reach the window count unchecked."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"--delta must be positive and finite, got {delta}")
+    if not (math.isfinite(t0) and t0 >= 0.0):
+        raise ValueError(f"--t0 must be finite and >= 0, got {t0}")
+
+
 @dataclass
 class HarnessReport:
     """Per-trajectory estimates with summary statistics and envelope data."""
@@ -151,6 +160,7 @@ def cmd_moments(cfg: RunConfig) -> dict:
     """Print theoretical stationary window moments and intensity moments."""
     from .moments import limit_intensity_moments, moment_triple
 
+    _check_windows(cfg.delta, cfg.t0)
     params = cfg.params()
     triple = moment_triple(params, cfg.delta)
     lam1, lam2, lam3 = limit_intensity_moments(params)
@@ -171,6 +181,7 @@ def cmd_moments(cfg: RunConfig) -> dict:
 
 def cmd_estimate(cfg: RunConfig) -> EstimateReport:
     """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
+    _check_windows(cfg.delta, cfg.t0)
     events = parse_events(cfg.events_path, unit=cfg.unit, horizon=cfg.horizon)
     report = estimate(events, EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,6 +203,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     """
     if cfg.count < 2:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
+    _check_windows(cfg.delta, cfg.t0)
     if cfg.envelope:
         step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
         grid = _step_grid("--envelope-step", cfg.horizon, step)

@@ -8,19 +8,16 @@ byte-identical files.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
-import os
 import shutil
-import tempfile
-import traceback
 import warnings
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from ._fork import available_cpus, reap
+from ._fork import available_cpus, in_slices
 from .core import EventSequence
 from .errors import EmptyFile, NegativeTimestamp, ParseError
 from .estimate import EstimateReport
@@ -156,73 +153,34 @@ def _worker_count(rows: int) -> int:
     return max(1, min(available_cpus(), rows // MIN_ROWS_PER_WORKER))
 
 
-def _format_in_child(tmp, grid, values) -> NoReturn:
-    """In a forked child: write the rows into ``tmp`` and exit, 0 on success."""
-    status = 1
-    try:
-        with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
-            _write_rows(out, _intensity_rows, grid, values)
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
-def _write_in_slices(fh, grid, values) -> None:
-    """Write the intensity rows to ``fh`` in _worker_count contiguous slices.
-
-    A forked child formats each slice after the first into an unlinked
-    temporary file in the directory of ``fh`` while this process writes the
-    first slice; the children's files are then appended in row order.  A
-    failed child makes the call raise OSError, and every child is reaped
-    even when this process raises.
-    """
-    n = _worker_count(grid.size)
-    bounds = [grid.size * k // n for k in range(n + 1)]
-    worker_slices = list(zip(bounds[1:-1], bounds[2:]))
-    temps, pids = [], []
-    try:
-        for lo, hi in worker_slices:
-            temps.append(tempfile.TemporaryFile(dir=Path(fh.name).parent))
-            fh.flush()
-            pid = os.fork()
-            if pid == 0:
-                _format_in_child(temps[-1], grid[lo:hi], values[lo:hi])
-            pids.append(pid)
-        _write_rows(fh, _intensity_rows, grid[:bounds[1]], values[:bounds[1]])
-        fh.flush()
-        for tmp, (lo, hi) in zip(temps, worker_slices):
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            pids.pop(0)
-            if status != 0:
-                raise OSError(f"{fh.name}: the worker formatting rows {lo} to {hi} "
-                              f"exited with status {status}")
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
-    finally:
-        reap(pids)
-        for tmp in temps:
-            tmp.close()
-
-
 def write_intensity_csv(path, grid, values) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
-    Large grids are formatted by one process per available CPU (see
-    _write_in_slices); every row is formatted by the same function in the
-    same order, so the bytes are those of a one-process run.  No file is
-    left at ``path`` when the call raises.
+    Large grids are formatted in _worker_count contiguous slices, one
+    process per available CPU (see _fork.in_slices); every row is formatted
+    by the same function in the same order, so the bytes are those of a
+    one-process run.  No file is left at ``path`` when the call raises.
     """
     path = Path(path)
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if grid.size != values.size:
         raise ValueError(f"grid has {grid.size} points but values has {values.size}")
+    n = _worker_count(grid.size)
+
+    def format_slice(lo, hi, out):
+        dest = fh if out is None else codecs.getwriter("utf-8")(out)
+        _write_rows(dest, _intensity_rows, grid[lo:hi], values[lo:hi])
+
+    def append(lo, hi, file):
+        fh.flush()
+        shutil.copyfileobj(file, fh.buffer)
+
     try:
         with path.open("w", encoding="utf-8") as fh:
             fh.write("t,intensity\n")
-            _write_in_slices(fh, grid, values)
+            in_slices([grid.size * k // n for k in range(n + 1)], format_slice, append,
+                      "formatting rows")
     except BaseException:
         path.unlink(missing_ok=True)
         raise

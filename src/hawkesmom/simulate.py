@@ -22,12 +22,12 @@ uniforms in blocks, and one vectorised step per loop iteration repeats
 simulate_exact's float operations in its order, with libm's log and exp
 (math.log, math.exp) rather than numpy's, whose last bit can differ.
 
-A batch of more than one group is spread over the available CPUs: each
-forked child samples a contiguous slice of groups with the same code and
-sends its raw times and intensities back through a pipe.  A path depends
-only on its seed, so the output bytes do not depend on the CPU count;
-a batch of at most _GROUP paths (validate's K = 20, say) stays in one
-process.
+A batch of more than one group is spread over the available CPUs by
+_fork.in_slices: each forked child samples a contiguous slice of groups
+with the same code and writes its raw times and intensities into its
+temporary file.  A path depends only on its seed, so the output bytes do
+not depend on the CPU count; a batch of at most _GROUP paths (validate's
+K = 20, say) stays in one process.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -39,15 +39,11 @@ the horizon to the last bit.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import traceback
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
-from ._fork import available_cpus, reap
+from ._fork import available_cpus, in_slices
 from ._libm import elementwise
 from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
@@ -400,49 +396,20 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
     return out
 
 
-def _sample_in_child(fd: int, params: HawkesParams, horizon: float, seeds: range,
-                     method: str, cap: int) -> NoReturn:
-    """In a forked child: sample ``seeds``, write them to the pipe ``fd`` and exit.
-
-    The stream is b"\\0", one int64 event count per path, every path's times
-    and then every path's post-jump intensities, all float64; or, when
-    sampling raises, b"\\1" and the pickled exception.  Exits 0 once the
-    stream is written.
-    """
-    status = 1
-    try:
-        with open(fd, "wb") as out:
-            try:
-                paths = _sample_slice(params, horizon, seeds, method, cap)
-            except Exception as exc:
-                out.write(b"\1" + pickle.dumps(exc))
-            else:
-                out.write(b"\0")
-                out.write(np.array([t.size for t, _ in paths], dtype=np.int64))
-                for column in (0, 1):
-                    for path in paths:
-                        out.write(path[column])
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(status)
+def _write_paths(out, paths) -> None:
+    """One int64 event count per path, every path's times and then every
+    path's post-jump intensities, all float64."""
+    out.write(np.array([t.size for t, _ in paths], dtype=np.int64))
+    for column in (0, 1):
+        for path in paths:
+            out.write(path[column])
 
 
-def _read_slice(reader, n_paths: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The paths _sample_in_child wrote, as views into one times array and
-    one intensity array; raises the child's exception, and returns None
-    when the stream ends early."""
-    status = reader.read(1)
-    if status == b"\1":
-        raise pickle.loads(reader.read())
-    counts = np.empty(n_paths, dtype=np.int64)
-    if status != b"\0" or reader.readinto(counts) != counts.nbytes:
-        return None
-    ends = np.cumsum(counts).tolist()
-    times, post = np.empty(ends[-1]), np.empty(ends[-1])
-    if not all(reader.readinto(arr) == arr.nbytes for arr in (times, post)):
-        return None
+def _read_paths(file, n_paths: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The paths _write_paths wrote, as views into one times array and one
+    intensity array."""
+    ends = np.cumsum(np.fromfile(file, np.int64, n_paths)).tolist()
+    times, post = np.fromfile(file).reshape(2, -1)
     return [(times[a:b], post[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
@@ -465,46 +432,32 @@ def simulate_batch(
     path of the group by one interarrival; a path whose uniform block holds
     an exact 0 is drawn by simulate_exact instead.
 
-    The groups are split into one contiguous slice per available CPU: a
-    forked child samples each slice after the first while this process
-    samples the first, and the children's paths are read back through
-    pipes in slice order.  A path depends only on its seed, so the output
-    does not depend on the CPU count; a batch of one group (at most _GROUP
-    paths) never forks.  Any path over ``cap`` events raises
-    CapacityExceeded; an exception in a child is raised here, the one the
-    lowest-index failing group raises, as in one process.  Every child is
-    reaped before the call returns or raises.
+    The groups are split into one contiguous slice per available CPU (see
+    _fork.in_slices): a forked child samples each slice after the first
+    while this process samples the first, and the children's paths are
+    read back from their temporary files in slice order.  A path depends
+    only on its seed, so the output does not depend on the CPU count; a
+    batch of one group (at most _GROUP paths) never forks.  Any path over
+    ``cap`` events raises CapacityExceeded; an exception in a child is
+    raised here, the one the lowest-index failing group raises, as in one
+    process.  Every child is reaped before the call returns or raises.
     """
     _check_horizon(horizon)
     sampler(method)  # an unknown method fails before any fork
     groups = -(-n_paths // _GROUP)
     workers = max(1, min(available_cpus(), groups))
     bounds = [seed + min(n_paths, _GROUP * (groups * k // workers)) for k in range(workers + 1)]
-    readers, pids = [], []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _sample_in_child(w, params, horizon, range(lo, hi), method, cap)
-            finally:
-                os.close(w)
-            pids.append(pid)
-        paths = _sample_slice(params, horizon, range(bounds[0], bounds[1]), method, cap)
-        for reader, pid, lo, hi in zip(readers, list(pids), bounds[1:-1], bounds[2:]):
-            slice_paths = _read_slice(reader, hi - lo)
-            if slice_paths is None:
-                pids.remove(pid)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise OSError(f"the worker sampling seeds {lo} to {hi - 1} "
-                              f"exited with status {status}")
-            paths += slice_paths
-    finally:
-        reap(pids)
-        for reader in readers:
-            reader.close()
+    paths = []
+
+    def sample(lo, hi, out):
+        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap)
+        if out is None:
+            paths.extend(sampled)
+        else:
+            _write_paths(out, sampled)
+
+    in_slices(bounds, sample, lambda lo, hi, file: paths.extend(_read_paths(file, hi - lo)),
+              "sampling seeds")
     return [Trajectory(events=EventSequence._sampled(times, horizon, unit),
                        intensity_at_events=post, seed=seed + i)
             for i, (times, post) in enumerate(paths)]

@@ -201,19 +201,44 @@ class TestWriteIntensityCsv:
         for v in (b",0.30000000000000004\n", b",1e-05\n", b",1e+16\n", b",1.0\n"):
             assert v in serial
 
-    def test_failed_worker_raises_and_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def fail_in_worker(monkeypatch, fail_on_call):
+        """Make each forked worker call ``fail_on_call(k)`` before it formats
+        its k-th chunk of rows (k from 1); this process formats as usual."""
         parent = os.getpid()
         rows = io_module._intensity_rows
+        calls = []
 
-        def fail_in_worker(grid, values):
+        def rows_in_worker(grid, values):
             if os.getpid() != parent:
-                raise RuntimeError("worker failed")
+                calls.append(None)
+                fail_on_call(len(calls))
             return rows(grid, values)
 
-        monkeypatch.setattr(io_module, "_intensity_rows", fail_in_worker)
+        monkeypatch.setattr(io_module, "_intensity_rows", rows_in_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("failing_chunk", [1, 2])
+    def test_worker_exception_is_raised_unchanged(self, tmp_path, monkeypatch, failing_chunk):
+        # on its second chunk the worker has rows in its file, which it
+        # truncates before it pickles the exception there
+        def fail(k):
+            if k == failing_chunk:
+                raise RuntimeError(f"worker failed on chunk {k}")
+
+        self.fail_in_worker(monkeypatch, fail)
         n = 2 * MIN_ROWS_PER_WORKER
-        with pytest.raises(OSError, match="exited with status 1"):
+        with pytest.raises(RuntimeError, match=f"^worker failed on chunk {failing_chunk}$"):
+            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_worker_raises_and_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+        self.fail_in_worker(monkeypatch, lambda k: os._exit(1))
+        n = 2 * MIN_ROWS_PER_WORKER
+        with pytest.raises(OSError, match=f"formatting rows {n // 2} to {n - 1} exited with "
+                                          f"status 1$"):
             write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
         assert os.listdir(tmp_path) == []
         out = tmp_path / "out"
@@ -221,7 +246,7 @@ class TestWriteIntensityCsv:
                      "--horizon", "20", "--grid-step", "0.0001", "--seed", "4",
                      "--out-dir", str(out)])
         assert code == 1
-        assert "exited with status 1" in capsys.readouterr().err
+        assert "error: the worker formatting rows" in capsys.readouterr().err
         assert os.listdir(out) == ["events.txt"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -526,6 +551,43 @@ class TestMainExitCodes:
         assert err.startswith(f"error: --grid-step {float(step)} asks for ")
         assert f"{int(round(10 / float(step))) + 1} grid points" in err
         assert not out.exists()
+
+    @staticmethod
+    def run_windows(tmp_path, monkeypatch, command, flags):
+        """main() for ``command`` plus ``flags``; sampling fails the test."""
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("hawkesmom.cli.simulate_batch", no_sampling)
+        params = ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0"]
+        out = ["--out-dir", str(tmp_path / "out")]
+        if command == "moments":
+            argv = ["moments", *params]
+        elif command == "estimate":
+            events = write(tmp_path, "ev.txt", "t\n0.5\n1.0\n2.0\n")
+            argv = ["estimate", "--events", str(events), *out]
+        else:
+            argv = ["validate", *params, "--horizon", "200", "--count", "2", "--seed", "4", *out]
+        return main(argv + flags)
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command", ["moments", "estimate", "validate"])
+    def test_bad_delta_writes_nothing(self, tmp_path, monkeypatch, capsys, command, delta):
+        assert self.run_windows(tmp_path, monkeypatch, command, ["--delta", delta]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --delta must be positive and finite, got {float(delta)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_bad_t0_writes_nothing(self, tmp_path, monkeypatch, capsys, command, t0):
+        flags = ["--delta", "0.5", f"--t0={t0}"]
+        assert self.run_windows(tmp_path, monkeypatch, command, flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --t0 must be finite and >= 0, got {float(t0)}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan"])
     def test_bad_envelope_step_writes_nothing(self, tmp_path, capsys, step):
