@@ -128,6 +128,12 @@ def _check_windows(delta: float, t0: float) -> None:
         raise ValueError(f"--t0 must be finite and >= 0, got {t0}")
 
 
+def _check_cap(cap: int) -> None:
+    """Reject a cap below 1 before anything is sampled, not after the first path."""
+    if cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {cap}")
+
+
 @dataclass
 class HarnessReport:
     """Per-trajectory estimates with summary statistics and envelope data."""
@@ -142,6 +148,7 @@ class HarnessReport:
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     """Simulate one trajectory; write the events file and an intensity grid."""
+    _check_cap(cfg.cap)
     grid = _step_grid("--grid-step", cfg.horizon, cfg.grid_step)
     params = cfg.params()
     seed = cfg.require_seed()
@@ -204,11 +211,17 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     if cfg.count < 2:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
     _check_windows(cfg.delta, cfg.t0)
+    _check_cap(cfg.cap)
     if cfg.envelope:
         step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
         grid = _step_grid("--envelope-step", cfg.horizon, step)
     params = cfg.params()
     seed = cfg.require_seed()
+    real = None
+    if cfg.envelope and cfg.real_events_path is not None:
+        # read before sampling, so a bad file costs no paths and writes nothing
+        real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
+        real = count_at(real_events, grid)
     trajectories = simulate_batch(params, cfg.horizon, seed, cfg.count, method=cfg.method,
                                   cap=cfg.cap, unit=cfg.unit)
 
@@ -259,10 +272,6 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     harness = HarnessReport(reports=reports, summary=summary, non_converged=non_converged)
     if cfg.envelope:
         counts = np.vstack([count_at(t.events, grid) for t in trajectories])
-        real = None
-        if cfg.real_events_path is not None:
-            real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
-            real = count_at(real_events, grid)
         harness.envelope_grid = grid
         harness.envelope_counts = counts
         harness.real_counts = real

@@ -108,10 +108,13 @@ class EstimateConfig:
 
 
 def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:
-    """Moment triple from an existing vector of window counts."""
+    """Moment triple from an existing vector of window counts; no windows, or
+    only empty ones, are InsufficientData."""
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
         raise InsufficientData("no count windows")
+    if not counts.any():
+        raise InsufficientData(f"all {counts.size} count windows are empty")
     if counts.size < MIN_WINDOWS:
         warnings.warn(
             f"only {counts.size} windows; moment estimates will be noisy "

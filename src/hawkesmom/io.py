@@ -4,14 +4,22 @@ Events file: UTF-8 text, one nonnegative decimal timestamp per line, with an
 optional single header line "t".  Grids and tables are written as CSV,
 reports as JSON; floats are serialized with repr so identical inputs give
 byte-identical files.
+
+Every writer overwrites an existing file in place and cuts it to the length
+written, so its bytes equal a write into an empty directory; a writer that
+raises removes its file.  A process killed mid-write (SIGKILL, power loss)
+can leave old bytes after the new ones: trust the exit status, not the file.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import json
 import math
+import os
 import shutil
+import stat
 import warnings
 from pathlib import Path
 
@@ -109,9 +117,28 @@ def convert_unit(events: EventSequence, to_unit: str) -> EventSequence:
                          unit=to_unit)
 
 
+@contextlib.contextmanager
+def _overwrite(path: Path):
+    """UTF-8 text writer on ``path`` that reuses an existing file's blocks:
+    opened without O_TRUNC, whose release of every old block some file
+    systems do synchronously, and cut at the final position on success.
+    Like O_TRUNC, the cut leaves alone what is not a regular file, such as a
+    link to /dev/null.  If the body raises, the file is closed, removed and
+    the error re-raised."""
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def write_events(path, events: EventSequence) -> Path:
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write("t\n")
         _write_rows(fh, _event_rows, events.times)
     return path
@@ -176,14 +203,10 @@ def write_intensity_csv(path, grid, values) -> Path:
         fh.flush()
         shutil.copyfileobj(file, fh.buffer)
 
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("t,intensity\n")
-            in_slices([grid.size * k // n for k in range(n + 1)], format_slice, append,
-                      "formatting rows")
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with _overwrite(path) as fh:
+        fh.write("t,intensity\n")
+        in_slices([grid.size * k // n for k in range(n + 1)], format_slice, append,
+                  "formatting rows")
     return path
 
 
@@ -193,7 +216,7 @@ def write_table_csv(path, rows) -> Path:
     rows: iterables (run, alpha_hat, beta_hat, lambda_inf_hat, converged).
     """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write("run,alpha_hat,beta_hat,lambda_inf_hat,converged\n")
         for run, a, b, li, conv in rows:
             fh.write(f"{int(run)},{float(a)!r},{float(b)!r},{float(li)!r},{bool(conv)}\n")
@@ -213,7 +236,7 @@ def write_envelope_csv(path, grid, counts, real_counts=None) -> Path:
     if real_counts is not None:
         header.append("real")
         columns.append(np.asarray(real_counts).astype(np.int64))
-    with path.open("w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, _repr_rows, *columns)
     return path
@@ -248,7 +271,7 @@ def report_to_dict(report: EstimateReport) -> dict:
 
 def write_report_json(path, payload: dict) -> Path:
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -57,6 +57,15 @@ class TestEmpiricalMoments:
         assert (emp.triple.m1, emp.triple.m2, emp.triple.m3) == (1.5, 2.5, 4.5)
         assert emp.window_count == 2
 
+    def test_empty_windows_are_insufficient_data(self):
+        with pytest.raises(InsufficientData, match="all 40 count windows are empty"):
+            empirical_from_counts(np.zeros(40), delta=0.5)
+        events = EventSequence(times=np.array([0.5]), horizon=10.0)
+        with warnings.catch_warnings(), \
+                pytest.raises(InsufficientData, match="all 9 count windows are empty"):
+            warnings.simplefilter("ignore")  # fewer than 30 windows
+            estimate(events, EstimateConfig(delta=1.0, t0=1.0))
+
     def test_insufficient_data(self):
         events = EventSequence(times=np.array([0.5]), horizon=1.0)
         with pytest.raises(InsufficientData):

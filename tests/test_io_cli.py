@@ -37,6 +37,8 @@ from hawkesmom.io import (
     write_envelope_csv,
     write_events,
     write_intensity_csv,
+    write_report_json,
+    write_table_csv,
 )
 
 try:
@@ -300,6 +302,143 @@ class TestWriteEnvelopeCsv:
             assert text.split("\n")[:-1] == lines
 
 
+def _small_outputs():
+    """One call per writer, by name, each taking only the output path."""
+    rng = np.random.default_rng(34)
+    n = _CSV_CHUNK_ROWS + 7
+    grid = np.arange(n) * 0.01
+    values = rng.lognormal(0.0, 3.0, size=n)
+    counts = np.cumsum(rng.poisson(2.0, size=(3, n)), axis=1)
+    events = EventSequence(times=np.sort(rng.uniform(0.0, 50.0, 300)), horizon=50.0)
+    rows = [(i, 0.2 + i / 3, 1.0 / 3, 1e-05, i % 2 == 0) for i in range(5)]
+    return {
+        "events": lambda path: write_events(path, events),
+        "intensity": lambda path: write_intensity_csv(path, grid, values),
+        "table": lambda path: write_table_csv(path, rows),
+        "envelope": lambda path: write_envelope_csv(path, grid, counts, counts[0]),
+        "report": lambda path: write_report_json(path, {"b": [0.1, 1e-05], "a": None}),
+    }
+
+
+WRITERS = sorted(_small_outputs())
+
+
+class TestWriteInPlace:
+    """Writers overwrite an existing file and cut it to length: the bytes
+    equal a write into an empty directory, whatever the file held."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_over_longer_and_shorter_files(self, tmp_path, writer):
+        write = _small_outputs()[writer]
+        (tmp_path / "fresh").mkdir()
+        fresh = write(tmp_path / "fresh" / "out").read_bytes()
+        for old in (b"x" * (2 * len(fresh) + 4097), fresh + b"tail\n",
+                    b"y" * (len(fresh) // 2), fresh[:-1], b""):
+            (tmp_path / "out").write_bytes(old)
+            assert write(tmp_path / "out").read_bytes() == fresh
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_intensity_over_existing_files_at_cpus(self, tmp_path, monkeypatch, cpus):
+        rng = np.random.default_rng(35)
+        n = 3 * MIN_ROWS_PER_WORKER + 11
+        grid = np.arange(n) * 0.01
+        values = rng.lognormal(0.0, 3.0, size=n)
+        fresh = write_intensity_csv(tmp_path / "fresh.csv", grid, values).read_bytes()
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for old in (b"x" * (len(fresh) + MIN_ROWS_PER_WORKER), b"y" * (len(fresh) // 3)):
+            (tmp_path / "out.csv").write_bytes(old)
+            assert write_intensity_csv(tmp_path / "out.csv", grid, values).read_bytes() == fresh
+        assert len(forks) == 2 * (cpus - 1)
+
+    def test_no_writer_truncates_on_open(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for name, write in _small_outputs().items():
+            path = tmp_path / name
+            path.write_bytes(b"z" * 100_000)
+            opened.clear()
+            write(path)
+            assert [p for p, _ in opened] == [str(path)], name
+            assert not opened[0][1] & os.O_TRUNC, name
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_directory_at_path_raises_and_stays(self, tmp_path, writer):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "keep").write_text("kept")
+        with pytest.raises(IsADirectoryError):
+            _small_outputs()[writer](target)
+        assert (target / "keep").read_text() == "kept"
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_link_to_dev_null_is_written_and_kept(self, tmp_path, writer):
+        (tmp_path / "out").symlink_to(os.devnull)
+        _small_outputs()[writer](tmp_path / "out")
+        assert os.readlink(tmp_path / "out") == os.devnull
+
+    def test_failing_table_removes_the_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"x" * 1_000_000)
+
+        def rows():
+            for i in range(10_000):  # more than one buffer reaches the file first
+                yield i, 0.1, 0.2, 0.3, True
+            raise RuntimeError("rows failed")
+
+        with pytest.raises(RuntimeError, match="rows failed"):
+            write_table_csv(path, rows())
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_worker_removes_the_old_file(self, tmp_path, monkeypatch):
+        def fail(k):
+            if k == 2:
+                raise RuntimeError("worker failed")
+
+        TestWriteIntensityCsv.fail_in_worker(monkeypatch, fail)
+        path = tmp_path / "intensity.csv"
+        n = 2 * MIN_ROWS_PER_WORKER
+        path.write_bytes(b"x" * (4 * n))
+        with pytest.raises(RuntimeError, match="^worker failed$"):
+            write_intensity_csv(path, np.arange(n * 1.0), np.ones(n))
+        assert os.listdir(tmp_path) == []
+
+    RERUNS = {
+        "simulate": ["simulate", "--alpha", "0.3", "--beta", "1", "--lambda-inf", "1",
+                     "--horizon", "60", "--grid-step", "0.0005"],
+        "validate": ["validate", "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+                     "--horizon", "1500", "--count", "3", "--delta", "0.5", "--t0", "300",
+                     "--envelope"],
+    }
+
+    @staticmethod
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("command", sorted(RERUNS))
+    def test_cli_reruns_equal_a_fresh_run(self, tmp_path, command):
+        argv = self.RERUNS[command]
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main(argv + ["--seed", "7", "--out-dir", str(fresh)]) == EXIT_OK
+        expected = self.digests(fresh)
+        for seed in ("7", "8", "7"):
+            assert main(argv + ["--seed", seed, "--out-dir", str(rerun)]) == EXIT_OK
+        assert self.digests(rerun) == expected
+
+
 class TestCmdSimulate:
     def test_deterministic_byte_identical(self, tmp_path):
         cfgs = [RunConfig(command="simulate", alpha=0.15, beta=1.0, lambda_inf=1.0,
@@ -553,12 +692,17 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @staticmethod
-    def run_windows(tmp_path, monkeypatch, command, flags):
-        """main() for ``command`` plus ``flags``; sampling fails the test."""
+    def forbid_sampling(monkeypatch):
+        """Make any sampling by the CLI fail the test."""
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
+        monkeypatch.setattr("hawkesmom.cli.sampler", no_sampling)
         monkeypatch.setattr("hawkesmom.cli.simulate_batch", no_sampling)
+
+    def run_windows(self, tmp_path, monkeypatch, command, flags):
+        """main() for ``command`` plus ``flags``; sampling fails the test."""
+        self.forbid_sampling(monkeypatch)
         params = ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0"]
         out = ["--out-dir", str(tmp_path / "out")]
         if command == "moments":
@@ -588,6 +732,62 @@ class TestMainExitCodes:
         assert out == ""
         assert err == f"error: --t0 must be finite and >= 0, got {float(t0)}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "10"],
+    ], ids=["simulate", "validate"])
+    def test_bad_cap_writes_nothing(self, tmp_path, monkeypatch, capsys, command, cap):
+        self.forbid_sampling(monkeypatch)
+        out = tmp_path / "out"
+        code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                               "--horizon", "50", "--seed", "1", f"--cap={cap}",
+                               "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --cap must be at least 1, got {cap}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, code, message", [
+        (None, 1, "No such file or directory"),
+        ("t\n1.0\n2.0 3.0\n", EXIT_PARSE, "real.txt:3: cannot parse timestamp '2.0 3.0'"),
+    ], ids=["missing", "bad_line"])
+    def test_bad_real_events_writes_nothing(self, tmp_path, monkeypatch, capsys, text, code,
+                                            message):
+        self.forbid_sampling(monkeypatch)
+        real = tmp_path / "real.txt"
+        if text is not None:
+            real.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "100", "--count", "2", "--delta", "0.5", "--t0", "0",
+                     "--seed", "1", "--envelope", "--real-events", str(real),
+                     "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert os.listdir(out) == []
+
+    def test_empty_windows_estimate_exits_3(self, tmp_path, capsys):
+        # every event lies before t0 or beyond the horizon
+        events = write(tmp_path, "ev.txt", "t\n0.1\n0.2\n5\n")
+        with pytest.warns(UserWarning):
+            code = main(["estimate", "--events", str(events), "--delta", "0.5", "--t0", "1",
+                         "--horizon", "4", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == "error: all 6 count windows are empty\n"
+
+    def test_empty_windows_keep_validate_running(self, tmp_path):
+        # run 1 has no event in [0, 1]; its row is kept as non-converged
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning):
+            code = main(["validate", "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+                         "--horizon", "1", "--count", "2", "--delta", "0.5", "--t0", "0",
+                         "--seed", "1", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "table.csv").read_text().splitlines()
+        assert rows[2] == "1,nan,nan,nan,False"
+        runs = json.loads((out / "validate.json").read_text())["runs"]
+        assert runs[1]["flags"] == ["failed:InsufficientData"]
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan"])
     def test_bad_envelope_step_writes_nothing(self, tmp_path, capsys, step):
