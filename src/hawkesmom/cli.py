@@ -210,6 +210,8 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     """
     if cfg.count < 2:
         raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
+    if cfg.real_events_path is not None and not cfg.envelope:
+        raise ValueError("--real-events is overlaid on the envelope; it needs --envelope")
     _check_windows(cfg.delta, cfg.t0)
     _check_cap(cfg.cap)
     if cfg.envelope:
@@ -218,7 +220,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     params = cfg.params()
     seed = cfg.require_seed()
     real = None
-    if cfg.envelope and cfg.real_events_path is not None:
+    if cfg.real_events_path is not None:
         # read before sampling, so a bad file costs no paths and writes nothing
         real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
         real = count_at(real_events, grid)

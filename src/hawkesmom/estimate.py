@@ -5,21 +5,21 @@ over consecutive windows of length delta.  The fit solves
 
     stationary_mi(alpha, beta, lambda_inf; delta) = M_i,   i = 1, 2, 3
 
-through an exact dimensional reduction.  M1 fixes lambda* = M1/delta, and
-the variance excess obeys the identity
+through an exact dimensional reduction in cumulant form.  M1 fixes
+lambda* = M1/delta, and the variance excess obeys the identity
 
-    (M2 - M1 - M1^2)/M1 = G(eta) phi(x),
+    k2/M1 - 1 = (M2 - M1 - M1^2)/M1 = G(eta) phi(x),
     G(eta) = eta (2 - eta)/(1 - eta)^2,  phi(x) = 1 - (1 - e^{-x})/x,
 
 with eta = alpha/beta and x = kappa delta, G invertible in closed form.
-That leaves the third-moment equation as a scalar root-find in x, which is
-solved by bracketing on a log grid -- far more robust than Newton iteration
-on the raw 3-by-3 system, whose Jacobian is near-singular along a
-beta-degenerate direction (condition number ~1e6 at typical roots).  The
-grid is evaluated in one numpy pass that repeats the scalar residual's float
-operations in order, with libm's pow, exp, expm1 and sqrt applied
-element-wise, so every grid value equals the scalar residual's bit for bit
-and the brackets, roots and reports do not depend on which form ran.
+That leaves the third cumulant, k3/M1 = K3(eta(x), x) with the sample k3 =
+M3 - 3 M2 M1 + 2 M1^3, as a scalar equation in x.  On the curve that matches
+M1 and M2 it has the same roots and least-squares point as the third-moment
+equation, and it does not involve lambda*.  It is solved by bracketing on a
+log grid -- far more robust than Newton iteration on the raw 3-by-3 system,
+whose Jacobian is near-singular along a beta-degenerate direction (condition
+number ~1e6 at typical roots).  One numpy residual serves the grid and the
+refinement, which zooms into each bracket on sub-grids.
 Positivity constraints hold by construction: x > 0 and eta in [0, 1) map to
 beta > alpha >= 0, lambda_inf > 0.  lambda0 is not identifiable from
 stationary window moments; fitted parameter records carry
@@ -31,15 +31,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from ._libm import elementwise, power
 from .core import EventSequence, HawkesParams
-from .errors import HawkesError, InsufficientData, NoConvergence
-from .moments import (MomentTriple, _stationary_m3_array, stationary_m1, stationary_m2,
-                      stationary_m3)
+from .errors import InsufficientData, NoConvergence
+from .moments import (_PHI, MomentTriple, _k3_over_m1, _window_shapes, stationary_m1,
+                      stationary_m2, stationary_m3)
 from .simulate import windowed_counts
 
 __all__ = [
@@ -84,8 +82,10 @@ class EstimateReport:
     residual_norm honestly exceeds the tolerance and "m3_best_fit" is set).
     Other flags: "boundary_alpha" (alpha-hat at the Poisson boundary, beta
     unidentified) and "t0_in_transient" (windows start at t0 = 0 where the
-    stationary-limit formulas are biased by the transient).  Harness
-    placeholders for runs that failed outright carry params_hat = None.
+    stationary-limit formulas are biased by the transient).  iterations
+    counts third-moment residual evaluations: the 600 scan-grid points plus
+    64 for every refinement step of every bracket or least-squares interval.
+    Harness placeholders for runs that failed outright carry params_hat = None.
     """
 
     params_hat: HawkesParams | None
@@ -157,83 +157,78 @@ def _check_start(theta) -> tuple[float, float, float]:
     return float(a), float(b), float(li)
 
 
-def _excess_shape(x: float) -> float:
-    """phi(x) = 1 - (1 - e^{-x})/x, the window-shape factor of the variance
-    excess; increases from 0 to 1 as x = kappa * delta grows."""
-    if x < 1e-4:
-        return _excess_shape_series(x, math.pow)
-    return 1.0 + math.expm1(-x) / x
+def _curve(x: np.ndarray, lam_star: float, excess: float, delta: float):
+    """The window shapes, u = 1/(1 - eta) and (alpha, beta, lambda_inf) at
+    every x = kappa delta of the 1-D array x, on the curve that matches M1
+    and M2 exactly.
 
-
-def _excess_shape_series(x, pw):
-    # phi's Taylor series, for floats with pw = math.pow and for arrays with
-    # pw = _libm.power
-    return x / 2.0 - x * x / 6.0 + pw(x, 3) / 24.0 - pw(x, 4) / 120.0
-
-
-def _manifold(x, phi, lam_star: float, excess: float, delta: float, sqrt):
-    # (alpha, beta, lambda_inf) at x given phi(x), for floats and arrays alike
-    g = excess / phi
-    one_minus_eta = 1.0 / sqrt(1.0 + g)
+    The variance excess factors as k2/M1 - 1 = G(eta) phi(x) with
+    G(eta) = eta (2 - eta)/(1 - eta)^2 = u^2 - 1, so u = sqrt(1 + excess/phi)
+    in closed form; lambda* is pinned by M1 = lambda* delta.
+    """
+    shapes = _window_shapes(x)
+    u = np.sqrt(1.0 + excess / shapes[_PHI])
     kappa = x / delta
-    beta = kappa / one_minus_eta
-    return beta - kappa, beta, lam_star * one_minus_eta
+    beta = kappa * u
+    return shapes, u, beta - kappa, beta, lam_star / u
 
 
-def _params_on_manifold(x: float, lam_star: float, excess: float, delta: float) -> HawkesParams:
-    """The unique parameters matching m1 and m2 exactly for a given x = kappa delta.
-
-    The variance excess factors as (M2 - M1 - M1^2)/M1 = G(eta) phi(x) with
-    eta = alpha/beta and G(eta) = eta (2 - eta)/(1 - eta)^2, so G inverts in
-    closed form: 1 - eta = 1/sqrt(1 + G).  lambda* is pinned by M1 = lambda* delta.
-    """
-    return HawkesParams(*_manifold(x, _excess_shape(x), lam_star, excess, delta, math.sqrt))
-
-
-def _m3_residual(x: float, lam_star: float, excess: float, delta: float, m3: float) -> float:
-    """stationary_m3 - M3 at the parameters _params_on_manifold gives for x;
-    inf where those are invalid, where the formula raises (a pow overflow,
-    a zero division) or where its value is not finite."""
-    try:
-        # in Python floats: numpy scalars would overflow or divide by zero to
-        # inf where Python raises
-        p = _params_on_manifold(float(x), lam_star, excess, delta)
-        val = stationary_m3(p, delta) - m3
-    except (OverflowError, ZeroDivisionError, ValueError, HawkesError):
-        return math.inf
-    return val if math.isfinite(val) else math.inf
-
-
-def _m3_residual_on_grid(grid: np.ndarray, lam_star: float, excess: float, delta: float,
-                         m3: float) -> np.ndarray:
-    """_m3_residual at every grid point in one numpy pass, bit for bit.
-
-    The float operations repeat _params_on_manifold's and stationary_m3's in
-    their order, with libm's pow, expm1, sqrt and exp applied element-wise.
-    Where the scalar code raises (invalid parameters, a pow overflow, a zero
-    division), the array path's value is non-finite, and so becomes inf.
-    """
+def _k3_residual(x: np.ndarray, lam_star: float, excess: float, delta: float,
+                 k3_ratio: float) -> np.ndarray:
+    """k3/M1 - k3_ratio at every x of the 1-D array x on the (M1, M2)-exact
+    curve; inf where the parameters there are not admissible (HawkesParams
+    would raise) or the value is not finite."""
     with np.errstate(all="ignore"):
-        small = grid < 1e-4
-        phi = np.empty(grid.size)
-        phi[small] = _excess_shape_series(grid[small], power)
-        x = grid[~small]
-        phi[~small] = 1.0 + elementwise(math.expm1, -x) / x
-        alpha, beta, lam_inf = _manifold(grid, phi, lam_star, excess, delta,
-                                         partial(elementwise, math.sqrt))
-        # HawkesParams' checks
-        ok = (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(lam_inf)
-              & (alpha >= 0.0) & (lam_inf > 0.0) & (beta > alpha)).nonzero()[0]
-        vals = np.full(grid.size, np.inf)
-        res = _stationary_m3_array(alpha[ok], beta[ok], lam_inf[ok], delta) - m3
-        vals[ok] = np.where(np.isfinite(res), res, np.inf)
-    return vals
+        shapes, u, alpha, beta, lam_inf = _curve(x, lam_star, excess, delta)
+        r = _k3_over_m1(shapes, u) - k3_ratio
+        ok = (np.isfinite(r) & np.isfinite(beta) & np.isfinite(lam_inf)
+              & (alpha >= 0.0) & (lam_inf > 0.0) & (beta > alpha))
+        return np.where(ok, r, np.inf)
 
 
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-7, 200.0, 600
 # half an e-fold each way: how far the third-moment fit may pull x away from
 # the starting point when the system has no exact root
 _LOCAL_BRACKET_HALF_WIDTH = 0.5
+# refinement: points per sub-grid, and the widths at which a root bracket
+# (_XTOL + _RTOL x) and a least-squares interval (_XATOL) count as resolved
+_ZOOM_POINTS = 64
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+_XTOL, _RTOL, _XATOL = 1e-15, 8.9e-16, 1e-10
+
+
+def _zoom(residual, lo: np.ndarray, hi: np.ndarray, xtol: float, rtol: float,
+          root: bool) -> np.ndarray:
+    """Narrows every cell [lo_i, hi_i] to a width of at most xtol + rtol x by
+    evaluating ``residual`` on a _ZOOM_POINTS sub-grid of all open cells in
+    one call per step.  With ``root``, each cell must bracket a sign change
+    and keeps the first sub-cell that does; otherwise each keeps the two
+    sub-cells around its least |residual|.  Returns, per cell, the last
+    sub-grid's point of least |residual| in the kept cell.
+    """
+    lo, hi = lo.astype(float), hi.astype(float)
+    best = lo.copy()
+    cells = np.arange(lo.size)
+    while cells.size:
+        t = lo[cells, None] + (hi - lo)[cells, None] * _ZOOM_STEPS
+        t[:, -1] = hi[cells]
+        r = residual(t.ravel()).reshape(t.shape)
+        rows = np.arange(cells.size)
+        if root:
+            left, right = r[:, :-1], r[:, 1:]
+            with np.errstate(invalid="ignore"):
+                change = np.isfinite(left) & np.isfinite(right) & (left * right <= 0.0)
+            i = change.argmax(axis=1)
+            lo[cells], hi[cells] = t[rows, i], t[rows, i + 1]
+            best[cells] = np.where(np.abs(r[rows, i + 1]) < np.abs(r[rows, i]),
+                                   hi[cells], lo[cells])
+        else:
+            j = np.abs(r).argmin(axis=1)
+            best[cells] = t[rows, j]
+            lo[cells] = t[rows, np.maximum(j - 1, 0)]
+            hi[cells] = t[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+        cells = cells[hi[cells] - lo[cells] > xtol + rtol * np.abs(best[cells])]
+    return best
 
 
 def _residuals(p: HawkesParams, triple: MomentTriple, delta: float) -> tuple[float, float, float]:
@@ -255,12 +250,13 @@ def solve_moment_system(
 
     The system is reduced exactly: M1 pins lambda*, the variance excess pins
     eta = alpha/beta as a closed-form function of x = kappa delta, and the
-    third equation becomes a scalar root-find in x.  All sign changes of the
-    scalar residual on a wide log-grid are bracketed and refined; among exact
-    roots the one nearest the starting point (in (ln alpha, ln kappa)) is
-    returned with each residual at or below ``tol * max(1, M_i)``: relative
-    to the moment once it exceeds 1, since M3 reaches 1e4 on bursty data and
-    an absolute 1e-9 would then sit below float64 rounding.
+    third cumulant's equation becomes a scalar root-find in x.  All sign
+    changes of the residual on a wide log-grid are bracketed and refined;
+    among exact roots the one nearest the starting point (in (ln alpha,
+    ln kappa)) is returned with each residual at or below
+    ``tol * max(1, M_i)``: relative to the moment once it exceeds 1, since
+    M3 reaches 1e4 on bursty data and an absolute 1e-9 would then sit below
+    float64 rounding.
 
     Sampled moments frequently admit no exact root: given (M1, M2) the model
     constrains the attainable third moment to a band a fraction of a percent
@@ -273,11 +269,11 @@ def solve_moment_system(
     no positive-excess solution) yield NoConvergence carrying the best
     attempt.
 
-    The 600-point bracketing grid is evaluated as arrays in one pass
-    (_m3_residual_on_grid), equal bit for bit to the scalar residual at every
-    point, inf included; brentq and the bounded least-squares search call
-    the scalar residual.  ``iterations`` reports the number of residual
-    evaluations, each grid point counting as one.
+    The residual is evaluated on arrays only: once on the 600-point
+    bracketing grid, then on 64-point sub-grids that narrow every bracket
+    at once to xtol 1e-15 + rtol 8.9e-16 x (the least-squares search: to
+    1e-10 around the least |residual|).  ``iterations`` reports the number of
+    residual evaluations, each grid or sub-grid point counting as one.
     """
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
@@ -322,47 +318,24 @@ def solve_moment_system(
             best_report=report,
         )
 
-    def scalar_residual(x: float) -> float:
+    k3_ratio = (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) / m1  # sample k3/M1
+
+    def residual(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
-        return _m3_residual(x, lam_star, excess, delta, m3)
+        evaluations += x.size
+        return _k3_residual(x, lam_star, excess, delta, k3_ratio)
 
     # bracket every exact root on a wide dimensionless grid
-    from scipy.optimize import brentq, minimize_scalar
-
     grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = _m3_residual_on_grid(grid, lam_star, excess, delta, m3)
-    evaluations += grid.size
+    vals = residual(grid)
     left, right = vals[:-1], vals[1:]
-    with np.errstate(all="ignore"):
-        sign_change = np.isfinite(left) & np.isfinite(right) & (left * right < 0.0)
-    roots: list[float] = []
-    for i in (sign_change | (left == 0.0)).nonzero()[0].tolist():
-        if sign_change[i]:
-            roots.append(brentq(scalar_residual, grid[i], grid[i + 1],
-                                xtol=1e-15, rtol=8.9e-16, maxiter=200))
-        else:
-            roots.append(float(grid[i]))
-
-    if roots:
-        # selection by (converged, residual, start order); every start sees
-        # the same root set, so this reduces to nearest-root-per-start
-        attempts: list[tuple[bool, float, int, EstimateReport]] = []
-        for order, start in enumerate(starts):
-            a0, b0 = start[0], start[1]
-
-            def distance(x: float) -> float:
-                p = _params_on_manifold(x, lam_star, excess, delta)
-                return math.hypot(math.log(p.alpha) - math.log(a0),
-                                  math.log(p.kappa) - math.log(b0 - a0))
-
-            best_x = min(roots, key=distance)
-            report = make_report(_params_on_manifold(best_x, lam_star, excess, delta),
-                                 order, ())
-            attempts.append((not report.converged, report.residual_norm, order, report))
-        attempts.sort(key=lambda t: t[:3])
-        best = attempts[0][3]
-    else:
+    with np.errstate(invalid="ignore"):
+        cells = (np.isfinite(left) & np.isfinite(right) & (left * right < 0.0)).nonzero()[0]
+    candidates = np.sort(np.concatenate([
+        grid[vals == 0.0],
+        _zoom(residual, grid[cells], grid[cells + 1], _XTOL, _RTOL, root=True)]))
+    flags: tuple[str, ...] = ()
+    if not candidates.size:
         # no exact root: local least-squares in x anchored at the primary
         # start (competing by residual across multistart brackets would just
         # chase third-moment noise along the nearly flat curve)
@@ -370,10 +343,23 @@ def solve_moment_system(
         x0 = min(max((b0 - a0) * delta, _SCAN_LO), _SCAN_HI)
         lo = max(x0 * math.exp(-_LOCAL_BRACKET_HALF_WIDTH), _SCAN_LO)
         hi = min(x0 * math.exp(_LOCAL_BRACKET_HALF_WIDTH), _SCAN_HI)
-        res = minimize_scalar(lambda x: abs(scalar_residual(x)), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-10, "maxiter": 200})
-        best = make_report(_params_on_manifold(float(res.x), lam_star, excess, delta),
-                           0, ("m3_best_fit",))
+        candidates = _zoom(residual, np.array([lo]), np.array([hi]), _XATOL, 0.0, root=False)
+        flags = ("m3_best_fit",)
+
+    # selection by (converged, residual, start order); every start sees the
+    # same candidates, so this reduces to nearest-candidate-per-start, and a
+    # candidate is reported with the first start it is nearest to
+    _, _, alpha, beta, lam_inf = _curve(candidates, lam_star, excess, delta)
+    with np.errstate(divide="ignore"):
+        log_alpha, log_kappa = np.log(alpha), np.log(beta - alpha)
+    attempts: dict[int, tuple[bool, float, int, EstimateReport]] = {}
+    for order, (a0, b0, _) in enumerate(starts):
+        i = int(np.argmin(np.hypot(log_alpha - math.log(a0), log_kappa - math.log(b0 - a0))))
+        if i not in attempts:
+            report = make_report(HawkesParams(float(alpha[i]), float(beta[i]),
+                                              float(lam_inf[i])), order, flags)
+            attempts[i] = (not report.converged, report.residual_norm, order, report)
+    best = min(attempts.values(), key=lambda t: t[:3])[3]
     if not best.converged:
         raise NoConvergence(
             f"no admissible parameters reach residual {tol} x max(1, M_i) "

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import HawkesParams, _times
 
@@ -257,6 +256,10 @@ def integrate_moments(
             y0[i] = 1.0 if m == 0 else float(initial_intensity_moments[m])
         else:
             y0[i] = params.lambda0**m
+
+    # imported here: no command-line path solves the ODE, and scipy is most
+    # of a short process's start-up
+    from scipy.linalg import expm
 
     y = expm(A * t) @ y0
     return {ix: float(y[pos[ix]]) for ix in requested}

@@ -2,11 +2,12 @@
 three moments of window increments N_{t+delta} - N_t in the stationary limit.
 
 Everything is expressed through lambda* = beta lambda_inf / kappa and the
-relaxation rate kappa = beta - alpha.  The stationary window-moment formulas
-are kept in their natural kappa-factored form; because the exponential
-differences in them cancel catastrophically as kappa delta -> 0, each
-switches to an equivalent truncated Laurent expansion below
-NEAR_CRITICAL_THRESHOLD.
+relaxation rate kappa = beta - alpha.  The stationary window moments are
+computed in cumulant form: k2/M1 and k3/M1 depend only on eta = alpha/beta
+and x = kappa delta, through a few window-shape functions of x that are
+evaluated stably at every x.  The printed kappa-factored closed forms, which
+cancel through kappa^-6 as kappa delta -> 0, are documented but never
+evaluated.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._libm import elementwise, power
+from ._libm import elementwise
 from .core import HawkesParams
 
 __all__ = [
-    "NEAR_CRITICAL_THRESHOLD",
     "MomentTriple",
     "mean_intensity",
     "second_moment_intensity",
@@ -33,15 +33,6 @@ __all__ = [
     "limit_intensity_moments",
     "helper_integrals",
 ]
-
-# Switch point for (beta - alpha) * delta below which the kappa-factored
-# closed forms are evaluated through their series expansions instead.  The
-# third-moment form cancels through kappa^-6 and loses ~3 digits per decade
-# of kappa*delta (factor-27 relative error already at kappa*delta = 2e-6);
-# measured worst-case error of both branches crosses over near 5e-3, where
-# each is accurate to ~1e-8 relative.
-NEAR_CRITICAL_THRESHOLD = 5e-3
-
 
 @dataclass(frozen=True)
 class MomentTriple:
@@ -111,27 +102,20 @@ def stationary_m1(params: HawkesParams, delta: float) -> float:
 
 
 def stationary_m2(params: HawkesParams, delta: float) -> float:
-    """lim_t E[(N_{t+delta} - N_t)^2]:
+    """lim_t E[(N_{t+delta} - N_t)^2] = k2 + M1^2, the closed form
 
         beta lambda_inf / kappa^4 * [ alpha (2 beta - alpha) e^{-kappa delta}
             + alpha (alpha - 2 beta) + delta beta^2 kappa
-            + delta^2 beta lambda_inf kappa^2 ].
+            + delta^2 beta lambda_inf kappa^2 ]
+
+    evaluated through its cumulant form (see _window_cumulants).
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    a, b, li = params.alpha, params.beta, params.lambda_inf
-    k = params.kappa
-    if k * delta < NEAR_CRITICAL_THRESHOLD:
-        return _stationary_m2_series(a, li, delta, k)
-    bracket = (a * (2.0 * b - a) * math.exp(-k * delta)
-               + a * (a - 2.0 * b)
-               + delta * b * b * k
-               + delta * delta * b * li * k * k)
-    return b * li / k**4 * bracket
+    m1, k2, _ = _window_cumulants(params, delta)
+    return k2 + m1 * m1
 
 
 def stationary_m3(params: HawkesParams, delta: float) -> float:
-    """lim_t E[(N_{t+delta} - N_t)^3], the seven-term closed form:
+    """lim_t E[(N_{t+delta} - N_t)^3] = k3 + 3 k2 M1 + M1^3, the closed form
 
         delta^3 beta^3 lambda_inf^3 / kappa^3
         + delta^2 3 beta^4 lambda_inf^2 / kappa^4
@@ -142,102 +126,113 @@ def stationary_m3(params: HawkesParams, delta: float) -> float:
         + alpha beta lambda_inf (alpha^3 - 4 alpha^2 beta + 3 alpha beta^2
                                  + 6 beta^3) e^{-kappa delta} / kappa^6
         - 3 alpha beta^2 lambda_inf (lambda_inf + alpha)(alpha - 2 beta)
-          delta e^{-kappa delta} / kappa^5.
+          delta e^{-kappa delta} / kappa^5
+
+    evaluated through its cumulant form (see _window_cumulants).
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    a, b, li = params.alpha, params.beta, params.lambda_inf
-    k = params.kappa
-    if k * delta < NEAR_CRITICAL_THRESHOLD:
-        return _laurent(k, _m3_series_coefficients(a, li, delta, math.pow))
-    return _m3_closed_form(a, b, li, k, delta, math.exp(-k * delta), math.pow)
+    m1, k2, k3 = _window_cumulants(params, delta)
+    return k3 + 3.0 * k2 * m1 + m1**3
 
 
-def _stationary_m3_array(a: np.ndarray, b: np.ndarray, li: np.ndarray,
-                         delta: float) -> np.ndarray:
-    """stationary_m3 at every (alpha, beta, lambda_inf) of the arrays, bit for
-    bit: the same float operations in the same order, with libm's pow and exp
-    applied element-wise.  The parameters must pass HawkesParams' checks and
-    delta must be > 0.  Where stationary_m3 raises, the value is NaN or inf.
+def _window_cumulants(params: HawkesParams, delta: float) -> tuple[float, float, float]:
+    """Stationary window-count cumulants (M1, k2, k3) for window length delta.
+
+    A Hawkes process is a Poisson cluster process, so each cumulant is M1 =
+    lambda* delta times a function of eta = alpha/beta and x = kappa delta
+    alone (Jovanovic, Hertz & Rotter 2015, Phys. Rev. E 91, 042802):
+
+        k2/M1 = 1 + eta (2 - eta) u^2 phi(x),   k3/M1 = sum_j g_j(x) u^j,
+
+    with u = 1/(1 - eta) = beta/kappa and the shape functions of
+    _window_shapes.  Neither involves a power of kappa, and the raw moments
+    m2 = k2 + M1^2 and m3 = k3 + 3 k2 M1 + M1^3 are sums of positive terms,
+    so they stay within about 1e-15 relative of the exact closed forms at
+    every kappa delta, however near criticality.
     """
-    k = b - a
-    near = k * delta < NEAR_CRITICAL_THRESHOLD
-    out = np.empty(k.size)
-    with np.errstate(all="ignore"):
-        s = near.nonzero()[0]
-        total = 0.0
-        for p, c in _m3_series_coefficients(a[s], li[s], delta, power):
-            # _laurent skips a zero coefficient and with it a k^p that may overflow
-            total = np.where(c != 0.0, total + c * power(k[s], p), total)
-        out[s] = total
-        f = (~near).nonzero()[0]
-        out[f] = _m3_closed_form(a[f], b[f], li[f], k[f], delta,
-                                 elementwise(math.exp, -k[f] * delta), power)
+    m1 = stationary_m1(params, delta)
+    a, b, k = params.alpha, params.beta, params.kappa
+    shapes = _window_shapes(np.array([k * delta]))[:, 0]
+    # eta (2 - eta) u^2 = alpha (beta + kappa) / kappa^2
+    k2 = m1 * (1.0 + a / k * ((b + k) / k) * shapes[_PHI])
+    k3 = m1 * _k3_over_m1(shapes, b / k)
+    return m1, float(k2), float(k3)
+
+
+# Window-shape functions of x = kappa delta, each f(x) = N(x)/x^d with a
+# numerator N over the basis 1, x, x^2, e^{-x}, x e^{-x}, e^{-2x}:
+#   phi = 1 - (1 - e^{-x})/x
+#   g_0 = (e^{-x} - e^{-2x})/x
+#   g_1 = 3 e^{-x} - 3/(2x) + 3 e^{-2x}/(2x)
+#   g_2 = 3 (1 - e^{-x} - x e^{-x})/x
+#   g_3 = -2 - 3 e^{-x} + 9/(2x) - 4 e^{-x}/x - e^{-2x}/(2x)
+#   g_4 = 3 + 3 e^{-x} - 6/x + 6 e^{-x}/x
+#   I1/delta^3 = (x^2/2 - x + 1 - e^{-x})/x^3,  I2/delta^2 = (x - 1 + e^{-x})/x^2
+_BASIS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))  # x^p e^{-c x} as (p, c)
+_SHAPES = (  # (d, coefficients of N over _BASIS)
+    (1, (-1, 1, 0, 1, 0, 0)),
+    (1, (0, 0, 0, 1, 0, -1)),
+    (1, (-1.5, 0, 0, 0, 3, 1.5)),
+    (1, (3, 0, 0, -3, -3, 0)),
+    (1, (4.5, -2, 0, -4, -3, -0.5)),
+    (1, (-6, 3, 0, 6, 3, 0)),
+    (3, (1, -1, 0.5, -1, 0, 0)),
+    (2, (-1, 1, 0, 1, 0, 0)),
+)
+_PHI, _I1, _I2 = 0, 6, 7
+# Taylor terms used below x = 1, where the first omitted term is under 2e-20
+_TAYLOR_TERMS = 26
+
+
+def _taylor_coefficient(d: int, coefficients, n: int) -> float:
+    # [x^n] N(x)/x^d, correctly rounded: in integers over 2 m!, since
+    # [x^m] x^p e^{-c x} = (-c)^(m-p) m!/(m-p)! / m! and the coefficients
+    # are halves
+    m = n + d
+    twice = sum(int(2 * q) * (-c) ** (m - p) * math.perm(m, p)
+                for (p, c), q in zip(_BASIS, coefficients) if m >= p)
+    return twice / (2 * math.factorial(m))
+
+
+_SERIES = np.array([[_taylor_coefficient(d, q, n) for d, q in _SHAPES]
+                    for n in range(_TAYLOR_TERMS)])
+_NUMERATORS = np.array([q for _, q in _SHAPES], dtype=float)
+_DEGREES = np.array([d for d, _ in _SHAPES])
+
+
+def _window_shapes(x: np.ndarray) -> np.ndarray:
+    """(phi, g_0, ..., g_4, I1/delta^3, I2/delta^2) at every x = kappa delta
+    of the 1-D float array x, as rows of a (8, x.size) array.
+
+    Each function is evaluated by its Taylor series below x = 1 and directly
+    in libm's e^{-x} above it, where its terms no longer cancel; both stay
+    within a few ulp of the exact value.  libm keeps the result independent
+    of which SIMD exp numpy dispatches to.
+    """
+    out = np.empty((len(_SHAPES), x.size))
+    small = x < 1.0
+    xs = x[small]
+    # the series summed from its smallest terms up
+    terms = _SERIES[:0:-1, :, None] * _powers(xs, _TAYLOR_TERMS - 1)[::-1, None]
+    out[:, small] = _SERIES[0, :, None] + terms.sum(axis=0)
+    xl = x[~small]
+    e1 = elementwise(math.exp, -xl)
+    basis = np.array((np.ones_like(xl), xl, xl * xl, e1, xl * e1, e1 * e1))
+    numerators = (_NUMERATORS[:, :, None] * basis).sum(axis=1)
+    out[:, ~small] = numerators / _powers(xl, 3)[_DEGREES - 1]
     return out
 
 
-def _m3_closed_form(a, b, li, k, delta, e1, pw):
-    # stationary_m3's seven-term closed form, for floats with pw = math.pow and
-    # for arrays with pw = _libm.power; e1 = e^{-kappa delta}
-    e2 = e1 * e1
-    b3, k5, k6 = pw(b, 3), pw(k, 5), pw(k, 6)
-    return (pw(delta, 3) * b3 * pw(li, 3) / pw(k, 3)
-            + pw(delta, 2) * 3.0 * pw(b, 4) * pw(li, 2) / pw(k, 4)
-            + delta * b * b * li / k5
-            * (3.0 * li * a * (a - 2.0 * b) + b * b * (2.0 * a + b))
-            + 3.0 * a * b * b * li / (2.0 * k6) * (a * a - a * b - 4.0 * b * b)
-            + a * a * b * li * (2.0 * a - 3.0 * b) / (2.0 * k5) * e2
-            + a * b * li / k6 * (pw(a, 3) - 4.0 * a * a * b + 3.0 * a * b * b + 6.0 * b3) * e1
-            - 3.0 * a * b * b * li * (li + a) * (a - 2.0 * b) / k5 * delta * e1)
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    # rows x, x^2, ..., x^n by repeated multiplication
+    rows = np.repeat(x[None, :], n, axis=0)
+    return np.multiply.accumulate(rows, axis=0, out=rows)
 
 
-def _laurent(k: float, coeffs_by_power) -> float:
-    # evaluate sum c_p k^p skipping zero coefficients, so the alpha = 0 case
-    # (all pole coefficients vanish identically) never divides by an
-    # underflowed k^p
-    total = 0.0
-    for p, c in coeffs_by_power:
-        if c != 0.0:
-            total += c * math.pow(k, p)
-    return total
-
-
-def _stationary_m2_series(a: float, li: float, d: float, k: float) -> float:
-    # Laurent expansion of stationary_m2 in kappa at fixed alpha: orders
-    # kappa^-2 .. kappa^2 (truncation error O((kappa delta)^3) relative).
-    c_m2 = d * d * a * a * li * (a + 2.0 * li) / 2.0
-    c_m1 = d * a * li * (-(d * d) * a * a + 9.0 * d * a + 12.0 * d * li + 6.0) / 6.0
-    c_0 = d * li * (d**3 * a**3 - 12.0 * d * d * a * a + 24.0 * d * a + 24.0 * d * li + 24.0) / 24.0
-    c_1 = d**3 * a * li * (-(d * d) * a * a + 15.0 * d * a - 40.0) / 120.0
-    c_2 = d**4 * a * li * (d * d * a * a - 18.0 * d * a + 60.0) / 720.0
-    return _laurent(k, [(-2, c_m2), (-1, c_m1), (0, c_0), (1, c_1), (2, c_2)])
-
-
-def _m3_series_coefficients(a, li, d, pw):
-    # Laurent coefficients of stationary_m3 in kappa, orders kappa^-3 ..
-    # kappa^1, paired with their powers; pw as in _m3_closed_form
-    d3, d4, d5 = pw(d, 3), pw(d, 4), pw(d, 5)
-    a3, a4 = pw(a, 3), pw(a, 4)
-    c_m3 = d3 * a3 * li * (a + li) * (a + 2.0 * li) / 2.0
-    c_m2 = d * d * a * a * li * (-3.0 * d * d * a3 - 6.0 * d * d * a * a * li
-                                 + 28.0 * d * a * a + 72.0 * d * a * li
-                                 + 36.0 * d * li * li + 18.0 * a + 36.0 * li) / 12.0
-    c_m1 = d * a * li * (9.0 * d4 * a4 + 15.0 * d4 * a3 * li
-                         - 150.0 * d3 * a3 - 240.0 * d3 * a * a * li
-                         + 400.0 * d * d * a * a + 900.0 * d * d * a * li
-                         + 360.0 * d * d * li * li + 540.0 * d * a
-                         + 720.0 * d * li + 120.0) / 120.0
-    c_0 = d * li * (-2.0 * d5 * pw(a, 5) - 3.0 * d5 * a4 * li
-                    + 50.0 * d4 * a4 + 60.0 * d4 * a3 * li
-                    - 255.0 * d3 * a3 - 300.0 * d3 * a * a * li
-                    + 60.0 * d * d * a * a + 360.0 * d * d * a * li
-                    + 120.0 * d * d * li * li + 360.0 * d * a
-                    + 360.0 * d * li + 120.0) / 120.0
-    c_1 = d3 * a * li * (5.0 * d4 * a4 + 7.0 * d4 * a3 * li
-                         - 182.0 * d3 * a3 - 168.0 * d3 * a * a * li
-                         + 1372.0 * d * d * a * a + 1050.0 * d * d * a * li
-                         - 1470.0 * d * a - 1680.0 * d * li - 1680.0) / 1680.0
-    return [(-3, c_m3), (-2, c_m2), (-1, c_m1), (0, c_0), (1, c_1)]
+def _k3_over_m1(shapes: np.ndarray, u):
+    """k3/M1 = sum_{j=0..4} g_j(x) u^j by Horner's rule in u = 1/(1 - eta),
+    from the rows of _window_shapes."""
+    g0, g1, g2, g3, g4 = shapes[1:6]
+    return (((g4 * u + g3) * u + g2) * u + g1) * u + g0
 
 
 def moment_triple(params: HawkesParams, delta: float) -> MomentTriple:
@@ -279,16 +274,5 @@ def helper_integrals(params: HawkesParams, delta: float) -> tuple[float, float]:
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    k = params.kappa
-    x = k * delta
-    if x < NEAR_CRITICAL_THRESHOLD:
-        # I1 = sum_{j>=3} (-kappa)^{j-3} delta^j / j!,  I2 likewise from j = 2
-        i1 = (delta**3 / 6.0 - k * delta**4 / 24.0 + k * k * delta**5 / 120.0
-              - k**3 * delta**6 / 720.0 + k**4 * delta**7 / 5040.0)
-        i2 = (delta * delta / 2.0 - k * delta**3 / 6.0 + k * k * delta**4 / 24.0
-              - k**3 * delta**5 / 120.0 + k**4 * delta**6 / 720.0)
-        return i1, i2
-    em1 = math.expm1(-x)  # e^{-kappa delta} - 1
-    i1 = delta * delta / (2.0 * k) - delta / (k * k) - em1 / k**3
-    i2 = delta / k + em1 / (k * k)
-    return i1, i2
+    shapes = _window_shapes(np.array([params.kappa * delta]))[:, 0]
+    return float(shapes[_I1] * delta**3), float(shapes[_I2] * delta * delta)

@@ -3,8 +3,10 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from closed_forms_mp import m2_mp, m3_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,8 @@ from hawkesmom import (
     EstimateConfig,
     EventSequence,
     ExplosionRisk,
+    HawkesError,
+    HawkesParams,
     InsufficientData,
     MomentTriple,
     NoConvergence,
@@ -22,7 +26,6 @@ from hawkesmom import (
     simulate_exact,
     solve_moment_system,
     stationary_m1,
-    stationary_m3,
     validate_params,
 )
 from hawkesmom.estimate import (
@@ -30,23 +33,28 @@ from hawkesmom.estimate import (
     _SCAN_LO,
     _SCAN_POINTS,
     DEFAULT_INIT,
-    _m3_residual,
-    _m3_residual_on_grid,
-    _params_on_manifold,
+    _curve,
+    _k3_residual,
     default_multistart,
     empirical_from_counts,
 )
-from hawkesmom.moments import NEAR_CRITICAL_THRESHOLD, _stationary_m3_array
 
 GRID = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
 
 
-def scan_both_ways(m1, excess, m3, delta):
-    """The solver's M3 scan as one array pass and point by point."""
-    lam_star = m1 / delta
-    array = _m3_residual_on_grid(GRID, lam_star, excess, delta, m3)
-    scalar = np.array([_m3_residual(x, lam_star, excess, delta, m3) for x in GRID])
-    return array, scalar
+def residual_and_params(m1, excess, delta, k3_ratio, x=GRID):
+    """The solver's third-cumulant residual at x, and the parameters on the
+    (M1, M2)-exact curve there, or the error HawkesParams raises for them."""
+    res = _k3_residual(x, m1 / delta, excess, delta, k3_ratio)
+    with np.errstate(all="ignore"):
+        _, _, alpha, beta, lam_inf = _curve(x, m1 / delta, excess, delta)
+    params = []
+    for a, b, li in zip(alpha.tolist(), beta.tolist(), lam_inf.tolist()):
+        try:
+            params.append(HawkesParams(a, b, li))
+        except (HawkesError, ValueError) as exc:
+            params.append(exc)
+    return res, params
 
 
 class TestEmpiricalMoments:
@@ -94,66 +102,91 @@ class TestEmpiricalMoments:
 
 
 class TestM3ResidualScan:
-    """The array scan equals the scalar residual bit for bit, inf included."""
+    """The third-moment residual k3/M1 - k3_hat/M1 on the (M1, M2)-exact
+    curve, one numpy pass over the scan grid: equal to one-point calls, and
+    within 1e-14 of 50-digit evaluation of the printed closed forms."""
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(log_m1=st.floats(-6.0, 6.0), log_excess=st.floats(-13.0, 6.0),
            log_m3=st.floats(-8.0, 12.0), log_delta=st.floats(-60.0, 60.0))
     def test_array_equals_scalar(self, log_m1, log_excess, log_m3, log_delta):
-        array, scalar = scan_both_ways(10.0**log_m1, 10.0**log_excess, 10.0**log_m3,
-                                       10.0**log_delta)
-        assert np.array_equal(array, scalar)
+        # a point's value does not depend on the other points of its call, so
+        # the scan and the refinement's sub-grids agree bit for bit
+        m1, excess, m3, delta = 10.0**log_m1, 10.0**log_excess, 10.0**log_m3, 10.0**log_delta
+        k3_ratio = (m3 - 3.0 * (m1 + m1 * m1 + excess * m1) * m1 + 2.0 * m1**3) / m1
+        array, _ = residual_and_params(m1, excess, delta, k3_ratio)
+        some = range(0, GRID.size, 7)
+        scalar = [residual_and_params(m1, excess, delta, k3_ratio, GRID[i:i + 1])[0][0]
+                  for i in some]
+        assert np.array_equal(array[some], scalar)
 
     def test_both_branches_and_the_phi_series(self):
-        m1, excess, m3, delta = 0.625, 0.36, 2.35, 0.5
-        array, scalar = scan_both_ways(m1, excess, m3, delta)
-        assert np.array_equal(array, scalar) and np.isfinite(array).all()
-        kd = np.array([_params_on_manifold(float(x), m1 / delta, excess, delta).kappa * delta
-                       for x in GRID])
-        assert (kd < NEAR_CRITICAL_THRESHOLD).any() and (kd >= NEAR_CRITICAL_THRESHOLD).any()
-        assert (GRID < 1e-4).any()
+        # the grid runs through the window shapes' Taylor form (x < 1) and
+        # direct form (x >= 1), and through kappa delta = 5e-3, where the
+        # moments once switched branch; the residual is finite throughout
+        # and continuous where the shapes change form
+        m1, excess, delta = 0.625, 0.36, 0.5
+        res, params = residual_and_params(m1, excess, delta, 1.0)
+        assert np.isfinite(res).all()
+        kd = np.array([p.kappa * delta for p in params])
+        assert (kd < 5e-3).any() and (kd >= 5e-3).any()
+        assert (GRID < 1.0).any() and (GRID >= 1.0).any()
+        below, at = residual_and_params(m1, excess, delta, 0.0,
+                                        np.array([np.nextafter(1.0, 0.0), 1.0]))[0]
+        assert below == pytest.approx(at, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(log_m1=st.floats(-3.0, 3.0), log_excess=st.floats(-12.0, 4.0),
+           log_delta=st.floats(-3.0, 3.0))
+    def test_matches_high_precision_closed_form(self, log_m1, log_excess, log_delta):
+        m1, excess, delta = 10.0**log_m1, 10.0**log_excess, 10.0**log_delta
+        x = GRID[::25]
+        k3 = _k3_residual(x, m1 / delta, excess, delta, 0.0)
+        _, u, _, _, _ = _curve(x, m1 / delta, excess, delta)
+        for value, xi, ui in zip(k3, x, u):
+            # k3/M1 of the printed closed forms at kappa delta = x, beta/kappa = u
+            with mp.workdps(50):
+                kappa = mp.mpf(xi) / delta
+                beta = kappa * mp.mpf(ui)
+                mu = beta / kappa * delta
+                m2, m3 = (f(beta - kappa, beta, 1, delta) for f in (m2_mp, m3_mp))
+                ref = float((m3 - 3 * m2 * mu + 2 * mu**3) / mu)
+            assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("excess", [1e-12, 1e-20], ids=["small_alpha", "alpha_zero"])
     def test_alpha_to_zero(self, excess):
-        m1, delta = 0.8, 0.5
-        array, scalar = scan_both_ways(m1, excess, m1 + 3 * m1**2 + m1**3, delta)
-        assert np.array_equal(array, scalar) and np.isfinite(array).all()
-        params = [_params_on_manifold(float(x), m1 / delta, excess, delta) for x in GRID]
-        if excess == 1e-20:
-            # the series branch at alpha = 0, whose pole coefficients vanish
-            assert any(p.alpha == 0.0 and p.kappa * delta < NEAR_CRITICAL_THRESHOLD
-                       for p in params)
-        else:
-            assert 0.0 < min(p.alpha for p in params) < 1e-11
-
-    def test_zero_coefficient_skips_its_power(self):
-        # alpha = 0 and kappa = 1e-110: kappa^-3 overflows, but its coefficient
-        # vanishes, and the scalar Laurent sum never evaluates it
-        expected = stationary_m3(validate_params(0.0, 1e-110, 1.0), 1.0)
-        assert math.isfinite(expected)
-        got = _stationary_m3_array(np.zeros(1), np.full(1, 1e-110), np.ones(1), 1.0)
-        assert np.array_equal(got, [expected])
+        res, params = residual_and_params(0.8, excess, 0.5, 1.0)
+        assert np.isfinite(res).all()
+        zero = np.array([p.alpha == 0.0 for p in params])
+        assert zero.any() == (excess == 1e-20)
+        # at alpha = 0 the counts are Poisson: k3/M1 = sum_j g_j(x) = 1
+        assert np.abs(res[zero]).max(initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("m1, excess, delta, error", [
-        (1.0, 1.0, 1e-55, OverflowError),  # kappa^6 overflows at the large-x end
-        (1.0, 1.0, 1e55, ZeroDivisionError),  # kappa^6 underflows to a zero divisor
+        (1.0, 1.0, 1e-55, None),  # kappa^6 overflowed in the kappa-factored form
+        (1.0, 1.0, 1e55, None),  # kappa^6 underflowed to a zero divisor there
         (1.0, 1e40, 1.0, ExplosionRisk),  # beta == alpha in floats at every point
         (1e-300, 1e12, 1e20, NonPositiveBase),  # lambda_inf underflows to 0
         (1.0, 1.0, 1e-310, ValueError),  # lambda* or kappa overflow: non-finite params
     ])
     def test_inf_exactly_where_the_scalar_code_raises(self, m1, excess, delta, error):
-        array, scalar = scan_both_ways(m1, excess, 2.0, delta)
-        assert np.array_equal(array, scalar)
-        raised = []
-        for x in GRID:
-            try:
-                stationary_m3(_params_on_manifold(float(x), m1 / delta, excess, delta), delta)
-            except error:
-                raised.append(True)
-            else:
-                raised.append(False)
-        assert any(raised)
-        assert np.array_equal(np.isinf(array), raised)
+        # the scalar code: HawkesParams at each point of the curve
+        res, params = residual_and_params(m1, excess, delta, 1.0)
+        raised = [isinstance(p, Exception) for p in params]
+        assert np.array_equal(np.isinf(res), raised)
+        assert np.isfinite(res[~np.array(raised)]).all()
+        if error is None:
+            assert not any(raised)
+        else:
+            assert any(isinstance(p, error) for p in params)
+        # the solve returns a report or raises a library error, never crashes
+        triple = MomentTriple(m1, m1 + m1 * m1 + excess * m1, 2.0, delta)
+        try:
+            report = solve_moment_system(triple, delta, init=DEFAULT_INIT)
+        except (HawkesError, ValueError):
+            assert error is not None
+        else:
+            assert error is None and math.isfinite(report.residual_norm)
 
 
 class TestSolveMomentSystem:
@@ -181,9 +214,33 @@ class TestSolveMomentSystem:
         assert report.params_hat.beta == pytest.approx(beta, abs=1e-6)
         assert report.params_hat.lambda_inf == pytest.approx(lam_inf, abs=1e-6)
 
+    # kappa delta on both sides of 5e-3, where the moments once switched to
+    # series; eta from 0 (alpha -> 0, hypothesis tries the bound) to 1 - 1e-4
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(log_one_minus_eta=st.floats(-4.0, 0.0), log_x=st.floats(-3.0, -1.0),
+           log_m1=st.floats(-2.0, 1.0), log_delta=st.floats(-2.0, 1.0))
+    def test_exact_triple_round_trip(self, log_one_minus_eta, log_x, log_m1, log_delta):
+        eta, delta = 1.0 - 10.0**log_one_minus_eta, 10.0**log_delta
+        kappa = 10.0**log_x / delta
+        beta = kappa / (1.0 - eta)
+        p = validate_params(beta - kappa, beta, 10.0**log_m1 / delta * (1.0 - eta))
+        triple = moment_triple(p, delta)
+        report = solve_moment_system(triple, delta, init=(max(p.alpha, 1e-9 * beta), beta,
+                                                          p.lambda_inf))
+        # an exact root: every moment matched, the third one too
+        assert report.converged
+        assert report.residual_norm <= 1e-9 * max(1.0, triple.m3)
+        if eta >= 0.2 and "m3_best_fit" not in report.flags:
+            # the start's own root; m3_best_fit marks a close pair of roots
+            # inside one scan cell, which the scan does not bracket
+            hat = report.params_hat
+            for name in ("alpha", "beta", "lambda_inf"):
+                assert getattr(hat, name) == pytest.approx(getattr(p, name), rel=1e-5), name
+
     # (M1, M2, M3, delta) of two bursty posts (alpha/beta near 0.9) whose
-    # best roots leave an M3 residual of 1.2e-9 and 1.5e-8: float64 rounding
-    # at M3 ~ 2e3 and 1e4, not a failed solve
+    # best roots left an M3 residual of 1.2e-9 and 1.5e-8 when M3 was
+    # evaluated in kappa-factored form: float64 rounding at M3 ~ 2e3 and 1e4,
+    # not a failed solve; the cumulant form leaves a few ulp of M3
     @pytest.mark.parametrize("m1, m2, m3, delta", [
         (1.925593329057088, 49.801796023091725, 2439.134060295061, 0.41997830710484774),
         (2.279503105590062, 114.88819875776397, 11321.894409937888, 0.3342530784287687),
@@ -192,7 +249,7 @@ class TestSolveMomentSystem:
         triple = MomentTriple(m1=m1, m2=m2, m3=m3, delta=delta)
         report = solve_moment_system(triple, delta, init=(0.5, 1.5, 2.0))
         assert report.converged and report.flags == ()
-        assert 1e-9 < report.residual_norm <= 1e-9 * m3  # reported unscaled
+        assert report.residual_norm <= 1e-14 * m3  # reported unscaled
         hat = report.params_hat
         assert stationary_m1(hat, delta) == pytest.approx(m1, rel=1e-12)
         assert hat.alpha / hat.beta > 0.9

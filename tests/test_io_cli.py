@@ -3,12 +3,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hawkesmom
 from hawkesmom import (
     EventSequence,
     EmptyFile,
@@ -542,6 +546,30 @@ class TestCmdEstimate:
         assert "t0_in_transient" in report.flags
 
 
+class TestImports:
+    SCRIPT = """
+import sys
+from hawkesmom.cli import main
+out = sys.argv[1]
+params = ["--alpha", "0.2", "--beta", "1", "--lambda-inf", "1"]
+assert main(["simulate", *params, "--horizon", "2000", "--seed", "3", "--out-dir", out]) == 0
+assert main(["moments", *params, "--delta", "0.5"]) == 0
+assert main(["estimate", "--events", out + "/events.txt", "--delta", "0.5", "--t0", "500",
+             "--out-dir", out]) in (0, 3)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+    def test_cli_commands_import_no_scipy(self, tmp_path):
+        # a fresh process: scipy's import is most of a short command's run
+        src = str(Path(hawkesmom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestCmdValidate:
     def test_small_harness_with_partial_failures(self, tmp_path):
         # tiny horizon: some runs cannot even fill windows; harness keeps going
@@ -767,6 +795,21 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and message in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("text", [None, "t\n1.0\n2.0\n"], ids=["missing", "readable"])
+    def test_real_events_without_envelope_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         text):
+        self.forbid_sampling(monkeypatch)
+        real = tmp_path / "real.txt"
+        if text is not None:
+            real.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "100", "--count", "2", "--delta", "0.5", "--t0", "10",
+                     "--seed", "1", "--real-events", str(real), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --real-events is overlaid on the envelope; it needs --envelope\n")
+        assert not out.exists()
+
     def test_empty_windows_estimate_exits_3(self, tmp_path, capsys):
         # every event lies before t0 or beyond the horizon
         events = write(tmp_path, "ev.txt", "t\n0.1\n0.2\n5\n")
@@ -824,9 +867,9 @@ class TestCliGoldens:
         "cluster/events.txt": "dc0dc42718aabef91d648e3c066832e1bfc75b3704d006acdfa817eb0f0020cb",
         "cluster/intensity.csv":
             "81c1c50014a7b1d493214aa4084eee9fa5c6b58a11979d9a6ab8de5c529dd942",
-        "validate/table.csv": "9f9d0edeb2a0b90df8c6d3577d9a3302531ff46c24d1f124c3bb9186a19f8df1",
+        "validate/table.csv": "0523b847adf913b95f249c129f30d6c03cdd5b00a4e7ef50f95b2d6631ac5907",
         "validate/validate.json":
-            "908c59cdbee52ab9c507c984092f8ebc789dbd54195b775d4b6d00d921f68670",
+            "db103563b74679fa45c726cc5a41011a1bbb9ea19db3706e6c663968c12180bd",
     }
 
     def test_output_digests(self, tmp_path):

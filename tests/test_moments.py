@@ -4,7 +4,8 @@ Oracles used here:
 * quadrature of mean_intensity for expected counts;
 * the generator/ODE system started from the stationary intensity law for
   the limiting window moments (m1, m2, m3);
-* mpmath high-precision evaluation for the near-critical series branches;
+* mpmath high-precision evaluation of the printed closed forms, at every
+  kappa delta and up to criticality;
 * Monte Carlo for a spot check (the heavy version lives in the acceptance
   suite).
 """
@@ -14,6 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from closed_forms_mp import m2_mp, m3_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -35,7 +37,7 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
-from hawkesmom.moments import NEAR_CRITICAL_THRESHOLD
+from hawkesmom.moments import _SHAPES, _taylor_coefficient
 
 P = validate_params(0.2, 1.0, 1.0, 1.0)
 
@@ -229,74 +231,85 @@ class TestStationaryMoments:
             stationary_m1(P, 0.5), stationary_m2(P, 0.5), stationary_m3(P, 0.5), 0.5)
 
 
-def _m2_mp(a, b, li, d):
-    a, b, li, d = map(mp.mpf, (a, b, li, d))
-    k = b - a
-    bracket = (a * (2 * b - a) * mp.e ** (-k * d) + a * (a - 2 * b)
-               + d * b**2 * k + d**2 * b * li * k**2)
-    return b * li / k**4 * bracket
+def mp_reference(a, b, li, d):
+    """(m2, m3, I1, I2) of the printed closed forms at 50 digits."""
+    with mp.workdps(50):
+        k, d = mp.mpf(b) - a, mp.mpf(d)
+        em1 = mp.e ** (-k * d) - 1
+        refs = (m2_mp(a, b, li, d), m3_mp(a, b, li, d),
+                d * d / (2 * k) - d / k**2 - em1 / k**3, d / k + em1 / k**2)
+        return [float(r) for r in refs]
 
 
-def _m3_mp(a, b, li, d):
-    a, b, li, d = map(mp.mpf, (a, b, li, d))
-    k = b - a
-    e1 = mp.e ** (-k * d)
-    e2 = mp.e ** (-2 * k * d)
-    return (d**3 * b**3 * li**3 / k**3
-            + d**2 * 3 * b**4 * li**2 / k**4
-            + d * b**2 * li / k**5 * (3 * li * a * (a - 2 * b) + b**2 * (2 * a + b))
-            + 3 * a * b**2 * li / (2 * k**6) * (a**2 - a * b - 4 * b**2)
-            + a**2 * b * li * (2 * a - 3 * b) / (2 * k**5) * e2
-            + a * b * li / k**6 * (a**3 - 4 * a**2 * b + 3 * a * b**2 + 6 * b**3) * e1
-            - 3 * a * b**2 * li * (li + a) * (a - 2 * b) / k**5 * d * e1)
+def cumulant_form(p, d):
+    return (stationary_m2(p, d), stationary_m3(p, d), *helper_integrals(p, d))
+
+
+class TestCumulantForm:
+    """The window moments and helper integrals against 50-digit evaluation of
+    the printed closed forms (parameters as given, in floats), from alpha = 0
+    to eta = 1 - 1e-4 and over kappa delta from 1e-9 to 1e3."""
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-6, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-4])
+    def test_within_1e_14_of_high_precision(self, eta):
+        for x in np.geomspace(1e-9, 1e3, 25):
+            for li in (0.01, 1.0, 100.0):
+                p = validate_params(eta, 1.0, li)
+                d = float(x / p.kappa)
+                for got, ref in zip(cumulant_form(p, d), mp_reference(eta, 1.0, li, d)):
+                    assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (x, li)
+
+    def test_shapes_have_no_pole_at_zero(self):
+        # each numerator N(x) vanishes to the order d of its denominator x^d
+        for d, coefficients in _SHAPES:
+            for n in range(-d, 0):
+                assert _taylor_coefficient(d, coefficients, n) == 0.0
+
+    def test_poisson_at_vanishing_kappa(self):
+        # alpha = 0 with kappa = beta = 1e-110: every kappa power of the
+        # printed forms overflows; the counts are Poisson with mean 1
+        p = validate_params(0.0, 1e-110, 1.0)
+        assert stationary_m2(p, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert stationary_m3(p, 1.0) == pytest.approx(5.0, rel=1e-15, abs=0.0)
 
 
 class TestNearCriticalBranch:
-    """The kappa*delta < 1e-6 series branch against 50-digit evaluation of
-    the printed closed forms (kappa chosen exactly representable)."""
-
-    mp.mp.dps = 50
+    """Small kappa delta, where the printed forms cancel through kappa^-6 and
+    were once replaced by Laurent series below kappa delta = 5e-3, each side
+    of that switch accurate to about 1e-8: the cumulant form has no branch
+    and stays within 1e-14 of 50-digit evaluation (kappa chosen exactly
+    representable)."""
 
     @pytest.mark.parametrize("kappa", [2.0**-21, 2.0**-30, 2.0**-40])
     def test_m2_m3_series_match_high_precision(self, kappa):
         a, li, d = 0.5, 1.0, 1.0
         p = validate_params(a, a + kappa, li)
-        assert p.kappa * d < NEAR_CRITICAL_THRESHOLD
-        ref2 = float(_m2_mp(a, a + kappa, li, d))
-        ref3 = float(_m3_mp(a, a + kappa, li, d))
-        assert stationary_m2(p, d) == pytest.approx(ref2, rel=1e-12)
-        assert stationary_m3(p, d) == pytest.approx(ref3, rel=1e-12)
+        for got, ref in zip(cumulant_form(p, d), mp_reference(a, a + kappa, li, d)):
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_small_delta_large_kappa_side(self):
         # kappa * delta small through delta, with kappa of order one
         a, li, d = 1.0, 0.7, 2.0**-24
         p = validate_params(a, a + 1.0, li)
-        assert p.kappa * d < NEAR_CRITICAL_THRESHOLD
-        assert stationary_m2(p, d) == pytest.approx(float(_m2_mp(a, a + 1.0, li, d)), rel=1e-10)
-        assert stationary_m3(p, d) == pytest.approx(float(_m3_mp(a, a + 1.0, li, d)), rel=1e-10)
+        for got, ref in zip(cumulant_form(p, d), mp_reference(a, a + 1.0, li, d)):
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_branch_crossover_is_continuous(self):
-        a, li = 0.5, 1.0
-        d = 1.0
-        below = validate_params(a, a + 2.5e-3, li)   # series branch
-        above = validate_params(a, a + 1.0e-2, li)   # printed branch
-        # both branches stay accurate through the switch
-        for p in (below, above):
-            assert stationary_m2(p, d) == pytest.approx(
-                float(_m2_mp(a, p.beta, li, d)), rel=1e-8)
-            assert stationary_m3(p, d) == pytest.approx(
-                float(_m3_mp(a, p.beta, li, d)), rel=1e-8)
+        a, li, d = 0.5, 1.0, 1.0
+        for kappa in (2.5e-3, 1.0e-2):  # on either side of the old switch
+            p = validate_params(a, a + kappa, li)
+            for got, ref in zip(cumulant_form(p, d), mp_reference(a, p.beta, li, d)):
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     @given(log_alpha=st.floats(-3.0, 2.0), log_lam=st.floats(-2.0, 1.0),
            log_delta=st.floats(-3.0, 2.0))
     def test_branches_agree_at_the_threshold(self, log_alpha, log_lam, log_delta):
         a, li, d = 10.0**log_alpha, 10.0**log_lam, 10.0**log_delta
-        below, above = (validate_params(a, a + NEAR_CRITICAL_THRESHOLD * s / d, li)
-                        for s in (1.0 - 1e-9, 1.0 + 1e-9))
-        assert below.kappa * d < NEAR_CRITICAL_THRESHOLD <= above.kappa * d
-        assert stationary_m2(below, d) == pytest.approx(stationary_m2(above, d), rel=1e-6)
-        assert stationary_m3(below, d) == pytest.approx(stationary_m3(above, d), rel=1e-6)
+        for s in (1.0 - 1e-9, 1.0 + 1e-9):
+            p = validate_params(a, a + 5e-3 * s / d, li)
+            for got, ref in zip(cumulant_form(p, d), mp_reference(a, p.beta, li, d)):
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestLimitIntensityMoments:
