@@ -232,7 +232,8 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     for traj in trajectories:
         try:
             reports.append(estimate(traj.events, est_cfg))
-        except InsufficientData as exc:
+        except (InsufficientData, NoConvergence) as exc:
+            # no fit at all (no usable windows, or no admissible parameters):
             # keep the run in the table as non-converged rather than aborting
             reports.append(EstimateReport(
                 params_hat=None, residual_norm=float("inf"), iterations=0,

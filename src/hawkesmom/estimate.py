@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EventSequence, HawkesParams
-from .errors import InsufficientData, NoConvergence
+from .errors import HawkesError, InsufficientData, NoConvergence
 from .moments import (_PHI, MomentTriple, _k3_over_m1, _window_shapes, stationary_m1,
                       stationary_m2, stationary_m3)
 from .simulate import windowed_counts
@@ -231,6 +231,15 @@ def _zoom(residual, lo: np.ndarray, hi: np.ndarray, xtol: float, rtol: float,
     return best
 
 
+def _params_or_none(alpha: float, beta: float, lam_inf: float) -> HawkesParams | None:
+    """HawkesParams(alpha, beta, lam_inf), or None where they are not
+    admissible (non-finite, beta <= alpha in floats, lambda_inf <= 0)."""
+    try:
+        return HawkesParams(alpha, beta, lam_inf)
+    except (HawkesError, ValueError):
+        return None
+
+
 def _residuals(p: HawkesParams, triple: MomentTriple, delta: float) -> tuple[float, float, float]:
     return (stationary_m1(p, delta) - triple.m1,
             stationary_m2(p, delta) - triple.m2,
@@ -267,7 +276,9 @@ def solve_moment_system(
     fits are flagged "m3_best_fit" and count as converged with an honest
     residual_norm; genuinely infeasible data (variance at or below Poisson,
     no positive-excess solution) yield NoConvergence carrying the best
-    attempt.
+    attempt, and data for which no point of the (m1, m2)-exact curve is
+    admissible (beta == alpha in floats, say, at a huge variance excess)
+    yield NoConvergence with no best attempt (best_report None).
 
     The residual is evaluated on arrays only: once on the 600-point
     bracketing grid, then on 64-point sub-grids that narrow every bracket
@@ -308,13 +319,14 @@ def solve_moment_system(
         # boundary, with beta unidentified (kept at the start's value)
         beta0 = starts[0][1]
         alpha = 1e-12 * beta0
-        p = HawkesParams(alpha, beta0, lam_star * (1.0 - alpha / beta0))
-        report = make_report(p, 0, ())
-        if report.converged:
+        p = _params_or_none(alpha, beta0, lam_star * (1.0 - alpha / beta0))
+        report = None if p is None else make_report(p, 0, ())
+        if report is not None and report.converged:
             return report
         raise NoConvergence(
             f"window variance is at or below the Poisson level (excess {excess:.3e}); "
-            f"best boundary fit has residual {report.residual_norm:.3e}",
+            + ("no boundary fit is admissible" if report is None else
+               f"best boundary fit has residual {report.residual_norm:.3e}"),
             best_report=report,
         )
 
@@ -346,18 +358,27 @@ def solve_moment_system(
         candidates = _zoom(residual, np.array([lo]), np.array([hi]), _XATOL, 0.0, root=False)
         flags = ("m3_best_fit",)
 
-    # selection by (converged, residual, start order); every start sees the
-    # same candidates, so this reduces to nearest-candidate-per-start, and a
-    # candidate is reported with the first start it is nearest to
+    # selection by (converged, residual, start order) among the admissible
+    # candidates; every start sees the same candidates, so this reduces to
+    # nearest-candidate-per-start, and a candidate is reported with the
+    # first start it is nearest to
     _, _, alpha, beta, lam_inf = _curve(candidates, lam_star, excess, delta)
+    params = [_params_or_none(*abl)
+              for abl in zip(alpha.tolist(), beta.tolist(), lam_inf.tolist())]
+    built = np.array([i for i, p in enumerate(params) if p is not None], dtype=int)
+    if not built.size:
+        raise NoConvergence(
+            f"no admissible parameters (beta > alpha >= 0, lambda_inf > 0, finite) match "
+            f"the first two moments (variance excess {excess:.3e})")
     with np.errstate(divide="ignore"):
-        log_alpha, log_kappa = np.log(alpha), np.log(beta - alpha)
+        log_alpha = np.log(alpha[built])
+        log_kappa = np.log(beta[built] - alpha[built])
     attempts: dict[int, tuple[bool, float, int, EstimateReport]] = {}
     for order, (a0, b0, _) in enumerate(starts):
-        i = int(np.argmin(np.hypot(log_alpha - math.log(a0), log_kappa - math.log(b0 - a0))))
+        i = int(built[np.argmin(np.hypot(log_alpha - math.log(a0),
+                                         log_kappa - math.log(b0 - a0)))])
         if i not in attempts:
-            report = make_report(HawkesParams(float(alpha[i]), float(beta[i]),
-                                              float(lam_inf[i])), order, flags)
+            report = make_report(params[i], order, flags)
             attempts[i] = (not report.converged, report.residual_norm, order, report)
     best = min(attempts.values(), key=lambda t: t[:3])[3]
     if not best.converged:
@@ -384,7 +405,8 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
     The solve starts from config.init with default_multistart's points as
     extra starts.  On non-convergence it warns and returns the solver's best
     attempt (converged = False) rather than raising, so harness callers can
-    keep partial results.  InsufficientData propagates.
+    keep partial results.  InsufficientData propagates, and so does a
+    NoConvergence that carries no best attempt.
     """
     emp = empirical_moments(events, config.t0, config.delta)
     extra_flags: tuple[str, ...] = ()
@@ -403,6 +425,8 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
             multistart=default_multistart(emp), window_stats=emp,
         )
     except NoConvergence as exc:
+        if exc.best_report is None:
+            raise
         warnings.warn(str(exc), UserWarning, stacklevel=2)
         report = exc.best_report
     if extra_flags:

@@ -14,20 +14,23 @@ Two independent constructions of the same law are provided:
   e^{-beta s}, generation by generation.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently.  simulate_batch draws path i from seed
-seed + i and returns the paths in index order; each is bit for bit what the
-single-path sampler gives for that seed.  For the exact method it steps
-groups of paths in lockstep: every path keeps its own generator, draws its
-uniforms in blocks, and one vectorised step per loop iteration repeats
-simulate_exact's float operations in its order, with libm's log and exp
-(math.log, math.exp) rather than numpy's, whose last bit can differ.
+distinct seeds may run concurrently.  simulate_exact's loop takes its
+uniforms one at a time from blocks the generator draws at once (_uniforms),
+which is the same stream as one rng.random() per draw.  simulate_batch
+draws path i from seed seed + i and returns the paths in index order; each
+is bit for bit what the single-path sampler gives for that seed.  For the
+exact method it steps groups of paths in lockstep: every path keeps its own
+generator, draws its uniforms in blocks, and one vectorised step per loop
+iteration repeats simulate_exact's float operations in its order, with
+libm's log and exp (math.log, math.exp) rather than numpy's, whose last bit
+can differ.  Once few paths are live, the scalar loop finishes them.
 
-A batch of more than one group is spread over the available CPUs by
-_fork.in_slices: each forked child samples a contiguous slice of groups
-with the same code and writes its raw times and intensities into its
-temporary file.  A path depends only on its seed, so the output bytes do
-not depend on the CPU count; a batch of at most _GROUP paths (validate's
-K = 20, say) stays in one process.
+A batch is cut into groups of at most _GROUP paths, and into at least one
+group per available CPU, which _fork.in_slices spreads over the CPUs: each
+forked child samples a contiguous slice of groups with the same code and
+writes its raw times and intensities into its temporary file.  A path
+depends only on its seed, so the output bytes do not depend on the CPU
+count; validate's K = 20 on two CPUs, say, runs as two slices of 10 paths.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -88,17 +91,35 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
-def _redraw_nonzero(rng) -> float:
+def _redraw_nonzero(draw) -> float:
     """Next nonzero uniform draw.
 
-    Used as ``rng.random() or _redraw_nonzero(rng)``: a draw of exactly 0,
-    whose log is undefined, is replaced by the next nonzero one, and every
-    other draw leaves the stream as it was.
+    Used as ``draw() or _redraw_nonzero(draw)``: a draw of exactly 0, whose
+    log is undefined, is replaced by the next nonzero one, and every other
+    draw leaves the stream as it was.
     """
-    u = rng.random()
+    u = draw()
     while u == 0.0:
-        u = rng.random()
+        u = draw()
     return u
+
+
+# the scalar loop's uniform blocks: the first holds _FIRST_UNIFORMS draws,
+# and each later one twice as many, up to _MAX_UNIFORMS
+_FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
+
+
+def _uniforms(rng):
+    """rng's uniform stream, one float at a time, drawn in doubling blocks.
+
+    A block of n is the same n floats as n calls of rng.random(), so
+    ``_uniforms(rng).__next__`` draws what rng.random would, at a fraction
+    of the per-call cost; short paths waste few draws.
+    """
+    size = _FIRST_UNIFORMS
+    while True:
+        yield from rng.random(size).tolist()
+        size = min(2 * size, _MAX_UNIFORMS)
 
 
 def simulate_exact(
@@ -124,35 +145,35 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.
     """
     _check_horizon(horizon)
-    events, post = _run_exact(np.random.default_rng(seed), params, horizon, cap,
-                              0.0, params.lambda0)
+    events, post = _run_exact(_uniforms(np.random.default_rng(seed)).__next__, params,
+                              horizon, cap, 0.0, params.lambda0)
     seq = EventSequence._sampled(np.asarray(events), horizon, unit)
     return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
 
 
-def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
+def _run_exact(draw, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
                recorded: int = 0) -> tuple[list[float], list[float]]:
     """simulate_exact's loop from time t and intensity lam, on a path that
-    already holds ``recorded`` events; returns the new events and post-jump
-    intensities."""
+    already holds ``recorded`` events, taking its uniforms from ``draw()``
+    (see _uniforms); returns the new events and post-jump intensities."""
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     room = cap - recorded
     events: list[float] = []
     post: list[float] = []
     while True:
         excess = lam - lam_inf
-        u1 = rng.random() or _redraw_nonzero(rng)
+        u1 = draw() or _redraw_nonzero(draw)
         if excess > 0.0:
             d = 1.0 + beta * math.log(u1) / excess
             s1 = -math.log(d) / beta if d > 0.0 else math.inf
-            s2 = -math.log(rng.random() or _redraw_nonzero(rng)) / lam_inf
+            s2 = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
             s = min(s1, s2)
             if t + s > horizon:
                 break
             t += s
             lam = lam_inf + excess * math.exp(-beta * s) + alpha
         elif excess == 0.0:
-            s = -math.log(rng.random() or _redraw_nonzero(rng)) / lam_inf
+            s = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
             if t + s > horizon:
                 break
             t += s
@@ -165,7 +186,7 @@ def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, la
                 break
             t += w
             lam_here = lam_inf + excess * math.exp(-beta * w)
-            if rng.random() * lam_inf <= lam_here:
+            if draw() * lam_inf <= lam_here:
                 lam = lam_here + alpha
             else:
                 lam = lam_here
@@ -242,8 +263,10 @@ def sampler(method: str):
 # arrays that grow at the same time.
 _GROUP = 250
 # Below this many live paths a numpy step costs more than the scalar loop,
-# which then finishes the paths from where they stand.
-_MIN_LOCKSTEP = 12
+# which then finishes the paths from where they stand.  The two break even
+# at about 24 to 32 live paths at the validate and cascade-forecast
+# parameters.
+_MIN_LOCKSTEP = 28
 # A path's first block holds _FIRST_BLOCK loop iterations (two uniforms
 # each); later blocks double, up to _BLOCK_CELLS path-iterations across the
 # live paths, so short paths waste few draws and the block buffers stay small.
@@ -364,24 +387,25 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
     for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
-        tail = _run_exact(rngs[i], params, horizon, cap, t_i, lam_i, found_t[i].size)
+        tail = _run_exact(_uniforms(rngs[i]).__next__, params, horizon, cap, t_i, lam_i,
+                          found_t[i].size)
         _append(found_t[i], tail[0])
         _append(found_lam[i], tail[1])
     return [None if t_i is None else (t_i, lam_i) for t_i, lam_i in zip(found_t, found_lam)]
 
 
 def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
-                  cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                  cap: int, group_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(times, post-jump intensities) of the path of each seed, in seed order,
-    sampled a group of _GROUP paths at a time.
+    sampled a group of ``group_size`` paths at a time.
 
     The exact method steps each group in lockstep (see _lockstep); a path
     it hands back, and every path of another method, is drawn by the
     single-path sampler.
     """
     out = []
-    for lo in range(seeds.start, seeds.stop, _GROUP):
-        group = range(lo, min(lo + _GROUP, seeds.stop))
+    for lo in range(seeds.start, seeds.stop, group_size):
+        group = range(lo, min(lo + group_size, seeds.stop))
         if method == "exact":
             # excess == 0 divides by zero on purpose; a tiny excess may overflow d
             with np.errstate(divide="ignore", over="ignore"):
@@ -427,7 +451,8 @@ def simulate_batch(
 
     Path i is bit for bit sampler(method)(params, horizon, seed + i), in
     its times and its post-jump intensities, and the results are ordered by
-    path index.  The exact method runs the paths in groups of _GROUP, each
+    path index.  The paths are cut into groups of
+    min(_GROUP, ceil(n_paths / CPUs)) paths.  The exact method runs each
     group in lockstep (see _lockstep), so one numpy step advances every live
     path of the group by one interarrival; a path whose uniform block holds
     an exact 0 is drawn by simulate_exact instead.
@@ -437,20 +462,27 @@ def simulate_batch(
     while this process samples the first, and the children's paths are
     read back from their temporary files in slice order.  A path depends
     only on its seed, so the output does not depend on the CPU count; a
-    batch of one group (at most _GROUP paths) never forks.  Any path over
-    ``cap`` events raises CapacityExceeded; an exception in a child is
-    raised here, the one the lowest-index failing group raises, as in one
-    process.  Every child is reaped before the call returns or raises.
+    batch of one path never forks.  Any path over ``cap`` events raises
+    CapacityExceeded.  An exception in a child is raised here unchanged:
+    the one the lowest failing slice raises, and within it the one its
+    lowest failing group raises.  Its type does not depend on the CPU
+    count, but the path it names may differ from a one-CPU run, since the
+    groups differ and a lockstep group fails at whichever of its paths
+    passes the cap first.  Every child is reaped before the call returns
+    or raises.
     """
     _check_horizon(horizon)
     sampler(method)  # an unknown method fails before any fork
-    groups = -(-n_paths // _GROUP)
-    workers = max(1, min(available_cpus(), groups))
-    bounds = [seed + min(n_paths, _GROUP * (groups * k // workers)) for k in range(workers + 1)]
+    cpus = available_cpus()
+    group_size = max(1, min(_GROUP, -(-n_paths // cpus)))
+    groups = -(-n_paths // group_size)
+    workers = max(1, min(cpus, groups))
+    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
+              for k in range(workers + 1)]
     paths = []
 
     def sample(lo, hi, out):
-        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap)
+        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
         if out is None:
             paths.extend(sampled)
         else:

@@ -183,8 +183,9 @@ class TestM3ResidualScan:
         triple = MomentTriple(m1, m1 + m1 * m1 + excess * m1, 2.0, delta)
         try:
             report = solve_moment_system(triple, delta, init=DEFAULT_INIT)
-        except (HawkesError, ValueError):
-            assert error is not None
+        except NoConvergence as exc:
+            # no candidate can be built: a decline with no best attempt
+            assert error is not None and exc.best_report is None
         else:
             assert error is None and math.isfinite(report.residual_norm)
 
@@ -281,6 +282,17 @@ class TestSolveMomentSystem:
         best = excinfo.value.best_report
         assert best is not None and not best.converged
         assert math.isfinite(best.residual_norm)
+
+    # beta == alpha in floats at every point of the (M1, M2)-exact curve;
+    # below Poisson variance, lambda* = M1/delta overflows at the boundary
+    @pytest.mark.parametrize("m2, delta", [(1e40 + 2, 1.0), (1.5, 1e-310)],
+                             ids=["excess", "sub_poisson"])
+    def test_no_admissible_candidate_declines(self, m2, delta):
+        from hawkesmom import MomentTriple
+
+        with pytest.raises(NoConvergence, match="admissible") as excinfo:
+            solve_moment_system(MomentTriple(1, m2, 2, delta), delta, DEFAULT_INIT)
+        assert excinfo.value.best_report is None
 
     def test_rejects_nonpositive_moments(self):
         from hawkesmom import MomentTriple

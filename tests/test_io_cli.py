@@ -1,6 +1,7 @@
 """Event-file ingestion, unit handling, CLI subcommands and exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -831,6 +832,48 @@ class TestMainExitCodes:
         assert rows[2] == "1,nan,nan,nan,False"
         runs = json.loads((out / "validate.json").read_text())["runs"]
         assert runs[1]["flags"] == ["failed:InsufficientData"]
+
+    @staticmethod
+    def no_admissible_fit(monkeypatch, run):
+        """Window moments of the ``run``-th fit (from 0) that no admissible
+        parameters match: beta == alpha in floats along the whole curve."""
+        # the package's estimate attribute is the function, not the module
+        estimate_module = importlib.import_module("hawkesmom.estimate")
+        real, calls = estimate_module.empirical_moments, []
+
+        def moments(events, t0, delta):
+            calls.append(None)
+            emp = real(events, t0, delta)
+            if len(calls) - 1 != run:
+                return emp
+            return estimate_module.EmpiricalMoments(
+                triple=hawkesmom.MomentTriple(1.0, 1e40 + 2.0, 2.0, delta), delta=delta,
+                window_count=emp.window_count, t0=t0)
+
+        monkeypatch.setattr(estimate_module, "empirical_moments", moments)
+
+    def test_no_admissible_fit_keeps_validate_running(self, tmp_path, monkeypatch):
+        self.no_admissible_fit(monkeypatch, run=1)
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.4", "--beta", "1", "--lambda-inf", "1",
+                     "--horizon", "1000", "--count", "3", "--delta", "0.5", "--t0", "10",
+                     "--seed", "1", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "table.csv").read_text().splitlines()
+        assert rows[2] == "1,nan,nan,nan,False"
+        runs = json.loads((out / "validate.json").read_text())["runs"]
+        assert runs[1]["flags"] == ["failed:NoConvergence"]
+        assert runs[0]["params_hat"] is not None and runs[2]["params_hat"] is not None
+
+    def test_no_admissible_fit_estimate_exits_3(self, tmp_path, monkeypatch, capsys):
+        self.no_admissible_fit(monkeypatch, run=0)
+        events = write(tmp_path, "ev.txt", "".join(f"{0.37 * i}\n" for i in range(1, 100)))
+        out = tmp_path / "out"
+        code = main(["estimate", "--events", str(events), "--delta", "0.5", "--t0", "1",
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: no admissible parameters")
+        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan"])
     def test_bad_envelope_step_writes_nothing(self, tmp_path, capsys, step):

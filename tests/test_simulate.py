@@ -24,7 +24,7 @@ from hawkesmom import (
     windowed_counts,
 )
 from hawkesmom import simulate as simulate_module
-from hawkesmom.simulate import _run_exact, _spawn_offspring, sampler
+from hawkesmom.simulate import _run_exact, _spawn_offspring, _uniforms, sampler
 
 
 class TestSimulateExact:
@@ -98,8 +98,9 @@ class TestSimulateExact:
                 self.draws = list(draws)
                 self.rng = np.random.Generator(np.random.PCG64(seed))
 
-            def random(self):
-                return self.draws.pop(0) if self.draws else self.rng.random()
+            def random(self, size):
+                head, self.draws = self.draws[:size], self.draws[size:]
+                return np.concatenate([head, self.rng.random(size - len(head))])
 
         p = validate_params(0.3, 1.0, 1.0, lambda0)
         runs = []
@@ -324,22 +325,23 @@ class TestBatch:
         # the deficit case above must exercise thinning rejections: every
         # loop iteration draws two uniforms, so more draws than two per
         # event (plus the final one or two) means some proposal was rejected
-        class CountingRng:
+        # (the draws consumed, not the blocks drawn, which run ahead)
+        class CountingDraw:
             def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
+                self.stream = _uniforms(np.random.default_rng(seed))
                 self.draws = 0
 
-            def random(self):
+            def __call__(self):
                 self.draws += 1
-                return self.rng.random()
+                return next(self.stream)
 
         *raw, horizon, n_paths = self.REGIMES["deficit"]
         p = validate_params(*raw)
         rejected = 0
         for i in range(n_paths):
-            rng = CountingRng(3_000 + i)
-            events, _ = _run_exact(rng, p, horizon, 10**6, 0.0, p.lambda0)
-            rejected += rng.draws > 2 * len(events) + 2
+            draw = CountingDraw(3_000 + i)
+            events, _ = _run_exact(draw, p, horizon, 10**6, 0.0, p.lambda0)
+            rejected += draw.draws > 2 * len(events) + 2
         assert rejected >= n_paths // 2
 
     @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
@@ -354,16 +356,24 @@ class TestBatch:
                 self.pos = 0
                 self.zero_at = position if seed == target else -1
 
-            def random(self, out=None):
-                if out is not None:
-                    out[:] = [self.random() for _ in range(out.size)]
-                    return out
+            def draw(self):
                 self.pos += 1
                 return 0.0 if self.pos - 1 == self.zero_at else self.rng.random()
+
+            def random(self, size=None, out=None):
+                # the lockstep fills rows (out=), the scalar loop takes blocks (size)
+                block = [self.draw() for _ in range(size or out.size)]
+                if out is None:
+                    return np.array(block)
+                out[:] = block
+                return out
 
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         horizon, n_paths = 400.0, 16
         plain = simulate_exact(p, horizon, target)
+        # one group, stepped in lockstep to its end, whatever the CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", 1)
         monkeypatch.setattr(np.random, "default_rng", ScriptedRng)
         batch = simulate_batch(p, horizon, 3_000, n_paths)
         self._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
@@ -447,14 +457,32 @@ class TestBatchSlices:
             assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
             assert traj.intensity_at_events.tobytes() == ref.intensity_at_events.tobytes(), i
 
-    def test_one_group_never_forks(self, monkeypatch):
+    # validate's K = 20 is cut into one group per CPU; three groups stay
+    # three groups of 250 at 1 and 2 CPUs and become three of 169 at 3 (the
+    # exact method's are checked above)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths, method", [(20, "exact"), (20, "cluster"),
+                                                 (N_PATHS, "cluster")])
+    def test_batch_split_over_cpus(self, monkeypatch, n_paths, method, cpus):
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        forks = self.count_forks(monkeypatch, cpus)
+        batch = simulate_batch(p, 40.0, 3_000, n_paths, method=method)
+        assert len(forks) == min(cpus, n_paths) - 1
+        assert [t.seed for t in batch] == [3_000 + i for i in range(n_paths)]
+        for i, traj in enumerate(batch):
+            ref = sampler(method)(p, 40.0, 3_000 + i)
+            assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
+            assert traj.intensity_at_events.tobytes() == ref.intensity_at_events.tobytes(), i
+
+    def test_one_path_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         p = validate_params(0.2, 1.0, 1.0, 1.0)
-        assert len(simulate_batch(p, 4.0, 1, simulate_module._GROUP)) == simulate_module._GROUP
+        [traj] = simulate_batch(p, 4.0, 1, 1)
+        assert traj.events.times.tobytes() == simulate_exact(p, 4.0, 1).events.times.tobytes()
 
     @staticmethod
     def _error(p, cap, **kwargs):
