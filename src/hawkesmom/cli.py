@@ -26,7 +26,7 @@ from .errors import (
     NoConvergence,
     ParseError,
 )
-from .estimate import DEFAULT_INIT, EstimateConfig, EstimateReport, estimate
+from .estimate import DEFAULT_INIT, EstimateConfig, EstimateReport, _check_start, estimate
 from .io import (
     parse_events,
     report_to_dict,
@@ -189,6 +189,7 @@ def cmd_moments(cfg: RunConfig) -> dict:
 def cmd_estimate(cfg: RunConfig) -> EstimateReport:
     """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
     _check_windows(cfg.delta, cfg.t0)
+    _check_start(cfg.init)
     events = parse_events(cfg.events_path, unit=cfg.unit, horizon=cfg.horizon)
     report = estimate(events, EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +214,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     if cfg.real_events_path is not None and not cfg.envelope:
         raise ValueError("--real-events is overlaid on the envelope; it needs --envelope")
     _check_windows(cfg.delta, cfg.t0)
+    _check_start(cfg.init)
     _check_cap(cfg.cap)
     if cfg.envelope:
         step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
@@ -288,6 +290,10 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    init_help = ("solver start, finite, with BETA > ALPHA > 0 and LAMBDA_INF > 0 "
+                 "(default %(default)s): the fit is the exact root nearest it in "
+                 "(ln alpha, ln(beta - alpha)), or, with none, the least-squares point "
+                 "within half an e-fold of (BETA - ALPHA) * delta, flagged m3_best_fit")
     parser = argparse.ArgumentParser(
         prog="hawkesmom",
         description="Simulate, analyze and calibrate the exponentially decaying "
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--delta", type=float, required=True, help="window length")
     p_est.add_argument("--t0", type=float, default=0.0, help="burn-in start of the window grid")
     p_est.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
-                       metavar=("ALPHA", "BETA", "LAMBDA_INF"), help="solver starting point")
+                       metavar=("ALPHA", "BETA", "LAMBDA_INF"), help=init_help)
     p_est.add_argument("--horizon", type=float, default=None,
                        help="truncate events beyond this time (default: last event)")
     p_est.add_argument("--unit", default="minutes")
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--t0", type=float, default=3000.0,
                        help="burn-in before the window grid (default 3000)")
     p_val.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
-                       metavar=("ALPHA", "BETA", "LAMBDA_INF"))
+                       metavar=("ALPHA", "BETA", "LAMBDA_INF"), help=init_help)
     p_val.add_argument("--method", choices=("exact", "cluster"), default="exact")
     p_val.add_argument("--envelope", action="store_true",
                        help="also write per-trajectory cumulative counts on a shared grid")

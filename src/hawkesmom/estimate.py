@@ -19,7 +19,10 @@ equation, and it does not involve lambda*.  It is solved by bracketing on a
 log grid -- far more robust than Newton iteration on the raw 3-by-3 system,
 whose Jacobian is near-singular along a beta-degenerate direction (condition
 number ~1e6 at typical roots).  One numpy residual serves the grid and the
-refinement, which zooms into each bracket on sub-grids.
+refinement, which zooms into each bracket on sub-grids.  There is one start
+point: of several exact roots, the one nearest it in (ln alpha, ln(beta -
+alpha)) is reported; with none, the least-squares point within half an
+e-fold of the start's x, flagged "m3_best_fit".
 Positivity constraints hold by construction: x > 0 and eta in [0, 1) map to
 beta > alpha >= 0, lambda_inf > 0.  lambda0 is not identifiable from
 stationary window moments; fitted parameter records carry
@@ -49,7 +52,6 @@ __all__ = [
     "empirical_from_counts",
     "empirical_moments",
     "solve_moment_system",
-    "default_multistart",
     "estimate",
 ]
 
@@ -85,6 +87,7 @@ class EstimateReport:
     stationary-limit formulas are biased by the transient).  iterations
     counts third-moment residual evaluations: the 600 scan-grid points plus
     64 for every refinement step of every bracket or least-squares interval.
+    init is the caller's start point, the one the root was chosen by.
     Harness placeholders for runs that failed outright carry params_hat = None.
     """
 
@@ -151,10 +154,13 @@ def empirical_moments(events: EventSequence, t0: float, delta: float) -> Empiric
 
 
 def _check_start(theta) -> tuple[float, float, float]:
-    a, b, li = theta
-    if not (b > a > 0.0 and li > 0.0):
-        raise ValueError(f"start point must satisfy beta > alpha > 0, lambda_inf > 0; got {theta}")
-    return float(a), float(b), float(li)
+    """The start point as floats; ValueError unless it is finite with
+    beta > alpha > 0 and lambda_inf > 0."""
+    a, b, li = map(float, theta)
+    if not (all(map(math.isfinite, (a, b, li))) and b > a > 0.0 and li > 0.0):
+        raise ValueError(f"start point must be finite with beta > alpha > 0, lambda_inf > 0; "
+                         f"got {tuple(theta)}")
+    return a, b, li
 
 
 def _curve(x: np.ndarray, lam_star: float, excess: float, delta: float):
@@ -252,7 +258,6 @@ def solve_moment_system(
     init: tuple[float, float, float],
     *,
     tol: float = 1e-9,
-    multistart: tuple = (),
     window_stats: EmpiricalMoments | None = None,
 ) -> EstimateReport:
     """Solve the three-equation moment system for (alpha, beta, lambda_inf).
@@ -261,8 +266,8 @@ def solve_moment_system(
     eta = alpha/beta as a closed-form function of x = kappa delta, and the
     third cumulant's equation becomes a scalar root-find in x.  All sign
     changes of the residual on a wide log-grid are bracketed and refined;
-    among exact roots the one nearest the starting point (in (ln alpha,
-    ln kappa)) is returned with each residual at or below
+    among the admissible exact roots the one nearest ``init`` in (ln alpha,
+    ln kappa), kappa = beta - alpha, is returned with each residual at or below
     ``tol * max(1, M_i)``: relative to the moment once it exceeds 1, since
     M3 reaches 1e4 on bursty data and an absolute 1e-9 would then sit below
     float64 rounding.
@@ -289,14 +294,15 @@ def solve_moment_system(
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"moment {name} must be finite and positive, got {v}")
-    starts = [_check_start(theta) for theta in (init, *multistart)]
+    start = _check_start(init)
+    a0, b0, _ = start
 
     m1, m2, m3 = triple.m1, triple.m2, triple.m3
     lam_star = m1 / delta
     excess = (m2 - m1 - m1 * m1) / m1
     evaluations = 0
 
-    def make_report(p: HawkesParams, order: int, flags: tuple[str, ...]) -> EstimateReport:
+    def make_report(p: HawkesParams, flags: tuple[str, ...]) -> EstimateReport:
         residuals = _residuals(p, triple, delta)
         norm = max(map(abs, residuals))
         within = [abs(r) <= tol * max(1.0, m) for r, m in zip(residuals, (m1, m2, m3))]
@@ -308,7 +314,7 @@ def solve_moment_system(
             params_hat=p,
             residual_norm=norm,
             iterations=evaluations,
-            init=tuple(starts[order]),
+            init=start,
             converged=converged,
             window_stats=window_stats,
             flags=flags,
@@ -317,10 +323,9 @@ def solve_moment_system(
     if excess <= 0.0:
         # at or below Poisson variance: the only candidate is the alpha -> 0
         # boundary, with beta unidentified (kept at the start's value)
-        beta0 = starts[0][1]
-        alpha = 1e-12 * beta0
-        p = _params_or_none(alpha, beta0, lam_star * (1.0 - alpha / beta0))
-        report = None if p is None else make_report(p, 0, ())
+        alpha = 1e-12 * b0
+        p = _params_or_none(alpha, b0, lam_star * (1.0 - alpha / b0))
+        report = None if p is None else make_report(p, ())
         if report is not None and report.converged:
             return report
         raise NoConvergence(
@@ -348,20 +353,13 @@ def solve_moment_system(
         _zoom(residual, grid[cells], grid[cells + 1], _XTOL, _RTOL, root=True)]))
     flags: tuple[str, ...] = ()
     if not candidates.size:
-        # no exact root: local least-squares in x anchored at the primary
-        # start (competing by residual across multistart brackets would just
-        # chase third-moment noise along the nearly flat curve)
-        a0, b0 = starts[0][0], starts[0][1]
+        # no exact root: local least-squares in x around the start's x
         x0 = min(max((b0 - a0) * delta, _SCAN_LO), _SCAN_HI)
         lo = max(x0 * math.exp(-_LOCAL_BRACKET_HALF_WIDTH), _SCAN_LO)
         hi = min(x0 * math.exp(_LOCAL_BRACKET_HALF_WIDTH), _SCAN_HI)
         candidates = _zoom(residual, np.array([lo]), np.array([hi]), _XATOL, 0.0, root=False)
         flags = ("m3_best_fit",)
 
-    # selection by (converged, residual, start order) among the admissible
-    # candidates; every start sees the same candidates, so this reduces to
-    # nearest-candidate-per-start, and a candidate is reported with the
-    # first start it is nearest to
     _, _, alpha, beta, lam_inf = _curve(candidates, lam_star, excess, delta)
     params = [_params_or_none(*abl)
               for abl in zip(alpha.tolist(), beta.tolist(), lam_inf.tolist())]
@@ -373,39 +371,25 @@ def solve_moment_system(
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha[built])
         log_kappa = np.log(beta[built] - alpha[built])
-    attempts: dict[int, tuple[bool, float, int, EstimateReport]] = {}
-    for order, (a0, b0, _) in enumerate(starts):
-        i = int(built[np.argmin(np.hypot(log_alpha - math.log(a0),
-                                         log_kappa - math.log(b0 - a0)))])
-        if i not in attempts:
-            report = make_report(params[i], order, flags)
-            attempts[i] = (not report.converged, report.residual_norm, order, report)
-    best = min(attempts.values(), key=lambda t: t[:3])[3]
-    if not best.converged:
+    i = int(built[np.argmin(np.hypot(log_alpha - math.log(a0),
+                                     log_kappa - math.log(b0 - a0)))])
+    report = make_report(params[i], flags)
+    if not report.converged:
         raise NoConvergence(
             f"no admissible parameters reach residual {tol} x max(1, M_i) "
-            f"(best residual {best.residual_norm:.3e} from init {best.init})",
-            best_report=best,
+            f"(best residual {report.residual_norm:.3e} from init {report.init})",
+            best_report=report,
         )
-    return best
-
-
-def default_multistart(emp: EmpiricalMoments) -> tuple[tuple[float, float, float], ...]:
-    """Extra starting points: the default init and a data-driven one seeding
-    lambda_inf with M1/delta at alpha = beta/2, beta = 1.
-
-    Root choice reads only a start's alpha and beta, so starts differing
-    only in lambda_inf never change the fit."""
-    return DEFAULT_INIT, (0.5, 1.0, emp.triple.m1 / emp.delta)
+    return report
 
 
 def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
     """Empirical moments followed by the moment-system solve.
 
-    The solve starts from config.init with default_multistart's points as
-    extra starts.  On non-convergence it warns and returns the solver's best
-    attempt (converged = False) rather than raising, so harness callers can
-    keep partial results.  InsufficientData propagates, and so does a
+    The solve starts from config.init, and its report's init is config.init.
+    On non-convergence it warns and returns the solver's best attempt
+    (converged = False) rather than raising, so harness callers can keep
+    partial results.  InsufficientData propagates, and so does a
     NoConvergence that carries no best attempt.
     """
     emp = empirical_moments(events, config.t0, config.delta)
@@ -421,8 +405,7 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
 
     try:
         report = solve_moment_system(
-            emp.triple, config.delta, config.init, tol=config.tol,
-            multistart=default_multistart(emp), window_stats=emp,
+            emp.triple, config.delta, config.init, tol=config.tol, window_stats=emp,
         )
     except NoConvergence as exc:
         if exc.best_report is None:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import HawkesParams, _times
+from .core import HawkesParams, _excess_after_events, _times
 
 __all__ = [
     "MAX_EXPONENT",
@@ -272,41 +272,27 @@ def integrate_polynomial_on_path(
 
     Between events the intensity is lambda_inf + c e^{-beta s} and N is
     constant, so every monomial integrates in closed form segment by
-    segment.  Used to check the martingale identity
-    E[k(X_t)] = k(X_0) + int_0^t E[A k(X_u)] du without quadrature bias.
+    segment; each segment's starting excess c comes from the one intensity
+    recurrence, core._excess_after_events.  Used to check the martingale
+    identity E[k(X_t)] = k(X_0) + int_0^t E[A k(X_u)] du without quadrature
+    bias.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     times = _times(events)
+    before = times[:np.searchsorted(times, t, side="left")]
     beta, lam_inf = params.beta, params.lambda_inf
-    terms = list(poly.terms())
-
-    def segment(lam_start: float, n: int, length: float) -> float:
-        if length <= 0.0:
-            return 0.0
-        c_exc = lam_start - lam_inf
-        total = 0.0
-        for (m, l), c in terms:
-            acc = lam_inf**m * length
-            for j in range(1, m + 1):
-                # int_0^s e^{-j beta u} du = -expm1(-j beta s) / (j beta)
-                acc += (math.comb(m, j) * lam_inf ** (m - j) * c_exc**j
-                        * -math.expm1(-j * beta * length) / (j * beta))
-            total += c * float(n) ** l * acc
-        return total
-
+    # segment n runs from the n-th event (time 0 for n = 0) to the next one,
+    # or to t, with N = n on it; tied events give empty segments
+    length = np.diff(before, prepend=0.0, append=t)
+    c_exc = np.concatenate(([params.lambda0 - lam_inf], _excess_after_events(params, before)))
+    n = np.arange(before.size + 1, dtype=float)
     total = 0.0
-    lam = params.lambda0
-    n = 0
-    prev = 0.0
-    for tk in times:
-        tk = float(tk)
-        if tk >= t:
-            break
-        length = tk - prev
-        total += segment(lam, n, length)
-        lam = lam_inf + (lam - lam_inf) * math.exp(-beta * length) + params.alpha
-        n += 1
-        prev = tk
-    total += segment(lam, n, t - prev)
+    for (m, l), c in poly.terms():
+        acc = lam_inf**m * length
+        for j in range(1, m + 1):
+            # int_0^s e^{-j beta u} du = -expm1(-j beta s) / (j beta)
+            acc += (math.comb(m, j) * lam_inf ** (m - j) * c_exc**j
+                    * -np.expm1(-j * beta * length) / (j * beta))
+        total += c * float(n**l @ acc)
     return total

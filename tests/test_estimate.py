@@ -35,7 +35,6 @@ from hawkesmom.estimate import (
     DEFAULT_INIT,
     _curve,
     _k3_residual,
-    default_multistart,
     empirical_from_counts,
 )
 
@@ -305,30 +304,45 @@ class TestSolveMomentSystem:
         with pytest.raises(ValueError):
             solve_moment_system(moment_triple(p, 0.5), 0.5, init=(1.5, 1.0, 1.0))
 
-    # a start that differs from init only in lambda_inf picks the same root
-    # (root choice reads a start's alpha and beta), so it never changes the fit
+    @pytest.mark.parametrize("init", [
+        (0.5, math.inf, 2.0), (math.nan, 1.5, 2.0), (0.5, 1.5, math.inf), (0.5, 1.5, math.nan),
+    ])
+    def test_rejects_non_finite_init(self, init):
+        triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
+        with pytest.raises(ValueError, match="start point must be finite"):
+            solve_moment_system(triple, 0.5, init=init)
+
+    # root choice reads only the start's alpha and beta, so starts differing
+    # only in lambda_inf give the same fit and report their own init
     @pytest.mark.parametrize("m3_scale", [1.0, 1.01], ids=["exact_root", "m3_best_fit"])
-    @pytest.mark.parametrize("init, extra", [
+    @pytest.mark.parametrize("init, other", [
         (DEFAULT_INIT, (0.5, 1.5, 0.75)),
         ((0.1, 2.5, 0.3), (0.1, 2.5, 7.0)),
     ])
-    def test_start_differing_only_in_lambda_inf_changes_nothing(self, m3_scale, init, extra):
+    def test_start_differing_only_in_lambda_inf_changes_nothing(self, m3_scale, init, other):
         exact = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
         triple = MomentTriple(exact.m1, exact.m2, exact.m3 * m3_scale, 0.5)
-        alone = solve_moment_system(triple, 0.5, init=init)
-        both = solve_moment_system(triple, 0.5, init=init, multistart=(extra,))
-        assert ("m3_best_fit" in alone.flags) == (m3_scale != 1.0)
-        for name in ("params_hat", "init", "iterations", "residual_norm", "flags"):
-            assert getattr(both, name) == getattr(alone, name), name
+        first = solve_moment_system(triple, 0.5, init=init)
+        second = solve_moment_system(triple, 0.5, init=other)
+        assert ("m3_best_fit" in first.flags) == (m3_scale != 1.0)
+        assert (first.init, second.init) == (init, other)
+        for name in ("params_hat", "iterations", "residual_norm", "flags", "converged"):
+            assert getattr(second, name) == getattr(first, name), name
 
-    def test_inadmissible_extra_start_rejected(self):
-        triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
-        with pytest.raises(ValueError, match="start point"):
-            solve_moment_system(triple, 0.5, init=DEFAULT_INIT, multistart=((1.5, 1.0, 1.0),))
-
-    def test_default_multistart(self):
-        emp = empirical_from_counts(np.arange(40) % 3, delta=0.5)
-        assert default_multistart(emp) == (DEFAULT_INIT, (0.5, 1.0, emp.triple.m1 / 0.5))
+    # a triple with two exact roots: each start gets the root nearest it in
+    # (ln alpha, ln(beta - alpha)), and both roots are exact
+    @pytest.mark.parametrize("init, root", [
+        (DEFAULT_INIT, (1.5309344604270365, 2.3104082639382697, 3.023678025887512)),
+        ((1.0, 1.3, 2.0), (1.0167845160400812, 1.2787350843487018, 1.835952805023765)),
+    ], ids=["default_init", "near_truth"])
+    def test_root_nearest_the_start(self, init, root):
+        truth = validate_params(1.0167845160400812, 1.2787350843487018, 1.835952805023765)
+        delta = 0.08570525505752138
+        report = solve_moment_system(moment_triple(truth, delta), delta, init=init)
+        assert report.converged and report.flags == () and report.init == init
+        assert report.residual_norm <= 1e-14
+        hat = report.params_hat
+        assert (hat.alpha, hat.beta, hat.lambda_inf) == pytest.approx(root, rel=1e-10, abs=0)
 
     def test_deterministic(self):
         p = validate_params(0.25, 1.2, 0.9)

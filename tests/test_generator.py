@@ -301,3 +301,26 @@ class TestPathwiseIntegral:
             total += np.trapezoid(vals, grid)
         exact = integrate_polynomial_on_path(params, events, p, t_end)
         assert exact == pytest.approx(total, rel=1e-6)
+
+    @pytest.mark.parametrize("t_end", [0.0, 0.4, 1.1, 1.12, 3.5])
+    @pytest.mark.parametrize("lambda0", [0.2, 1.6])
+    def test_matches_segment_loop(self, t_end, lambda0):
+        """Against a scalar loop over segments whose starting excess is the
+        direct sum over earlier events; tied events, and t_end at an event
+        (which the integral excludes), included."""
+        params = validate_params(0.3, 1.4, 0.9, lambda0)
+        events = np.array([0.4, 1.1, 1.1, 1.1, 2.7])
+        terms = {(2, 1): 0.7, (1, 0): 0.3, (0, 2): 1.1, (3, 0): 0.2}
+        beta, lam_inf = params.beta, params.lambda_inf
+        bounds = [0.0, *events[events < t_end].tolist(), t_end]
+        total = 0.0
+        for n, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            exc = ((lambda0 - lam_inf) * math.exp(-beta * a)
+                   + params.alpha * float(np.exp(-beta * (a - events[:n])).sum()))
+            for (m, l), c in terms.items():
+                acc = lam_inf**m * (b - a) + sum(
+                    math.comb(m, j) * lam_inf ** (m - j) * exc**j
+                    * -math.expm1(-j * beta * (b - a)) / (j * beta) for j in range(1, m + 1))
+                total += c * n**l * acc
+        exact = integrate_polynomial_on_path(params, events, poly(terms), t_end)
+        assert exact == pytest.approx(total, rel=1e-14, abs=0)

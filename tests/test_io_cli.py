@@ -762,6 +762,22 @@ class TestMainExitCodes:
         assert err == f"error: --t0 must be finite and >= 0, got {float(t0)}\n"
         assert not (tmp_path / "out").exists()
 
+    # checked before the events file is read or any path is sampled; a
+    # non-finite start would pin the fit to the scan's edge and put
+    # Infinity, which is not JSON, into the report
+    @pytest.mark.parametrize("init", [["0.5", "inf", "2"], ["nan", "1.5", "2"],
+                                      ["0.5", "1.5", "inf"], ["1.5", "1", "1"]])
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_bad_init_writes_nothing(self, tmp_path, monkeypatch, capsys, command, init):
+        monkeypatch.setattr("hawkesmom.cli.parse_events", lambda *a, **k: pytest.fail("read"))
+        flags = ["--delta", "0.5", "--t0", "1", "--init", *init]
+        assert self.run_windows(tmp_path, monkeypatch, command, flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: start point must be finite with beta > alpha > 0, "
+                       f"lambda_inf > 0; got {tuple(map(float, init))}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize("command", [
         ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "10"],
