@@ -32,6 +32,12 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def worker_count(work: float, min_per_worker: float) -> int:
+    """One worker per available CPU, but none with less than
+    ``min_per_worker`` of the ``work``."""
+    return int(max(1, min(available_cpus(), work / min_per_worker)))
+
+
 def reap(pids: list[int]) -> None:
     """Kill and wait for every child in ``pids``, emptying the list."""
     while pids:

@@ -248,9 +248,9 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     summary = {}
     for name in ("alpha", "beta", "lambda_inf"):
         vals = np.array([getattr(r.params_hat, name) for r in converged])
-        summary[name] = {
-            "mean": float(vals.mean()) if vals.size else float("nan"),
-            "sd": float(vals.std(ddof=1)) if vals.size > 1 else float("nan"),
+        summary[name] = {  # None (JSON null) where too few runs converged
+            "mean": float(vals.mean()) if vals.size else None,
+            "sd": float(vals.std(ddof=1)) if vals.size > 1 else None,
         }
     summary["converged_runs"] = len(converged)
     summary["total_runs"] = cfg.count
@@ -283,8 +283,9 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
         written.append(write_envelope_csv(cfg.out_dir / "envelope.csv", grid, counts, real))
 
     for name in ("alpha", "beta", "lambda_inf"):
-        s = summary[name]
-        print(f"{name}: mean={s['mean']:.4g} sd={s['sd']:.4g}")
+        mean, sd = ("nan" if v is None else format(v, ".4g")
+                    for v in (summary[name]["mean"], summary[name]["sd"]))
+        print(f"{name}: mean={mean} sd={sd}")
     print(f"converged {len(converged)}/{cfg.count}; wrote {', '.join(map(str, written))}")
     return harness
 

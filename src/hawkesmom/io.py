@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import available_cpus, in_slices
+from ._fork import in_slices, worker_count
 from .core import EventSequence
 from .errors import EmptyFile, NegativeTimestamp, ParseError
 from .estimate import EstimateReport
@@ -175,25 +175,21 @@ def _intensity_rows(grid, values):
     return [f"{t!r},{v!r}\n" for t, v in zip(grid, values)]
 
 
-def _worker_count(rows: int) -> int:
-    """One worker per available CPU, each with at least MIN_ROWS_PER_WORKER rows."""
-    return max(1, min(available_cpus(), rows // MIN_ROWS_PER_WORKER))
-
-
 def write_intensity_csv(path, grid, values) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
-    Large grids are formatted in _worker_count contiguous slices, one
-    process per available CPU (see _fork.in_slices); every row is formatted
-    by the same function in the same order, so the bytes are those of a
-    one-process run.  No file is left at ``path`` when the call raises.
+    Large grids are formatted in contiguous slices, one process per
+    available CPU and at least MIN_ROWS_PER_WORKER rows per process (see
+    _fork.in_slices); every row is formatted by the same function in the
+    same order, so the bytes are those of a one-process run.  No file is
+    left at ``path`` when the call raises.
     """
     path = Path(path)
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if grid.size != values.size:
         raise ValueError(f"grid has {grid.size} points but values has {values.size}")
-    n = _worker_count(grid.size)
+    n = worker_count(grid.size, MIN_ROWS_PER_WORKER)
 
     def format_slice(lo, hi, out):
         dest = fh if out is None else codecs.getwriter("utf-8")(out)
@@ -250,7 +246,8 @@ def report_to_dict(report: EstimateReport) -> dict:
             "beta": report.params_hat.beta,
             "lambda_inf": report.params_hat.lambda_inf,
         },
-        "residual_norm": report.residual_norm,
+        # a run that failed outright has no residual: null, not Infinity
+        "residual_norm": report.residual_norm if math.isfinite(report.residual_norm) else None,
         "iterations": report.iterations,
         "converged": report.converged,
         "init": list(report.init),
@@ -270,8 +267,9 @@ def report_to_dict(report: EstimateReport) -> dict:
 
 
 def write_report_json(path, payload: dict) -> Path:
+    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError."""
     path = Path(path)
     with _overwrite(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path

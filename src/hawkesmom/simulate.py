@@ -14,23 +14,29 @@ Two independent constructions of the same law are provided:
   e^{-beta s}, generation by generation.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently.  simulate_exact's loop takes its
-uniforms one at a time from blocks the generator draws at once (_uniforms),
-which is the same stream as one rng.random() per draw.  simulate_batch
-draws path i from seed seed + i and returns the paths in index order; each
-is bit for bit what the single-path sampler gives for that seed.  For the
-exact method it steps groups of paths in lockstep: every path keeps its own
-generator, draws its uniforms in blocks, and one vectorised step per loop
-iteration repeats simulate_exact's float operations in its order, with
-libm's log and exp (math.log, math.exp) rather than numpy's, whose last bit
-can differ.  Once few paths are live, the scalar loop finishes them.
+distinct seeds may run concurrently.  simulate_exact's loop reads the
+uniform stream as an iterator over blocks the generator draws at once
+(_uniforms), the same stream as one rng.random() per draw.  Above the base
+level it reads one lazy map(log, filter(None, stream)), two logs per event,
+so a draw of exactly 0 is skipped and no other draw moves; while the
+intensity sits below the base level it thins, and takes its accept draws
+raw from the stream.  simulate_batch draws path i from seed seed + i and
+returns the paths in index order; each is bit for bit what the single-path
+sampler gives for that seed.  For the exact method it steps groups of
+paths in lockstep: every path keeps its own generator, draws its uniforms
+in blocks, and one vectorised step per loop iteration repeats
+simulate_exact's float operations in its order, with libm's log and exp
+(math.log, math.exp) rather than numpy's, whose last bit can differ.  Once
+few paths are live, the scalar loop finishes them.
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
-group per available CPU, which _fork.in_slices spreads over the CPUs: each
-forked child samples a contiguous slice of groups with the same code and
-writes its raw times and intensities into its temporary file.  A path
-depends only on its seed, so the output bytes do not depend on the CPU
-count; validate's K = 20 on two CPUs, say, runs as two slices of 10 paths.
+group per worker: one per available CPU, but no more than one per
+MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
+over the workers: each forked child samples a contiguous slice of groups
+with the same code and writes its raw times and intensities into its
+temporary file.  A path depends only on its seed, so the output bytes do
+not depend on the CPU count; validate's K = 20 at horizon 10^4 on two
+CPUs, say, runs as two slices of 10 paths.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -43,13 +49,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._fork import available_cpus, in_slices
+from ._fork import in_slices, worker_count
 from ._libm import elementwise
 from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
+from .moments import mean_count
 
 __all__ = [
     "DEFAULT_EVENT_CAP",
@@ -91,19 +99,6 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
-def _redraw_nonzero(draw) -> float:
-    """Next nonzero uniform draw.
-
-    Used as ``draw() or _redraw_nonzero(draw)``: a draw of exactly 0, whose
-    log is undefined, is replaced by the next nonzero one, and every other
-    draw leaves the stream as it was.
-    """
-    u = draw()
-    while u == 0.0:
-        u = draw()
-    return u
-
-
 # the scalar loop's uniform blocks: the first holds _FIRST_UNIFORMS draws,
 # and each later one twice as many, up to _MAX_UNIFORMS
 _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
@@ -112,14 +107,17 @@ _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
 def _uniforms(rng):
     """rng's uniform stream, one float at a time, drawn in doubling blocks.
 
-    A block of n is the same n floats as n calls of rng.random(), so
-    ``_uniforms(rng).__next__`` draws what rng.random would, at a fraction
+    A block of n is the same n floats as n calls of rng.random(), so the
+    iterator yields what successive rng.random() calls would, at a fraction
     of the per-call cost; short paths waste few draws.
     """
-    size = _FIRST_UNIFORMS
-    while True:
-        yield from rng.random(size).tolist()
-        size = min(2 * size, _MAX_UNIFORMS)
+    def blocks():
+        size = _FIRST_UNIFORMS
+        while True:
+            yield rng.random(size).tolist()
+            size = min(2 * size, _MAX_UNIFORMS)
+
+    return chain.from_iterable(blocks())
 
 
 def simulate_exact(
@@ -145,58 +143,72 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.
     """
     _check_horizon(horizon)
-    events, post = _run_exact(_uniforms(np.random.default_rng(seed)).__next__, params,
+    events, post = _run_exact(_uniforms(np.random.default_rng(seed)), params,
                               horizon, cap, 0.0, params.lambda0)
     seq = EventSequence._sampled(np.asarray(events), horizon, unit)
     return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
 
 
-def _run_exact(draw, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
+def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
+    """The error for a path whose event cap + 1 falls at time t."""
+    return CapacityExceeded(
+        f"trajectory exceeded {cap} events before t={t:.6g} (horizon {horizon})"
+    )
+
+
+def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
                recorded: int = 0) -> tuple[list[float], list[float]]:
     """simulate_exact's loop from time t and intensity lam, on a path that
-    already holds ``recorded`` events, taking its uniforms from ``draw()``
-    (see _uniforms); returns the new events and post-jump intensities."""
+    already holds ``recorded`` events, taking its uniforms from the iterator
+    ``src`` (see _uniforms); returns the new events and post-jump intensities.
+
+    A uniform of exactly 0, whose log is undefined, is skipped wherever a
+    log is taken, and every other draw leaves the stream as it was.  While
+    lam < lambda_inf the path is in deficit and thins; once lam >= lambda_inf,
+    rounding keeps it there, and each event costs one pair of logged draws.
+    """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    log, exp = math.log, math.exp
     room = cap - recorded
     events: list[float] = []
     post: list[float] = []
-    while True:
+    nonzero = filter(None, src)
+    while lam < lam_inf:
+        # Deficit state: lambda(t) < lambda_inf and increasing, so the
+        # constant rate lambda_inf dominates; thin proposals against it.  The
+        # accept draw is raw: a 0 accepts.
         excess = lam - lam_inf
-        u1 = draw() or _redraw_nonzero(draw)
-        if excess > 0.0:
-            d = 1.0 + beta * math.log(u1) / excess
-            s1 = -math.log(d) / beta if d > 0.0 else math.inf
-            s2 = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
-            s = min(s1, s2)
-            if t + s > horizon:
-                break
-            t += s
-            lam = lam_inf + excess * math.exp(-beta * s) + alpha
-        elif excess == 0.0:
-            s = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
-            if t + s > horizon:
-                break
-            t += s
-            lam = lam_inf + alpha
-        else:
-            # Deficit state: lambda(t) < lambda_inf and increasing, so the
-            # constant rate lambda_inf dominates; thin proposals against it.
-            w = -math.log(u1) / lam_inf
-            if t + w > horizon:
-                break
-            t += w
-            lam_here = lam_inf + excess * math.exp(-beta * w)
-            if draw() * lam_inf <= lam_here:
-                lam = lam_here + alpha
-            else:
-                lam = lam_here
-                continue
-        events.append(t)
-        post.append(lam)
-        if len(events) > room:
-            raise CapacityExceeded(
-                f"trajectory exceeded {cap} events before t={t:.6g} (horizon {horizon})"
-            )
+        w = -log(next(nonzero)) / lam_inf
+        if t + w > horizon:
+            return events, post
+        t += w
+        lam = lam_inf + excess * exp(-beta * w)
+        if next(src) * lam_inf <= lam:
+            lam += alpha
+            events.append(t)
+            post.append(lam)
+            if len(events) > room:
+                raise _capacity_exceeded(cap, t, horizon)
+    add_event, add_post = events.append, post.append
+    logs = map(log, nonzero)
+    for _, l1, l2 in zip(range(room + 1 - len(events)), logs, logs):
+        excess = lam - lam_inf
+        s = -l2 / lam_inf  # the arrival from the base level
+        if excess:
+            # the excess's arrival, by inversion where it has one
+            d = 1.0 + beta * l1 / excess
+            if d > 0.0:
+                s1 = -log(d) / beta
+                if s1 < s:
+                    s = s1
+        if t + s > horizon:
+            break
+        t += s
+        lam = lam_inf + excess * exp(-beta * s) + alpha
+        add_event(t)
+        add_post(lam)
+    else:
+        raise _capacity_exceeded(cap, t, horizon)
     return events, post
 
 
@@ -262,11 +274,17 @@ def sampler(method: str):
 # Paths stepped together: bounds the live generators and the per-path
 # arrays that grow at the same time.
 _GROUP = 250
-# Below this many live paths a numpy step costs more than the scalar loop,
-# which then finishes the paths from where they stand.  The two break even
-# at about 24 to 32 live paths at the validate and cascade-forecast
-# parameters.
-_MIN_LOCKSTEP = 28
+# Below this many live paths the scalar loop finishes the paths from where
+# they stand.  A group of n paths in lockstep took 1.4 to 1.6 times the
+# scalar loop's time at n = 32 and 0.55 to 0.9 at n = 64 at validate's
+# parameters, but 1.35 to 1.45 at n = 64 and about 1 at n = 128 at the
+# cascade forecast's, whose paths end unevenly; its 1000 paths sample
+# fastest with 128.
+_MIN_LOCKSTEP = 128
+# Below this many expected events per slice a batch is sampled by this
+# process alone: a fork and its read-back cost about what the scalar loop
+# takes for 4000 to 5000 events.
+MIN_EVENTS_PER_WORKER = 1 << 13
 # A path's first block holds _FIRST_BLOCK loop iterations (two uniforms
 # each); later blocks double, up to _BLOCK_CELLS path-iterations across the
 # live paths, so short paths waste few draws and the block buffers stay small.
@@ -379,15 +397,12 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             _append(found_t[i], block_t[end - n:end])
             _append(found_lam[i], block_lam[end - n:end])
             if found_t[i].size > cap:
-                raise CapacityExceeded(
-                    f"trajectory exceeded {cap} events before t={found_t[i][cap]:.6g} "
-                    f"(horizon {horizon})"
-                )
+                raise _capacity_exceeded(cap, found_t[i][cap], horizon)
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
     for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
-        tail = _run_exact(_uniforms(rngs[i]).__next__, params, horizon, cap, t_i, lam_i,
+        tail = _run_exact(_uniforms(rngs[i]), params, horizon, cap, t_i, lam_i,
                           found_t[i].size)
         _append(found_t[i], tail[0])
         _append(found_lam[i], tail[1])
@@ -451,32 +466,34 @@ def simulate_batch(
 
     Path i is bit for bit sampler(method)(params, horizon, seed + i), in
     its times and its post-jump intensities, and the results are ordered by
-    path index.  The paths are cut into groups of
-    min(_GROUP, ceil(n_paths / CPUs)) paths.  The exact method runs each
-    group in lockstep (see _lockstep), so one numpy step advances every live
-    path of the group by one interarrival; a path whose uniform block holds
-    an exact 0 is drawn by simulate_exact instead.
+    path index.  The batch has one worker per available CPU, but no more
+    than one per MIN_EVENTS_PER_WORKER expected events (mean_count), and
+    its paths are cut into groups of min(_GROUP, ceil(n_paths / workers))
+    paths.  The exact method runs each group in lockstep (see _lockstep),
+    so one numpy step advances every live path of the group by one
+    interarrival; a path whose uniform block holds an exact 0 is drawn by
+    simulate_exact instead.
 
-    The groups are split into one contiguous slice per available CPU (see
+    The groups are split into one contiguous slice per worker (see
     _fork.in_slices): a forked child samples each slice after the first
     while this process samples the first, and the children's paths are
     read back from their temporary files in slice order.  A path depends
     only on its seed, so the output does not depend on the CPU count; a
-    batch of one path never forks.  Any path over ``cap`` events raises
-    CapacityExceeded.  An exception in a child is raised here unchanged:
-    the one the lowest failing slice raises, and within it the one its
-    lowest failing group raises.  Its type does not depend on the CPU
-    count, but the path it names may differ from a one-CPU run, since the
-    groups differ and a lockstep group fails at whichever of its paths
-    passes the cap first.  Every child is reaped before the call returns
-    or raises.
+    batch of fewer than 2 * MIN_EVENTS_PER_WORKER expected events never
+    forks.  Any path over ``cap`` events raises CapacityExceeded.  An
+    exception in a child is raised here unchanged: the one the lowest
+    failing slice raises, and within it the one its lowest failing group
+    raises.  Its type does not depend on the CPU count, but the path it
+    names may differ from a one-CPU run, since the groups differ and a
+    lockstep group fails at whichever of its paths passes the cap first.
+    Every child is reaped before the call returns or raises.
     """
     _check_horizon(horizon)
     sampler(method)  # an unknown method fails before any fork
-    cpus = available_cpus()
-    group_size = max(1, min(_GROUP, -(-n_paths // cpus)))
+    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
+    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
     groups = -(-n_paths // group_size)
-    workers = max(1, min(cpus, groups))
+    workers = max(1, min(workers, groups))
     bounds = [seed + min(n_paths, group_size * (groups * k // workers))
               for k in range(workers + 1)]
     paths = []

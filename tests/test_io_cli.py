@@ -59,6 +59,14 @@ def write(tmp_path, name, text):
     return path
 
 
+def strict_json(path):
+    """The JSON file at ``path``, refusing NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestParseEvents:
     def test_header_and_ties(self, tmp_path):
         path = write(tmp_path, "ev.txt", "t\n0.5\n1.0\n1.0\n")
@@ -619,6 +627,32 @@ class TestCmdValidate:
         assert data["summary"]["total_runs"] == 3
         assert data["summary"]["converged_runs"] == len(harness.reports) - len(harness.non_converged)
 
+    def test_report_is_strict_json_when_fits_fail(self, tmp_path, capsys):
+        # run 0 does not converge and run 1 has no window with an event: no
+        # summary mean or sd, and no residual for run 1, each JSON null
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning):
+            code = main(["validate", "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+                         "--horizon", "1", "--count", "2", "--delta", "0.5", "--t0", "0",
+                         "--seed", "1", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        data = strict_json(out / "validate.json")
+        assert data["summary"]["converged_runs"] == 0
+        for name in ("alpha", "beta", "lambda_inf"):
+            assert data["summary"][name] == {"mean": None, "sd": None}
+        assert [r["converged"] for r in data["runs"]] == [False, False]
+        assert data["runs"][0]["residual_norm"] > 0.0
+        assert data["runs"][1]["residual_norm"] is None
+        assert "alpha: mean=nan sd=nan" in capsys.readouterr().out
+
+    def test_report_writer_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "validate.json"
+        path.write_text("old")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                write_report_json(path, {"summary": {"mean": bad}})
+            assert not path.exists()
+
     def test_byte_identical_outputs(self, tmp_path):
         outs = []
         for d in ("x", "y"):
@@ -880,6 +914,21 @@ class TestMainExitCodes:
         runs = json.loads((out / "validate.json").read_text())["runs"]
         assert runs[1]["flags"] == ["failed:NoConvergence"]
         assert runs[0]["params_hat"] is not None and runs[2]["params_hat"] is not None
+
+    def test_one_converged_run_has_a_mean_and_no_sd(self, tmp_path, monkeypatch):
+        self.no_admissible_fit(monkeypatch, run=1)
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.4", "--beta", "1", "--lambda-inf", "1",
+                     "--horizon", "1000", "--count", "2", "--delta", "0.5", "--t0", "10",
+                     "--seed", "1", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        data = strict_json(out / "validate.json")
+        assert data["summary"]["converged_runs"] == 1
+        assert data["runs"][0]["converged"]
+        for name in ("alpha", "beta", "lambda_inf"):
+            assert data["summary"][name] == {"mean": data["runs"][0]["params_hat"][name],
+                                             "sd": None}
+        assert data["runs"][1]["residual_norm"] is None
 
     def test_no_admissible_fit_estimate_exits_3(self, tmp_path, monkeypatch, capsys):
         self.no_admissible_fit(monkeypatch, run=0)

@@ -12,6 +12,7 @@ from scipy import stats
 from hawkesmom import (
     CapacityExceeded,
     EventSequence,
+    HawkesParams,
     count_at,
     WindowOutOfRange,
     intensity_at,
@@ -25,6 +26,72 @@ from hawkesmom import (
 )
 from hawkesmom import simulate as simulate_module
 from hawkesmom.simulate import _run_exact, _spawn_offspring, _uniforms, sampler
+
+
+# The scalar exact loop as it read when it took one uniform per call of
+# ``draw``, kept verbatim (but for its name) as the reference that
+# TestScalarLoopOracle checks the iterator-fed loop against.
+
+def _redraw_nonzero(draw) -> float:
+    """Next nonzero uniform draw.
+
+    Used as ``draw() or _redraw_nonzero(draw)``: a draw of exactly 0, whose
+    log is undefined, is replaced by the next nonzero one, and every other
+    draw leaves the stream as it was.
+    """
+    u = draw()
+    while u == 0.0:
+        u = draw()
+    return u
+
+
+def _reference_run_exact(draw, params: HawkesParams, horizon: float, cap: int, t: float,
+                         lam: float, recorded: int = 0) -> tuple[list[float], list[float]]:
+    """simulate_exact's loop from time t and intensity lam, on a path that
+    already holds ``recorded`` events, taking its uniforms from ``draw()``
+    (see _uniforms); returns the new events and post-jump intensities."""
+    alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    room = cap - recorded
+    events: list[float] = []
+    post: list[float] = []
+    while True:
+        excess = lam - lam_inf
+        u1 = draw() or _redraw_nonzero(draw)
+        if excess > 0.0:
+            d = 1.0 + beta * math.log(u1) / excess
+            s1 = -math.log(d) / beta if d > 0.0 else math.inf
+            s2 = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
+            s = min(s1, s2)
+            if t + s > horizon:
+                break
+            t += s
+            lam = lam_inf + excess * math.exp(-beta * s) + alpha
+        elif excess == 0.0:
+            s = -math.log(draw() or _redraw_nonzero(draw)) / lam_inf
+            if t + s > horizon:
+                break
+            t += s
+            lam = lam_inf + alpha
+        else:
+            # Deficit state: lambda(t) < lambda_inf and increasing, so the
+            # constant rate lambda_inf dominates; thin proposals against it.
+            w = -math.log(u1) / lam_inf
+            if t + w > horizon:
+                break
+            t += w
+            lam_here = lam_inf + excess * math.exp(-beta * w)
+            if draw() * lam_inf <= lam_here:
+                lam = lam_here + alpha
+            else:
+                lam = lam_here
+                continue
+        events.append(t)
+        post.append(lam)
+        if len(events) > room:
+            raise CapacityExceeded(
+                f"trajectory exceeded {cap} events before t={t:.6g} (horizon {horizon})"
+            )
+    return events, post
 
 
 class TestSimulateExact:
@@ -331,7 +398,10 @@ class TestBatch:
                 self.stream = _uniforms(np.random.default_rng(seed))
                 self.draws = 0
 
-            def __call__(self):
+            def __iter__(self):
+                return self
+
+            def __next__(self):
                 self.draws += 1
                 return next(self.stream)
 
@@ -418,6 +488,122 @@ class TestBatch:
             assert traj.events.horizon == horizon
 
 
+class ScriptedRng:
+    """PCG64 of ``seed`` with exact 0s at the stream positions ``zeros`` when
+    ``seed`` is ``target``, drawn one at a time, in blocks (size) or into
+    rows (out)."""
+
+    def __init__(self, seed, zeros, target):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.zeros = set(zeros) if seed == target else set()
+        self.pos = 0
+
+    def draw(self):
+        self.pos += 1
+        return 0.0 if self.pos - 1 in self.zeros else self.rng.random()
+
+    def random(self, size=None, out=None):
+        if size is None and out is None:
+            return self.draw()
+        block = [self.draw() for _ in range(size or out.size)]
+        if out is None:
+            return np.array(block)
+        out[:] = block
+        return out
+
+
+class TestScalarLoopOracle:
+    """simulate_exact and the exact batch, byte for byte against the
+    draw-by-draw reference loop: the batch-vs-simulate_exact tests cannot see
+    a fault in the scalar loop the two share."""
+
+    # (alpha, beta, lambda_inf, lambda0, horizon): a deficit start that
+    # leaves the deficit, and one that stays in it to the horizon; alpha = 0
+    # at lambda0 = lambda_inf, where the excess stays 0; lambda0 above
+    CASES = {
+        "deficit": (0.3, 1.0, 2.0, 0.1, 30.0),
+        "alpha0_deficit": (0.0, 1.0, 1.0, 0.3, 20.0),
+        "alpha0_equal": (0.0, 1.0, 1.0, 1.0, 60.0),
+        "excess": (0.3, 1.0, 1.0, 2.5, 60.0),
+    }
+    # (case, stream positions of exact 0s in the target path): with lambda0
+    # above lambda_inf draws 2k and 2k + 1 are event k's u1 and u2; from a
+    # deficit start draw 0 is a proposal and draw 1 its accept draw, which
+    # a 0 accepts without a redraw
+    ZEROS = {
+        "u1": ("excess", (4,)),
+        "u2": ("excess", (5,)),
+        "two_zeros": ("excess", (0, 3)),
+        "deficit_proposal": ("deficit", (0,)),
+        "deficit_accept": ("deficit", (1,)),
+    }
+    SEED, N_PATHS = 4_000, 12
+
+    @staticmethod
+    def reference(params, horizon, seed, cap=10**9):
+        draws = []
+
+        def draw():
+            draws.append(None)
+            return rng.random()
+
+        rng = np.random.default_rng(seed)
+        events, post = _reference_run_exact(draw, params, horizon, cap, 0.0, params.lambda0)
+        return np.asarray(events), np.asarray(post), len(draws)
+
+    def assert_matches_reference(self, monkeypatch, params, horizon, min_lockstep):
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
+        batch = simulate_batch(params, horizon, self.SEED, self.N_PATHS)
+        for i, traj in enumerate(batch):
+            times, post, _ = self.reference(params, horizon, self.SEED + i)
+            single = simulate_exact(params, horizon, self.SEED + i)
+            for got in (single, traj):
+                assert got.events.times.tobytes() == times.tobytes(), i
+                assert got.intensity_at_events.tobytes() == post.tobytes(), i
+
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_reference(self, monkeypatch, case, min_lockstep):
+        *raw, horizon = self.CASES[case]
+        self.assert_matches_reference(monkeypatch, validate_params(*raw), horizon, min_lockstep)
+
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    @pytest.mark.parametrize("name", list(ZEROS))
+    def test_scripted_zeros_equal_reference(self, monkeypatch, name, min_lockstep):
+        case, zeros = self.ZEROS[name]
+        *raw, horizon = self.CASES[case]
+        p = validate_params(*raw)
+        target = self.SEED + 3
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, zeros, target))
+        times, _, draws = self.reference(p, horizon, target)
+        # the zeros fall inside the stream the path uses
+        assert len(times) > 3 and draws > max(zeros) + 2
+        self.assert_matches_reference(monkeypatch, p, horizon, min_lockstep)
+
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cap_at_and_below_the_event_count(self, monkeypatch, case, min_lockstep):
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
+        *raw, horizon = self.CASES[case]
+        p = validate_params(*raw)
+        times, post, _ = self.reference(p, horizon, self.SEED)
+        n = len(times)
+        with pytest.raises(CapacityExceeded) as expected:
+            self.reference(p, horizon, self.SEED, cap=n - 1)
+        for run in (lambda cap: simulate_exact(p, horizon, self.SEED, cap=cap),
+                    lambda cap: simulate_batch(p, horizon, self.SEED, 1, cap=cap)[0]):
+            traj = run(n)
+            assert traj.events.times.tobytes() == times.tobytes()
+            assert traj.intensity_at_events.tobytes() == post.tobytes()
+            with pytest.raises(CapacityExceeded) as raised:
+                run(n - 1)
+            assert str(raised.value) == str(expected.value)
+
+
 class TestBatchSlices:
     """simulate_batch spreads its groups over one forked child per CPU."""
 
@@ -425,6 +611,8 @@ class TestBatchSlices:
 
     @staticmethod
     def count_forks(monkeypatch, cpus):
+        """Count os.fork calls at ``cpus`` CPUs, with the per-worker event
+        floor low enough that these small batches fork."""
         forks = []
         real_fork = os.fork
 
@@ -434,6 +622,7 @@ class TestBatchSlices:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(simulate_module, "MIN_EVENTS_PER_WORKER", 1)
         return forks
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -480,9 +669,34 @@ class TestBatchSlices:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(simulate_module, "MIN_EVENTS_PER_WORKER", 1)
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         [traj] = simulate_batch(p, 4.0, 1, 1)
         assert traj.events.times.tobytes() == simulate_exact(p, 4.0, 1).events.times.tobytes()
+
+    # (paths, horizon) at validate's parameters, 1.25 expected events per
+    # unit of time after a short transient, and the workers at 64 CPUs: the
+    # cascade forecast's 2-path warm-up stays here, a batch forks once each
+    # of its slices expects MIN_EVENTS_PER_WORKER events
+    @pytest.mark.parametrize("n_paths, horizon, workers", [
+        (2, 600.0, 1), (4, 400.0, 1), (20, 600.0, 1), (4, 4000.0, 2), (8, 4000.0, 4),
+    ])
+    def test_forks_only_for_enough_events(self, monkeypatch, n_paths, horizon, workers):
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        expected = n_paths * mean_count(p, horizon)
+        assert workers == max(1, int(expected / simulate_module.MIN_EVENTS_PER_WORKER))
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        batch = simulate_batch(p, horizon, 3_000, n_paths)
+        assert len(forks) == workers - 1
+        TestBatch._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
 
     @staticmethod
     def _error(p, cap, **kwargs):
@@ -521,6 +735,7 @@ class TestBatchSlices:
 
         monkeypatch.setattr(simulate_module, "_lockstep", die_in_child)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(simulate_module, "MIN_EVENTS_PER_WORKER", 1)
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         with pytest.raises(OSError, match="seeds 251 to 507 exited with status 3"):
             simulate_batch(p, 4.0, 1, self.N_PATHS)
