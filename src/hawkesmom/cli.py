@@ -169,8 +169,17 @@ def cmd_moments(cfg: RunConfig) -> dict:
 
     _check_windows(cfg.delta, cfg.t0)
     params = cfg.params()
-    triple = moment_triple(params, cfg.delta)
-    lam1, lam2, lam3 = limit_intensity_moments(params)
+    # past float64's range numpy's power rows overflow, ** raises and * gives inf
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            triple = moment_triple(params, cfg.delta)
+            lam1, lam2, lam3 = limit_intensity_moments(params)
+    except (OverflowError, FloatingPointError):
+        finite = False
+    else:
+        finite = all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, lam3)))
+    if not finite:
+        raise ValueError("the moments at these parameters are beyond float64's range")
     payload = {
         "params": asdict(params),
         "delta": cfg.delta,

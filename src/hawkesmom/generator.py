@@ -15,6 +15,15 @@ Taking expectations turns A into the right-hand side of a closed linear ODE
 system for the mixed moments E[lambda_t^m N_t^l]; this module assembles that
 system mechanically from the generator and solves it by the matrix
 exponential, so the moment equations have a single source of truth.
+
+The image of lambda^m n^l reaches only lower total degrees and
+lambda^{m+1} n^{l-1}.  Ordered by (total degree descending, m, l), the
+system's matrix is therefore upper triangular, with diagonal -m kappa and
+non-negative entries above it.  The exponential exploits that: Pade 13 with
+scaling and squaring (Higham 2005), whose diagonal and first superdiagonal
+are set to their exact values after the Pade step and after every squaring
+(Al-Mohy & Higham 2009).  It needs numpy only, and every moment comes out
+within a few units in the last place of the exact exponential.
 """
 
 from __future__ import annotations
@@ -88,6 +97,13 @@ class BivariatePolynomial:
                 if c != 0.0:
                     clean[_as_exponents(key)] = c
         self._coeffs = clean
+
+    @classmethod
+    def _in_range(cls, coeffs: dict) -> "BivariatePolynomial":
+        """From float coefficients whose nonzero ones have valid exponents."""
+        poly = cls.__new__(cls)
+        poly._coeffs = {key: c for key, c in coeffs.items() if c != 0.0}
+        return poly
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -172,10 +188,6 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     out: dict[tuple[int, int], float] = {}
-
-    def add(key, c):
-        out[key] = out.get(key, 0.0) + c
-
     for (m, l), c in poly.terms():
         if m == MAX_EXPONENT and l >= 1:
             raise ValueError(
@@ -184,12 +196,15 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
             )
         for j in range(m + 1):
             for k in range(l + 1):
-                add((j + 1, k), c * math.comb(m, j) * math.comb(l, k) * alpha ** (m - j))
-        add((m + 1, l), -c)
+                key = (j + 1, k)
+                out[key] = (out.get(key, 0.0)
+                            + c * math.comb(m, j) * math.comb(l, k) * alpha ** (m - j))
+        out[m + 1, l] = out.get((m + 1, l), 0.0) - c
         if m >= 1:
-            add((m - 1, l), c * m * beta * lam_inf)
-            add((m, l), -c * m * beta)
-    return BivariatePolynomial(out)
+            out[m - 1, l] = out.get((m - 1, l), 0.0) + c * m * beta * lam_inf
+            out[m, l] = out.get((m, l), 0.0) - c * m * beta
+    # every key is in range once the lambda^{m+1} n^l terms have cancelled
+    return BivariatePolynomial._in_range(out)
 
 
 def moment_ode_rhs(params: HawkesParams, index) -> BivariatePolynomial:
@@ -202,23 +217,97 @@ def moment_ode_rhs(params: HawkesParams, index) -> BivariatePolynomial:
     return apply_generator(params, BivariatePolynomial.monomial(m, l))
 
 
+def _closure_images(params: HawkesParams, indices: Iterable) -> dict:
+    """Generator image coefficients of every index in the dependency closure."""
+    images: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
+    stack = [_as_exponents(ix) for ix in indices]
+    while stack:
+        ix = stack.pop()
+        if ix in images:
+            continue
+        # moment_ode_rhs(params, ix), with ix already checked
+        images[ix] = apply_generator(params, BivariatePolynomial._in_range({ix: 1.0}))._coeffs
+        stack.extend(dep for dep in images[ix] if dep not in images)
+    return images
+
+
 def moment_closure(params: HawkesParams, indices: Iterable) -> list[tuple[int, int]]:
     """Smallest index set containing ``indices`` closed under the ODE dependencies.
 
     Ordered by (total degree, m, l).  Terminates because the generator image
     of lambda^m n^l only references total degrees <= m + l.
     """
-    seen: set[tuple[int, int]] = set()
-    stack = [_as_exponents(ix) for ix in indices]
-    while stack:
-        ix = stack.pop()
-        if ix in seen:
-            continue
-        seen.add(ix)
-        for dep in moment_ode_rhs(params, ix).coefficients:
-            if dep not in seen:
-                stack.append(dep)
-    return sorted(seen, key=lambda t: (t[0] + t[1], t[0], t[1]))
+    return sorted(_closure_images(params, indices), key=lambda t: (t[0] + t[1], t[0], t[1]))
+
+
+def _triangular_system(params: HawkesParams, indices: Iterable):
+    """Row of each index of the closure of ``indices``, and the ODE matrix A,
+    in (total degree descending, m, l) order, where A is upper triangular."""
+    images = _closure_images(params, indices)
+    order = sorted(images, key=lambda t: (-t[0] - t[1], t[0], t[1]))
+    pos = {ix: i for i, ix in enumerate(order)}
+    A = np.zeros((len(order), len(order)))
+    for ix, image in images.items():
+        for dep, c in image.items():
+            A[pos[ix], pos[dep]] = c
+    return pos, A
+
+
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited": coefficients b_0..b_13 of the [13/13] Pade approximant, and the
+# largest 1-norm at which it is accurate to double precision.
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
+_THETA13 = 5.371920351148152
+_TINY = np.finfo(float).tiny
+# U = X (X^6 W_0 + W_1) and V = X^6 W_2 + W_3, where row k holds the
+# coefficients of W_k on (I, X^2, X^4, X^6)
+_PADE13_SUMS = np.array([[0.0, *_PADE13[9::2]], _PADE13[1:8:2],
+                         [0.0, *_PADE13[8::2]], _PADE13[0:7:2]])
+
+
+def _expm_triangular(T: np.ndarray) -> np.ndarray:
+    """exp(T) for upper-triangular T with a non-positive diagonal and
+    non-negative entries above it.
+
+    Pade 13 with scaling and squaring (Higham 2005), where after the Pade
+    step and after every squaring the diagonal and first superdiagonal are
+    overwritten with their exact values for exp(2^-i T) (Al-Mohy & Higham
+    2009, Code Fragment 2.1).  Near criticality the entries above the
+    diagonal set the scaling while kappa t is small, so e^{-2^-s m kappa t}
+    is 1 to within its rounding, and s squarings would raise that rounding
+    to the power 2^s; the exact entries discard it at every level.
+    """
+    n = len(T)
+    norm = np.abs(T).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    # row j: the diagonal, then the first superdiagonal, of 2^(j-s) T
+    exact = np.ldexp(np.concatenate((T.diagonal(), T.diagonal(1))), np.arange(-s, 1)[:, None])
+    where = np.concatenate((np.arange(0, n * n, n + 1), np.arange(1, n * n - n, n + 1)))
+    # made exact for exp(2^(j-s) T): exp([[a, c], [0, b]]) has
+    # c e^max(a,b) (1 - e^-|b-a|) / |b-a| above its diagonal, which cannot
+    # overflow; a zero gap takes the limit 1 through the smallest normal gap
+    a, c = exact[:, :n], exact[:, n:]
+    gap = -np.maximum(np.abs(a[:, 1:] - a[:, :-1]), _TINY)
+    np.exp(a, out=a)
+    c *= np.maximum(a[:, :-1], a[:, 1:])
+    c *= np.expm1(gap) / gap
+
+    X = np.ldexp(T, -s)
+    X2 = X @ X
+    X4 = X2 @ X2
+    powers = np.array((np.eye(n), X2, X4, X4 @ X2))
+    W = (_PADE13_SUMS @ powers.reshape(4, n * n)).reshape(4, n, n)
+    odd, V = powers[3] @ W[0::2] + W[1::2]
+    U = X @ odd
+    R = np.linalg.solve(V - U, V + U)
+    R.flat[where] = exact[0]
+    for row in exact[1:]:
+        R = R @ R
+        R.flat[where] = row
+    return R
 
 
 def integrate_moments(
@@ -231,24 +320,27 @@ def integrate_moments(
     """Mixed moments E[lambda_t^m N_t^l] by solving the closed linear system.
 
     The requested indices are completed to their dependency closure; the
-    system y' = A y has constant coefficients, so y(t) = expm(A t) y0 exactly
-    up to rounding.  The default initial condition is the deterministic start
+    system y' = A y has constant coefficients, so y(t) = expm(A t) y0.  The
+    closure is ordered by (total degree descending, m, l), which makes A
+    upper triangular with diagonal -m kappa and non-negative entries above
+    it; the exponential is then Pade 13 with scaling and squaring, with the
+    diagonal and first superdiagonal of every squaring set to their exact
+    values (see _expm_triangular).  Because exp(A t) and y0 are entrywise
+    non-negative, every moment is a sum of non-negative terms and is
+    computed to a few units in the last place, near criticality and for
+    large kappa t alike.
+
+    The default initial condition is the deterministic start
     E[lambda_0^m N_0^l] = lambda0^m [l = 0]; passing
     ``initial_intensity_moments`` ({m: E[lambda_0^m]}) instead starts from a
     random initial intensity with N_0 = 0, e.g. the stationary intensity law.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     requested = [_as_exponents(ix) for ix in indices]
-    closed = moment_closure(params, requested)
-    pos = {ix: i for i, ix in enumerate(closed)}
+    pos, A = _triangular_system(params, requested)
 
-    A = np.zeros((len(closed), len(closed)))
-    for ix in closed:
-        for dep, c in moment_ode_rhs(params, ix).coefficients.items():
-            A[pos[ix], pos[dep]] += c
-
-    y0 = np.empty(len(closed))
+    y0 = np.empty(len(pos))
     for (m, l), i in pos.items():
         if l != 0:
             y0[i] = 0.0
@@ -257,11 +349,7 @@ def integrate_moments(
         else:
             y0[i] = params.lambda0**m
 
-    # imported here: no command-line path solves the ODE, and scipy is most
-    # of a short process's start-up
-    from scipy.linalg import expm
-
-    y = expm(A * t) @ y0
+    y = _expm_triangular(A * t) @ y0
     return {ix: float(y[pos[ix]]) for ix in requested}
 
 

@@ -558,6 +558,20 @@ class TestCmdEstimate:
 class TestImports:
     SCRIPT = """
 import sys
+
+
+class NoScipy:
+    \"\"\"Fails any scipy import where it happens, even one guarded by
+    ``except ImportError``.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise AssertionError(f"import of {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from hawkesmom import integrate_moments, simulate_batch, validate_params
 from hawkesmom.cli import main
 out = sys.argv[1]
 params = ["--alpha", "0.2", "--beta", "1", "--lambda-inf", "1"]
@@ -565,11 +579,17 @@ assert main(["simulate", *params, "--horizon", "2000", "--seed", "3", "--out-dir
 assert main(["moments", *params, "--delta", "0.5"]) == 0
 assert main(["estimate", "--events", out + "/events.txt", "--delta", "0.5", "--t0", "500",
              "--out-dir", out]) in (0, 3)
+assert main(["validate", *params, "--horizon", "1000", "--count", "2", "--delta", "0.5",
+             "--t0", "100", "--seed", "3", "--out-dir", out]) in (0, 3)
+p = validate_params(0.2, 1.0, 1.0)
+assert integrate_moments(p, [(0, 1), (0, 2)], 10.0)[(0, 1)] > 0.0
+# enough paths that the exact batch steps them in lockstep
+assert len(simulate_batch(p, 20.0, 5, 128)) == 128
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
     def test_cli_commands_import_no_scipy(self, tmp_path):
-        # a fresh process: scipy's import is most of a short command's run
+        # a fresh process: the package runs on numpy alone
         src = str(Path(hawkesmom.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -713,6 +733,17 @@ class TestMainExitCodes:
     def test_moments_ok(self):
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
+
+    # at 1e150 m3 overflows, and numpy's power rows with it; at 1e100 the
+    # window moments fit but Lambda2 and Lambda3 do not
+    @pytest.mark.parametrize("scale", ["1e150", "1e100"])
+    def test_moments_beyond_float64_is_one_error_line(self, capsys, scale):
+        code = main(["moments", "--alpha", scale, "--beta", f"2{scale}", "--lambda-inf", scale,
+                     "--delta", "1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the moments at these parameters are beyond float64's range\n"
 
     @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", [
