@@ -7,6 +7,11 @@ into its own unlinked temporary file, not a pipe, so it never waits for
 this process to read.  Its exit status is the whole protocol: 0 when the
 file is complete, _RAISED when it holds the child's pickled exception,
 which this process raises unchanged, and anything else is an OSError.
+
+Warnings cross the fork as data: record_warnings keeps what a call warns
+instead of showing it, and replay_warnings issues those records in this
+process, through its filters and each module's once-per-location
+registry, as if the call had run here.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 import tempfile
 import traceback
+import warnings
 from typing import NoReturn
 
 # exit status of a child whose file holds its pickled exception
@@ -44,6 +51,35 @@ def reap(pids: list[int]) -> None:
         pid = pids.pop()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+def record_warnings(fn, *args):
+    """fn(*args) and the warnings it issued, in order, as (message,
+    category, filename, lineno) tuples that pickle; none is shown.  Every
+    warning is recorded, whatever the filters say: replay_warnings applies
+    them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def replay_warnings(records) -> None:
+    """Issue the warnings record_warnings recorded, in order, as warnings.warn
+    would have in this process: through its filters, under the name and
+    with the once-per-location registry of the module they point at."""
+    if not records:
+        return
+    modules = {}
+    for module in list(sys.modules.values()):
+        modules.setdefault(getattr(module, "__file__", None), module)
+    for message, category, filename, lineno in records:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        warnings.warn_explicit(message, category, filename, lineno, module=module.__name__,
+                               registry=vars(module).setdefault("__warningregistry__", {}))
 
 
 def _run_child(work, lo: int, hi: int, out) -> NoReturn:

@@ -36,7 +36,7 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .simulate import DEFAULT_EVENT_CAP, _check_horizon, sampler, simulate_batch
+from .simulate import DEFAULT_EVENT_CAP, _check_horizon, map_batch, sampler
 
 __all__ = [
     "EXIT_OK",
@@ -213,6 +213,10 @@ def cmd_estimate(cfg: RunConfig) -> EstimateReport:
 def cmd_validate(cfg: RunConfig) -> HarnessReport:
     """Simulate K trajectories, estimate each, and emit the summary table.
 
+    Each worker of the batch (see simulate.map_batch) fits, and with
+    --envelope counts on the shared grid, the paths it sampled, so only
+    the reports and envelope rows cross the fork, never the paths; the
+    fits' warnings are issued here in path order, as in a one-process run.
     Non-converged runs are kept in the table (converged = False) and
     excluded from the mean/sd summary.  With --envelope, per-trajectory
     cumulative counts are written on a shared grid, optionally alongside a
@@ -235,22 +239,25 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
         # read before sampling, so a bad file costs no paths and writes nothing
         real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
         real = count_at(real_events, grid)
-    trajectories = simulate_batch(params, cfg.horizon, seed, cfg.count, method=cfg.method,
-                                  cap=cfg.cap, unit=cfg.unit)
-
-    reports: list[EstimateReport] = []
     est_cfg = EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init)
-    for traj in trajectories:
+
+    def fit(traj):
+        """One path's report, and its envelope row under --envelope."""
         try:
-            reports.append(estimate(traj.events, est_cfg))
+            report = estimate(traj.events, est_cfg)
         except (InsufficientData, NoConvergence) as exc:
             # no fit at all (no usable windows, or no admissible parameters):
             # keep the run in the table as non-converged rather than aborting
-            reports.append(EstimateReport(
+            report = EstimateReport(
                 params_hat=None, residual_norm=float("inf"), iterations=0,
                 init=cfg.init, converged=False, window_stats=None,
                 flags=(f"failed:{type(exc).__name__}",),
-            ))
+            )
+        return report, count_at(traj.events, grid) if cfg.envelope else None
+
+    fitted = map_batch(params, cfg.horizon, seed, cfg.count, fit, method=cfg.method,
+                       cap=cfg.cap, unit=cfg.unit)
+    reports: list[EstimateReport] = [report for report, _ in fitted]
 
     converged = [r for r in reports if r.converged]
     non_converged = [i for i, r in enumerate(reports) if not r.converged]
@@ -285,7 +292,7 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
 
     harness = HarnessReport(reports=reports, summary=summary, non_converged=non_converged)
     if cfg.envelope:
-        counts = np.vstack([count_at(t.events, grid) for t in trajectories])
+        counts = np.vstack([row for _, row in fitted])
         harness.envelope_grid = grid
         harness.envelope_counts = counts
         harness.real_counts = real

@@ -31,6 +31,7 @@ lambda0 = lambda_inf.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -163,16 +164,17 @@ def _check_start(theta) -> tuple[float, float, float]:
     return a, b, li
 
 
-def _curve(x: np.ndarray, lam_star: float, excess: float, delta: float):
+def _curve(x: np.ndarray, lam_star: float, excess: float, delta: float, shapes=None):
     """The window shapes, u = 1/(1 - eta) and (alpha, beta, lambda_inf) at
     every x = kappa delta of the 1-D array x, on the curve that matches M1
-    and M2 exactly.
+    and M2 exactly; ``shapes``, when given, is _window_shapes(x).
 
     The variance excess factors as k2/M1 - 1 = G(eta) phi(x) with
     G(eta) = eta (2 - eta)/(1 - eta)^2 = u^2 - 1, so u = sqrt(1 + excess/phi)
     in closed form; lambda* is pinned by M1 = lambda* delta.
     """
-    shapes = _window_shapes(x)
+    if shapes is None:
+        shapes = _window_shapes(x)
     u = np.sqrt(1.0 + excess / shapes[_PHI])
     kappa = x / delta
     beta = kappa * u
@@ -180,12 +182,13 @@ def _curve(x: np.ndarray, lam_star: float, excess: float, delta: float):
 
 
 def _k3_residual(x: np.ndarray, lam_star: float, excess: float, delta: float,
-                 k3_ratio: float) -> np.ndarray:
+                 k3_ratio: float, shapes=None) -> np.ndarray:
     """k3/M1 - k3_ratio at every x of the 1-D array x on the (M1, M2)-exact
     curve; inf where the parameters there are not admissible (HawkesParams
-    would raise) or the value is not finite."""
+    would raise) or the value is not finite.  ``shapes``, when given, is
+    _window_shapes(x)."""
     with np.errstate(all="ignore"):
-        shapes, u, alpha, beta, lam_inf = _curve(x, lam_star, excess, delta)
+        shapes, u, alpha, beta, lam_inf = _curve(x, lam_star, excess, delta, shapes)
         r = _k3_over_m1(shapes, u) - k3_ratio
         ok = (np.isfinite(r) & np.isfinite(beta) & np.isfinite(lam_inf)
               & (alpha >= 0.0) & (lam_inf > 0.0) & (beta > alpha))
@@ -193,6 +196,18 @@ def _k3_residual(x: np.ndarray, lam_star: float, excess: float, delta: float,
 
 
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-7, 200.0, 600
+
+
+@functools.cache
+def _scan_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid and its window shapes, read-only: the same in every
+    fit, so built by the first fit in a process, not on import."""
+    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
+    shapes = _window_shapes(grid)
+    grid.flags.writeable = shapes.flags.writeable = False
+    return grid, shapes
+
+
 # half an e-fold each way: how far the third-moment fit may pull x away from
 # the starting point when the system has no exact root
 _LOCAL_BRACKET_HALF_WIDTH = 0.5
@@ -337,14 +352,14 @@ def solve_moment_system(
 
     k3_ratio = (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) / m1  # sample k3/M1
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    def residual(x: np.ndarray, shapes=None) -> np.ndarray:
         nonlocal evaluations
         evaluations += x.size
-        return _k3_residual(x, lam_star, excess, delta, k3_ratio)
+        return _k3_residual(x, lam_star, excess, delta, k3_ratio, shapes)
 
     # bracket every exact root on a wide dimensionless grid
-    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = residual(grid)
+    grid, shapes = _scan_grid()
+    vals = residual(grid, shapes)
     left, right = vals[:-1], vals[1:]
     with np.errstate(invalid="ignore"):
         cells = (np.isfinite(left) & np.isfinite(right) & (left * right < 0.0)).nonzero()[0]

@@ -281,8 +281,15 @@ def _expm_triangular(T: np.ndarray) -> np.ndarray:
     to the power 2^s; the exact entries discard it at every level.
     """
     n = len(T)
-    norm = np.abs(T).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    with np.errstate(over="ignore"):
+        norm = np.abs(T).sum(axis=0).max()
+    if norm == math.inf:
+        # finite entries whose column sum overflows: sum them at 2^-e, with
+        # 2^e just above the largest, and add e to the sum's log2
+        e = math.frexp(np.abs(T).max())[1]
+        s = math.ceil(math.log2(np.ldexp(np.abs(T), -e).sum(axis=0).max() / _THETA13) + e)
+    else:
+        s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     # row j: the diagonal, then the first superdiagonal, of 2^(j-s) T
     exact = np.ldexp(np.concatenate((T.diagonal(), T.diagonal(1))), np.arange(-s, 1)[:, None])
     where = np.concatenate((np.arange(0, n * n, n + 1), np.arange(1, n * n - n, n + 1)))
@@ -349,7 +356,11 @@ def integrate_moments(
         else:
             y0[i] = params.lambda0**m
 
-    y = _expm_triangular(A * t) @ y0
+    with np.errstate(over="ignore"):
+        At = A * t
+    if not np.isfinite(At).all():
+        raise ValueError(f"A t overflows at t={t}: the moment system is beyond float64's range")
+    y = _expm_triangular(At) @ y0
     return {ix: float(y[pos[ix]]) for ix in requested}
 
 

@@ -36,7 +36,11 @@ over the workers: each forked child samples a contiguous slice of groups
 with the same code and writes its raw times and intensities into its
 temporary file.  A path depends only on its seed, so the output bytes do
 not depend on the CPU count; validate's K = 20 at horizon 10^4 on two
-CPUs, say, runs as two slices of 10 paths.
+CPUs, say, runs as two slices of 10 paths.  map_batch cuts the same
+slices but sends no paths back: each worker applies a function to every
+path it sampled and pickles only the results, so validate fits and
+envelope-counts each path in its worker, and only the reports and
+envelope rows cross the fork.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -48,12 +52,13 @@ the horizon to the last bit.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ._fork import in_slices, worker_count
+from ._fork import in_slices, record_warnings, replay_warnings, worker_count
 from ._libm import elementwise
 from .core import EventSequence, HawkesParams, _times, post_jump_intensities
 from .errors import CapacityExceeded, WindowOutOfRange
@@ -67,6 +72,7 @@ __all__ = [
     "simulate_cluster",
     "sampler",
     "simulate_batch",
+    "map_batch",
     "windowed_counts",
 ]
 
@@ -452,6 +458,22 @@ def _read_paths(file, n_paths: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(times[a:b], post[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
+def _slices(params: HawkesParams, horizon: float, seed: int, n_paths: int,
+            method: str) -> tuple[list[int], int]:
+    """The seed bounds of a batch's slices, one slice per worker, and its
+    group size (see simulate_batch); a bad horizon or method fails here,
+    before any fork."""
+    _check_horizon(horizon)
+    sampler(method)
+    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
+    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
+    groups = -(-n_paths // group_size)
+    workers = max(1, min(workers, groups))
+    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
+              for k in range(workers + 1)]
+    return bounds, group_size
+
+
 def simulate_batch(
     params: HawkesParams,
     horizon: float,
@@ -488,14 +510,7 @@ def simulate_batch(
     lockstep group fails at whichever of its paths passes the cap first.
     Every child is reaped before the call returns or raises.
     """
-    _check_horizon(horizon)
-    sampler(method)  # an unknown method fails before any fork
-    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
-    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
-    groups = -(-n_paths // group_size)
-    workers = max(1, min(workers, groups))
-    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
-              for k in range(workers + 1)]
+    bounds, group_size = _slices(params, horizon, seed, n_paths, method)
     paths = []
 
     def sample(lo, hi, out):
@@ -510,6 +525,52 @@ def simulate_batch(
     return [Trajectory(events=EventSequence._sampled(times, horizon, unit),
                        intensity_at_events=post, seed=seed + i)
             for i, (times, post) in enumerate(paths)]
+
+
+def map_batch(
+    params: HawkesParams,
+    horizon: float,
+    seed: int,
+    n_paths: int,
+    fn,
+    *,
+    method: str = "exact",
+    cap: int = DEFAULT_EVENT_CAP,
+    unit: str = "unitless",
+) -> list:
+    """[fn(path) for path in simulate_batch(...)], with each fn(path) run in
+    the worker that sampled the path.
+
+    The slices are simulate_batch's, and so is each path.  A worker samples
+    its whole slice, so a path over ``cap`` raises CapacityExceeded before
+    any of the slice's paths reaches ``fn``, then calls ``fn`` on each path
+    in seed order.  A forked child pickles only the results, and the
+    warnings each call issued, into its file; the path arrays never cross
+    the fork.  ``fn`` itself is not pickled, so it may be a closure, but
+    its results must pickle.  The warnings of every path, this process's slice included,
+    are recorded and, once every slice is back, issued here in path order
+    (see _fork.replay_warnings), so what a run prints does not depend on
+    the CPU count.  Exceptions are simulate_batch's, and ``fn``'s own are
+    raised here unchanged, the lowest failing slice's first.
+    """
+    bounds, group_size = _slices(params, horizon, seed, n_paths, method)
+    done = []
+
+    def run(lo, hi, out):
+        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
+        results = [record_warnings(fn, Trajectory(
+                       events=EventSequence._sampled(times, horizon, unit),
+                       intensity_at_events=post, seed=s))
+                   for s, (times, post) in zip(range(lo, hi), sampled)]
+        if out is None:
+            done.extend(results)
+        else:
+            pickle.dump(results, out)
+
+    in_slices(bounds, run, lambda lo, hi, file: done.extend(pickle.load(file)),
+              "sampling seeds")
+    replay_warnings([record for _, caught in done for record in caught])
+    return [result for result, _ in done]
 
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:

@@ -254,6 +254,21 @@ class TestIntegrateMoments:
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             integrate_moments(P, [(0, 1)], t)
 
+    @pytest.mark.parametrize("t", [1e300, 1e307, 1e308])
+    def test_huge_t_whose_column_sum_overflows(self, t):
+        # at 1e308 the scaling norm's column sum passes float64's range,
+        # though every entry of A t, and E[N_t] = 1.25e308, is within it
+        with np.errstate(over="raise", invalid="raise"):
+            out = integrate_moments(P, [(0, 1), (1, 0)], t)
+        assert out[(0, 1)] == pytest.approx(mean_count(P, t), rel=1e-14)
+        assert out[(1, 0)] == pytest.approx(mean_intensity(P, t), rel=1e-14)
+
+    def test_a_t_beyond_float64_names_t(self):
+        # E[lambda_t^3]'s diagonal entry -3 kappa t passes float64's range
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(ValueError, match=r"t=1e\+308"):
+            integrate_moments(P, [(3, 0)], 1e308)
+
 
 def moments_mp(params, indices, t):
     """Every moment of the closure of ``indices`` at t, from 50-digit mpmath's

@@ -692,6 +692,126 @@ class TestCmdValidate:
         assert len(seq) > 0
 
 
+class TestValidateCpus:
+    """validate fits each path in the worker that sampled it: the outputs,
+    the warnings on stderr and the fork count are those of the one-process
+    run, at any CPU count."""
+
+    # counts each os.fork, at the CPU count given first, then runs main on
+    # the remaining arguments in a fresh process, whose warning registries
+    # and filters are a command line run's
+    SCRIPT = """
+import os
+import sys
+
+cpus = int(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+forks, real_fork = [], os.fork
+
+
+def counting_fork():
+    forks.append(None)
+    return real_fork()
+
+
+os.fork = counting_fork
+from hawkesmom.cli import main
+
+code = main(sys.argv[2:])
+print(f"forks {len(forks)}")
+sys.exit(code)
+"""
+    # about 5000 events a path: three slices at three CPUs
+    ARGS = ["validate", "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+            "--horizon", "4000", "--count", "6", "--envelope", "--seed", "3"]
+    T0 = "t0 = 0 applies stationary-limit moment formulas"
+    SHORT = "only 20 windows"
+    # window flags; the SHA-256 of table.csv, validate.json and envelope.csv,
+    # the same at every CPU count; and how often each warning is on stderr
+    RUNS = {
+        "burn-in": (["--delta", "0.5", "--t0", "50"], (
+            "2a30d09a4c746efa809b8850ebfa1c6152b8a664a6a451666bc6dc6e0c5fe7b4",
+            "f0dcc6a7338246d082f42982cd7a61e1ec68cd27541e380e7fe938bdf1ef3f3e",
+            "c91c95328ac66154c07b52a380ece62d22ea9538b6472d8ff3ff02b2b39e3c73"),
+            {T0: 0, SHORT: 0}),
+        "t0-zero": (["--delta", "0.5", "--t0", "0"], (
+            "99dd140cb613dbf1aaa20970870d3c42bb02916e47464868d36bc7aee68edfd9",
+            "6a6cce6f1f04e5a6f985e46da57b95973758de38c5ac3717a064cb77e7116479",
+            "c91c95328ac66154c07b52a380ece62d22ea9538b6472d8ff3ff02b2b39e3c73"),
+            {T0: 1, SHORT: 0}),
+        "few-windows": (["--delta", "200", "--t0", "0"], (
+            "931c5af598bdd8b84a62e586182433d5ade39a479a085f45350c5c29eed3d767",
+            "5df60b9d7a1a36329cf5b0e4e53ec7577f4276dcea9ea9edc344134bc893b9a0",
+            "65901ad15e8a47a8ab3ecda120b5ba765b38c7c37dccecb67f44ea5ae8f56bed"),
+            {T0: 1, SHORT: 1}),
+    }
+    FILES = ("table.csv", "validate.json", "envelope.csv")
+
+    def run(self, out: Path, cpus: int, argv: list[str]) -> subprocess.CompletedProcess:
+        src = str(Path(hawkesmom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run([sys.executable, "-c", self.SCRIPT, str(cpus), *argv,
+                               "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_outputs_stderr_and_forks_at_cpus(self, tmp_path, cpus, name):
+        flags, digests, warned = self.RUNS[name]
+        done = self.run(tmp_path / "out", cpus, self.ARGS + flags)
+        assert done.returncode == EXIT_OK, done.stderr
+        # one child per slice after the first
+        assert done.stdout.splitlines()[-1] == f"forks {cpus - 1}"
+        for rel, digest in zip(self.FILES, digests):
+            assert hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() == digest
+        lines = done.stderr.splitlines()
+        assert len(lines) == 2 * sum(warned.values())  # each warning and its source line
+        for text, count in warned.items():
+            assert sum(text in line for line in lines) == count, done.stderr
+        if cpus > 1:
+            one = self.run(tmp_path / "one", 1, self.ARGS + flags)
+            assert done.stderr == one.stderr
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_cap_breach_exits_4_before_any_warning(self, tmp_path, cpus):
+        # path 4 alone passes 5100 events; at 2 and 3 CPUs it is in a child's
+        # slice, while this process fits its own paths at t0 = 0
+        done = self.run(tmp_path / "out", cpus,
+                        self.ARGS + ["--delta", "0.5", "--t0", "0", "--cap", "5100"])
+        assert done.returncode == EXIT_CAPACITY
+        assert done.stderr.startswith("error: trajectory exceeded 5100 events")
+        assert len(done.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_children_send_fits_not_paths(self, tmp_path, monkeypatch, cpus):
+        simulate_module = importlib.import_module("hawkesmom.simulate")
+        real_in_slices, sizes = simulate_module.in_slices, []
+
+        def in_slices(bounds, work, collect, what):
+            def measured(lo, hi, file):
+                sizes.append((lo, hi, os.fstat(file.fileno()).st_size))
+                collect(lo, hi, file)
+
+            real_in_slices(bounds, work, measured, what)
+
+        monkeypatch.setattr(simulate_module, "in_slices", in_slices)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = RunConfig(command="validate", alpha=0.2, beta=1.0, lambda_inf=1.0,
+                        horizon=4000.0, seed=3, count=6, delta=0.5, t0=50.0,
+                        envelope=True, out_dir=tmp_path)
+        harness = cmd_validate(cfg)
+        assert len(sizes) == cpus - 1
+        events = harness.envelope_counts[:, -1]  # every event lies before the horizon
+        for lo, hi, size in sizes:
+            path_bytes = 16 * int(events[lo - cfg.seed:hi - cfg.seed].sum())
+            # _write_paths would write path_bytes; a report and a 601-count
+            # envelope row are about 5 kB a path
+            assert size < path_bytes / 8, (lo, hi, size, path_bytes)
+
+
 class TestMainExitCodes:
     def test_ok(self, tmp_path):
         code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
@@ -792,7 +912,7 @@ class TestMainExitCodes:
             raise AssertionError("sampling started")
 
         monkeypatch.setattr("hawkesmom.cli.sampler", no_sampling)
-        monkeypatch.setattr("hawkesmom.cli.simulate_batch", no_sampling)
+        monkeypatch.setattr("hawkesmom.cli.map_batch", no_sampling)
 
     def run_windows(self, tmp_path, monkeypatch, command, flags):
         """main() for ``command`` plus ``flags``; sampling fails the test."""

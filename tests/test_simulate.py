@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hawkesmom import (
     windowed_counts,
 )
 from hawkesmom import simulate as simulate_module
-from hawkesmom.simulate import _run_exact, _spawn_offspring, _uniforms, sampler
+from hawkesmom.simulate import _run_exact, _spawn_offspring, _uniforms, map_batch, sampler
 
 
 # The scalar exact loop as it read when it took one uniform per call of
@@ -739,6 +740,75 @@ class TestBatchSlices:
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         with pytest.raises(OSError, match="seeds 251 to 507 exited with status 3"):
             simulate_batch(p, 4.0, 1, self.N_PATHS)
+
+
+class TestMapBatch:
+    """map_batch applies a function to each path in the worker that sampled
+    it; results and warnings come back in path order at any CPU count."""
+
+    N_PATHS = 20
+
+    @staticmethod
+    def fit(traj):
+        """Warns once in the same words for every path and once in its own."""
+        warnings.warn("every path", UserWarning)
+        warnings.warn(f"path {traj.seed}", UserWarning)
+        return traj.seed, traj.events.times.tobytes(), traj.intensity_at_events.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_and_warnings_in_path_order(self, monkeypatch, cpus):
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        forks = TestBatchSlices.count_forks(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = map_batch(p, 40.0, 3_000, self.N_PATHS, self.fit)
+        assert len(forks) == cpus - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [self.fit(t) for t in simulate_batch(p, 40.0, 3_000, self.N_PATHS)]
+        assert results == expected
+        assert [str(w.message) for w in caught] == [
+            text for i in range(self.N_PATHS) for text in ("every path", f"path {3_000 + i}")]
+        assert {(w.filename, w.category) for w in caught} == {(__file__, UserWarning)}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_replay_keeps_the_once_per_location_registry(self, monkeypatch, cpus):
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        TestBatchSlices.count_forks(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            map_batch(p, 40.0, 3_000, self.N_PATHS, self.fit)
+        assert [str(w.message) for w in caught] == ["every path"] + [
+            f"path {3_000 + i}" for i in range(self.N_PATHS)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_cap_breach_comes_before_any_warning(self, monkeypatch, cpus):
+        # the last path alone passes the cap; at 3 CPUs this process fits its
+        # own slice first, but no warning of it is issued
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        sizes = [len(t.events) for t in simulate_batch(p, 40.0, 3_020, self.N_PATHS)]
+        cap = max(sizes[:-1])
+        assert sizes[-1] > cap
+        TestBatchSlices.count_forks(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CapacityExceeded):
+                map_batch(p, 40.0, 3_020, self.N_PATHS, self.fit, cap=cap)
+        assert caught == []
+
+    def test_child_exception_is_raised_unchanged(self, monkeypatch):
+        def fail_late(traj):
+            if traj.seed == 3_000 + self.N_PATHS - 1:
+                raise ZeroDivisionError(f"path {traj.seed}")
+            return traj.seed
+
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        forks = TestBatchSlices.count_forks(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError, match=f"path {3_000 + self.N_PATHS - 1}"):
+            map_batch(p, 40.0, 3_000, self.N_PATHS, fail_late)
+        assert len(forks) == 1
 
 
 class TestHorizonCheck:
