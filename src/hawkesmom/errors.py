@@ -30,9 +30,11 @@ class InsufficientData(HawkesError):
 
 
 class NoConvergence(HawkesError):
-    """The moment-system solver converged from no starting point.
+    """The moment-system solver found no admissible fit within ``tol``.
 
-    Carries the best (non-converged) attempt so callers can still report it.
+    ``best_report`` holds the best attempt, so callers can still report it,
+    or None when no admissible parameters match the first two moments (no
+    point of the (M1, M2) curve is admissible).
     """
 
     def __init__(self, message, best_report=None):

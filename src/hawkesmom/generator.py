@@ -358,10 +358,14 @@ def integrate_moments(
 
     with np.errstate(over="ignore"):
         At = A * t
-    if not np.isfinite(At).all():
-        raise ValueError(f"A t overflows at t={t}: the moment system is beyond float64's range")
-    y = _expm_triangular(At) @ y0
-    return {ix: float(y[pos[ix]]) for ix in requested}
+    if np.isfinite(At).all():
+        # a moment past float64's range overflows in the squarings
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _expm_triangular(At) @ y0
+        out = {ix: float(y[pos[ix]]) for ix in requested}
+        if all(map(math.isfinite, out.values())):
+            return out
+    raise ValueError(f"moments overflow at t={t}: the moment system is beyond float64's range")
 
 
 def integrate_polynomial_on_path(

@@ -33,7 +33,7 @@ A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
 MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
 over the workers: each forked child samples a contiguous slice of groups
-with the same code and writes its raw times and intensities into its
+with the same code and writes its paths' raw event times into its
 temporary file.  A path depends only on its seed, so the output bytes do
 not depend on the CPU count; validate's K = 20 at horizon 10^4 on two
 CPUs, say, runs as two slices of 10 paths.  map_batch cuts the same
@@ -60,7 +60,7 @@ import numpy as np
 
 from ._fork import in_slices, record_warnings, replay_warnings, worker_count
 from ._libm import elementwise
-from .core import EventSequence, HawkesParams, _times, post_jump_intensities
+from .core import EventSequence, HawkesParams, _times
 from .errors import CapacityExceeded, WindowOutOfRange
 from .moments import mean_count
 
@@ -83,10 +83,13 @@ DEFAULT_EVENT_CAP = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One simulated path: events plus the post-jump intensity at each event."""
+    """One simulated path: its event times and the seed that drew them.
+
+    The intensity is core's: post_jump_intensities(params, traj.events) at
+    the events, intensity_on_grid(params, traj.events, grid) anywhere.
+    """
 
     events: EventSequence
-    intensity_at_events: np.ndarray
     seed: int
 
 
@@ -149,10 +152,9 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.
     """
     _check_horizon(horizon)
-    events, post = _run_exact(_uniforms(np.random.default_rng(seed)), params,
-                              horizon, cap, 0.0, params.lambda0)
-    seq = EventSequence._sampled(np.asarray(events), horizon, unit)
-    return Trajectory(events=seq, intensity_at_events=np.asarray(post), seed=seed)
+    events = _run_exact(_uniforms(np.random.default_rng(seed)), params,
+                        horizon, cap, 0.0, params.lambda0)
+    return Trajectory(EventSequence._sampled(np.asarray(events), horizon, unit), seed)
 
 
 def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
@@ -163,10 +165,10 @@ def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
 
 
 def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int = 0) -> tuple[list[float], list[float]]:
+               recorded: int = 0) -> list[float]:
     """simulate_exact's loop from time t and intensity lam, on a path that
     already holds ``recorded`` events, taking its uniforms from the iterator
-    ``src`` (see _uniforms); returns the new events and post-jump intensities.
+    ``src`` (see _uniforms); returns the new events.
 
     A uniform of exactly 0, whose log is undefined, is skipped wherever a
     log is taken, and every other draw leaves the stream as it was.  While
@@ -177,7 +179,6 @@ def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, la
     log, exp = math.log, math.exp
     room = cap - recorded
     events: list[float] = []
-    post: list[float] = []
     nonzero = filter(None, src)
     while lam < lam_inf:
         # Deficit state: lambda(t) < lambda_inf and increasing, so the
@@ -186,16 +187,15 @@ def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, la
         excess = lam - lam_inf
         w = -log(next(nonzero)) / lam_inf
         if t + w > horizon:
-            return events, post
+            return events
         t += w
         lam = lam_inf + excess * exp(-beta * w)
         if next(src) * lam_inf <= lam:
             lam += alpha
             events.append(t)
-            post.append(lam)
             if len(events) > room:
                 raise _capacity_exceeded(cap, t, horizon)
-    add_event, add_post = events.append, post.append
+    add_event = events.append
     logs = map(log, nonzero)
     for _, l1, l2 in zip(range(room + 1 - len(events)), logs, logs):
         excess = lam - lam_inf
@@ -212,10 +212,9 @@ def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, la
         t += s
         lam = lam_inf + excess * exp(-beta * s) + alpha
         add_event(t)
-        add_post(lam)
     else:
         raise _capacity_exceeded(cap, t, horizon)
-    return events, post
+    return events
 
 
 def _spawn_offspring(rng, parents: np.ndarray, params: HawkesParams, horizon: float):
@@ -264,8 +263,7 @@ def simulate_cluster(
         if frontier.size:
             generations.append(frontier)
     times = np.sort(np.concatenate(generations))
-    seq = EventSequence(times, horizon=horizon, unit=unit)
-    return Trajectory(events=seq, intensity_at_events=post_jump_intensities(params, seq), seed=seed)
+    return Trajectory(EventSequence(times, horizon=horizon, unit=unit), seed)
 
 
 def sampler(method: str):
@@ -322,24 +320,23 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
     paths are live, _run_exact finishes them.
 
-    Returns one (times, post-jump intensities) pair per seed, or None for a
-    path whose block held an exact 0: simulate_exact redraws it, which
-    shifts the rest of its stream, so the caller runs simulate_exact there.
+    Returns each seed's event times, or None for a path whose block held
+    an exact 0: simulate_exact redraws it, which shifts the rest of its
+    stream, so the caller runs simulate_exact there.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     rngs = [np.random.default_rng(s) for s in seeds]
-    # per path: its times and post-jump intensities so far (None: handed back)
+    # per path: its times so far (None: handed back)
     found_t = [np.empty(0) for _ in seeds]
-    found_lam = [np.empty(0) for _ in seeds]
     ids = np.arange(len(seeds))  # the live paths
     t = np.zeros(ids.size)
     lam = np.full(ids.size, params.lambda0)
     deficit = params.lambda0 < lam_inf  # once no path is below the base level, none returns
     size = _FIRST_BLOCK
-    # one buffer each for the uniforms and the two record arrays, reused by
+    # one buffer each for the uniforms and the recorded times, reused by
     # every block so that blocks leave no holes in the heap
     cells = max(_FIRST_BLOCK * ids.size, _BLOCK_CELLS)
-    buf_u, buf_t, buf_lam = np.empty(2 * cells), np.empty(cells), np.empty(cells)
+    buf_u, buf_t = np.empty(2 * cells), np.empty(cells)
     while ids.size >= _MIN_LOCKSTEP:
         # row k holds the block's draws for path ids[k]: u1, u2 of iteration j
         # at columns 2j and 2j + 1
@@ -349,7 +346,7 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         clean = u.all(axis=1)
         if not clean.all():
             for i in ids[~clean]:
-                found_t[i] = found_lam[i] = None
+                found_t[i] = None
             kept = u[clean]
             ids, t, lam = ids[clean], t[clean], lam[clean]
             u = buf_u[:kept.size].reshape(kept.shape)
@@ -364,9 +361,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             w = logs[:, 0::2] / -lam_inf
         logs[:, 0::2] *= beta  # beta ln(u1)
         logs[:, 1::2] /= -lam_inf  # s2 = -ln(u2) / lambda_inf
-        # row j: every live path's time and intensity after iteration j
+        # row j: every live path's time after iteration j
         rec_t = buf_t[:size * ids.size].reshape(size, ids.size)
-        rec_lam = buf_lam[:size * ids.size].reshape(size, ids.size)
         for j in range(size):
             excess = lam - lam_inf
             # excess > 0: inversion; excess == 0 makes d = -inf, so s = s2
@@ -385,40 +381,37 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             t = np.add(t, s, out=rec_t[j])
             lam_here = excess * elementwise(math.exp, s * -beta)
             lam_here += lam_inf
-            lam = np.add(lam_here, alpha, out=rec_lam[j])
+            lam = lam_here + alpha
             if deficit:
                 # thinning against lambda_inf: a rejected proposal records no event
                 accept = ~below | (u2[:, j] * lam_inf <= lam_here)
                 t = t.copy()
                 rec_t[j, ~accept] = np.nan
-                lam = rec_lam[j] = np.where(accept, lam, lam_here)
+                lam = np.where(accept, lam, lam_here)
         # copy each path's events up to the horizon (a rejection's NaN fails
-        # the test too) out of the buffers, onto the path's own arrays
+        # the test too) out of the buffer, onto the path's own array
         found = rec_t.T <= horizon
         per_path = np.count_nonzero(found, axis=1)
-        block_t, block_lam = rec_t.T[found], rec_lam.T[found]
+        block_t = rec_t.T[found]
         ends = np.cumsum(per_path)
         for k in per_path.nonzero()[0].tolist():
             i, n, end = ids[k], per_path[k], ends[k]
             _append(found_t[i], block_t[end - n:end])
-            _append(found_lam[i], block_lam[end - n:end])
             if found_t[i].size > cap:
                 raise _capacity_exceeded(cap, found_t[i][cap], horizon)
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
     for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
-        tail = _run_exact(_uniforms(rngs[i]), params, horizon, cap, t_i, lam_i,
-                          found_t[i].size)
-        _append(found_t[i], tail[0])
-        _append(found_lam[i], tail[1])
-    return [None if t_i is None else (t_i, lam_i) for t_i, lam_i in zip(found_t, found_lam)]
+        _append(found_t[i], _run_exact(_uniforms(rngs[i]), params, horizon, cap, t_i, lam_i,
+                                       found_t[i].size))
+    return found_t
 
 
 def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
-                  cap: int, group_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(times, post-jump intensities) of the path of each seed, in seed order,
-    sampled a group of ``group_size`` paths at a time.
+                  cap: int, group_size: int) -> list[np.ndarray]:
+    """The event times of the path of each seed, in seed order, sampled a
+    group of ``group_size`` paths at a time.
 
     The exact method steps each group in lockstep (see _lockstep); a path
     it hands back, and every path of another method, is drawn by the
@@ -433,29 +426,25 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
                 paths = _lockstep(params, horizon, group, cap)
         else:
             paths = [None] * len(group)
-        for s, path in zip(group, paths):
-            if path is None:
-                traj = sampler(method)(params, horizon, s, cap=cap)
-                path = (traj.events.times, traj.intensity_at_events)
-            out.append(path)
+        for s, times in zip(group, paths):
+            if times is None:
+                times = sampler(method)(params, horizon, s, cap=cap).events.times
+            out.append(times)
     return out
 
 
 def _write_paths(out, paths) -> None:
-    """One int64 event count per path, every path's times and then every
-    path's post-jump intensities, all float64."""
-    out.write(np.array([t.size for t, _ in paths], dtype=np.int64))
-    for column in (0, 1):
-        for path in paths:
-            out.write(path[column])
+    """One int64 event count per path, then every path's times, float64."""
+    out.write(np.array([times.size for times in paths], dtype=np.int64))
+    for times in paths:
+        out.write(times)
 
 
-def _read_paths(file, n_paths: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The paths _write_paths wrote, as views into one times array and one
-    intensity array."""
+def _read_paths(file, n_paths: int) -> list[np.ndarray]:
+    """The paths _write_paths wrote, as views into one times array."""
     ends = np.cumsum(np.fromfile(file, np.int64, n_paths)).tolist()
-    times, post = np.fromfile(file).reshape(2, -1)
-    return [(times[a:b], post[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    times = np.fromfile(file)
+    return [times[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _slices(params: HawkesParams, horizon: float, seed: int, n_paths: int,
@@ -486,9 +475,9 @@ def simulate_batch(
 ) -> list[Trajectory]:
     """n_paths independent trajectories with per-path seeds seed + i.
 
-    Path i is bit for bit sampler(method)(params, horizon, seed + i), in
-    its times and its post-jump intensities, and the results are ordered by
-    path index.  The batch has one worker per available CPU, but no more
+    Path i's event times are bit for bit those of
+    sampler(method)(params, horizon, seed + i), and the results are ordered
+    by path index.  The batch has one worker per available CPU, but no more
     than one per MIN_EVENTS_PER_WORKER expected events (mean_count), and
     its paths are cut into groups of min(_GROUP, ceil(n_paths / workers))
     paths.  The exact method runs each group in lockstep (see _lockstep),
@@ -522,9 +511,8 @@ def simulate_batch(
 
     in_slices(bounds, sample, lambda lo, hi, file: paths.extend(_read_paths(file, hi - lo)),
               "sampling seeds")
-    return [Trajectory(events=EventSequence._sampled(times, horizon, unit),
-                       intensity_at_events=post, seed=seed + i)
-            for i, (times, post) in enumerate(paths)]
+    return [Trajectory(EventSequence._sampled(times, horizon, unit), seed + i)
+            for i, times in enumerate(paths)]
 
 
 def map_batch(
@@ -558,10 +546,8 @@ def map_batch(
 
     def run(lo, hi, out):
         sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
-        results = [record_warnings(fn, Trajectory(
-                       events=EventSequence._sampled(times, horizon, unit),
-                       intensity_at_events=post, seed=s))
-                   for s, (times, post) in zip(range(lo, hi), sampled)]
+        results = [record_warnings(fn, Trajectory(EventSequence._sampled(times, horizon, unit), s))
+                   for s, times in zip(range(lo, hi), sampled)]
         if out is None:
             done.extend(results)
         else:

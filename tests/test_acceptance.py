@@ -18,6 +18,7 @@ from hawkesmom import (
     estimate,
     integrate_moments,
     integrate_polynomial_on_path,
+    intensity_at,
     limit_intensity_moments,
     mean_count,
     moment_triple,
@@ -147,13 +148,7 @@ class TestCriterion5DynkinIdentity:
             traj = simulate_exact(params, t_end, 40_000 + i)
             times = traj.events.times
             n_t = len(times)
-            if n_t:
-                lam_t = (params.lambda_inf
-                         + (traj.intensity_at_events[-1] - params.lambda_inf)
-                         * math.exp(-params.beta * (t_end - times[-1])))
-            else:
-                lam_t = (params.lambda_inf
-                         + (params.lambda0 - params.lambda_inf) * math.exp(-params.beta * t_end))
+            lam_t = intensity_at(params, times, t_end)
             for name, k in kfuncs.items():
                 integral = integrate_polynomial_on_path(params, times, images[name], t_end)
                 defects[name][i] = (k.evaluate(lam_t, n_t)

@@ -12,6 +12,7 @@ from hawkesmom import (
     apply_generator,
     integrate_moments,
     integrate_polynomial_on_path,
+    intensity_at,
     mean_count,
     mean_intensity,
     moment_closure,
@@ -114,12 +115,7 @@ class TestApplyGenerator:
         for i in range(n_paths):
             traj = simulate_exact(params, h, 9_000 + i)
             n_h[i] = len(traj.events)
-            if len(traj.events):
-                lam_last = traj.intensity_at_events[-1]
-                dt = h - traj.events.times[-1]
-                lam_h[i] = params.lambda_inf + (lam_last - params.lambda_inf) * math.exp(-params.beta * dt)
-            else:
-                lam_h[i] = params.lambda_inf + (params.lambda0 - params.lambda_inf) * math.exp(-params.beta * h)
+            lam_h[i] = intensity_at(params, traj.events, h)
         x0 = (params.lambda0, 0.0)
         for k_poly, samples in [(poly({(1, 0): 1.0}), lam_h),
                                 (poly({(0, 1): 1.0}), n_h),
@@ -269,6 +265,12 @@ class TestIntegrateMoments:
                 pytest.raises(ValueError, match=r"t=1e\+308"):
             integrate_moments(P, [(3, 0)], 1e308)
 
+    def test_moment_beyond_float64_names_t(self):
+        # every entry of A t is finite, but E[N_t^2] ~ (1.25 t)^2 is not
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(ValueError, match=r"t=1e\+300"):
+            integrate_moments(P, [(0, 2)], 1e300)
+
 
 def moments_mp(params, indices, t):
     """Every moment of the closure of ``indices`` at t, from 50-digit mpmath's
@@ -357,11 +359,7 @@ class TestDynkinIdentity:
         for i, traj in enumerate(simulate_batch(params, t_end, 50_000, n_paths)):
             times = traj.events.times
             n_t = len(times)
-            lam_t = (params.lambda_inf
-                     + ((traj.intensity_at_events[-1] - params.lambda_inf)
-                        * math.exp(-params.beta * (t_end - times[-1]))
-                        if n_t else
-                        (params.lambda0 - params.lambda_inf) * math.exp(-params.beta * t_end)))
+            lam_t = intensity_at(params, times, t_end)
             for j, (k, ak) in enumerate(zip(kfuncs, images)):
                 integral = integrate_polynomial_on_path(params, times, ak, t_end)
                 defects[j, i] = k.evaluate(lam_t, n_t) - k.evaluate(params.lambda0, 0.0) - integral

@@ -806,10 +806,10 @@ sys.exit(code)
         assert len(sizes) == cpus - 1
         events = harness.envelope_counts[:, -1]  # every event lies before the horizon
         for lo, hi, size in sizes:
-            path_bytes = 16 * int(events[lo - cfg.seed:hi - cfg.seed].sum())
+            path_bytes = 8 * int(events[lo - cfg.seed:hi - cfg.seed].sum())
             # _write_paths would write path_bytes; a report and a 601-count
             # envelope row are about 5 kB a path
-            assert size < path_bytes / 8, (lo, hi, size, path_bytes)
+            assert size < path_bytes / 4, (lo, hi, size, path_bytes)
 
 
 class TestMainExitCodes:
