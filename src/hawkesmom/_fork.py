@@ -53,14 +53,13 @@ def reap(pids: list[int]) -> None:
         os.waitpid(pid, 0)
 
 
-def record_warnings(fn, *args):
-    """fn(*args) and the warnings it issued, in order, as (message,
-    category, filename, lineno) tuples that pickle; none is shown.  Every
-    warning is recorded, whatever the filters say: replay_warnings applies
-    them."""
+def record_warnings(fn):
+    """fn() and the warnings it issued, in order, as (message, category,
+    filename, lineno) tuples that pickle; none is shown.  Every warning is
+    recorded, whatever the filters say: replay_warnings applies them."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = fn(*args)
+        result = fn()
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 

@@ -19,28 +19,29 @@ uniform stream as an iterator over blocks the generator draws at once
 (_uniforms), the same stream as one rng.random() per draw.  Above the base
 level it reads one lazy map(log, filter(None, stream)), two logs per event,
 so a draw of exactly 0 is skipped and no other draw moves; while the
-intensity sits below the base level it thins, and takes its accept draws
-raw from the stream.  simulate_batch draws path i from seed seed + i and
-returns the paths in index order; each is bit for bit what the single-path
-sampler gives for that seed.  For the exact method it steps groups of
-paths in lockstep: every path keeps its own generator, draws its uniforms
-in blocks, and one vectorised step per loop iteration repeats
-simulate_exact's float operations in its order, with libm's log and exp
-(math.log, math.exp) rather than numpy's, whose last bit can differ.  Once
-few paths are live, the scalar loop finishes them.
+intensity sits below the base level it thins (_thin, the one thinning
+loop), and takes its accept draws raw from the stream.
+
+map_batch draws path i from seed seed + i, bit for bit what the
+single-path sampler gives for that seed, and applies a function to each
+path; simulate_batch is map_batch returning the paths themselves.  For the
+exact method it steps groups of paths in lockstep: every path keeps its
+own generator, draws its uniforms in blocks, and one vectorised step per
+loop iteration repeats simulate_exact's float operations in its order,
+with libm's log and exp (math.log, math.exp) rather than numpy's, whose
+last bit can differ.  A deficit start thins by _thin first, one draw at a
+time, and once few paths are live the scalar loop finishes them.
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
 MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
 over the workers: each forked child samples a contiguous slice of groups
-with the same code and writes its paths' raw event times into its
-temporary file.  A path depends only on its seed, so the output bytes do
-not depend on the CPU count; validate's K = 20 at horizon 10^4 on two
-CPUs, say, runs as two slices of 10 paths.  map_batch cuts the same
-slices but sends no paths back: each worker applies a function to every
-path it sampled and pickles only the results, so validate fits and
-envelope-counts each path in its worker, and only the reports and
-envelope rows cross the fork.
+with the same code, applies the function to each of its paths and pickles
+only the results.  So validate fits and envelope-counts each path in its
+worker, and simulate_batch's workers return raw time bytes.  A path
+depends only on its seed, so the output bytes do not depend on the CPU
+count; validate's K = 20 at horizon 10^4 on two CPUs, say, runs as two
+slices of 10 paths.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -164,6 +165,34 @@ def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
     )
 
 
+def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
+          events: list[float], room: int) -> tuple[float, float]:
+    """simulate_exact's loop while the path is in deficit (lam < lambda_inf),
+    appending its events to ``events``, which may hold ``room`` of them;
+    returns (t, lam) once lam >= lambda_inf, or t = inf once the path ends.
+
+    lambda(t) < lambda_inf and increasing, so the constant rate lambda_inf
+    dominates: proposals are thinned against it.  A proposal's draw of
+    exactly 0 is skipped; the accept draw is raw, so a 0 accepts.
+    """
+    alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
+    log, exp = math.log, math.exp
+    nonzero = filter(None, src)
+    while lam < lam_inf:
+        excess = lam - lam_inf
+        w = -log(next(nonzero)) / lam_inf
+        if t + w > horizon:
+            return math.inf, lam
+        t += w
+        lam = lam_inf + excess * exp(-beta * w)
+        if next(src) * lam_inf <= lam:
+            lam += alpha
+            events.append(t)
+            if len(events) > room:
+                raise _capacity_exceeded(cap, t, horizon)
+    return t, lam
+
+
 def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
                recorded: int = 0) -> list[float]:
     """simulate_exact's loop from time t and intensity lam, on a path that
@@ -172,31 +201,19 @@ def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, la
 
     A uniform of exactly 0, whose log is undefined, is skipped wherever a
     log is taken, and every other draw leaves the stream as it was.  While
-    lam < lambda_inf the path is in deficit and thins; once lam >= lambda_inf,
-    rounding keeps it there, and each event costs one pair of logged draws.
+    lam < lambda_inf the path is in deficit and thins (see _thin); once
+    lam >= lambda_inf, rounding keeps it there, and each event costs one
+    pair of logged draws.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
     room = cap - recorded
     events: list[float] = []
-    nonzero = filter(None, src)
-    while lam < lam_inf:
-        # Deficit state: lambda(t) < lambda_inf and increasing, so the
-        # constant rate lambda_inf dominates; thin proposals against it.  The
-        # accept draw is raw: a 0 accepts.
-        excess = lam - lam_inf
-        w = -log(next(nonzero)) / lam_inf
-        if t + w > horizon:
-            return events
-        t += w
-        lam = lam_inf + excess * exp(-beta * w)
-        if next(src) * lam_inf <= lam:
-            lam += alpha
-            events.append(t)
-            if len(events) > room:
-                raise _capacity_exceeded(cap, t, horizon)
+    t, lam = _thin(src, params, horizon, cap, t, lam, events, room)
+    if t > horizon:
+        return events
     add_event = events.append
-    logs = map(log, nonzero)
+    logs = map(log, filter(None, src))
     for _, l1, l2 in zip(range(room + 1 - len(events)), logs, logs):
         excess = lam - lam_inf
         s = -l2 / lam_inf  # the arrival from the base level
@@ -255,13 +272,13 @@ def simulate_cluster(
     generations = [immigrants]
     frontier = immigrants
     total = immigrants.size
-    while frontier.size and alpha > 0.0:
+    while total <= cap and frontier.size and alpha > 0.0:
         frontier = _spawn_offspring(rng, frontier, params, horizon)
         total += frontier.size
-        if total > cap:
-            raise CapacityExceeded(f"cluster construction exceeded {cap} events")
         if frontier.size:
             generations.append(frontier)
+    if total > cap:
+        raise CapacityExceeded(f"cluster construction exceeded {cap} events")
     times = np.sort(np.concatenate(generations))
     return Trajectory(EventSequence(times, horizon=horizon, unit=unit), seed)
 
@@ -320,6 +337,11 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
     paths are live, _run_exact finishes them.
 
+    When lambda0 < lambda_inf each path first thins by _thin, one draw at a
+    time, so that its generator stands where simulate_exact's would once
+    its intensity reaches the base level: the lockstep steps only paths at
+    or above it, where rounding keeps them.
+
     Returns each seed's event times, or None for a path whose block held
     an exact 0: simulate_exact redraws it, which shifts the rest of its
     stream, so the caller runs simulate_exact there.
@@ -331,15 +353,22 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     ids = np.arange(len(seeds))  # the live paths
     t = np.zeros(ids.size)
     lam = np.full(ids.size, params.lambda0)
-    deficit = params.lambda0 < lam_inf  # once no path is below the base level, none returns
+    if params.lambda0 < lam_inf:
+        for i, rng in enumerate(rngs):
+            events: list[float] = []
+            t[i], lam[i] = _thin(iter(rng.random, None), params, horizon, cap, 0.0,
+                                 params.lambda0, events, cap)
+            found_t[i] = np.array(events)
+        live = t <= horizon
+        ids, t, lam = ids[live], t[live], lam[live]
     size = _FIRST_BLOCK
     # one buffer each for the uniforms and the recorded times, reused by
     # every block so that blocks leave no holes in the heap
     cells = max(_FIRST_BLOCK * ids.size, _BLOCK_CELLS)
     buf_u, buf_t = np.empty(2 * cells), np.empty(cells)
     while ids.size >= _MIN_LOCKSTEP:
-        # row k holds the block's draws for path ids[k]: u1, u2 of iteration j
-        # at columns 2j and 2j + 1
+        # row k holds the block's draws for path ids[k]: iteration j's two
+        # uniforms at columns 2j and 2j + 1
         u = buf_u[:2 * size * ids.size].reshape(ids.size, 2 * size)
         for row, i in zip(u, ids):
             rngs[i].random(out=row)
@@ -351,16 +380,12 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             ids, t, lam = ids[clean], t[clean], lam[clean]
             u = buf_u[:kept.size].reshape(kept.shape)
             u[...] = kept
-        if deficit:
-            u2 = u[:, 1::2].copy()
         logs = u  # in place, in slices, so no block-sized temporary
         flat = logs.reshape(-1)
         for lo in range(0, flat.size, _LOG_SLICE):
             flat[lo:lo + _LOG_SLICE] = elementwise(math.log, flat[lo:lo + _LOG_SLICE])
-        if deficit:
-            w = logs[:, 0::2] / -lam_inf
         logs[:, 0::2] *= beta  # beta ln(u1)
-        logs[:, 1::2] /= -lam_inf  # s2 = -ln(u2) / lambda_inf
+        logs[:, 1::2] /= -lam_inf  # s2, the arrival from the base level
         # row j: every live path's time after iteration j
         rec_t = buf_t[:size * ids.size].reshape(size, ids.size)
         for j in range(size):
@@ -374,22 +399,12 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
                 s1 = np.full(ids.size, np.inf)
                 s1[ok] = elementwise(math.log, d[ok]) / -beta
                 s = np.minimum(s1, s)
-            if deficit:
-                below = excess < 0.0
-                deficit = bool(np.count_nonzero(below))
-                s = np.where(below, w[:, j], s)
             t = np.add(t, s, out=rec_t[j])
-            lam_here = excess * elementwise(math.exp, s * -beta)
-            lam_here += lam_inf
-            lam = lam_here + alpha
-            if deficit:
-                # thinning against lambda_inf: a rejected proposal records no event
-                accept = ~below | (u2[:, j] * lam_inf <= lam_here)
-                t = t.copy()
-                rec_t[j, ~accept] = np.nan
-                lam = np.where(accept, lam, lam_here)
-        # copy each path's events up to the horizon (a rejection's NaN fails
-        # the test too) out of the buffer, onto the path's own array
+            lam = excess * elementwise(math.exp, s * -beta)
+            lam += lam_inf
+            lam += alpha
+        # copy each path's events up to the horizon out of the buffer, onto
+        # the path's own array
         found = rec_t.T <= horizon
         per_path = np.count_nonzero(found, axis=1)
         block_t = rec_t.T[found]
@@ -433,34 +448,9 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
     return out
 
 
-def _write_paths(out, paths) -> None:
-    """One int64 event count per path, then every path's times, float64."""
-    out.write(np.array([times.size for times in paths], dtype=np.int64))
-    for times in paths:
-        out.write(times)
-
-
-def _read_paths(file, n_paths: int) -> list[np.ndarray]:
-    """The paths _write_paths wrote, as views into one times array."""
-    ends = np.cumsum(np.fromfile(file, np.int64, n_paths)).tolist()
-    times = np.fromfile(file)
-    return [times[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _slices(params: HawkesParams, horizon: float, seed: int, n_paths: int,
-            method: str) -> tuple[list[int], int]:
-    """The seed bounds of a batch's slices, one slice per worker, and its
-    group size (see simulate_batch); a bad horizon or method fails here,
-    before any fork."""
-    _check_horizon(horizon)
-    sampler(method)
-    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
-    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
-    groups = -(-n_paths // group_size)
-    workers = max(1, min(workers, groups))
-    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
-              for k in range(workers + 1)]
-    return bounds, group_size
+def _times_bytes(traj: Trajectory) -> bytes:
+    """A path's event times as raw float64 bytes: simulate_batch's result."""
+    return traj.events.times.tobytes()
 
 
 def simulate_batch(
@@ -477,42 +467,14 @@ def simulate_batch(
 
     Path i's event times are bit for bit those of
     sampler(method)(params, horizon, seed + i), and the results are ordered
-    by path index.  The batch has one worker per available CPU, but no more
-    than one per MIN_EVENTS_PER_WORKER expected events (mean_count), and
-    its paths are cut into groups of min(_GROUP, ceil(n_paths / workers))
-    paths.  The exact method runs each group in lockstep (see _lockstep),
-    so one numpy step advances every live path of the group by one
-    interarrival; a path whose uniform block holds an exact 0 is drawn by
-    simulate_exact instead.
-
-    The groups are split into one contiguous slice per worker (see
-    _fork.in_slices): a forked child samples each slice after the first
-    while this process samples the first, and the children's paths are
-    read back from their temporary files in slice order.  A path depends
-    only on its seed, so the output does not depend on the CPU count; a
-    batch of fewer than 2 * MIN_EVENTS_PER_WORKER expected events never
-    forks.  Any path over ``cap`` events raises CapacityExceeded.  An
-    exception in a child is raised here unchanged: the one the lowest
-    failing slice raises, and within it the one its lowest failing group
-    raises.  Its type does not depend on the CPU count, but the path it
-    names may differ from a one-CPU run, since the groups differ and a
-    lockstep group fails at whichever of its paths passes the cap first.
-    Every child is reaped before the call returns or raises.
+    by path index.  The batch is map_batch's, with each worker returning
+    its paths' times as raw bytes, which pickle at little more than their
+    size; this process wraps them without a copy.  Its workers, groups,
+    exceptions and their independence of the CPU count are map_batch's.
     """
-    bounds, group_size = _slices(params, horizon, seed, n_paths, method)
-    paths = []
-
-    def sample(lo, hi, out):
-        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
-        if out is None:
-            paths.extend(sampled)
-        else:
-            _write_paths(out, sampled)
-
-    in_slices(bounds, sample, lambda lo, hi, file: paths.extend(_read_paths(file, hi - lo)),
-              "sampling seeds")
-    return [Trajectory(EventSequence._sampled(times, horizon, unit), seed + i)
-            for i, times in enumerate(paths)]
+    return [Trajectory(EventSequence._sampled(np.frombuffer(times), horizon, unit), seed + i)
+            for i, times in enumerate(map_batch(params, horizon, seed, n_paths, _times_bytes,
+                                                method=method, cap=cap))]
 
 
 def map_batch(
@@ -526,37 +488,56 @@ def map_batch(
     cap: int = DEFAULT_EVENT_CAP,
     unit: str = "unitless",
 ) -> list:
-    """[fn(path) for path in simulate_batch(...)], with each fn(path) run in
-    the worker that sampled the path.
+    """[fn(path) for path in the batch], where path i is bit for bit
+    sampler(method)(params, horizon, seed + i), with each fn(path) run in
+    the worker that sampled the path: the one batch driver.
 
-    The slices are simulate_batch's, and so is each path.  A worker samples
-    its whole slice, so a path over ``cap`` raises CapacityExceeded before
-    any of the slice's paths reaches ``fn``, then calls ``fn`` on each path
-    in seed order.  A forked child pickles only the results, and the
-    warnings each call issued, into its file; the path arrays never cross
-    the fork.  ``fn`` itself is not pickled, so it may be a closure, but
-    its results must pickle.  The warnings of every path, this process's slice included,
-    are recorded and, once every slice is back, issued here in path order
-    (see _fork.replay_warnings), so what a run prints does not depend on
-    the CPU count.  Exceptions are simulate_batch's, and ``fn``'s own are
-    raised here unchanged, the lowest failing slice's first.
+    The batch has one worker per available CPU, but no more than one per
+    MIN_EVENTS_PER_WORKER expected events (mean_count), and is cut into
+    groups of min(_GROUP, ceil(n_paths / workers)) paths, which the exact
+    method steps in lockstep (see _lockstep).  Each worker samples one
+    contiguous slice of groups (see _fork.in_slices), this process the
+    first, so a path over ``cap`` raises CapacityExceeded before any of the
+    slice's paths reaches ``fn``; then it calls ``fn`` on each path in seed
+    order.  A forked child pickles only the results, and the warnings the
+    calls issued, into its file; ``fn`` itself is not pickled, so it may be
+    a closure.  Every slice's warnings are issued here in path order once
+    all are back (see _fork.replay_warnings).  A path depends only on its
+    seed, so neither the results nor what a run prints depend on the CPU
+    count; a batch of fewer than 2 * MIN_EVENTS_PER_WORKER expected events
+    never forks.  A bad horizon or method fails before any fork.
+
+    An exception in a worker, ``fn``'s included, is raised here unchanged:
+    the lowest failing slice's, and within it the lowest failing group's.
+    Its type does not depend on the CPU count, but the path it names may,
+    since the groups differ and a lockstep group fails at whichever of its
+    paths passes the cap first.  Every child is reaped before the call
+    returns or raises.
     """
-    bounds, group_size = _slices(params, horizon, seed, n_paths, method)
+    _check_horizon(horizon)
+    sampler(method)
+    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
+    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
+    groups = -(-n_paths // group_size)
+    workers = max(1, min(workers, groups))
+    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
+              for k in range(workers + 1)]
     done = []
 
     def run(lo, hi, out):
         sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
-        results = [record_warnings(fn, Trajectory(EventSequence._sampled(times, horizon, unit), s))
-                   for s, times in zip(range(lo, hi), sampled)]
+        results = record_warnings(lambda: [
+            fn(Trajectory(EventSequence._sampled(times, horizon, unit), s))
+            for s, times in zip(range(lo, hi), sampled)])
         if out is None:
-            done.extend(results)
+            done.append(results)
         else:
             pickle.dump(results, out)
 
-    in_slices(bounds, run, lambda lo, hi, file: done.extend(pickle.load(file)),
+    in_slices(bounds, run, lambda lo, hi, file: done.append(pickle.load(file)),
               "sampling seeds")
     replay_warnings([record for _, caught in done for record in caught])
-    return [result for result, _ in done]
+    return [result for results, _ in done for result in results]
 
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:
@@ -565,9 +546,11 @@ def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSam
     counts[j] = N_{t_j + delta} - N_{t_j} with t_j = t0 + j delta; windows
     must fit inside the observation horizon.
     """
-    if t0 < 0.0 or delta <= 0.0 or count < 1:
+    if not (math.isfinite(t0) and math.isfinite(delta) and t0 >= 0.0 and delta > 0.0
+            and count >= 1):
         raise WindowOutOfRange(
-            f"need t0 >= 0, delta > 0, count >= 1; got t0={t0}, delta={delta}, count={count}"
+            f"need finite t0 >= 0 and delta > 0, count >= 1; "
+            f"got t0={t0}, delta={delta}, count={count}"
         )
     times = _times(events)
     if isinstance(events, EventSequence):

@@ -807,7 +807,7 @@ sys.exit(code)
         events = harness.envelope_counts[:, -1]  # every event lies before the horizon
         for lo, hi, size in sizes:
             path_bytes = 8 * int(events[lo - cfg.seed:hi - cfg.seed].sum())
-            # _write_paths would write path_bytes; a report and a 601-count
+            # the paths' raw times are path_bytes; a report and a 601-count
             # envelope row are about 5 kB a path
             assert size < path_bytes / 4, (lo, hi, size, path_bytes)
 
@@ -843,6 +843,15 @@ class TestMainExitCodes:
                      "--horizon", "5000", "--count", "20", "--delta", "0.5", "--t0", "10",
                      "--seed", "1", "--cap", "500", "--out-dir", str(tmp_path)])
         assert code == EXIT_CAPACITY
+
+    def test_validate_cluster_capacity_error_at_alpha_0(self, tmp_path):
+        # about 1000 immigrants a path and no offspring
+        code = main(["validate", "--alpha", "0", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "1000", "--count", "2", "--delta", "0.5", "--t0", "10",
+                     "--method", "cluster", "--seed", "1", "--cap", "10",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CAPACITY
+        assert not (tmp_path / "out").exists()
 
     def test_validation_error(self, tmp_path):
         code = main(["simulate", "--alpha", "1.5", "--beta", "1.0",

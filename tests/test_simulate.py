@@ -248,6 +248,18 @@ class TestSimulateCluster:
         se = math.sqrt(n_exact.var(ddof=1) / n_paths + n_clust.var(ddof=1) / n_paths)
         assert abs(n_exact.mean() - n_clust.mean()) <= 3.0 * se
 
+    # alpha = 0 has no offspring generation, so only the immigrants can
+    # pass the cap
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_capacity_guard(self, alpha):
+        p = validate_params(alpha, 1.0, 1.0)
+        n = len(simulate_cluster(p, 1000.0, 1).events)
+        assert n > 10
+        assert len(simulate_cluster(p, 1000.0, 1, cap=n).events) == n
+        for cap in (n - 1, 10):
+            with pytest.raises(CapacityExceeded, match=f"exceeded {cap} events"):
+                simulate_cluster(p, 1000.0, 1, cap=cap)
+
     def test_deterministic_given_seed(self):
         p = validate_params(0.2, 1.0, 1.0, 1.2)
         a = simulate_cluster(p, 200.0, 9)
@@ -296,6 +308,12 @@ class TestWindowedCounts:
             windowed_counts(traj.events, -1.0, 1.0, 2)
         with pytest.raises(WindowOutOfRange):
             windowed_counts(traj.events, 0.0, 0.0, 2)
+        # a non-finite t0 or delta, for a path and for its raw times alike
+        for events in (traj.events, traj.events.times):
+            for t0, delta in [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0),
+                              (0.0, math.inf)]:
+                with pytest.raises(WindowOutOfRange):
+                    windowed_counts(events, t0, delta, 2)
 
     def test_partition_invariance(self):
         rng = np.random.default_rng(77)
