@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 event-file parse errors, 3 estimation/convergence
 failures, 4 trajectory capacity exceeded, 1 anything else.  Seeds come from
 --seed, falling back to the HAWKES_SEED environment variable; stochastic
 subcommands refuse to run without one so every run is reproducible.
+
+build_parser is the one configuration: each flag and its default are
+declared there once, and main hands the parsed argparse.Namespace to the
+cmd_* function of its subcommand, which reads the flags by their dest
+names.  simulate and validate return the paths they wrote.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +49,6 @@ __all__ = [
     "EXIT_PARSE",
     "EXIT_CONVERGENCE",
     "EXIT_CAPACITY",
-    "RunConfig",
-    "HarnessReport",
     "cmd_simulate",
     "cmd_moments",
     "cmd_estimate",
@@ -62,44 +65,22 @@ EXIT_CAPACITY = 4
 SEED_ENV_VAR = "HAWKES_SEED"
 
 
-@dataclass
-class RunConfig:
-    """Resolved parameters of one CLI invocation; the field names are the
-    parser's dest names, so main builds it as RunConfig(**vars(args))."""
+def _params(args: argparse.Namespace) -> HawkesParams:
+    """The parameter flags as a HawkesParams; moments has no --lambda0."""
+    return validate_params(args.alpha, args.beta, args.lambda_inf,
+                           getattr(args, "lambda0", None))
 
-    command: str
-    alpha: float | None = None
-    beta: float | None = None
-    lambda_inf: float | None = None
-    lambda0: float | None = None
-    horizon: float | None = None
-    seed: int | None = None
-    count: int = 20
-    delta: float | None = None
-    t0: float = 0.0
-    init: tuple[float, float, float] = DEFAULT_INIT
-    unit: str = "minutes"
-    method: str = "exact"
-    grid_step: float = 0.01
-    cap: int = DEFAULT_EVENT_CAP
-    events_path: Path | None = None
-    real_events_path: Path | None = None
-    out_dir: Path = field(default_factory=lambda: Path("."))
-    envelope: bool = False
-    envelope_step: float | None = None
 
-    def params(self) -> HawkesParams:
-        return validate_params(self.alpha, self.beta, self.lambda_inf, self.lambda0)
-
-    def require_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            return int(env)
-        raise ValueError(
-            f"a seed is required for stochastic runs: pass --seed or set {SEED_ENV_VAR}"
-        )
+def _require_seed(seed: int | None) -> int:
+    """--seed, else $HAWKES_SEED; a stochastic run without either is an error."""
+    if seed is not None:
+        return seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        return int(env)
+    raise ValueError(
+        f"a seed is required for stochastic runs: pass --seed or set {SEED_ENV_VAR}"
+    )
 
 
 def _step_grid(flag: str, horizon: float, step: float) -> np.ndarray:
@@ -119,12 +100,13 @@ def _step_grid(flag: str, horizon: float, step: float) -> np.ndarray:
     return grid
 
 
-def _check_windows(delta: float, t0: float) -> None:
-    """Reject a window length or start before anything is sampled or
-    written: NaN or infinity would reach the window count unchecked."""
+def _check_windows(delta: float, t0: float | None = None) -> None:
+    """Reject a window length, and a start where the command has one, before
+    anything is sampled or written: NaN or infinity would reach the window
+    count unchecked."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"--delta must be positive and finite, got {delta}")
-    if not (math.isfinite(t0) and t0 >= 0.0):
+    if t0 is not None and not (math.isfinite(t0) and t0 >= 0.0):
         raise ValueError(f"--t0 must be finite and >= 0, got {t0}")
 
 
@@ -134,45 +116,33 @@ def _check_cap(cap: int) -> None:
         raise ValueError(f"--cap must be at least 1, got {cap}")
 
 
-@dataclass
-class HarnessReport:
-    """Per-trajectory estimates with summary statistics and envelope data."""
-
-    reports: list[EstimateReport]
-    summary: dict
-    non_converged: list[int]
-    envelope_grid: np.ndarray | None = None
-    envelope_counts: np.ndarray | None = None
-    real_counts: np.ndarray | None = None
-
-
-def cmd_simulate(cfg: RunConfig) -> list[Path]:
+def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     """Simulate one trajectory; write the events file and an intensity grid."""
-    _check_cap(cfg.cap)
-    grid = _step_grid("--grid-step", cfg.horizon, cfg.grid_step)
-    params = cfg.params()
-    seed = cfg.require_seed()
-    traj = sampler(cfg.method)(params, cfg.horizon, seed, cap=cfg.cap, unit=cfg.unit)
+    _check_cap(args.cap)
+    grid = _step_grid("--grid-step", args.horizon, args.grid_step)
+    params = _params(args)
+    seed = _require_seed(args.seed)
+    traj = sampler(args.method)(params, args.horizon, seed, cap=args.cap, unit=args.unit)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = write_events(cfg.out_dir / "events.txt", traj.events)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    events_path = write_events(args.out_dir / "events.txt", traj.events)
     values = intensity_on_grid(params, traj.events, grid)
-    intensity_path = write_intensity_csv(cfg.out_dir / "intensity.csv", grid, values)
-    print(f"simulated {len(traj.events)} events on [0, {cfg.horizon}] (seed {seed})")
+    intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", grid, values)
+    print(f"simulated {len(traj.events)} events on [0, {args.horizon}] (seed {seed})")
     print(f"wrote {events_path} and {intensity_path}")
     return [events_path, intensity_path]
 
 
-def cmd_moments(cfg: RunConfig) -> dict:
+def cmd_moments(args: argparse.Namespace) -> dict:
     """Print theoretical stationary window moments and intensity moments."""
     from .moments import limit_intensity_moments, moment_triple
 
-    _check_windows(cfg.delta, cfg.t0)
-    params = cfg.params()
+    _check_windows(args.delta)
+    params = _params(args)
     # past float64's range numpy's power rows overflow, ** raises and * gives inf
     try:
         with np.errstate(over="raise", invalid="raise"):
-            triple = moment_triple(params, cfg.delta)
+            triple = moment_triple(params, args.delta)
             lam1, lam2, lam3 = limit_intensity_moments(params)
     except (OverflowError, FloatingPointError):
         finite = False
@@ -182,7 +152,7 @@ def cmd_moments(cfg: RunConfig) -> dict:
         raise ValueError("the moments at these parameters are beyond float64's range")
     payload = {
         "params": asdict(params),
-        "delta": cfg.delta,
+        "delta": args.delta,
         "m1": triple.m1,
         "m2": triple.m2,
         "m3": triple.m3,
@@ -195,14 +165,14 @@ def cmd_moments(cfg: RunConfig) -> dict:
     return payload
 
 
-def cmd_estimate(cfg: RunConfig) -> EstimateReport:
+def cmd_estimate(args: argparse.Namespace) -> EstimateReport:
     """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
-    _check_windows(cfg.delta, cfg.t0)
-    _check_start(cfg.init)
-    events = parse_events(cfg.events_path, unit=cfg.unit, horizon=cfg.horizon)
-    report = estimate(events, EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out = write_report_json(cfg.out_dir / "estimate.json", report_to_dict(report))
+    _check_windows(args.delta, args.t0)
+    _check_start(args.init)
+    events = parse_events(args.events_path, unit=args.unit, horizon=args.horizon)
+    report = estimate(events, EstimateConfig(delta=args.delta, t0=args.t0, init=args.init))
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    out = write_report_json(args.out_dir / "estimate.json", report_to_dict(report))
     p = report.params_hat
     print(f"alpha_hat={p.alpha:.6g} beta_hat={p.beta:.6g} lambda_inf_hat={p.lambda_inf:.6g} "
           f"converged={report.converged} residual={report.residual_norm:.3e}")
@@ -210,8 +180,9 @@ def cmd_estimate(cfg: RunConfig) -> EstimateReport:
     return report
 
 
-def cmd_validate(cfg: RunConfig) -> HarnessReport:
-    """Simulate K trajectories, estimate each, and emit the summary table.
+def cmd_validate(args: argparse.Namespace) -> list[Path]:
+    """Simulate K trajectories, estimate each, and write the summary table,
+    the report and, with --envelope, the envelope; returns the paths written.
 
     Each worker of the batch (see simulate.map_batch) fits, and with
     --envelope counts on the shared grid, the paths it sampled, so only
@@ -222,24 +193,26 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
     cumulative counts are written on a shared grid, optionally alongside a
     real events file for data-vs-simulation comparison.
     """
-    if cfg.count < 2:
-        raise ValueError(f"validate needs at least 2 trajectories, got {cfg.count}")
-    if cfg.real_events_path is not None and not cfg.envelope:
+    if args.count < 2:
+        raise ValueError(f"validate needs at least 2 trajectories, got {args.count}")
+    if args.real_events_path is not None and not args.envelope:
         raise ValueError("--real-events is overlaid on the envelope; it needs --envelope")
-    _check_windows(cfg.delta, cfg.t0)
-    _check_start(cfg.init)
-    _check_cap(cfg.cap)
-    if cfg.envelope:
-        step = cfg.envelope_step if cfg.envelope_step is not None else max(cfg.horizon / 600.0, cfg.delta)
-        grid = _step_grid("--envelope-step", cfg.horizon, step)
-    params = cfg.params()
-    seed = cfg.require_seed()
+    _check_windows(args.delta, args.t0)
+    _check_start(args.init)
+    _check_cap(args.cap)
+    if args.envelope:
+        step = args.envelope_step
+        if step is None:
+            step = max(args.horizon / 600.0, args.delta)
+        grid = _step_grid("--envelope-step", args.horizon, step)
+    params = _params(args)
+    seed = _require_seed(args.seed)
     real = None
-    if cfg.real_events_path is not None:
+    if args.real_events_path is not None:
         # read before sampling, so a bad file costs no paths and writes nothing
-        real_events = parse_events(cfg.real_events_path, unit=cfg.unit, horizon=cfg.horizon)
+        real_events = parse_events(args.real_events_path, unit=args.unit, horizon=args.horizon)
         real = count_at(real_events, grid)
-    est_cfg = EstimateConfig(delta=cfg.delta, t0=cfg.t0, init=cfg.init)
+    est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
 
     def fit(traj):
         """One path's report, and its envelope row under --envelope."""
@@ -250,17 +223,16 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
             # keep the run in the table as non-converged rather than aborting
             report = EstimateReport(
                 params_hat=None, residual_norm=float("inf"), iterations=0,
-                init=cfg.init, converged=False, window_stats=None,
+                init=args.init, converged=False, window_stats=None,
                 flags=(f"failed:{type(exc).__name__}",),
             )
-        return report, count_at(traj.events, grid) if cfg.envelope else None
+        return report, count_at(traj.events, grid) if args.envelope else None
 
-    fitted = map_batch(params, cfg.horizon, seed, cfg.count, fit, method=cfg.method,
-                       cap=cfg.cap, unit=cfg.unit)
+    fitted = map_batch(params, args.horizon, seed, args.count, fit, method=args.method,
+                       cap=args.cap, unit=args.unit)
     reports: list[EstimateReport] = [report for report, _ in fitted]
 
     converged = [r for r in reports if r.converged]
-    non_converged = [i for i, r in enumerate(reports) if not r.converged]
     summary = {}
     for name in ("alpha", "beta", "lambda_inf"):
         vals = np.array([getattr(r.params_hat, name) for r in converged])
@@ -269,41 +241,37 @@ def cmd_validate(cfg: RunConfig) -> HarnessReport:
             "sd": float(vals.std(ddof=1)) if vals.size > 1 else None,
         }
     summary["converged_runs"] = len(converged)
-    summary["total_runs"] = cfg.count
+    summary["total_runs"] = args.count
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     nan = float("nan")
     rows = [
         (i, r.params_hat.alpha, r.params_hat.beta, r.params_hat.lambda_inf, r.converged)
         if r.params_hat is not None else (i, nan, nan, nan, r.converged)
         for i, r in enumerate(reports)
     ]
-    table_path = write_table_csv(cfg.out_dir / "table.csv", rows)
+    table_path = write_table_csv(args.out_dir / "table.csv", rows)
     payload = {
         "params": asdict(params),
-        "delta": cfg.delta,
-        "t0": cfg.t0,
+        "delta": args.delta,
+        "t0": args.t0,
         "seed": seed,
         "summary": summary,
         "runs": [report_to_dict(r) for r in reports],
     }
-    report_path = write_report_json(cfg.out_dir / "validate.json", payload)
+    report_path = write_report_json(args.out_dir / "validate.json", payload)
     written = [table_path, report_path]
 
-    harness = HarnessReport(reports=reports, summary=summary, non_converged=non_converged)
-    if cfg.envelope:
+    if args.envelope:
         counts = np.vstack([row for _, row in fitted])
-        harness.envelope_grid = grid
-        harness.envelope_counts = counts
-        harness.real_counts = real
-        written.append(write_envelope_csv(cfg.out_dir / "envelope.csv", grid, counts, real))
+        written.append(write_envelope_csv(args.out_dir / "envelope.csv", grid, counts, real))
 
     for name in ("alpha", "beta", "lambda_inf"):
         mean, sd = ("nan" if v is None else format(v, ".4g")
                     for v in (summary[name]["mean"], summary[name]["sd"]))
         print(f"{name}: mean={mean} sd={sd}")
-    print(f"converged {len(converged)}/{cfg.count}; wrote {', '.join(map(str, written))}")
-    return harness
+    print(f"converged {len(converged)}/{args.count}; wrote {', '.join(map(str, written))}")
+    return written
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,9 +356,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
     try:
-        result = _DISPATCH[cfg.command](cfg)
+        result = _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -403,7 +370,7 @@ def main(argv=None) -> int:
     except (HawkesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if cfg.command == "estimate" and isinstance(result, EstimateReport) and not result.converged:
+    if args.command == "estimate" and isinstance(result, EstimateReport) and not result.converged:
         print("error: estimation did not converge (report written for diagnostics)",
               file=sys.stderr)
         return EXIT_CONVERGENCE

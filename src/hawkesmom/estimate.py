@@ -35,6 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,12 +104,12 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class EstimateConfig:
-    """Windowing and solver settings for estimate()."""
+    """Windowing settings for estimate(); tol is the solver's fixed tolerance."""
 
     delta: float
     t0: float = 0.0
     init: tuple[float, float, float] = DEFAULT_INIT
-    tol: float = 1e-9
+    tol: ClassVar[float] = 1e-9
 
 
 def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:
@@ -139,8 +140,10 @@ def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMom
 def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
     """Empirical M_1, M_2, M_3 over the maximal whole number of windows in
     [t0, horizon]."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     if t0 < 0.0 or t0 >= events.horizon:
         raise InsufficientData(
             f"window start t0={t0} leaves no room before horizon {events.horizon}"

@@ -55,8 +55,11 @@ def parse_events(path, unit: str = "minutes", horizon: float | None = None) -> E
 
     The horizon defaults to the largest timestamp; passing ``horizon``
     overrides it and drops events beyond it (explicit truncation).  Unsorted
-    input is sorted with a warning; ties are preserved.
+    input is sorted with a warning; ties are preserved.  A negative or
+    non-finite ``horizon`` is a ValueError before the file is opened.
     """
+    if horizon is not None and not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     path = Path(path)
     values: list[float] = []
     with path.open("r", encoding="utf-8") as fh:

@@ -30,7 +30,8 @@ own generator, draws its uniforms in blocks, and one vectorised step per
 loop iteration repeats simulate_exact's float operations in its order,
 with libm's log and exp (math.log, math.exp) rather than numpy's, whose
 last bit can differ.  A deficit start thins by _thin first, one draw at a
-time, and once few paths are live the scalar loop finishes them.
+time.  The scalar loop finishes a path whose block holds an exact 0 where
+it stands, and every path once few are live.
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -342,13 +343,15 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     its intensity reaches the base level: the lockstep steps only paths at
     or above it, where rounding keeps them.
 
-    Returns each seed's event times, or None for a path whose block held
-    an exact 0: simulate_exact redraws it, which shifts the rest of its
-    stream, so the caller runs simulate_exact there.
+    A path whose block holds an exact 0, which simulate_exact redraws, is
+    finished by _run_exact where it stands, reading the block's raw draws
+    and then its generator: the stream simulate_exact reads from there.
+
+    Returns each seed's event times.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     rngs = [np.random.default_rng(s) for s in seeds]
-    # per path: its times so far (None: handed back)
+    # per path: its times so far
     found_t = [np.empty(0) for _ in seeds]
     ids = np.arange(len(seeds))  # the live paths
     t = np.zeros(ids.size)
@@ -374,8 +377,11 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             rngs[i].random(out=row)
         clean = u.all(axis=1)
         if not clean.all():
-            for i in ids[~clean]:
-                found_t[i] = None
+            for k in (~clean).nonzero()[0].tolist():
+                i = ids[k]
+                _append(found_t[i], _run_exact(chain(u[k].tolist(), _uniforms(rngs[i])),
+                                               params, horizon, cap, t[k].item(), lam[k].item(),
+                                               found_t[i].size))
             kept = u[clean]
             ids, t, lam = ids[clean], t[clean], lam[clean]
             u = buf_u[:kept.size].reshape(kept.shape)
@@ -428,9 +434,8 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
     """The event times of the path of each seed, in seed order, sampled a
     group of ``group_size`` paths at a time.
 
-    The exact method steps each group in lockstep (see _lockstep); a path
-    it hands back, and every path of another method, is drawn by the
-    single-path sampler.
+    The exact method steps each group in lockstep (see _lockstep); every
+    path of another method is drawn by the single-path sampler.
     """
     out = []
     for lo in range(seeds.start, seeds.stop, group_size):
@@ -438,13 +443,9 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
         if method == "exact":
             # excess == 0 divides by zero on purpose; a tiny excess may overflow d
             with np.errstate(divide="ignore", over="ignore"):
-                paths = _lockstep(params, horizon, group, cap)
+                out += _lockstep(params, horizon, group, cap)
         else:
-            paths = [None] * len(group)
-        for s, times in zip(group, paths):
-            if times is None:
-                times = sampler(method)(params, horizon, s, cap=cap).events.times
-            out.append(times)
+            out += (sampler(method)(params, horizon, s, cap=cap).events.times for s in group)
     return out
 
 
@@ -505,7 +506,8 @@ def map_batch(
     all are back (see _fork.replay_warnings).  A path depends only on its
     seed, so neither the results nor what a run prints depend on the CPU
     count; a batch of fewer than 2 * MIN_EVENTS_PER_WORKER expected events
-    never forks.  A bad horizon or method fails before any fork.
+    never forks.  A bad horizon or method, or a negative n_paths, fails
+    before any fork; n_paths = 0 gives [].
 
     An exception in a worker, ``fn``'s included, is raised here unchanged:
     the lowest failing slice's, and within it the lowest failing group's.
@@ -516,6 +518,8 @@ def map_batch(
     """
     _check_horizon(horizon)
     sampler(method)
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
     group_size = max(1, min(_GROUP, -(-n_paths // workers)))
     groups = -(-n_paths // group_size)

@@ -80,6 +80,22 @@ class TestEmpiricalMoments:
         with pytest.raises(InsufficientData):
             empirical_moments(events, t0=5.0, delta=0.5)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_delta_is_named(self, delta):
+        events = EventSequence(times=np.array([0.5, 1.5, 2.5]), horizon=10.0)
+        for fit in (lambda: empirical_moments(events, t0=1.0, delta=delta),
+                    lambda: estimate(events, EstimateConfig(delta=delta, t0=1.0))):
+            with pytest.raises(ValueError, match=f"delta must be > 0 and finite, got {delta}"):
+                fit()
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_is_named(self, t0):
+        events = EventSequence(times=np.array([0.5, 1.5, 2.5]), horizon=10.0)
+        for fit in (lambda: empirical_moments(events, t0=t0, delta=1.0),
+                    lambda: estimate(events, EstimateConfig(delta=1.0, t0=t0))):
+            with pytest.raises(ValueError, match=f"t0 must be finite, got {t0}"):
+                fit()
+
     def test_few_windows_warns(self):
         events = EventSequence(times=np.array([0.5, 1.5, 2.5]), horizon=10.0)
         with pytest.warns(UserWarning, match="windows"):
@@ -409,6 +425,11 @@ class TestEstimate:
             report = estimate(events, EstimateConfig(delta=1.0, t0=0.0))
         assert not report.converged
         assert math.isfinite(report.residual_norm)
+
+    def test_tol_is_a_constant(self):
+        assert EstimateConfig(delta=0.5).tol == 1e-9
+        with pytest.raises(TypeError):
+            EstimateConfig(delta=0.5, tol=1e-6)
 
     def test_window_stats_attached(self):
         events = self._simulated_events()

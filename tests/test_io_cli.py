@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,13 +29,14 @@ from hawkesmom.cli import (
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
-    RunConfig,
+    build_parser,
     cmd_estimate,
     cmd_moments,
     cmd_simulate,
     cmd_validate,
     main,
 )
+from hawkesmom.estimate import DEFAULT_INIT
 from hawkesmom import io as io_module
 from hawkesmom.io import (
     _CSV_CHUNK_ROWS,
@@ -45,12 +47,26 @@ from hawkesmom.io import (
     write_report_json,
     write_table_csv,
 )
+from hawkesmom.simulate import DEFAULT_EVENT_CAP
 
 try:
     with open("/proc/sys/vm/overcommit_memory") as _fh:
         _OVERCOMMIT_ALWAYS = _fh.read().strip() == "1"
 except OSError:
     _OVERCOMMIT_ALWAYS = False
+
+
+def parse(*argv):
+    """The parsed arguments of the command line ``argv``, each item as str:
+    what main hands a cmd_* function, with the parser's own defaults."""
+    return build_parser().parse_args(list(map(str, argv)))
+
+
+def envelope_counts(path):
+    """The per-run columns of an envelope.csv, one row per run."""
+    header = path.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, [i for i, name in enumerate(header) if name.startswith("run_")]].T
 
 
 def write(tmp_path, name, text):
@@ -124,6 +140,11 @@ class TestParseEvents:
             seq = parse_events(path, horizon=6.0)
         assert list(seq.times) == [1.0, 5.0]
         assert seq.horizon == 6.0
+
+    @pytest.mark.parametrize("horizon", [-1.0, -math.inf, math.inf, math.nan])
+    def test_bad_horizon_rejected_before_the_file_is_opened(self, tmp_path, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be finite and >= 0, got {horizon}"):
+            parse_events(tmp_path / "missing.txt", horizon=horizon)
 
     def test_unit_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -452,62 +473,91 @@ class TestWriteInPlace:
         assert self.digests(rerun) == expected
 
 
+class TestParserDefaults:
+    """Each flag's default lives in build_parser alone; these are the ones
+    the cmd_* functions see when a flag is left out."""
+
+    PARAMS = ["--alpha", "0.2", "--beta", "1", "--lambda-inf", "1"]
+
+    def test_validate(self):
+        args = parse("validate", *self.PARAMS, "--horizon", 10, "--delta", 0.5)
+        assert (args.t0, args.count, args.init, args.method, args.cap, args.envelope) == (
+            3000.0, 20, DEFAULT_INIT, "exact", DEFAULT_EVENT_CAP, False)
+        assert (args.lambda0, args.seed, args.envelope_step, args.real_events_path) == (
+            None, None, None, None)
+        assert (args.unit, args.out_dir) == ("minutes", Path("."))
+
+    def test_estimate(self):
+        args = parse("estimate", "--events", "ev.txt", "--delta", 0.5)
+        assert (args.t0, args.horizon, args.unit) == (0.0, None, "minutes")
+        assert (args.init, args.out_dir) == (DEFAULT_INIT, Path("."))
+
+    def test_simulate(self):
+        args = parse("simulate", *self.PARAMS, "--horizon", 10)
+        assert (args.method, args.grid_step, args.cap, args.unit) == (
+            "exact", 0.01, DEFAULT_EVENT_CAP, "minutes")
+        assert (args.lambda0, args.seed, args.out_dir) == (None, None, Path("."))
+
+    def test_moments_has_no_window_start_or_lambda0(self):
+        args = parse("moments", *self.PARAMS, "--delta", 0.5)
+        assert not hasattr(args, "t0") and not hasattr(args, "lambda0")
+
+
 class TestCmdSimulate:
     def test_deterministic_byte_identical(self, tmp_path):
-        cfgs = [RunConfig(command="simulate", alpha=0.15, beta=1.0, lambda_inf=1.0,
-                          lambda0=1.2, horizon=20.0, seed=7, grid_step=0.01,
-                          out_dir=tmp_path / d) for d in ("a", "b")]
+        cfgs = [parse("simulate", "--alpha", 0.15, "--beta", 1.0, "--lambda-inf", 1.0,
+                      "--lambda0", 1.2, "--horizon", 20.0, "--seed", 7, "--grid-step", 0.01,
+                      "--out-dir", tmp_path / d) for d in ("a", "b")]
         files_a = cmd_simulate(cfgs[0])
         files_b = cmd_simulate(cfgs[1])
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
     def test_poisson_run_intensity_bounds(self, tmp_path):
-        cfg = RunConfig(command="simulate", alpha=0.0, beta=1.0, lambda_inf=1.0,
-                        lambda0=1.4, horizon=15.0, seed=3, out_dir=tmp_path)
+        cfg = parse("simulate", "--alpha", 0.0, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--lambda0", 1.4, "--horizon", 15.0, "--seed", 3, "--out-dir", tmp_path)
         _, intensity_path = cmd_simulate(cfg)
         rows = intensity_path.read_text().strip().splitlines()[1:]
         values = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(values >= 1.0 - 1e-12) and np.all(values <= 1.4 + 1e-12)
 
     def test_grid_row_count(self, tmp_path):
-        cfg = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=20.0, seed=5, grid_step=0.01, out_dir=tmp_path)
+        cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 20.0, "--seed", 5, "--grid-step", 0.01, "--out-dir", tmp_path)
         _, intensity_path = cmd_simulate(cfg)
         rows = intensity_path.read_text().strip().splitlines()
         assert len(rows) - 1 == int(20.0 / 0.01) + 1
 
     def test_events_file_round_trips(self, tmp_path):
-        cfg = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=50.0, seed=11, out_dir=tmp_path)
+        cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 50.0, "--seed", 11, "--out-dir", tmp_path)
         events_path, _ = cmd_simulate(cfg)
         seq = parse_events(events_path, horizon=50.0)
         assert len(seq) > 0
 
     def test_seed_required(self, tmp_path, monkeypatch):
         monkeypatch.delenv("HAWKES_SEED", raising=False)
-        cfg = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=10.0, out_dir=tmp_path)
+        cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 10.0, "--out-dir", tmp_path)
         with pytest.raises(ValueError, match="seed"):
             cmd_simulate(cfg)
 
     def test_env_seed_fallback_and_flag_precedence(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HAWKES_SEED", "123")
-        cfg_env = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                            horizon=30.0, out_dir=tmp_path / "env")
-        cfg_flag = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                             horizon=30.0, seed=123, out_dir=tmp_path / "flag")
+        params = ["--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0, "--horizon", 30.0]
+        cfg_env = parse("simulate", *params, "--out-dir", tmp_path / "env")
+        cfg_flag = parse("simulate", *params, "--seed", 123, "--out-dir", tmp_path / "flag")
         a = cmd_simulate(cfg_env)[0].read_bytes()
         b = cmd_simulate(cfg_flag)[0].read_bytes()
         assert a == b
-        cfg_diff = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                             horizon=30.0, seed=124, out_dir=tmp_path / "diff")
+        cfg_diff = parse("simulate", *params, "--seed", 124, "--out-dir", tmp_path / "diff")
         assert cmd_simulate(cfg_diff)[0].read_bytes() != a
 
 
 class TestCmdMoments:
     def test_payload(self, capsys):
-        cfg = RunConfig(command="moments", alpha=0.2, beta=1.0, lambda_inf=1.0, delta=0.5)
+        cfg = parse("moments", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--delta", 0.5)
         payload = cmd_moments(cfg)
         assert payload["m1"] == pytest.approx(0.625)
         assert payload["m2"] == pytest.approx(1.0774297279610112)
@@ -527,8 +577,8 @@ class TestCmdEstimate:
 
     def test_report_schema(self, tmp_path):
         path = self._events_file(tmp_path)
-        cfg = RunConfig(command="estimate", events_path=path, delta=0.5, t0=500.0,
-                        init=(0.5, 1.5, 2.0), out_dir=tmp_path, unit="unitless")
+        cfg = parse("estimate", "--events", path, "--delta", 0.5, "--t0", 500.0,
+                    "--init", 0.5, 1.5, 2.0, "--out-dir", tmp_path, "--unit", "unitless")
         report = cmd_estimate(cfg)
         data = json.loads((tmp_path / "estimate.json").read_text())
         assert set(data["params_hat"]) == {"alpha", "beta", "lambda_inf"}
@@ -546,8 +596,8 @@ class TestCmdEstimate:
         p = validate_params(0.772, 1.133, 0.243, 0.243)
         traj = simulate_exact(p, 600.0, 13, unit="minutes")
         path = write_events(tmp_path / "cascade.txt", traj.events)
-        cfg = RunConfig(command="estimate", events_path=path, delta=1.0 / 60.0,
-                        t0=0.0, init=(0.5, 1.5, 0.75), out_dir=tmp_path)
+        cfg = parse("estimate", "--events", path, "--delta", 1.0 / 60.0,
+                    "--t0", 0.0, "--init", 0.5, 1.5, 0.75, "--out-dir", tmp_path)
         with pytest.warns(UserWarning):
             report = cmd_estimate(cfg)
         hat = report.params_hat
@@ -602,15 +652,16 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 class TestCmdValidate:
     def test_small_harness_with_partial_failures(self, tmp_path):
         # tiny horizon: some runs cannot even fill windows; harness keeps going
-        cfg = RunConfig(command="validate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=12.0, seed=2, count=2, delta=0.5, t0=0.0,
-                        out_dir=tmp_path)
+        cfg = parse("validate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 12.0, "--seed", 2, "--count", 2, "--delta", 0.5, "--t0", 0.0,
+                    "--out-dir", tmp_path)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            harness = cmd_validate(cfg)
-        assert len(harness.reports) == 2
+            written = cmd_validate(cfg)
+        assert written == [tmp_path / "table.csv", tmp_path / "validate.json"]
+        assert len(json.loads((tmp_path / "validate.json").read_text())["runs"]) == 2
         table = (tmp_path / "table.csv").read_text().strip().splitlines()
         assert table[0] == "run,alpha_hat,beta_hat,lambda_inf_hat,converged"
         assert len(table) == 3
@@ -622,30 +673,33 @@ class TestCmdValidate:
         p = validate_params(0.772, 1.133, 0.243, 0.243)
         real = simulate_exact(p, 600.0, 99, unit="minutes")
         real_path = write_events(tmp_path / "real.txt", real.events)
-        cfg = RunConfig(command="validate", alpha=0.772, beta=1.133, lambda_inf=0.243,
-                        lambda0=0.243, horizon=600.0, seed=1, count=20, delta=1.0 / 60.0,
-                        t0=0.0, out_dir=tmp_path, envelope=True, envelope_step=1.0,
-                        real_events_path=real_path)
+        cfg = parse("validate", "--alpha", 0.772, "--beta", 1.133, "--lambda-inf", 0.243,
+                    "--lambda0", 0.243, "--horizon", 600.0, "--seed", 1, "--count", 20,
+                    "--delta", 1.0 / 60.0, "--t0", 0.0, "--out-dir", tmp_path, "--envelope",
+                    "--envelope-step", 1.0, "--real-events", real_path)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            harness = cmd_validate(cfg)
-        assert harness.envelope_counts.shape == (20, 601)
-        assert harness.real_counts is not None
+            written = cmd_validate(cfg)
+        assert written[-1] == tmp_path / "envelope.csv"
+        counts = envelope_counts(tmp_path / "envelope.csv")
+        assert counts.shape == (20, 601)
         header = (tmp_path / "envelope.csv").read_text().splitlines()[0].split(",")
         assert header == ["t"] + [f"run_{i}" for i in range(20)] + ["real"]
         # cumulative counts are nondecreasing along the grid
-        assert np.all(np.diff(harness.envelope_counts, axis=1) >= 0)
+        assert np.all(np.diff(counts, axis=1) >= 0)
 
     def test_summary_over_converged_only(self, tmp_path):
-        cfg = RunConfig(command="validate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=3000.0, seed=10, count=3, delta=0.5, t0=500.0,
-                        out_dir=tmp_path)
-        harness = cmd_validate(cfg)
+        cfg = parse("validate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 3000.0, "--seed", 10, "--count", 3, "--delta", 0.5,
+                    "--t0", 500.0, "--out-dir", tmp_path)
+        cmd_validate(cfg)
         data = json.loads((tmp_path / "validate.json").read_text())
         assert data["summary"]["total_runs"] == 3
-        assert data["summary"]["converged_runs"] == len(harness.reports) - len(harness.non_converged)
+        runs = data["runs"]
+        assert data["summary"]["converged_runs"] == len(runs) - sum(
+            not r["converged"] for r in runs)
 
     def test_report_is_strict_json_when_fits_fail(self, tmp_path, capsys):
         # run 0 does not converge and run 1 has no window with an event: no
@@ -676,17 +730,18 @@ class TestCmdValidate:
     def test_byte_identical_outputs(self, tmp_path):
         outs = []
         for d in ("x", "y"):
-            cfg = RunConfig(command="validate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                            horizon=2000.0, seed=6, count=2, delta=0.5, t0=500.0,
-                            out_dir=tmp_path / d)
+            cfg = parse("validate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                        "--horizon", 2000.0, "--seed", 6, "--count", 2, "--delta", 0.5,
+                        "--t0", 500.0, "--out-dir", tmp_path / d)
             cmd_validate(cfg)
             outs.append(tmp_path / d)
         for name in ("table.csv", "validate.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_cluster_method(self, tmp_path):
-        cfg = RunConfig(command="simulate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=100.0, seed=8, method="cluster", out_dir=tmp_path)
+        cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 100.0, "--seed", 8, "--method", "cluster",
+                    "--out-dir", tmp_path)
         events_path, _ = cmd_simulate(cfg)
         seq = parse_events(events_path, horizon=100.0)
         assert len(seq) > 0
@@ -799,12 +854,13 @@ sys.exit(code)
 
         monkeypatch.setattr(simulate_module, "in_slices", in_slices)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        cfg = RunConfig(command="validate", alpha=0.2, beta=1.0, lambda_inf=1.0,
-                        horizon=4000.0, seed=3, count=6, delta=0.5, t0=50.0,
-                        envelope=True, out_dir=tmp_path)
-        harness = cmd_validate(cfg)
+        cfg = parse("validate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
+                    "--horizon", 4000.0, "--seed", 3, "--count", 6, "--delta", 0.5,
+                    "--t0", 50.0, "--envelope", "--out-dir", tmp_path)
+        cmd_validate(cfg)
         assert len(sizes) == cpus - 1
-        events = harness.envelope_counts[:, -1]  # every event lies before the horizon
+        # every event lies before the horizon
+        events = envelope_counts(tmp_path / "envelope.csv")[:, -1]
         for lo, hi, size in sizes:
             path_bytes = 8 * int(events[lo - cfg.seed:hi - cfg.seed].sum())
             # the paths' raw times are path_bytes; a report and a 601-count
@@ -885,6 +941,18 @@ class TestMainExitCodes:
                                f"--horizon={horizon}", "--seed", "1", "--out-dir", str(out)])
         assert code == 1
         assert "error: horizon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+    def test_bad_estimate_horizon_writes_nothing(self, tmp_path, monkeypatch, capsys, horizon):
+        events = write(tmp_path, "ev.txt", "t\n0.5\n1.0\n2.0\n")
+        monkeypatch.setattr(Path, "open", lambda *a, **k: pytest.fail("read"))
+        out = tmp_path / "out"
+        code = main(["estimate", "--events", str(events), "--delta", "0.5", "--t0", "0.1",
+                     f"--horizon={horizon}", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: horizon must be finite and >= 0, got {float(horizon)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])

@@ -832,6 +832,24 @@ class TestMapBatch:
         assert len(forks) == 1
 
 
+class TestPathCount:
+    @pytest.mark.parametrize("batch", [
+        lambda p, n: simulate_batch(p, 10.0, 1, n),
+        lambda p, n: map_batch(p, 10.0, 1, n, len),
+    ], ids=["simulate_batch", "map_batch"])
+    def test_negative_rejected_before_sampling_and_zero_is_empty(self, monkeypatch, batch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: pytest.fail("sampling started"))
+        with pytest.raises(ValueError, match="n_paths must be >= 0, got -3"):
+            batch(p, -3)
+        assert batch(p, 0) == []
+
+
 class TestHorizonCheck:
     SAMPLERS = {
         "exact": lambda p, h: simulate_exact(p, h, 1),
