@@ -33,14 +33,13 @@ from .estimate import (
 )
 from .generator import (
     BivariatePolynomial,
-    MomentIndex,
     apply_generator,
     integrate_moments,
     integrate_polynomial_on_path,
     moment_closure,
     moment_ode_rhs,
 )
-from .io import convert_unit, parse_events
+from .io import parse_events
 from .moments import (
     MomentTriple,
     helper_integrals,
@@ -72,7 +71,7 @@ __all__ = [
     "HawkesParams", "EventSequence", "validate_params",
     "intensity_at", "intensity_on_grid", "post_jump_intensities", "count_at",
     # generator
-    "BivariatePolynomial", "MomentIndex", "apply_generator", "moment_ode_rhs",
+    "BivariatePolynomial", "apply_generator", "moment_ode_rhs",
     "moment_closure", "integrate_moments", "integrate_polynomial_on_path",
     # simulate
     "Trajectory", "IncrementSample", "simulate_exact", "simulate_cluster",
@@ -85,7 +84,7 @@ __all__ = [
     "EmpiricalMoments", "EstimateConfig", "EstimateReport",
     "empirical_moments", "solve_moment_system", "estimate",
     # io
-    "parse_events", "convert_unit",
+    "parse_events",
     # errors
     "HawkesError", "ExplosionRisk", "NonPositiveBase", "NegativeInput",
     "CapacityExceeded", "WindowOutOfRange",

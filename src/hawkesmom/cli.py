@@ -122,7 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     grid = _step_grid("--grid-step", args.horizon, args.grid_step)
     params = _params(args)
     seed = _require_seed(args.seed)
-    traj = sampler(args.method)(params, args.horizon, seed, cap=args.cap, unit=args.unit)
+    traj = sampler(args.method)(params, args.horizon, seed, cap=args.cap)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(args.out_dir / "events.txt", traj.events)
@@ -169,7 +169,7 @@ def cmd_estimate(args: argparse.Namespace) -> EstimateReport:
     """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
     _check_windows(args.delta, args.t0)
     _check_start(args.init)
-    events = parse_events(args.events_path, unit=args.unit, horizon=args.horizon)
+    events = parse_events(args.events_path, horizon=args.horizon)
     report = estimate(events, EstimateConfig(delta=args.delta, t0=args.t0, init=args.init))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = write_report_json(args.out_dir / "estimate.json", report_to_dict(report))
@@ -210,7 +210,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     real = None
     if args.real_events_path is not None:
         # read before sampling, so a bad file costs no paths and writes nothing
-        real_events = parse_events(args.real_events_path, unit=args.unit, horizon=args.horizon)
+        real_events = parse_events(args.real_events_path, horizon=args.horizon)
         real = count_at(real_events, grid)
     est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
 
@@ -229,7 +229,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         return report, count_at(traj.events, grid) if args.envelope else None
 
     fitted = map_batch(params, args.horizon, seed, args.count, fit, method=args.method,
-                       cap=args.cap, unit=args.unit)
+                       cap=args.cap)
     reports: list[EstimateReport] = [report for report, _ in fitted]
 
     converged = [r for r in reports if r.converged]
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
-        p.add_argument("--unit", default="minutes", help="time unit label (default minutes)")
         p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
         p.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP,
                        help="per-trajectory event cap")
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("ALPHA", "BETA", "LAMBDA_INF"), help=init_help)
     p_est.add_argument("--horizon", type=float, default=None,
                        help="truncate events beyond this time (default: last event)")
-    p_est.add_argument("--unit", default="minutes")
     p_est.add_argument("--out-dir", type=Path, default=Path("."))
 
     p_val = sub.add_parser("validate", help="simulate K trajectories, estimate each, summarize")

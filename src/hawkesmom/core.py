@@ -17,7 +17,9 @@ _excess_after_events), so neither loops over events or grid points in
 Python.  Its relative error against the direct sum measured at most 5.1e-16
 for beta from 1e-5 to 1e5 and for any event spacing.
 
-All functions here are pure; inputs are immutable records.
+Times carry no declared scale: the intensity, beta and lambda_inf are
+rates per whatever step the event times count in (per minute for times in
+minutes).  All functions here are pure; inputs are immutable records.
 """
 
 from __future__ import annotations
@@ -102,16 +104,16 @@ def validate_params(alpha, beta, lambda_inf, lambda0=None) -> HawkesParams:
 
 @dataclass(frozen=True, eq=False)
 class EventSequence:
-    """Sorted event timestamps with a declared time unit and horizon.
+    """Sorted event timestamps and their horizon.
 
-    Timestamps are stored as float64 in the declared unit.  Ties are
-    permitted (finite-resolution data records several events at the same
-    instant).
+    Timestamps are stored as float64 on the data's own clock; a caller who
+    wants another scale rescales them, EventSequence(times * f, horizon * f).
+    Ties are permitted (finite-resolution data records several events at
+    the same instant).
     """
 
     times: np.ndarray
     horizon: float
-    unit: str = "unitless"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -130,7 +132,7 @@ class EventSequence:
         object.__setattr__(self, "horizon", float(self.horizon))
 
     @classmethod
-    def _sampled(cls, times: np.ndarray, horizon: float, unit: str) -> EventSequence:
+    def _sampled(cls, times: np.ndarray, horizon: float) -> EventSequence:
         """A sampler's path, without __post_init__'s checks: ``times`` is a
         1-D float64 array that the sampler built nondecreasing and within
         [0, horizon], and ``horizon`` was checked before sampling."""
@@ -138,7 +140,6 @@ class EventSequence:
         times.setflags(write=False)
         object.__setattr__(seq, "times", times)
         object.__setattr__(seq, "horizon", float(horizon))
-        object.__setattr__(seq, "unit", unit)
         return seq
 
     def __len__(self) -> int:
@@ -157,7 +158,7 @@ def intensity_at(params: HawkesParams, events, t: float) -> float:
     Left-continuous convention: events at exactly t are excluded, so this
     is the pre-jump value lambda(t-).
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     times = _times(events)
     k = np.searchsorted(times, t, side="left")
@@ -236,7 +237,7 @@ def count_at(events, t):
     same shape.
     """
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t.min()}")
     counts = np.searchsorted(_times(events), t, side="right")
     return int(counts) if counts.ndim == 0 else counts

@@ -48,6 +48,7 @@ from .simulate import windowed_counts
 __all__ = [
     "MIN_WINDOWS",
     "DEFAULT_INIT",
+    "TOL",
     "EmpiricalMoments",
     "EstimateConfig",
     "EstimateReport",
@@ -63,6 +64,8 @@ MIN_WINDOWS = 30
 BOUNDARY_ALPHA_RATIO = 1e-6
 # the solver's default starting point (alpha, beta, lambda_inf)
 DEFAULT_INIT = (0.5, 1.5, 2.0)
+# the solver's residual tolerance, relative to max(1, M_i)
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class EstimateReport:
 
     params_hat carries lambda0 = lambda_inf (lambda0 is not identified by
     the moment system).  converged means the solver reached its target: each
-    residual at or below tol * max(1, M_i) when the system has an exact root,
+    residual at or below TOL * max(1, M_i) when the system has an exact root,
     or the constrained least-squares point when it does not (then
     residual_norm honestly exceeds the tolerance and "m3_best_fit" is set).
     Other flags: "boundary_alpha" (alpha-hat at the Poisson boundary, beta
@@ -104,12 +107,12 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class EstimateConfig:
-    """Windowing settings for estimate(); tol is the solver's fixed tolerance."""
+    """Windowing settings for estimate(); tol is the solver's constant TOL."""
 
     delta: float
     t0: float = 0.0
     init: tuple[float, float, float] = DEFAULT_INIT
-    tol: ClassVar[float] = 1e-9
+    tol: ClassVar[float] = TOL
 
 
 def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:
@@ -275,7 +278,6 @@ def solve_moment_system(
     delta: float,
     init: tuple[float, float, float],
     *,
-    tol: float = 1e-9,
     window_stats: EmpiricalMoments | None = None,
 ) -> EstimateReport:
     """Solve the three-equation moment system for (alpha, beta, lambda_inf).
@@ -286,7 +288,7 @@ def solve_moment_system(
     changes of the residual on a wide log-grid are bracketed and refined;
     among the admissible exact roots the one nearest ``init`` in (ln alpha,
     ln kappa), kappa = beta - alpha, is returned with each residual at or below
-    ``tol * max(1, M_i)``: relative to the moment once it exceeds 1, since
+    ``TOL * max(1, M_i)``: relative to the moment once it exceeds 1, since
     M3 reaches 1e4 on bursty data and an absolute 1e-9 would then sit below
     float64 rounding.
 
@@ -323,7 +325,7 @@ def solve_moment_system(
     def make_report(p: HawkesParams, flags: tuple[str, ...]) -> EstimateReport:
         residuals = _residuals(p, triple, delta)
         norm = max(map(abs, residuals))
-        within = [abs(r) <= tol * max(1.0, m) for r, m in zip(residuals, (m1, m2, m3))]
+        within = [abs(r) <= TOL * max(1.0, m) for r, m in zip(residuals, (m1, m2, m3))]
         if p.alpha < BOUNDARY_ALPHA_RATIO * p.beta:
             flags = flags + ("boundary_alpha",)
         # a best-fit point still matches the first two moments exactly
@@ -394,7 +396,7 @@ def solve_moment_system(
     report = make_report(params[i], flags)
     if not report.converged:
         raise NoConvergence(
-            f"no admissible parameters reach residual {tol} x max(1, M_i) "
+            f"no admissible parameters reach residual {TOL} x max(1, M_i) "
             f"(best residual {report.residual_norm:.3e} from init {report.init})",
             best_report=report,
         )
@@ -422,9 +424,7 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
         extra_flags = ("t0_in_transient",)
 
     try:
-        report = solve_moment_system(
-            emp.triple, config.delta, config.init, tol=config.tol, window_stats=emp,
-        )
+        report = solve_moment_system(emp.triple, config.delta, config.init, window_stats=emp)
     except NoConvergence as exc:
         if exc.best_report is None:
             raise

@@ -29,7 +29,6 @@ within a few units in the last place of the exact exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,7 +37,6 @@ from .core import HawkesParams, _excess_after_events, _times
 
 __all__ = [
     "MAX_EXPONENT",
-    "MomentIndex",
     "BivariatePolynomial",
     "apply_generator",
     "moment_ode_rhs",
@@ -52,27 +50,9 @@ __all__ = [
 MAX_EXPONENT = 8
 
 
-@dataclass(frozen=True, order=True)
-class MomentIndex:
-    """Exponent pair (m, l) labelling the mixed moment E[lambda^m N^l]."""
-
-    m: int
-    l: int
-
-    def __post_init__(self):
-        for v in (self.m, self.l):
-            if not isinstance(v, int) or v < 0 or v > MAX_EXPONENT:
-                raise ValueError(
-                    f"exponents must be integers in [0, {MAX_EXPONENT}], got ({self.m}, {self.l})"
-                )
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.m, self.l)
-
-
 def _as_exponents(key) -> tuple[int, int]:
-    if isinstance(key, MomentIndex):
-        return key.as_tuple()
+    """``key`` as the exponent pair (m, l) of the mixed moment E[lambda^m N^l],
+    each an integer in [0, MAX_EXPONENT]."""
     m, l = key
     m, l = int(m), int(l)
     if (m, l) != tuple(key) or m < 0 or l < 0 or m > MAX_EXPONENT or l > MAX_EXPONENT:
@@ -380,7 +360,7 @@ def integrate_polynomial_on_path(
     identity E[k(X_t)] = k(X_0) + int_0^t E[A k(X_u)] du without quadrature
     bias.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     times = _times(events)
     before = times[:np.searchsorted(times, t, side="left")]

@@ -1,9 +1,10 @@
-"""Event-file ingestion, unit conversion and plot-ready file writers.
+"""Event-file ingestion and plot-ready file writers.
 
 Events file: UTF-8 text, one nonnegative decimal timestamp per line, with an
-optional single header line "t".  Grids and tables are written as CSV,
-reports as JSON; floats are serialized with repr so identical inputs give
-byte-identical files.
+optional single header line "t".  Timestamps are read as they are, never
+rescaled: in a file of minutes, rates fitted to it are per minute.  Grids
+and tables are written as CSV, reports as JSON; floats are serialized with
+repr so identical inputs give byte-identical files.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -31,9 +32,7 @@ from .errors import EmptyFile, NegativeTimestamp, ParseError
 from .estimate import EstimateReport
 
 __all__ = [
-    "UNIT_IN_MINUTES",
     "parse_events",
-    "convert_unit",
     "write_events",
     "write_intensity_csv",
     "write_table_csv",
@@ -42,15 +41,7 @@ __all__ = [
     "write_report_json",
 ]
 
-UNIT_IN_MINUTES = {
-    "seconds": 1.0 / 60.0,
-    "minutes": 1.0,
-    "hours": 60.0,
-    "days": 1440.0,
-}
-
-
-def parse_events(path, unit: str = "minutes", horizon: float | None = None) -> EventSequence:
+def parse_events(path, horizon: float | None = None) -> EventSequence:
     """Read an events file into a sorted EventSequence.
 
     The horizon defaults to the largest timestamp; passing ``horizon``
@@ -107,17 +98,7 @@ def parse_events(path, unit: str = "minutes", horizon: float | None = None) -> E
             times = times[times <= horizon]
         if times.size == 0:
             raise EmptyFile(f"{path}: no timestamps at or before horizon {horizon}")
-    return EventSequence(times=times, horizon=horizon, unit=unit)
-
-
-def convert_unit(events: EventSequence, to_unit: str) -> EventSequence:
-    """Rescale timestamps and horizon to another known time unit."""
-    for u in (events.unit, to_unit):
-        if u not in UNIT_IN_MINUTES:
-            raise ValueError(f"unknown time unit {u!r}; known: {sorted(UNIT_IN_MINUTES)}")
-    factor = UNIT_IN_MINUTES[events.unit] / UNIT_IN_MINUTES[to_unit]
-    return EventSequence(times=events.times * factor, horizon=events.horizon * factor,
-                         unit=to_unit)
+    return EventSequence(times=times, horizon=horizon)
 
 
 @contextlib.contextmanager

@@ -46,7 +46,7 @@ class MomentTriple:
 
 def mean_intensity(params: HawkesParams, t: float) -> float:
     """E[lambda_t] = lambda* - (lambda* - lambda0) e^{-kappa t}."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     lam_star = params.lambda_star
     return lam_star - (lam_star - params.lambda0) * math.exp(-params.kappa * t)
@@ -61,7 +61,7 @@ def second_moment_intensity(params: HawkesParams, t: float) -> float:
 
     with Lambda2 = (lambda*)^2 + alpha^2 lambda* / (2 kappa).
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     a, k = params.alpha, params.kappa
     lam_star, lam0 = params.lambda_star, params.lambda0
@@ -73,7 +73,7 @@ def second_moment_intensity(params: HawkesParams, t: float) -> float:
 
 def mean_count(params: HawkesParams, t: float) -> float:
     """E[N_t] = lambda* t - (lambda* - lambda0)(1 - e^{-kappa t}) / kappa."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     lam_star = params.lambda_star
     return lam_star * t + (lam_star - params.lambda0) * math.expm1(-params.kappa * t) / params.kappa
@@ -86,7 +86,7 @@ def increment_mean_exact(params: HawkesParams, t: float, delta: float) -> float:
 
     Telescopes exactly: equals mean_count(t + delta) - mean_count(t).
     """
-    if t < 0.0 or delta <= 0.0:
+    if not (t >= 0.0 and delta > 0.0):
         raise ValueError(f"need t >= 0 and delta > 0, got t={t}, delta={delta}")
     k = params.kappa
     lam_star = params.lambda_star
@@ -96,7 +96,7 @@ def increment_mean_exact(params: HawkesParams, t: float, delta: float) -> float:
 
 def stationary_m1(params: HawkesParams, delta: float) -> float:
     """lim_t E[N_{t+delta} - N_t] = lambda* delta."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return params.lambda_star * delta
 
@@ -272,7 +272,7 @@ def helper_integrals(params: HawkesParams, delta: float) -> tuple[float, float]:
     They reconstruct the stationary second moment exactly:
     Lambda1 delta + 2 beta lambda_inf Lambda1 I1 + 2 (Lambda2 + alpha Lambda1) I2.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     shapes = _window_shapes(np.array([params.kappa * delta]))[:, 0]
     return float(shapes[_I1] * delta**3), float(shapes[_I2] * delta * delta)

@@ -137,7 +137,6 @@ def simulate_exact(
     seed: int,
     *,
     cap: int = DEFAULT_EVENT_CAP,
-    unit: str = "unitless",
 ) -> Trajectory:
     """Draw one path from the exact law of the process on [0, horizon].
 
@@ -156,7 +155,7 @@ def simulate_exact(
     _check_horizon(horizon)
     events = _run_exact(_uniforms(np.random.default_rng(seed)), params,
                         horizon, cap, 0.0, params.lambda0)
-    return Trajectory(EventSequence._sampled(np.asarray(events), horizon, unit), seed)
+    return Trajectory(EventSequence._sampled(np.asarray(events), horizon), seed)
 
 
 def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
@@ -255,7 +254,6 @@ def simulate_cluster(
     seed: int,
     *,
     cap: int = DEFAULT_EVENT_CAP,
-    unit: str = "unitless",
 ) -> Trajectory:
     """Draw one path via the immigrant/offspring branching construction."""
     _check_horizon(horizon)
@@ -281,7 +279,7 @@ def simulate_cluster(
     if total > cap:
         raise CapacityExceeded(f"cluster construction exceeded {cap} events")
     times = np.sort(np.concatenate(generations))
-    return Trajectory(EventSequence(times, horizon=horizon, unit=unit), seed)
+    return Trajectory(EventSequence(times, horizon=horizon), seed)
 
 
 def sampler(method: str):
@@ -462,7 +460,6 @@ def simulate_batch(
     *,
     method: str = "exact",
     cap: int = DEFAULT_EVENT_CAP,
-    unit: str = "unitless",
 ) -> list[Trajectory]:
     """n_paths independent trajectories with per-path seeds seed + i.
 
@@ -473,7 +470,7 @@ def simulate_batch(
     size; this process wraps them without a copy.  Its workers, groups,
     exceptions and their independence of the CPU count are map_batch's.
     """
-    return [Trajectory(EventSequence._sampled(np.frombuffer(times), horizon, unit), seed + i)
+    return [Trajectory(EventSequence._sampled(np.frombuffer(times), horizon), seed + i)
             for i, times in enumerate(map_batch(params, horizon, seed, n_paths, _times_bytes,
                                                 method=method, cap=cap))]
 
@@ -487,7 +484,6 @@ def map_batch(
     *,
     method: str = "exact",
     cap: int = DEFAULT_EVENT_CAP,
-    unit: str = "unitless",
 ) -> list:
     """[fn(path) for path in the batch], where path i is bit for bit
     sampler(method)(params, horizon, seed + i), with each fn(path) run in
@@ -531,7 +527,7 @@ def map_batch(
     def run(lo, hi, out):
         sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
         results = record_warnings(lambda: [
-            fn(Trajectory(EventSequence._sampled(times, horizon, unit), s))
+            fn(Trajectory(EventSequence._sampled(times, horizon), s))
             for s, times in zip(range(lo, hi), sampled)])
         if out is None:
             done.append(results)

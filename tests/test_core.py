@@ -104,7 +104,7 @@ class TestEventSequence:
             EventSequence(times=np.array([1.0, 5.0]), horizon=3.0)
 
     def test_ties_permitted(self):
-        seq = EventSequence(times=np.array([1.0, 1.0, 1.0]), horizon=2.0, unit="seconds")
+        seq = EventSequence(times=np.array([1.0, 1.0, 1.0]), horizon=2.0)
         assert len(seq) == 3
 
     def test_times_read_only(self):

@@ -33,6 +33,7 @@ from hawkesmom.estimate import (
     _SCAN_LO,
     _SCAN_POINTS,
     DEFAULT_INIT,
+    TOL,
     _curve,
     _k3_residual,
     empirical_from_counts,
@@ -427,9 +428,12 @@ class TestEstimate:
         assert math.isfinite(report.residual_norm)
 
     def test_tol_is_a_constant(self):
-        assert EstimateConfig(delta=0.5).tol == 1e-9
+        assert EstimateConfig(delta=0.5).tol == TOL == 1e-9
         with pytest.raises(TypeError):
             EstimateConfig(delta=0.5, tol=1e-6)
+        triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
+        with pytest.raises(TypeError):
+            solve_moment_system(triple, 0.5, DEFAULT_INIT, tol=1e-6)
 
     def test_window_stats_attached(self):
         events = self._simulated_events()

@@ -1,10 +1,15 @@
-"""Event-file ingestion, unit handling, CLI subcommands and exit codes."""
+"""Event-file ingestion, CLI subcommands, exit codes and the README's examples.
+
+Timestamps are read as the file gives them: no command rescales them.
+"""
 
 import hashlib
 import importlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +25,6 @@ from hawkesmom import (
     EmptyFile,
     NegativeTimestamp,
     ParseError,
-    convert_unit,
     parse_events,
     validate_params,
 )
@@ -89,7 +93,6 @@ class TestParseEvents:
         seq = parse_events(path)
         assert list(seq.times) == [0.5, 1.0, 1.0]
         assert seq.horizon == 1.0
-        assert seq.unit == "minutes"
 
     def test_no_header(self, tmp_path):
         path = write(tmp_path, "ev.txt", "0.25\n2.5\n")
@@ -130,7 +133,7 @@ class TestParseEvents:
         times = np.sort(rng.uniform(0.0, 600.0, size=447))
         lines = "\n".join(repr(float(t)) for t in [*times, 600.0])
         path = write(tmp_path, "cascade.txt", "t\n" + lines + "\n")
-        seq = parse_events(path, unit="minutes")
+        seq = parse_events(path)
         assert len(seq) == 448
         assert seq.horizon == 600.0
 
@@ -146,21 +149,6 @@ class TestParseEvents:
         with pytest.raises(ValueError, match=f"horizon must be finite and >= 0, got {horizon}"):
             parse_events(tmp_path / "missing.txt", horizon=horizon)
 
-    def test_unit_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        minutes = np.sort(rng.uniform(0, 30, size=50))
-        p_min = write(tmp_path, "minutes.txt", "\n".join(repr(float(t)) for t in minutes))
-        p_sec = write(tmp_path, "seconds.txt", "\n".join(repr(float(t) * 60.0) for t in minutes))
-        direct = parse_events(p_min, unit="minutes")
-        converted = convert_unit(parse_events(p_sec, unit="seconds"), "minutes")
-        assert np.allclose(converted.times, direct.times, rtol=1e-12, atol=0.0)
-        assert converted.horizon == pytest.approx(direct.horizon, rel=1e-12)
-
-    def test_unknown_unit_conversion_rejected(self, tmp_path):
-        path = write(tmp_path, "ev.txt", "1.0\n")
-        seq = parse_events(path, unit="fortnights")
-        with pytest.raises(ValueError):
-            convert_unit(seq, "minutes")
 
 
 class TestRoundTrips:
@@ -170,21 +158,9 @@ class TestRoundTrips:
     def test_write_then_parse_is_bitwise(self, tmp_path, times):
         times = np.sort(np.array(times))
         events = EventSequence(times=times, horizon=float(times[-1]))
-        parsed = parse_events(write_events(tmp_path / "ev.txt", events), unit="unitless")
+        parsed = parse_events(write_events(tmp_path / "ev.txt", events))
         assert parsed.times.tobytes() == times.tobytes()
         assert parsed.horizon == events.horizon
-
-    # seconds -> days multiplies by ~1.2e-5; below ~1e-290 s the day value
-    # would be subnormal and lose bits, which no timestamp comes near
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(times=st.lists(st.just(0.0) | st.floats(min_value=1e-290, max_value=1e15),
-                          min_size=1, max_size=50))
-    def test_seconds_to_days_and_back_within_4_ulp(self, times):
-        times = np.sort(np.array(times))
-        events = EventSequence(times=times, horizon=float(times[-1]), unit="seconds")
-        back = convert_unit(convert_unit(events, "days"), "seconds")
-        assert back.unit == "seconds"
-        assert np.all(np.abs(back.times - times) <= 4 * np.spacing(times))
 
 
 class TestWriteIntensityCsv:
@@ -485,17 +461,17 @@ class TestParserDefaults:
             3000.0, 20, DEFAULT_INIT, "exact", DEFAULT_EVENT_CAP, False)
         assert (args.lambda0, args.seed, args.envelope_step, args.real_events_path) == (
             None, None, None, None)
-        assert (args.unit, args.out_dir) == ("minutes", Path("."))
+        assert args.out_dir == Path(".") and not hasattr(args, "unit")
 
     def test_estimate(self):
         args = parse("estimate", "--events", "ev.txt", "--delta", 0.5)
-        assert (args.t0, args.horizon, args.unit) == (0.0, None, "minutes")
+        assert (args.t0, args.horizon) == (0.0, None) and not hasattr(args, "unit")
         assert (args.init, args.out_dir) == (DEFAULT_INIT, Path("."))
 
     def test_simulate(self):
         args = parse("simulate", *self.PARAMS, "--horizon", 10)
-        assert (args.method, args.grid_step, args.cap, args.unit) == (
-            "exact", 0.01, DEFAULT_EVENT_CAP, "minutes")
+        assert (args.method, args.grid_step, args.cap) == ("exact", 0.01, DEFAULT_EVENT_CAP)
+        assert not hasattr(args, "unit")
         assert (args.lambda0, args.seed, args.out_dir) == (None, None, Path("."))
 
     def test_moments_has_no_window_start_or_lambda0(self):
@@ -578,7 +554,7 @@ class TestCmdEstimate:
     def test_report_schema(self, tmp_path):
         path = self._events_file(tmp_path)
         cfg = parse("estimate", "--events", path, "--delta", 0.5, "--t0", 500.0,
-                    "--init", 0.5, 1.5, 2.0, "--out-dir", tmp_path, "--unit", "unitless")
+                    "--init", 0.5, 1.5, 2.0, "--out-dir", tmp_path)
         report = cmd_estimate(cfg)
         data = json.loads((tmp_path / "estimate.json").read_text())
         assert set(data["params_hat"]) == {"alpha", "beta", "lambda_inf"}
@@ -589,12 +565,12 @@ class TestCmdEstimate:
         assert data["params_hat"]["alpha"] == report.params_hat.alpha
 
     def test_retweet_workflow_shape(self, tmp_path):
-        # minute-unit cascade fit with the documented starting point
+        # a cascade fit in minutes with the documented starting point
         from hawkesmom import simulate_exact
         from hawkesmom.io import write_events
 
         p = validate_params(0.772, 1.133, 0.243, 0.243)
-        traj = simulate_exact(p, 600.0, 13, unit="minutes")
+        traj = simulate_exact(p, 600.0, 13)
         path = write_events(tmp_path / "cascade.txt", traj.events)
         cfg = parse("estimate", "--events", path, "--delta", 1.0 / 60.0,
                     "--t0", 0.0, "--init", 0.5, 1.5, 0.75, "--out-dir", tmp_path)
@@ -671,7 +647,7 @@ class TestCmdValidate:
         from hawkesmom.io import write_events
 
         p = validate_params(0.772, 1.133, 0.243, 0.243)
-        real = simulate_exact(p, 600.0, 99, unit="minutes")
+        real = simulate_exact(p, 600.0, 99)
         real_path = write_events(tmp_path / "real.txt", real.events)
         cfg = parse("validate", "--alpha", 0.772, "--beta", 1.133, "--lambda-inf", 0.243,
                     "--lambda0", 0.243, "--horizon", 600.0, "--seed", 1, "--count", 20,
@@ -955,6 +931,17 @@ class TestMainExitCodes:
             f"error: horizon must be finite and >= 0, got {float(horizon)}\n")
         assert not out.exists()
 
+    def test_unit_flag_is_an_argparse_error(self, tmp_path, capsys):
+        # timestamps keep the file's scale: there is no --unit to convert them
+        events = write(tmp_path, "ev.txt", "t\n0.5\n1.0\n2.0\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--events", str(events), "--delta", "0.5", "--unit", "minutes",
+                  "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --unit minutes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
     def test_bad_grid_step_writes_nothing(self, tmp_path, capsys, step):
         out = tmp_path / "out"
@@ -1213,3 +1200,40 @@ class TestCliGoldens:
             assert main(argv + ["--out-dir", str(tmp_path / name)]) == EXIT_OK
         for rel, digest in self.DIGESTS.items():
             assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The README's fenced code blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+class TestReadmeExamples:
+    """The README's examples run as documented, and it names no flag the
+    command line does not have."""
+
+    def test_python_quick_start_runs(self, capsys):
+        [code] = readme_blocks("python")
+        exec(compile(code, str(README), "exec"), {})
+        assert "True" in capsys.readouterr().out  # report.converged
+
+    def test_commands_parse(self):
+        commands = [shlex.split(line) for block in readme_blocks("sh")
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("hawkesmom ")]
+        assert sorted(argv[1] for argv in commands) == [
+            "estimate", "moments", "simulate", "validate"]
+        for argv in commands:
+            build_parser().parse_args(argv[1:])  # an unknown flag exits 2
+
+    def test_every_flag_named_exists(self):
+        [subcommands] = [a.choices for a in build_parser()._actions if a.choices]
+        known = {flag for sub in subcommands.values() for action in sub._actions
+                 for flag in action.option_strings}
+        named = {flag for line in README.read_text(encoding="utf-8").splitlines()
+                 if "pip install" not in line  # pip's own flags
+                 for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+        assert named and named <= known, sorted(named - known)

@@ -21,9 +21,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hawkesmom import (
+    BivariatePolynomial,
+    count_at,
     helper_integrals,
     increment_mean_exact,
     integrate_moments,
+    integrate_polynomial_on_path,
+    intensity_at,
     limit_intensity_moments,
     mean_count,
     mean_intensity,
@@ -392,3 +396,35 @@ class TestHelperIntegrals:
         rebuilt = (lam1 * delta + 2.0 * p.beta * p.lambda_inf * lam1 * i1
                    + 2.0 * (lam2 + p.alpha * lam1) * i2)
         assert rebuilt == pytest.approx(stationary_m2(p, delta), rel=1e-12)
+
+
+TEN_EVENTS = np.arange(1.0, 11.0)
+NAN = math.nan
+
+
+class TestNanArguments:
+    """A NaN time or window length fails each closed form's range check, as
+    a negative one does, instead of flowing through as a NaN result."""
+
+    @pytest.mark.parametrize("fn, args, message", [
+        (mean_intensity, (P, NAN), "t must be >= 0"),
+        (second_moment_intensity, (P, NAN), "t must be >= 0"),
+        (mean_count, (P, NAN), "t must be >= 0"),
+        (increment_mean_exact, (P, NAN, 0.5), "need t >= 0"),
+        (increment_mean_exact, (P, 1.0, NAN), "need t >= 0"),
+        (moment_triple, (P, NAN), "delta must be > 0"),
+        (helper_integrals, (P, NAN), "delta must be > 0"),
+        (intensity_at, (P, TEN_EVENTS, NAN), "t must be >= 0"),
+        (count_at, (TEN_EVENTS, NAN), "t must be >= 0"),
+        (integrate_polynomial_on_path,
+         (P, TEN_EVENTS, BivariatePolynomial({(1, 0): 1.0}), NAN), "t must be >= 0"),
+    ], ids=["mean_intensity", "second_moment_intensity", "mean_count",
+            "increment_mean_exact_t", "increment_mean_exact_delta", "moment_triple",
+            "helper_integrals", "intensity_at", "count_at", "integrate_polynomial_on_path"])
+    def test_nan_rejected(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+    def test_infinite_time_is_the_limit(self):
+        assert mean_intensity(P, math.inf) == P.lambda_star
+        assert count_at(TEN_EVENTS, math.inf) == TEN_EVENTS.size
