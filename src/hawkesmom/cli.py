@@ -6,9 +6,10 @@ failures, 4 trajectory capacity exceeded, 1 anything else.  Seeds come from
 subcommands refuse to run without one so every run is reproducible.
 
 build_parser is the one configuration: each flag and its default are
-declared there once, and main hands the parsed argparse.Namespace to the
-cmd_* function of its subcommand, which reads the flags by their dest
-names.  simulate and validate return the paths they wrote.
+declared there once, and each subcommand's parser sets its cmd_* function
+as the namespace's func, to which main hands the parsed argparse.Namespace;
+the function reads the flags by their dest names.  simulate and validate
+return the paths they wrote, estimate its report.
 """
 
 from __future__ import annotations
@@ -302,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-trajectory event cap")
 
     p_sim = sub.add_parser("simulate", help="simulate one trajectory and write plot-ready files")
+    p_sim.set_defaults(func=cmd_simulate)
     add_params(p_sim)
     add_common(p_sim)
     p_sim.add_argument("--horizon", type=float, required=True)
@@ -310,10 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="intensity output grid resolution")
 
     p_mom = sub.add_parser("moments", help="print theoretical window and intensity moments")
+    p_mom.set_defaults(func=cmd_moments)
     add_params(p_mom, with_lambda0=False)
     p_mom.add_argument("--delta", type=float, required=True, help="window length")
 
     p_est = sub.add_parser("estimate", help="fit parameters to an events file")
+    p_est.set_defaults(func=cmd_estimate)
     p_est.add_argument("--events", dest="events_path", metavar="EVENTS", type=Path,
                        required=True, help="events file (one timestamp per line)")
     p_est.add_argument("--delta", type=float, required=True, help="window length")
@@ -325,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out-dir", type=Path, default=Path("."))
 
     p_val = sub.add_parser("validate", help="simulate K trajectories, estimate each, summarize")
+    p_val.set_defaults(func=cmd_validate)
     add_params(p_val)
     add_common(p_val)
     p_val.add_argument("--horizon", type=float, required=True)
@@ -344,18 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "moments": cmd_moments,
-    "estimate": cmd_estimate,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = _DISPATCH[args.command](args)
+        result = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -368,7 +365,7 @@ def main(argv=None) -> int:
     except (HawkesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if args.command == "estimate" and isinstance(result, EstimateReport) and not result.converged:
+    if isinstance(result, EstimateReport) and not result.converged:
         print("error: estimation did not converge (report written for diagnostics)",
               file=sys.stderr)
         return EXIT_CONVERGENCE

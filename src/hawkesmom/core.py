@@ -121,11 +121,11 @@ class EventSequence:
             raise ValueError("times must be one-dimensional")
         if times.size and not np.all(np.diff(times) >= 0.0):
             raise ValueError("times must be nondecreasing")
-        if times.size and times[0] < 0.0:
+        if times.size and not times[0] >= 0.0:
             raise ValueError("times must be nonnegative")
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if times.size and times[-1] > self.horizon:
+        if times.size and not times[-1] <= self.horizon:
             raise ValueError("all times must be <= horizon")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -204,7 +204,8 @@ def post_jump_intensities(params: HawkesParams, events) -> np.ndarray:
 
 
 def intensity_on_grid(params: HawkesParams, events, grid) -> np.ndarray:
-    """Intensity on a nondecreasing time grid, left-continuous at events.
+    """Intensity on a nondecreasing grid of times t >= 0, left-continuous at
+    events.
 
     Each grid point t decays the post-jump excess of the last event before
     it (or the initial excess at time 0): one searchsorted and one exp per
@@ -214,6 +215,8 @@ def intensity_on_grid(params: HawkesParams, events, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size and not np.all(np.diff(grid) >= 0.0):
         raise ValueError("grid must be nondecreasing")
+    if grid.size and not grid[0] >= 0.0:
+        raise ValueError(f"t must be >= 0, got {grid[0]}")
     excess = np.concatenate(([params.lambda0 - params.lambda_inf],
                              _excess_after_events(params, times)))
     since = np.concatenate(([0.0], times))

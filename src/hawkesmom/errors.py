@@ -30,16 +30,9 @@ class InsufficientData(HawkesError):
 
 
 class NoConvergence(HawkesError):
-    """The moment-system solver found no admissible fit within ``tol``.
-
-    ``best_report`` holds the best attempt, so callers can still report it,
-    or None when no admissible parameters match the first two moments (no
-    point of the (M1, M2) curve is admissible).
-    """
-
-    def __init__(self, message, best_report=None):
-        super().__init__(message)
-        self.best_report = best_report
+    """No admissible parameters match the first two moments, so the
+    moment-system solver has no fit to report (a fit that only misses the
+    tolerance is returned with converged = False instead)."""
 
 
 class ParseError(HawkesError):

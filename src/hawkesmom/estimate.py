@@ -70,10 +70,10 @@ TOL = 1e-9
 
 @dataclass(frozen=True)
 class EmpiricalMoments:
-    """Windowed-count moments M_i = (1/J) sum_j counts[j]^i."""
+    """Windowed-count moments M_i = (1/J) sum_j counts[j]^i over
+    window_count windows of length triple.delta starting at t0."""
 
     triple: MomentTriple
-    delta: float
     window_count: int
     t0: float
 
@@ -136,8 +136,7 @@ def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMom
         m3=float((counts**3).mean()),
         delta=float(delta),
     )
-    return EmpiricalMoments(triple=triple, delta=float(delta),
-                            window_count=int(counts.size), t0=float(t0))
+    return EmpiricalMoments(triple=triple, window_count=int(counts.size), t0=float(t0))
 
 
 def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
@@ -277,8 +276,6 @@ def solve_moment_system(
     triple: MomentTriple,
     delta: float,
     init: tuple[float, float, float],
-    *,
-    window_stats: EmpiricalMoments | None = None,
 ) -> EstimateReport:
     """Solve the three-equation moment system for (alpha, beta, lambda_inf).
 
@@ -299,11 +296,14 @@ def solve_moment_system(
     the start's x (the third moment carries almost no information there, so
     the fit is not allowed to chase its noise across the whole curve).  Such
     fits are flagged "m3_best_fit" and count as converged with an honest
-    residual_norm; genuinely infeasible data (variance at or below Poisson,
-    no positive-excess solution) yield NoConvergence carrying the best
-    attempt, and data for which no point of the (m1, m2)-exact curve is
-    admissible (beta == alpha in floats, say, at a huge variance excess)
-    yield NoConvergence with no best attempt (best_report None).
+    residual_norm.  The report is returned whether or not it converged: a
+    best attempt that misses the tolerance (variance at or below Poisson,
+    say, where only the alpha -> 0 boundary is left) comes back with
+    converged = False and a UserWarning.  NoConvergence is raised only when
+    there is no attempt to return, that is, when no point of the (m1,
+    m2)-exact curve is admissible (beta == alpha in floats, say, at a huge
+    variance excess).  The report carries no window_stats; estimate()
+    attaches them.
 
     The residual is evaluated on arrays only: once on the 600-point
     bracketing grid, then on 64-point sub-grids that narrow every bracket
@@ -336,7 +336,6 @@ def solve_moment_system(
             iterations=evaluations,
             init=start,
             converged=converged,
-            window_stats=window_stats,
             flags=flags,
         )
 
@@ -345,15 +344,14 @@ def solve_moment_system(
         # boundary, with beta unidentified (kept at the start's value)
         alpha = 1e-12 * b0
         p = _params_or_none(alpha, b0, lam_star * (1.0 - alpha / b0))
-        report = None if p is None else make_report(p, ())
-        if report is not None and report.converged:
-            return report
-        raise NoConvergence(
-            f"window variance is at or below the Poisson level (excess {excess:.3e}); "
-            + ("no boundary fit is admissible" if report is None else
-               f"best boundary fit has residual {report.residual_norm:.3e}"),
-            best_report=report,
-        )
+        poisson = f"window variance is at or below the Poisson level (excess {excess:.3e})"
+        if p is None:
+            raise NoConvergence(f"{poisson}; no boundary fit is admissible")
+        report = make_report(p, ())
+        if not report.converged:
+            warnings.warn(f"{poisson}; best boundary fit has residual "
+                          f"{report.residual_norm:.3e}", UserWarning, stacklevel=2)
+        return report
 
     k3_ratio = (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) / m1  # sample k3/M1
 
@@ -395,11 +393,9 @@ def solve_moment_system(
                                      log_kappa - math.log(b0 - a0)))])
     report = make_report(params[i], flags)
     if not report.converged:
-        raise NoConvergence(
-            f"no admissible parameters reach residual {TOL} x max(1, M_i) "
-            f"(best residual {report.residual_norm:.3e} from init {report.init})",
-            best_report=report,
-        )
+        warnings.warn(f"no admissible parameters reach residual {TOL} x max(1, M_i) "
+                      f"(best residual {report.residual_norm:.3e} from init {report.init})",
+                      UserWarning, stacklevel=2)
     return report
 
 
@@ -407,10 +403,12 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
     """Empirical moments followed by the moment-system solve.
 
     The solve starts from config.init, and its report's init is config.init.
-    On non-convergence it warns and returns the solver's best attempt
-    (converged = False) rather than raising, so harness callers can keep
-    partial results.  InsufficientData propagates, and so does a
-    NoConvergence that carries no best attempt.
+    The report is the solver's, with the window statistics attached and,
+    at t0 = 0, the "t0_in_transient" flag: a fit that missed the tolerance
+    comes back with converged = False after the solver's UserWarning, so
+    harness callers keep partial results.  InsufficientData propagates, and
+    so does the solver's NoConvergence (no admissible parameters match the
+    first two moments).
     """
     emp = empirical_moments(events, config.t0, config.delta)
     extra_flags: tuple[str, ...] = ()
@@ -423,13 +421,5 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
         )
         extra_flags = ("t0_in_transient",)
 
-    try:
-        report = solve_moment_system(emp.triple, config.delta, config.init, window_stats=emp)
-    except NoConvergence as exc:
-        if exc.best_report is None:
-            raise
-        warnings.warn(str(exc), UserWarning, stacklevel=2)
-        report = exc.best_report
-    if extra_flags:
-        report = replace(report, flags=report.flags + extra_flags)
-    return report
+    report = solve_moment_system(emp.triple, config.delta, config.init)
+    return replace(report, window_stats=emp, flags=report.flags + extra_flags)

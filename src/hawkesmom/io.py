@@ -243,7 +243,7 @@ def report_to_dict(report: EstimateReport) -> dict:
             "m1": ws.triple.m1,
             "m2": ws.triple.m2,
             "m3": ws.triple.m3,
-            "delta": ws.delta,
+            "delta": ws.triple.delta,
             "count": ws.window_count,
             "t0": ws.t0,
         }

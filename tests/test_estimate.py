@@ -199,9 +199,9 @@ class TestM3ResidualScan:
         triple = MomentTriple(m1, m1 + m1 * m1 + excess * m1, 2.0, delta)
         try:
             report = solve_moment_system(triple, delta, init=DEFAULT_INIT)
-        except NoConvergence as exc:
-            # no candidate can be built: a decline with no best attempt
-            assert error is not None and exc.best_report is None
+        except NoConvergence:
+            # no candidate can be built: a decline with no attempt to report
+            assert error is not None
         else:
             assert error is None and math.isfinite(report.residual_norm)
 
@@ -293,10 +293,9 @@ class TestSolveMomentSystem:
 
         # m2 < m1^2 cannot come from any point process: negative variance
         triple = MomentTriple(m1=2.0, m2=1.0, m3=1.0, delta=0.5)
-        with pytest.raises(NoConvergence) as excinfo:
-            solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
-        best = excinfo.value.best_report
-        assert best is not None and not best.converged
+        with pytest.warns(UserWarning, match="Poisson level"):
+            best = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
+        assert not best.converged
         assert math.isfinite(best.residual_norm)
 
     # beta == alpha in floats at every point of the (M1, M2)-exact curve;
@@ -306,9 +305,8 @@ class TestSolveMomentSystem:
     def test_no_admissible_candidate_declines(self, m2, delta):
         from hawkesmom import MomentTriple
 
-        with pytest.raises(NoConvergence, match="admissible") as excinfo:
+        with pytest.raises(NoConvergence, match="admissible"):
             solve_moment_system(MomentTriple(1, m2, 2, delta), delta, DEFAULT_INIT)
-        assert excinfo.value.best_report is None
 
     def test_rejects_nonpositive_moments(self):
         from hawkesmom import MomentTriple
@@ -426,6 +424,19 @@ class TestEstimate:
             report = estimate(events, EstimateConfig(delta=1.0, t0=0.0))
         assert not report.converged
         assert math.isfinite(report.residual_norm)
+
+    def test_sub_poisson_windows_warn_once_and_return(self):
+        # one event per window: the window variance is 0, below Poisson
+        events = EventSequence(times=np.arange(1.0, 2001.0), horizon=2000.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = estimate(events, EstimateConfig(delta=1.0, t0=5.0))
+        assert [str(w.message).split(" (")[0] for w in caught] == [
+            "window variance is at or below the Poisson level"]
+        assert caught[0].category is UserWarning
+        assert not report.converged
+        assert report.window_stats.window_count == 1995
+        assert report.flags == ("boundary_alpha",)
 
     def test_tol_is_a_constant(self):
         assert EstimateConfig(delta=0.5).tol == TOL == 1e-9

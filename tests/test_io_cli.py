@@ -863,6 +863,27 @@ class TestMainExitCodes:
                      "--t0", "0.4", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONVERGENCE
 
+    def test_sub_poisson_estimate_warns_once_and_exits_3(self, tmp_path):
+        # one event per window: the fit misses, warns once and is written
+        events = write(tmp_path, "even.txt", "".join(f"{i}\n" for i in range(1, 2001)))
+        out = tmp_path / "out"
+        src = str(Path(hawkesmom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hawkesmom.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "estimate", "--events", str(events),
+             "--delta", "1", "--t0", "5", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONVERGENCE, done.stderr
+        assert strict_json(out / "estimate.json")["converged"] is False
+        lines = done.stderr.splitlines()
+        warned = [i for i, line in enumerate(lines) if "UserWarning: " in line]
+        assert len(warned) == 1, done.stderr
+        assert "UserWarning: window variance is at or below the Poisson level" in lines[warned[0]]
+        assert lines[-1] == "error: estimation did not converge (report written for diagnostics)"
+
     def test_capacity_error(self, tmp_path):
         code = main(["simulate", "--alpha", "0.95", "--beta", "1.0",
                      "--lambda-inf", "5.0", "--horizon", "5000", "--seed", "1",
@@ -1112,7 +1133,7 @@ class TestMainExitCodes:
             if len(calls) - 1 != run:
                 return emp
             return estimate_module.EmpiricalMoments(
-                triple=hawkesmom.MomentTriple(1.0, 1e40 + 2.0, 2.0, delta), delta=delta,
+                triple=hawkesmom.MomentTriple(1.0, 1e40 + 2.0, 2.0, delta),
                 window_count=emp.window_count, t0=t0)
 
         monkeypatch.setattr(estimate_module, "empirical_moments", moments)

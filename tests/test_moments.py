@@ -22,12 +22,14 @@ from scipy.integrate import quad
 
 from hawkesmom import (
     BivariatePolynomial,
+    EventSequence,
     count_at,
     helper_integrals,
     increment_mean_exact,
     integrate_moments,
     integrate_polynomial_on_path,
     intensity_at,
+    intensity_on_grid,
     limit_intensity_moments,
     mean_count,
     mean_intensity,
@@ -404,7 +406,8 @@ NAN = math.nan
 
 class TestNanArguments:
     """A NaN time or window length fails each closed form's range check, as
-    a negative one does, instead of flowing through as a NaN result."""
+    a negative one does, instead of flowing through as a NaN result; so do
+    a NaN event time and a NaN or negative intensity grid."""
 
     @pytest.mark.parametrize("fn, args, message", [
         (mean_intensity, (P, NAN), "t must be >= 0"),
@@ -418,9 +421,13 @@ class TestNanArguments:
         (count_at, (TEN_EVENTS, NAN), "t must be >= 0"),
         (integrate_polynomial_on_path,
          (P, TEN_EVENTS, BivariatePolynomial({(1, 0): 1.0}), NAN), "t must be >= 0"),
+        (intensity_on_grid, (P, TEN_EVENTS, np.array([NAN])), "t must be >= 0"),
+        (intensity_on_grid, (P, TEN_EVENTS, np.array([-1.0])), r"t must be >= 0, got -1\.0"),
+        (EventSequence, (np.array([NAN]), 1.0), "times must be nonnegative"),
     ], ids=["mean_intensity", "second_moment_intensity", "mean_count",
             "increment_mean_exact_t", "increment_mean_exact_delta", "moment_triple",
-            "helper_integrals", "intensity_at", "count_at", "integrate_polynomial_on_path"])
+            "helper_integrals", "intensity_at", "count_at", "integrate_polynomial_on_path",
+            "intensity_on_grid_nan", "intensity_on_grid_negative", "event_sequence"])
     def test_nan_rejected(self, fn, args, message):
         with pytest.raises(ValueError, match=message):
             fn(*args)
