@@ -37,7 +37,6 @@ from .generator import (
     integrate_moments,
     integrate_polynomial_on_path,
     moment_closure,
-    moment_ode_rhs,
 )
 from .io import parse_events
 from .moments import (
@@ -71,8 +70,8 @@ __all__ = [
     "HawkesParams", "EventSequence", "validate_params",
     "intensity_at", "intensity_on_grid", "post_jump_intensities", "count_at",
     # generator
-    "BivariatePolynomial", "apply_generator", "moment_ode_rhs",
-    "moment_closure", "integrate_moments", "integrate_polynomial_on_path",
+    "BivariatePolynomial", "apply_generator", "moment_closure",
+    "integrate_moments", "integrate_polynomial_on_path",
     # simulate
     "Trajectory", "IncrementSample", "simulate_exact", "simulate_cluster",
     "sampler", "simulate_batch", "windowed_counts",

@@ -11,19 +11,23 @@ so on the monomial lambda^m n^l:
                       + m beta lambda_inf lambda^{m-1} n^l
                       - m beta lambda^m n^l.
 
-Taking expectations turns A into the right-hand side of a closed linear ODE
-system for the mixed moments E[lambda_t^m N_t^l]; this module assembles that
-system mechanically from the generator and solves it by the matrix
-exponential, so the moment equations have a single source of truth.
+A polynomial is a BivariatePolynomial, a table {(m, l): c} of finite
+coefficients, and apply_generator is the one function that maps it to its
+image.  Taking expectations of the image of lambda^m n^l gives the
+right-hand side of d/dt E[lambda_t^m N_t^l], so the mixed moments solve a
+closed linear ODE system; this module assembles that system mechanically
+from apply_generator and solves it by the matrix exponential, so the moment
+equations have a single source of truth.
 
 The image of lambda^m n^l reaches only lower total degrees and
-lambda^{m+1} n^{l-1}.  Ordered by (total degree descending, m, l), the
-system's matrix is therefore upper triangular, with diagonal -m kappa and
-non-negative entries above it.  The exponential exploits that: Pade 13 with
-scaling and squaring (Higham 2005), whose diagonal and first superdiagonal
-are set to their exact values after the Pade step and after every squaring
-(Al-Mohy & Higham 2009).  It needs numpy only, and every moment comes out
-within a few units in the last place of the exact exponential.
+lambda^{m+1} n^{l-1}.  In moment_closure's one order, (total degree
+descending, m, l), the system's matrix is therefore upper triangular, with
+diagonal -m kappa and non-negative entries above it.  The exponential
+exploits that: Pade 13 with scaling and squaring (Higham 2005), whose
+diagonal and first superdiagonal are set to their exact values after the
+Pade step and after every squaring (Al-Mohy & Higham 2009).  It needs numpy
+only, and every moment comes out within a few units in the last place of
+the exact exponential.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "MAX_EXPONENT",
     "BivariatePolynomial",
     "apply_generator",
-    "moment_ode_rhs",
     "moment_closure",
     "integrate_moments",
     "integrate_polynomial_on_path",
@@ -61,44 +64,38 @@ def _as_exponents(key) -> tuple[int, int]:
 
 
 class BivariatePolynomial:
-    """Real-coefficient polynomial sum_{m,l} c_{m,l} lambda^m n^l.
-
-    Immutable value object; zero coefficients are never stored and exponents
-    are capped at MAX_EXPONENT.
-    """
+    """Real-coefficient polynomial sum_{m,l} c_{m,l} lambda^m n^l, held as its
+    table {(m, l): c} of finite nonzero coefficients, exponents capped at
+    MAX_EXPONENT."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping | None = None):
+    def __init__(self, coeffs: Mapping):
         clean: dict[tuple[int, int], float] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = float(c)
-                if c != 0.0:
-                    clean[_as_exponents(key)] = c
+        for key, c in coeffs.items():
+            c = float(c)
+            if c != 0.0:
+                key = _as_exponents(key)
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficient of exponents {key} must be finite, got {c}")
+                clean[key] = c
         self._coeffs = clean
 
     @classmethod
     def _in_range(cls, coeffs: dict) -> "BivariatePolynomial":
-        """From float coefficients whose nonzero ones have valid exponents."""
+        """From float coefficients whose nonzero ones have valid exponents;
+        unchecked, so an overflowed generator image keeps its inf."""
         poly = cls.__new__(cls)
         poly._coeffs = {key: c for key, c in coeffs.items() if c != 0.0}
         return poly
 
     @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
-
-    @classmethod
-    def monomial(cls, m: int, l: int, coeff: float = 1.0) -> "BivariatePolynomial":
-        return cls({(m, l): coeff})
+    def monomial(cls, m: int, l: int) -> "BivariatePolynomial":
+        return cls({(m, l): 1.0})
 
     @property
     def coefficients(self) -> dict[tuple[int, int], float]:
         return dict(self._coeffs)
-
-    def coefficient(self, m: int, l: int) -> float:
-        return self._coeffs.get((m, l), 0.0)
 
     def terms(self):
         """Iterate ((m, l), coeff) in a deterministic order."""
@@ -106,51 +103,6 @@ class BivariatePolynomial:
 
     def evaluate(self, lam: float, n: float) -> float:
         return float(sum(c * lam**m * n**l for (m, l), c in self._coeffs.items()))
-
-    def degree(self) -> int:
-        """Maximum total degree m + l (zero polynomial has degree 0)."""
-        return max((m + l for m, l in self._coeffs), default=0)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out.get(key, 0.0) + c
-        return BivariatePolynomial(out)
-
-    def __neg__(self):
-        return BivariatePolynomial({k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return BivariatePolynomial({k: c * scalar for k, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def allclose(self, other: "BivariatePolynomial", rtol=1e-12, atol=1e-12) -> bool:
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(
-            math.isclose(self.coefficient(*k), other.coefficient(*k), rel_tol=rtol, abs_tol=atol)
-            for k in keys
-        )
 
     def __repr__(self):
         if not self._coeffs:
@@ -187,16 +139,6 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
     return BivariatePolynomial._in_range(out)
 
 
-def moment_ode_rhs(params: HawkesParams, index) -> BivariatePolynomial:
-    """Right-hand side of d/dt E[lambda^m N^l], as a polynomial in (lambda, n).
-
-    This is exactly apply_generator on the corresponding monomial; the
-    expectation is taken term by term when the ODE system is assembled.
-    """
-    m, l = _as_exponents(index)
-    return apply_generator(params, BivariatePolynomial.monomial(m, l))
-
-
 def _closure_images(params: HawkesParams, indices: Iterable) -> dict:
     """Generator image coefficients of every index in the dependency closure."""
     images: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
@@ -205,28 +147,34 @@ def _closure_images(params: HawkesParams, indices: Iterable) -> dict:
         ix = stack.pop()
         if ix in images:
             continue
-        # moment_ode_rhs(params, ix), with ix already checked
+        # the image of the monomial lambda^m n^l, with ix already checked
         images[ix] = apply_generator(params, BivariatePolynomial._in_range({ix: 1.0}))._coeffs
         stack.extend(dep for dep in images[ix] if dep not in images)
     return images
 
 
+def _solve_order(ix: tuple[int, int]) -> tuple[int, int, int]:
+    """Sort key of the moment system: (total degree descending, m, l)."""
+    m, l = ix
+    return -m - l, m, l
+
+
 def moment_closure(params: HawkesParams, indices: Iterable) -> list[tuple[int, int]]:
     """Smallest index set containing ``indices`` closed under the ODE dependencies.
 
-    Ordered by (total degree, m, l).  Terminates because the generator image
-    of lambda^m n^l only references total degrees <= m + l.
+    Ordered by (total degree descending, m, l), the order the system is
+    solved in.  Terminates because the generator image of lambda^m n^l only
+    references total degrees <= m + l.
     """
-    return sorted(_closure_images(params, indices), key=lambda t: (t[0] + t[1], t[0], t[1]))
+    return sorted(_closure_images(params, indices), key=_solve_order)
 
 
 def _triangular_system(params: HawkesParams, indices: Iterable):
     """Row of each index of the closure of ``indices``, and the ODE matrix A,
-    in (total degree descending, m, l) order, where A is upper triangular."""
+    in moment_closure's order, where A is upper triangular."""
     images = _closure_images(params, indices)
-    order = sorted(images, key=lambda t: (-t[0] - t[1], t[0], t[1]))
-    pos = {ix: i for i, ix in enumerate(order)}
-    A = np.zeros((len(order), len(order)))
+    pos = {ix: i for i, ix in enumerate(sorted(images, key=_solve_order))}
+    A = np.zeros((len(pos), len(pos)))
     for ix, image in images.items():
         for dep, c in image.items():
             A[pos[ix], pos[dep]] = c
@@ -319,8 +267,9 @@ def integrate_moments(
 
     The default initial condition is the deterministic start
     E[lambda_0^m N_0^l] = lambda0^m [l = 0]; passing
-    ``initial_intensity_moments`` ({m: E[lambda_0^m]}) instead starts from a
-    random initial intensity with N_0 = 0, e.g. the stationary intensity law.
+    ``initial_intensity_moments`` ({m: E[lambda_0^m]}, finite, for every
+    m >= 1 of the closure) instead starts from a random initial intensity
+    with N_0 = 0, e.g. the stationary intensity law.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
@@ -331,10 +280,14 @@ def integrate_moments(
     for (m, l), i in pos.items():
         if l != 0:
             y0[i] = 0.0
-        elif initial_intensity_moments is not None:
-            y0[i] = 1.0 if m == 0 else float(initial_intensity_moments[m])
+        elif m == 0 or initial_intensity_moments is None:
+            y0[i] = params.lambda0**m  # E[lambda_0^0] = 1 under either start
+        elif m not in initial_intensity_moments:
+            raise ValueError(f"initial_intensity_moments has no E[lambda_0^m] for m={m}")
         else:
-            y0[i] = params.lambda0**m
+            y0[i] = float(initial_intensity_moments[m])
+            if not math.isfinite(y0[i]):
+                raise ValueError(f"initial_intensity_moments[{m}] must be finite, got {y0[i]}")
 
     with np.errstate(over="ignore"):
         At = A * t
@@ -360,8 +313,8 @@ def integrate_polynomial_on_path(
     identity E[k(X_t)] = k(X_0) + int_0^t E[A k(X_u)] du without quadrature
     bias.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     times = _times(events)
     before = times[:np.searchsorted(times, t, side="left")]
     beta, lam_inf = params.beta, params.lambda_inf

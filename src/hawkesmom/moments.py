@@ -96,8 +96,8 @@ def increment_mean_exact(params: HawkesParams, t: float, delta: float) -> float:
 
 def stationary_m1(params: HawkesParams, delta: float) -> float:
     """lim_t E[N_{t+delta} - N_t] = lambda* delta."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
     return params.lambda_star * delta
 
 
@@ -272,7 +272,7 @@ def helper_integrals(params: HawkesParams, delta: float) -> tuple[float, float]:
     They reconstruct the stationary second moment exactly:
     Lambda1 delta + 2 beta lambda_inf Lambda1 I1 + 2 (Lambda2 + alpha Lambda1) I2.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
     shapes = _window_shapes(np.array([params.kappa * delta]))[:, 0]
     return float(shapes[_I1] * delta**3), float(shapes[_I2] * delta * delta)

@@ -23,6 +23,7 @@ from scipy.integrate import quad
 from hawkesmom import (
     BivariatePolynomial,
     EventSequence,
+    apply_generator,
     count_at,
     helper_integrals,
     increment_mean_exact,
@@ -349,14 +350,13 @@ class TestLimitIntensityMoments:
 
     def test_stationarity_of_lambda_chain(self):
         # the limits annihilate the generator: 0 = d/dt E[lambda^m] at the limit
-        from hawkesmom import moment_ode_rhs
-
         p = validate_params(0.37, 1.21, 0.83)
         lam = {0: 1.0}
         lam[1], lam[2], lam[3] = limit_intensity_moments(p)
         for m in (1, 2, 3):
             rhs = sum(c * lam[dep_m] for (dep_m, dep_l), c
-                      in moment_ode_rhs(p, (m, 0)).coefficients.items())
+                      in apply_generator(p, BivariatePolynomial.monomial(m, 0))
+                      .coefficients.items())
             assert rhs == pytest.approx(0.0, abs=1e-10 * lam[m])
 
 
@@ -407,7 +407,8 @@ NAN = math.nan
 class TestNanArguments:
     """A NaN time or window length fails each closed form's range check, as
     a negative one does, instead of flowing through as a NaN result; so do
-    a NaN event time and a NaN or negative intensity grid."""
+    an infinite window length or path-integral time, a NaN event time and a
+    NaN or negative intensity grid."""
 
     @pytest.mark.parametrize("fn, args, message", [
         (mean_intensity, (P, NAN), "t must be >= 0"),
@@ -417,17 +418,26 @@ class TestNanArguments:
         (increment_mean_exact, (P, 1.0, NAN), "need t >= 0"),
         (moment_triple, (P, NAN), "delta must be > 0"),
         (helper_integrals, (P, NAN), "delta must be > 0"),
+        (stationary_m1, (P, math.inf), "delta must be > 0 and finite, got inf"),
+        (moment_triple, (P, math.inf), "delta must be > 0 and finite, got inf"),
+        (helper_integrals, (P, math.inf), "delta must be > 0 and finite, got inf"),
         (intensity_at, (P, TEN_EVENTS, NAN), "t must be >= 0"),
         (count_at, (TEN_EVENTS, NAN), "t must be >= 0"),
+        (integrate_polynomial_on_path, (P, TEN_EVENTS, BivariatePolynomial({(1, 0): 1.0}), NAN),
+         "t must be finite and >= 0"),
+        # over an empty path, 1 - lambda_u would integrate to inf - inf
         (integrate_polynomial_on_path,
-         (P, TEN_EVENTS, BivariatePolynomial({(1, 0): 1.0}), NAN), "t must be >= 0"),
+         (P, [], BivariatePolynomial({(0, 0): 1.0, (1, 0): -1.0}), math.inf),
+         "t must be finite and >= 0, got inf"),
         (intensity_on_grid, (P, TEN_EVENTS, np.array([NAN])), "t must be >= 0"),
         (intensity_on_grid, (P, TEN_EVENTS, np.array([-1.0])), r"t must be >= 0, got -1\.0"),
         (EventSequence, (np.array([NAN]), 1.0), "times must be nonnegative"),
     ], ids=["mean_intensity", "second_moment_intensity", "mean_count",
             "increment_mean_exact_t", "increment_mean_exact_delta", "moment_triple",
-            "helper_integrals", "intensity_at", "count_at", "integrate_polynomial_on_path",
-            "intensity_on_grid_nan", "intensity_on_grid_negative", "event_sequence"])
+            "helper_integrals", "stationary_m1_inf", "moment_triple_inf",
+            "helper_integrals_inf", "intensity_at", "count_at", "integrate_polynomial_on_path",
+            "integrate_polynomial_on_path_inf", "intensity_on_grid_nan",
+            "intensity_on_grid_negative", "event_sequence"])
     def test_nan_rejected(self, fn, args, message):
         with pytest.raises(ValueError, match=message):
             fn(*args)
