@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesParams, count_at, intensity_on_grid, validate_params
+from .core import HawkesParams, _intensity_on_blocks, count_at, validate_params
 from .errors import (
     CapacityExceeded,
     HawkesError,
@@ -118,7 +118,13 @@ def _check_cap(cap: int) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> list[Path]:
-    """Simulate one trajectory; write the events file and an intensity grid."""
+    """Simulate one trajectory; write the events file and its intensity on
+    the grid.
+
+    The grid (8 bytes a point) is the one grid-sized array: the intensity is
+    computed chunk by chunk by the process that formats those rows (see
+    io.write_intensity_csv), so no values array is ever held whole.
+    """
     _check_cap(args.cap)
     grid = _step_grid("--grid-step", args.horizon, args.grid_step)
     params = _params(args)
@@ -127,8 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(args.out_dir / "events.txt", traj.events)
-    values = intensity_on_grid(params, traj.events, grid)
-    intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", grid, values)
+    intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", grid,
+                                         _intensity_on_blocks(params, traj.events))
     print(f"simulated {len(traj.events)} events on [0, {args.horizon}] (seed {seed})")
     print(f"wrote {events_path} and {intensity_path}")
     return [events_path, intensity_path]

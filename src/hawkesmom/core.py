@@ -14,7 +14,9 @@ intensity_at evaluates this sum directly and is the reference the tests
 compare against.  post_jump_intensities and intensity_on_grid share one
 vectorised kernel, a doubling scan over the post-jump recurrence (see
 _excess_after_events), so neither loops over events or grid points in
-Python.  Its relative error against the direct sum measured at most 5.1e-16
+Python; between events, _intensity_on_blocks decays that scan's values on
+a block of grid times, for intensity_on_grid and for simulate's CSV writer
+alike.  Its relative error against the direct sum measured at most 5.1e-16
 for beta from 1e-5 to 1e5 and for any event spacing.
 
 Times carry no declared scale: the intensity, beta and lambda_inf are
@@ -203,33 +205,53 @@ def post_jump_intensities(params: HawkesParams, events) -> np.ndarray:
     return params.lambda_inf + _excess_after_events(params, _times(events))
 
 
+def _intensity_on_blocks(params: HawkesParams, events):
+    """The path's intensity as a function of a nondecreasing block of grid
+    times t >= 0, left-continuous at events; unchecked.
+
+    The scan of the events (see _excess_after_events) runs once, here.  Each
+    call then decays, at every t of its block, the post-jump excess of the
+    last event before t (or the initial excess at time 0): one searchsorted
+    and one exp, with temporaries the size of the block.  ``out``, when
+    given, receives the values.
+    """
+    times = _times(events)
+    excess = np.concatenate(([params.lambda0 - params.lambda_inf],
+                             _excess_after_events(params, times)))
+    since = np.concatenate(([0.0], times))
+
+    def on_block(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        k = np.searchsorted(times, t, side="left")
+        out = np.subtract(since[k], t, out=out)
+        out *= params.beta
+        np.exp(out, out=out)
+        out *= excess[k]
+        out += params.lambda_inf
+        return out
+
+    return on_block
+
+
 def intensity_on_grid(params: HawkesParams, events, grid) -> np.ndarray:
     """Intensity on a nondecreasing grid of times t >= 0, left-continuous at
     events.
 
-    Each grid point t decays the post-jump excess of the last event before
-    it (or the initial excess at time 0): one searchsorted and one exp per
-    block of _GRID_BLOCK points, so temporaries stay small for any grid.
+    The grid is checked and evaluated in blocks of _GRID_BLOCK points (each
+    block's order check takes in the point before it), so beside the
+    returned array the temporaries stay small for any grid.
     """
-    times = _times(events)
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.size and not np.all(np.diff(grid) >= 0.0):
+    if grid.ndim != 1:
+        raise ValueError("grid must be one-dimensional")
+    blocks = range(0, grid.size, _GRID_BLOCK)
+    if not all(np.all(np.diff(grid[max(lo - 1, 0):lo + _GRID_BLOCK]) >= 0.0) for lo in blocks):
         raise ValueError("grid must be nondecreasing")
     if grid.size and not grid[0] >= 0.0:
         raise ValueError(f"t must be >= 0, got {grid[0]}")
-    excess = np.concatenate(([params.lambda0 - params.lambda_inf],
-                             _excess_after_events(params, times)))
-    since = np.concatenate(([0.0], times))
+    on_block = _intensity_on_blocks(params, events)
     out = np.empty(grid.size)
-    for lo in range(0, grid.size, _GRID_BLOCK):
-        t = grid[lo:lo + _GRID_BLOCK]
-        k = np.searchsorted(times, t, side="left")
-        block = out[lo:lo + _GRID_BLOCK]
-        np.subtract(since[k], t, out=block)
-        block *= params.beta
-        np.exp(block, out=block)
-        block *= excess[k]
-        block += params.lambda_inf
+    for lo in blocks:
+        on_block(grid[lo:lo + _GRID_BLOCK], out=out[lo:lo + _GRID_BLOCK])
     return out
 
 

@@ -127,10 +127,13 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
                 f"for the generator image (cap {MAX_EXPONENT})"
             )
         for j in range(m + 1):
+            try:
+                power = alpha ** (m - j)
+            except OverflowError:  # float ** raises where * gives inf: keep the inf
+                power = math.inf
             for k in range(l + 1):
                 key = (j + 1, k)
-                out[key] = (out.get(key, 0.0)
-                            + c * math.comb(m, j) * math.comb(l, k) * alpha ** (m - j))
+                out[key] = out.get(key, 0.0) + c * math.comb(m, j) * math.comb(l, k) * power
         out[m + 1, l] = out.get((m + 1, l), 0.0) - c
         if m >= 1:
             out[m - 1, l] = out.get((m - 1, l), 0.0) + c * m * beta * lam_inf

@@ -4,7 +4,9 @@ Events file: UTF-8 text, one nonnegative decimal timestamp per line, with an
 optional single header line "t".  Timestamps are read as they are, never
 rescaled: in a file of minutes, rates fitted to it are per minute.  Grids
 and tables are written as CSV, reports as JSON; floats are serialized with
-repr so identical inputs give byte-identical files.
+repr so identical inputs give byte-identical files.  The intensity CSV
+takes the path's intensity as a function of a chunk of its grid, evaluated
+by whichever process formats that chunk's rows.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -159,25 +161,31 @@ def _intensity_rows(grid, values):
     return [f"{t!r},{v!r}\n" for t, v in zip(grid, values)]
 
 
-def write_intensity_csv(path, grid, values) -> Path:
+def write_intensity_csv(path, grid, intensity) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
-    Large grids are formatted in contiguous slices, one process per
-    available CPU and at least MIN_ROWS_PER_WORKER rows per process (see
-    _fork.in_slices); every row is formatted by the same function in the
-    same order, so the bytes are those of a one-process run.  No file is
-    left at ``path`` when the call raises.
+    ``intensity`` maps a chunk of the grid (a 1-D float64 array of up to
+    _CSV_CHUNK_ROWS points) to the path's values there, one per point; each
+    chunk's values are computed in the process that formats its rows, so no
+    process holds a grid-sized values array.  Large grids are formatted in
+    contiguous slices, one process per available CPU and at least
+    MIN_ROWS_PER_WORKER rows per process (see _fork.in_slices); every row is
+    computed and formatted by the same functions in the same order, so the
+    bytes are those of a one-process run.  No file is left at ``path`` when
+    the call raises.
     """
     path = Path(path)
     grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if grid.size != values.size:
-        raise ValueError(f"grid has {grid.size} points but values has {values.size}")
     n = worker_count(grid.size, MIN_ROWS_PER_WORKER)
 
     def format_slice(lo, hi, out):
         dest = fh if out is None else codecs.getwriter("utf-8")(out)
-        _write_rows(dest, _intensity_rows, grid[lo:hi], values[lo:hi])
+        for start in range(lo, hi, _CSV_CHUNK_ROWS):
+            t = grid[start:min(start + _CSV_CHUNK_ROWS, hi)]
+            values = np.asarray(intensity(t), dtype=np.float64)
+            if values.shape != t.shape:
+                raise ValueError(f"grid has {t.size} points but values has {values.size}")
+            dest.write("".join(_intensity_rows(t.tolist(), values.tolist())))
 
     def append(lo, hi, file):
         fh.flush()

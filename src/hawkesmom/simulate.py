@@ -29,9 +29,9 @@ exact method it steps groups of paths in lockstep: every path keeps its
 own generator, draws its uniforms in blocks, and one vectorised step per
 loop iteration repeats simulate_exact's float operations in its order,
 with libm's log and exp (math.log, math.exp) rather than numpy's, whose
-last bit can differ.  A deficit start thins by _thin first, one draw at a
-time.  The scalar loop finishes a path whose block holds an exact 0 where
-it stands, and every path once few are live.
+last bit can differ.  A deficit start thins by _thin first, reading the
+path's stream in blocks too.  The scalar loop finishes a path whose block
+holds an exact 0 where it stands, and every path once few are live.
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -56,7 +56,8 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 
 import numpy as np
 
@@ -336,10 +337,12 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
     paths are live, _run_exact finishes them.
 
-    When lambda0 < lambda_inf each path first thins by _thin, one draw at a
-    time, so that its generator stands where simulate_exact's would once
-    its intensity reaches the base level: the lockstep steps only paths at
-    or above it, where rounding keeps them.
+    When lambda0 < lambda_inf each path first thins by _thin, reading its
+    uniforms in blocks (_uniforms) and counting those it reads; the path
+    then gets a fresh generator of its seed, which draws and drops that
+    many, so it stands where simulate_exact's would once its intensity
+    reaches the base level.  The lockstep steps only paths at or above the
+    base level, where rounding keeps them.
 
     A path whose block holds an exact 0, which simulate_exact redraws, is
     finished by _run_exact where it stands, reading the block's raw draws
@@ -357,8 +360,14 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     if params.lambda0 < lam_inf:
         for i, rng in enumerate(rngs):
             events: list[float] = []
-            t[i], lam[i] = _thin(iter(rng.random, None), params, horizon, cap, 0.0,
-                                 params.lambda0, events, cap)
+            drawn = count()
+            t[i], lam[i] = _thin(map(itemgetter(0), zip(_uniforms(rng), drawn)), params,
+                                 horizon, cap, 0.0, params.lambda0, events, cap)
+            # _uniforms drew ahead: a fresh generator, moved past the draws read
+            rngs[i] = np.random.default_rng(seeds[i])
+            read = next(drawn)
+            for lo in range(0, read, _MAX_UNIFORMS):
+                rngs[i].random(min(_MAX_UNIFORMS, read - lo))
             found_t[i] = np.array(events)
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]

@@ -21,6 +21,7 @@ from hawkesmom import (
     simulate_exact,
     validate_params,
 )
+from hawkesmom.core import _GRID_BLOCK
 
 
 def intensity_by_ode(params, events, t, rtol=1e-12, atol=1e-14):
@@ -241,6 +242,21 @@ class TestIntensityKernel:
         vals = intensity_on_grid(params, events, grid)
         direct = np.array([intensity_at(params, events, float(t)) for t in grid])
         np.testing.assert_allclose(vals, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("at", [1, _GRID_BLOCK - 1, _GRID_BLOCK, 2 * _GRID_BLOCK + 5])
+    @pytest.mark.parametrize("bad", ["step_back", "nan"])
+    def test_grid_out_of_order_rejected(self, at, bad):
+        # the grid is checked a block at a time: a step back to the first
+        # point of a block is seen only where that block meets the one before
+        grid = np.arange(3.0 * _GRID_BLOCK)
+        grid[at] = grid[at - 1] - 0.5 if bad == "step_back" else math.nan
+        with pytest.raises(ValueError, match="^grid must be nondecreasing$"):
+            intensity_on_grid(validate_params(0.2, 1.0, 1.0), [1.0, 2.0], grid)
+
+    @pytest.mark.parametrize("grid", [np.array(1.0), np.ones((2, 2))], ids=["0-d", "2-d"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="^grid must be one-dimensional$"):
+            intensity_on_grid(validate_params(0.2, 1.0, 1.0), [1.0, 2.0], grid)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(log_beta=st.floats(-5.0, 5.0), alpha_frac=st.just(0.0) | st.floats(0.0, 0.95),

@@ -288,6 +288,15 @@ class TestIntegrateMoments:
         with pytest.raises(ValueError, match=r"moments overflow at t=1\.0"):
             integrate_moments(params, [(1, 0)], 1.0)
 
+    def test_overflowed_alpha_power_names_t(self):
+        # alpha^3 of the closure's top degree is past float64: the image
+        # keeps an inf rather than raising OverflowError
+        params = validate_params(1e103, 2e103, 1.0)
+        image = apply_generator(params, poly({(3, 0): 1.0})).coefficients
+        assert image[(1, 0)] == math.inf
+        with pytest.raises(ValueError, match=r"moments overflow at t=1\.0"):
+            integrate_moments(params, [(0, 3)], 1.0)
+
     @pytest.mark.parametrize("initial, m", [
         ({1: 1.0}, 2),
         ({1: 1.0, 2: math.nan}, 2),

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,12 @@ def strict_json(path):
         raise ValueError(f"{constant} is not JSON")
 
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def values_on(grid, values):
+    """The intensity function write_intensity_csv takes, reading ``values``
+    at the points of a chunk of the strictly increasing ``grid``."""
+    return lambda t: values[np.searchsorted(grid, t)]
 
 
 class TestParseEvents:
@@ -170,15 +177,35 @@ class TestWriteIntensityCsv:
         grid = np.arange(n) * 0.01
         values = rng.lognormal(0.0, 3.0, size=n)
         values[:4] = [1.0, 0.1, 1e-300, 12345678901234.5]
-        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values)
+        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, values))
         expected = "t,intensity\n" + "".join(
             f"{float(t)!r},{float(v)!r}\n" for t, v in zip(grid, values))
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="grid has 3 points but values has 2"):
-            write_intensity_csv(tmp_path / "intensity.csv", np.arange(3.0), np.ones(2))
+            write_intensity_csv(tmp_path / "intensity.csv", np.arange(3.0), lambda t: np.ones(2))
         assert not (tmp_path / "intensity.csv").exists()
+
+    def test_each_process_computes_its_own_rows(self, tmp_path, monkeypatch):
+        # this process is asked for the first slice's values only, a chunk
+        # at a time; the worker computes the second slice's
+        n = 2 * MIN_ROWS_PER_WORKER + 5
+        grid = np.arange(n * 1.0)
+        parent, asked = os.getpid(), []
+
+        def intensity(t):
+            if os.getpid() == parent:
+                asked.append((t[0], t.size))
+            return t + 0.5
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = write_intensity_csv(tmp_path / "intensity.csv", grid, intensity)
+        assert [start for start, _ in asked] == list(range(0, n // 2, _CSV_CHUNK_ROWS))
+        assert [size for _, size in asked[:-1]] == [_CSV_CHUNK_ROWS] * (len(asked) - 1)
+        assert sum(size for _, size in asked) == n // 2
+        expected = "t,intensity\n" + "".join(f"{t!r},{t + 0.5!r}\n" for t in grid.tolist())
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(32)
@@ -190,6 +217,7 @@ class TestWriteIntensityCsv:
         special = [0.1 + 0.2, 1e-05, 1e+16, 1.0, 2.0 / 3.0, 1e-300, 12345678901234.5]
         for at in (0, n // 3 - 3, n // 2 - 3, 2 * n // 3 - 3, n - len(special)):
             values[at:at + len(special)] = special
+        intensity = values_on(grid, values)
         forks = []
         real_fork = os.fork
 
@@ -199,13 +227,13 @@ class TestWriteIntensityCsv:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         default_workers = min(len(os.sched_getaffinity(0)), 3)
-        default = write_intensity_csv(tmp_path / "default.csv", grid, values).read_bytes()
+        default = write_intensity_csv(tmp_path / "default.csv", grid, intensity).read_bytes()
         assert len(forks) == default_workers - 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        three = write_intensity_csv(tmp_path / "three.csv", grid, values).read_bytes()
+        three = write_intensity_csv(tmp_path / "three.csv", grid, intensity).read_bytes()
         assert len(forks) == default_workers - 1 + 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = write_intensity_csv(tmp_path / "serial.csv", grid, values).read_bytes()
+        serial = write_intensity_csv(tmp_path / "serial.csv", grid, intensity).read_bytes()
         assert len(forks) == default_workers - 1 + 2
         assert default == serial
         assert three == serial
@@ -240,8 +268,9 @@ class TestWriteIntensityCsv:
 
         self.fail_in_worker(monkeypatch, fail)
         n = 2 * MIN_ROWS_PER_WORKER
+        grid = np.arange(n * 1.0)
         with pytest.raises(RuntimeError, match=f"^worker failed on chunk {failing_chunk}$"):
-            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -249,9 +278,10 @@ class TestWriteIntensityCsv:
     def test_failed_worker_raises_and_cli_exits_1(self, tmp_path, monkeypatch, capsys):
         self.fail_in_worker(monkeypatch, lambda k: os._exit(1))
         n = 2 * MIN_ROWS_PER_WORKER
+        grid = np.arange(n * 1.0)
         with pytest.raises(OSError, match=f"formatting rows {n // 2} to {n - 1} exited with "
                                           f"status 1$"):
-            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         out = tmp_path / "out"
         code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
@@ -275,8 +305,9 @@ class TestWriteIntensityCsv:
         monkeypatch.setattr(io_module, "_intensity_rows", fail_in_parent)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         n = 3 * MIN_ROWS_PER_WORKER
+        grid = np.arange(n * 1.0)
         with pytest.raises(RuntimeError, match="parent failed"):
-            write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -288,7 +319,8 @@ class TestWriteIntensityCsv:
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         n = 2 * MIN_ROWS_PER_WORKER - 1
-        path = write_intensity_csv(tmp_path / "intensity.csv", np.arange(n * 1.0), np.ones(n))
+        grid = np.arange(n * 1.0)
+        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
         assert path.read_bytes().count(b"\n") == n + 1
 
 
@@ -323,7 +355,7 @@ def _small_outputs():
     rows = [(i, 0.2 + i / 3, 1.0 / 3, 1e-05, i % 2 == 0) for i in range(5)]
     return {
         "events": lambda path: write_events(path, events),
-        "intensity": lambda path: write_intensity_csv(path, grid, values),
+        "intensity": lambda path: write_intensity_csv(path, grid, values_on(grid, values)),
         "table": lambda path: write_table_csv(path, rows),
         "envelope": lambda path: write_envelope_csv(path, grid, counts, counts[0]),
         "report": lambda path: write_report_json(path, {"b": [0.1, 1e-05], "a": None}),
@@ -353,7 +385,8 @@ class TestWriteInPlace:
         n = 3 * MIN_ROWS_PER_WORKER + 11
         grid = np.arange(n) * 0.01
         values = rng.lognormal(0.0, 3.0, size=n)
-        fresh = write_intensity_csv(tmp_path / "fresh.csv", grid, values).read_bytes()
+        intensity = values_on(grid, values)
+        fresh = write_intensity_csv(tmp_path / "fresh.csv", grid, intensity).read_bytes()
         forks = []
         real_fork = os.fork
 
@@ -365,7 +398,7 @@ class TestWriteInPlace:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         for old in (b"x" * (len(fresh) + MIN_ROWS_PER_WORKER), b"y" * (len(fresh) // 3)):
             (tmp_path / "out.csv").write_bytes(old)
-            assert write_intensity_csv(tmp_path / "out.csv", grid, values).read_bytes() == fresh
+            assert write_intensity_csv(tmp_path / "out.csv", grid, intensity).read_bytes() == fresh
         assert len(forks) == 2 * (cpus - 1)
 
     def test_no_writer_truncates_on_open(self, tmp_path, monkeypatch):
@@ -421,9 +454,10 @@ class TestWriteInPlace:
         TestWriteIntensityCsv.fail_in_worker(monkeypatch, fail)
         path = tmp_path / "intensity.csv"
         n = 2 * MIN_ROWS_PER_WORKER
+        grid = np.arange(n * 1.0)
         path.write_bytes(b"x" * (4 * n))
         with pytest.raises(RuntimeError, match="^worker failed$"):
-            write_intensity_csv(path, np.arange(n * 1.0), np.ones(n))
+            write_intensity_csv(path, grid, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
 
     RERUNS = {
@@ -503,6 +537,29 @@ class TestCmdSimulate:
         _, intensity_path = cmd_simulate(cfg)
         rows = intensity_path.read_text().strip().splitlines()
         assert len(rows) - 1 == int(20.0 / 0.01) + 1
+
+    def test_holds_the_grid_and_no_values_array(self, tmp_path, monkeypatch):
+        # one CPU: every row is computed and formatted here, where
+        # tracemalloc sees it (numpy reports its arrays to it)
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        argv = ["simulate", "--method", "cluster", "--alpha", "0.2", "--beta", "1",
+                "--lambda-inf", "1", "--horizon", "100", "--grid-step", "0.0003", "--seed", "5",
+                "--out-dir", str(tmp_path)]
+        points = int(round(100 / 0.0003)) + 1
+        assert points >= 1 << 18
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the 8-byte grid points, a few chunks' worth of rows and
+        # temporaries; a values array alone would be another 2.7 MB
+        assert peak < 8 * points + 1_500_000
 
     def test_events_file_round_trips(self, tmp_path):
         cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
