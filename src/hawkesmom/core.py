@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._libm import elementwise
 from .errors import ExplosionRisk, NegativeInput, NonPositiveBase
 
 __all__ = [
@@ -182,11 +183,12 @@ def _excess_after_events(params: HawkesParams, times: np.ndarray) -> np.ndarray:
     so each tied event adds alpha).  Affine maps compose associatively, so
     after pass s of a Hillis-Steele scan (a[k], b[k]) composes the (up to)
     2^s maps ending at event k, and ceil(log2 n) numpy passes give every
-    E_k.  Every a_k <= 1, so nothing can overflow.
+    E_k.  Every a_k <= 1, so nothing can overflow; a_k is libm's exp (see
+    _libm), so the result does not depend on the CPU.
     """
     if times.size == 0:
         return np.empty(0)
-    a = np.exp(-params.beta * np.diff(times, prepend=0.0))
+    a = elementwise(math.exp, -params.beta * np.diff(times, prepend=0.0))
     b = np.full(times.size, params.alpha)
     b[0] += a[0] * (params.lambda0 - params.lambda_inf)
     span = 1
@@ -212,8 +214,8 @@ def _intensity_on_blocks(params: HawkesParams, events):
     The scan of the events (see _excess_after_events) runs once, here.  Each
     call then decays, at every t of its block, the post-jump excess of the
     last event before t (or the initial excess at time 0): one searchsorted
-    and one exp, with temporaries the size of the block.  ``out``, when
-    given, receives the values.
+    and one libm exp (see _libm), with temporaries the size of the block.
+    ``out``, when given, receives the values.
     """
     times = _times(events)
     excess = np.concatenate(([params.lambda0 - params.lambda_inf],
@@ -222,10 +224,8 @@ def _intensity_on_blocks(params: HawkesParams, events):
 
     def on_block(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         k = np.searchsorted(times, t, side="left")
-        out = np.subtract(since[k], t, out=out)
-        out *= params.beta
-        np.exp(out, out=out)
-        out *= excess[k]
+        decay = elementwise(math.exp, (since[k] - t) * params.beta)
+        out = np.multiply(decay, excess[k], out=out)
         out += params.lambda_inf
         return out
 

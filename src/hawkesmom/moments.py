@@ -206,7 +206,9 @@ def _window_shapes(x: np.ndarray) -> np.ndarray:
     Each function is evaluated by its Taylor series below x = 1 and directly
     in libm's e^{-x} above it, where its terms no longer cancel; both stay
     within a few ulp of the exact value.  libm keeps the result independent
-    of which SIMD exp numpy dispatches to.
+    of which SIMD exp numpy dispatches to: _libm.elementwise takes e^{-x}
+    from numpy's per-element libm loop where its first-use probe matched
+    math.exp bit for bit, and maps math.exp over xl otherwise.
     """
     out = np.empty((len(_SHAPES), x.size))
     small = x < 1.0

@@ -11,7 +11,8 @@ Two independent constructions of the same law are provided:
   inhomogeneous Poisson process with the deterministic rate
   lambda_inf + (lambda0 - lambda_inf) e^{-beta t}, each point spawning a
   Poisson number of offspring with displacement density proportional to
-  e^{-beta s}, generation by generation.
+  e^{-beta s}, generation by generation.  Its exp, expm1 and log1p are
+  libm's (_libm.elementwise), so its paths do not depend on the CPU.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
 distinct seeds may run concurrently.  simulate_exact's loop reads the
@@ -28,8 +29,11 @@ path; simulate_batch is map_batch returning the paths themselves.  For the
 exact method it steps groups of paths in lockstep: every path keeps its
 own generator, draws its uniforms in blocks, and one vectorised step per
 loop iteration repeats simulate_exact's float operations in its order,
-with libm's log and exp (math.log, math.exp) rather than numpy's, whose
-last bit can differ.  A deficit start thins by _thin first, reading the
+with libm's log and exp, as simulate_exact's math.log and math.exp take
+them, rather than numpy's SIMD ones, whose last bit can differ.
+_libm.elementwise gets them from numpy's per-element libm loop, which its
+probe checks against math.* at first use in a process, or else maps
+math.* over the array.  A deficit start thins by _thin first, reading the
 path's stream in blocks too.  The scalar loop finishes a path whose block
 holds an exact 0 where it stands, and every path once few are live.
 
@@ -238,7 +242,7 @@ def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, la
 def _spawn_offspring(rng, parents: np.ndarray, params: HawkesParams, horizon: float):
     """One branching generation: each parent T spawns K ~ Poisson((alpha/beta) F)
     children at T - ln(1 - U F) / beta, where F = 1 - e^{-beta (horizon - T)}."""
-    frac = -np.expm1(-params.beta * (horizon - parents))
+    frac = -elementwise(math.expm1, -params.beta * (horizon - parents))
     counts = rng.poisson(params.alpha / params.beta * frac)
     total = int(counts.sum())
     if total == 0:
@@ -246,7 +250,7 @@ def _spawn_offspring(rng, parents: np.ndarray, params: HawkesParams, horizon: fl
     rep_parents = np.repeat(parents, counts)
     rep_frac = np.repeat(frac, counts)
     u = rng.random(total)
-    return rep_parents - np.log1p(-u * rep_frac) / params.beta
+    return rep_parents - elementwise(math.log1p, -u * rep_frac) / params.beta
 
 
 def simulate_cluster(
@@ -266,7 +270,7 @@ def simulate_cluster(
     bound = max(lam_inf, lam0)
     n_prop = int(rng.poisson(bound * horizon))
     proposals = np.sort(rng.random(n_prop)) * horizon
-    rate = lam_inf + (lam0 - lam_inf) * np.exp(-beta * proposals)
+    rate = lam_inf + (lam0 - lam_inf) * elementwise(math.exp, -beta * proposals)
     immigrants = proposals[rng.random(n_prop) * bound <= rate]
 
     generations = [immigrants]
@@ -296,12 +300,20 @@ def sampler(method: str):
 # arrays that grow at the same time.
 _GROUP = 250
 # Below this many live paths the scalar loop finishes the paths from where
-# they stand.  A group of n paths in lockstep took 1.4 to 1.6 times the
-# scalar loop's time at n = 32 and 0.55 to 0.9 at n = 64 at validate's
-# parameters, but 1.35 to 1.45 at n = 64 and about 1 at n = 128 at the
-# cascade forecast's, whose paths end unevenly; its 1000 paths sample
-# fastest with 128.
-_MIN_LOCKSTEP = 128
+# they stand.  A group of n paths in lockstep took, in two runs, these times
+# the scalar loop's (best of 5, one CPU, libm through numpy's loop):
+#
+#   n                          16         32         48         64        128
+#   validate's, horizon 2000   1.48/1.63  0.99/0.97  0.65/0.62  0.52/0.48  0.40/0.39
+#   cascade's, horizon 600     4.64/2.57  1.58/1.42  1.16/0.98  0.95/0.79  0.55/0.58
+#
+# so 48 is where the cascade forecast's unevenly ending paths break even
+# and validate's already gain.  Over two runs (median of 25 and 40 calls,
+# one CPU), 1000 cascade paths took 156 to 204 ms at 48 and 181 to 187 at
+# 128, even within noise, but 100 paths at validate's parameters took 81
+# to 102 ms at 48 and 246 to 296 at 128, where the scalar loop draws them
+# all.  validate's K = 20 stays on the scalar loop.
+_MIN_LOCKSTEP = 48
 # Below this many expected events per slice a batch is sampled by this
 # process alone: a fork and its read-back cost about what the scalar loop
 # takes for 4000 to 5000 events.

@@ -1247,11 +1247,14 @@ class TestMainExitCodes:
 
 class TestCliGoldens:
     """SHA-256 of CLI outputs for fixed seeds, so a refactor that changes any
-    byte shows.  Recorded on x86-64 Linux (glibc libm, numpy 2); the last
-    digits of intensity.csv come from numpy's vectorised exp and may differ
-    on other hardware.  intensity.csv's post-jump values come from the
-    doubling scan in core._excess_after_events, within a few ulp (under
-    1e-15 relative) of a per-event exp recurrence on these paths."""
+    byte shows.  Recorded on x86-64 Linux (glibc libm, numpy 2).  Every exp,
+    log, expm1 and log1p behind these files is libm's, through _libm (numpy's
+    reversed-output loop where its probe passes, the map over math.*
+    otherwise), so the bytes do not depend on which SIMD code numpy
+    dispatches to; another libm may still move their last digits.
+    intensity.csv's post-jump values come from the doubling scan in
+    core._excess_after_events, within a few ulp (under 1e-15 relative) of a
+    per-event exp recurrence on these paths."""
 
     RUNS = {
         "exact": ["simulate", "--alpha", "0.15", "--beta", "1", "--lambda-inf", "1",
@@ -1264,10 +1267,10 @@ class TestCliGoldens:
     }
     DIGESTS = {
         "exact/events.txt": "288ad1ac9c75632e982731787c2c325be3c20fe00842a8c139d1f4094453c950",
-        "exact/intensity.csv": "4763bb2a32e99b8d770479f7123285f347fc87c1cd08297929d0d80f925309d4",
-        "cluster/events.txt": "dc0dc42718aabef91d648e3c066832e1bfc75b3704d006acdfa817eb0f0020cb",
+        "exact/intensity.csv": "dba7ea9bd1f9a5572efbec20c7963f64b4591e84b17d6148f7667dbe52aab406",
+        "cluster/events.txt": "417fd299715f36cbb8add3e81acc7edbce42935fefa47d1701739dd509c7a347",
         "cluster/intensity.csv":
-            "81c1c50014a7b1d493214aa4084eee9fa5c6b58a11979d9a6ab8de5c529dd942",
+            "a958b327d1260409434077cdc899aae43d7458b5abca5544e234e5c09ab2bed8",
         "validate/table.csv": "0523b847adf913b95f249c129f30d6c03cdd5b00a4e7ef50f95b2d6631ac5907",
         "validate/validate.json":
             "db103563b74679fa45c726cc5a41011a1bbb9ea19db3706e6c663968c12180bd",
