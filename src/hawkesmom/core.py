@@ -159,7 +159,8 @@ def intensity_at(params: HawkesParams, events, t: float) -> float:
     """Conditional intensity at time t, by direct O(k) summation.
 
     Left-continuous convention: events at exactly t are excluded, so this
-    is the pre-jump value lambda(t-).
+    is the pre-jump value lambda(t-).  Its exps are libm's
+    (_libm.elementwise), so the value does not depend on the CPU.
     """
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -168,7 +169,8 @@ def intensity_at(params: HawkesParams, events, t: float) -> float:
     base = params.lambda_inf + (params.lambda0 - params.lambda_inf) * math.exp(-params.beta * t)
     if k == 0:
         return base
-    return base + params.alpha * float(np.exp(-params.beta * (t - times[:k])).sum())
+    decay = elementwise(math.exp, -params.beta * (t - times[:k]))
+    return base + params.alpha * float(decay.sum())
 
 
 # grid points per block: the per-block temporaries stay near 64 kB each

@@ -15,13 +15,15 @@ Two independent constructions of the same law are provided:
   libm's (_libm.elementwise), so its paths do not depend on the CPU.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently.  simulate_exact's loop reads the
-uniform stream as an iterator over blocks the generator draws at once
-(_uniforms), the same stream as one rng.random() per draw.  Above the base
-level it reads one lazy map(log, filter(None, stream)), two logs per event,
-so a draw of exactly 0 is skipped and no other draw moves; while the
-intensity sits below the base level it thins (_thin, the one thinning
-loop), and takes its accept draws raw from the stream.
+distinct seeds may run concurrently.  simulate_exact's loop takes its
+uniforms from blocks the generator draws at once, the same stream as one
+rng.random() per draw.  While the intensity sits below the base level it
+thins (_thin, the one thinning loop, in _base_level_start), and takes its
+accept draws raw from the stream.  Above the base level (_run_exact)
+numpy drops each block's draws of exactly 0 and takes the logs of the
+rest, two per event, scaled as the recurrence uses them (_log_pairs), so
+a 0 is skipped and no other draw moves; Python runs only the
+recurrence in the intensity, with math.log and math.exp.
 
 map_batch draws path i from seed seed + i, bit for bit what the
 single-path sampler gives for that seed, and applies a function to each
@@ -29,13 +31,13 @@ path; simulate_batch is map_batch returning the paths themselves.  For the
 exact method it steps groups of paths in lockstep: every path keeps its
 own generator, draws its uniforms in blocks, and one vectorised step per
 loop iteration repeats simulate_exact's float operations in its order,
-with libm's log and exp, as simulate_exact's math.log and math.exp take
-them, rather than numpy's SIMD ones, whose last bit can differ.
-_libm.elementwise gets them from numpy's per-element libm loop, which its
-probe checks against math.* at first use in a process, or else maps
-math.* over the array.  A deficit start thins by _thin first, reading the
-path's stream in blocks too.  The scalar loop finishes a path whose block
-holds an exact 0 where it stands, and every path once few are live.
+with libm's log and exp, as simulate_exact takes them, rather than
+numpy's SIMD ones, whose last bit can differ.  _libm.elementwise gets them
+from numpy's per-element libm loop, which its probe checks against math.*
+at first use in a process, or else maps math.* over the array.  A deficit
+start thins first, as simulate_exact's does (_base_level_start).  The
+scalar loop finishes a path whose block holds an exact 0 where it stands,
+and every path once few are live.
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -121,7 +123,8 @@ _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
 
 
 def _uniforms(rng):
-    """rng's uniform stream, one float at a time, drawn in doubling blocks.
+    """rng's uniform stream, one float at a time, drawn in doubling blocks:
+    the stream _thin reads.
 
     A block of n is the same n floats as n calls of rng.random(), so the
     iterator yields what successive rng.random() calls would, at a fraction
@@ -158,8 +161,8 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.
     """
     _check_horizon(horizon)
-    events = _run_exact(_uniforms(np.random.default_rng(seed)), params,
-                        horizon, cap, 0.0, params.lambda0)
+    rng, t, lam, events = _base_level_start(params, horizon, cap, seed)
+    events += _run_exact(rng, params, horizon, cap, t, lam, len(events))
     return Trajectory(EventSequence._sampled(np.asarray(events), horizon), seed)
 
 
@@ -198,44 +201,97 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: fl
     return t, lam
 
 
-def _run_exact(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int = 0) -> list[float]:
-    """simulate_exact's loop from time t and intensity lam, on a path that
-    already holds ``recorded`` events, taking its uniforms from the iterator
-    ``src`` (see _uniforms); returns the new events.
+def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int):
+    """The path of ``seed`` up to where its intensity first stands at or
+    above the base level: (rng, t, lam, events), with ``rng`` a generator
+    of the seed moved past every draw the path has read, or t = inf if the
+    path ends first.
 
-    A uniform of exactly 0, whose log is undefined, is skipped wherever a
-    log is taken, and every other draw leaves the stream as it was.  While
-    lam < lambda_inf the path is in deficit and thins (see _thin); once
-    lam >= lambda_inf, rounding keeps it there, and each event costs one
-    pair of logged draws.
+    A path that starts at or above the base level starts there.  One in
+    deficit thins (_thin) from the stream in blocks (_uniforms), counting
+    the draws it reads; since the blocks drew ahead, ``rng`` is then a fresh
+    generator of the seed that draws and drops that many.
+    """
+    rng = np.random.default_rng(seed)
+    events: list[float] = []
+    if params.lambda0 >= params.lambda_inf:
+        return rng, 0.0, params.lambda0, events
+    drawn = count()
+    t, lam = _thin(map(itemgetter(0), zip(_uniforms(rng), drawn)), params, horizon, cap,
+                   0.0, params.lambda0, events, cap)
+    rng = np.random.default_rng(seed)
+    read = next(drawn)
+    for lo in range(0, read, _MAX_UNIFORMS):
+        rng.random(min(_MAX_UNIFORMS, read - lo))
+    return rng, t, lam, events
+
+
+def _log_pairs(rng, params: HawkesParams, head: np.ndarray | None):
+    """The logs of the nonzero draws of ``head``, then of rng's stream, taken
+    in pairs (u1, u2) and scaled as the recurrence uses them: per block, the
+    list of beta ln(u1) and the list of -ln(u2) / lambda_inf, the arrival
+    from the base level.  The blocks grow from _FIRST_UNIFORMS draws to
+    _MAX_UNIFORMS, and the logs are libm's (_libm.elementwise).
+
+    A draw of exactly 0 is dropped, and an odd draw left at a block's end
+    is carried into the next, so the pairs are those of
+    map(log, filter(None, stream)), read two at a time.
+    """
+    beta, lam_inf = params.beta, params.lambda_inf
+    size = _FIRST_UNIFORMS
+    carry = np.empty(0)
+    while True:
+        if head is None:
+            u = rng.random(size)
+            size = min(2 * size, _MAX_UNIFORMS)
+        else:
+            u, head = head, None
+        if not u.all():
+            u = u[u != 0.0]
+        if carry.size:
+            u = np.concatenate((carry, u))
+        even = u.size & ~1
+        logs, carry = elementwise(math.log, u[:even]), u[even:]
+        yield (logs[0::2] * beta).tolist(), (logs[1::2] / -lam_inf).tolist()
+
+
+def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
+               recorded: int = 0, head: np.ndarray | None = None) -> list[float]:
+    """simulate_exact's loop from time t and intensity lam >= lambda_inf, on
+    a path that already holds ``recorded`` events; returns the new events.
+
+    It reads the uniforms of ``head``, if given, then of the generator
+    ``rng``, a block at a time (_log_pairs), so numpy draws and logs them
+    and Python runs only the recurrence in lam; each event costs one pair
+    of nonzero draws, and a draw of exactly 0 is skipped.  Rounding keeps
+    lam >= lambda_inf.  The cap is checked once per block.  t = inf, a
+    path that _base_level_start ended, returns [].
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
     room = cap - recorded
     events: list[float] = []
-    t, lam = _thin(src, params, horizon, cap, t, lam, events, room)
-    if t > horizon:
-        return events
     add_event = events.append
-    logs = map(log, filter(None, src))
-    for _, l1, l2 in zip(range(room + 1 - len(events)), logs, logs):
-        excess = lam - lam_inf
-        s = -l2 / lam_inf  # the arrival from the base level
-        if excess:
-            # the excess's arrival, by inversion where it has one
-            d = 1.0 + beta * l1 / excess
-            if d > 0.0:
-                s1 = -log(d) / beta
-                if s1 < s:
-                    s = s1
-        if t + s > horizon:
-            break
-        t += s
-        lam = lam_inf + excess * exp(-beta * s) + alpha
-        add_event(t)
-    else:
-        raise _capacity_exceeded(cap, t, horizon)
+    pairs = _log_pairs(rng, params, head)
+    while t <= horizon:
+        # beta ln(u1), and s = -ln(u2) / lambda_inf, the arrival from the base level
+        for beta_l1, s in zip(*next(pairs)):
+            excess = lam - lam_inf
+            if excess:
+                # the excess's arrival, by inversion where it has one
+                d = 1.0 + beta_l1 / excess
+                if d > 0.0:
+                    s1 = -log(d) / beta
+                    if s1 < s:
+                        s = s1
+            if t + s > horizon:
+                t = math.inf  # the path ends
+                break
+            t += s
+            lam = lam_inf + excess * exp(-beta * s) + alpha
+            add_event(t)
+        if len(events) > room:
+            raise _capacity_exceeded(cap, events[room], horizon)
     return events
 
 
@@ -301,19 +357,21 @@ def sampler(method: str):
 _GROUP = 250
 # Below this many live paths the scalar loop finishes the paths from where
 # they stand.  A group of n paths in lockstep took, in two runs, these times
-# the scalar loop's (best of 5, one CPU, libm through numpy's loop):
+# the scalar loop's (median ratio of 9 interleaved pairs, one CPU, libm
+# through numpy's loop):
 #
-#   n                          16         32         48         64        128
-#   validate's, horizon 2000   1.48/1.63  0.99/0.97  0.65/0.62  0.52/0.48  0.40/0.39
-#   cascade's, horizon 600     4.64/2.57  1.58/1.42  1.16/0.98  0.95/0.79  0.55/0.58
+#   n                          16         32         48         64         96         128
+#   validate's, horizon 2000   2.67/2.50  1.58/1.64  1.05/1.06  0.79/0.83  0.55/0.54  0.50/0.53
+#   cascade's, horizon 600     3.46/3.57  1.84/1.89  1.30/1.37  1.03/1.12  0.81/0.89  0.55/0.57
 #
-# so 48 is where the cascade forecast's unevenly ending paths break even
-# and validate's already gain.  Over two runs (median of 25 and 40 calls,
-# one CPU), 1000 cascade paths took 156 to 204 ms at 48 and 181 to 187 at
-# 128, even within noise, but 100 paths at validate's parameters took 81
-# to 102 ms at 48 and 246 to 296 at 128, where the scalar loop draws them
-# all.  validate's K = 20 stays on the scalar loop.
-_MIN_LOCKSTEP = 48
+# so 64 is where the cascade forecast's unevenly ending paths break even
+# and validate's already gain.  1000 cascade paths took the same time at
+# 48, 64 and 96, within 1% (median of 30 interleaved calls, one CPU and
+# two); 100 paths at validate's parameters took 0.94 and 1.07 times as
+# long at 64 as at 48 on one CPU and on two, where they run as two groups
+# of 50 on the scalar loop, and 1.88 times at 128 on one CPU.  validate's
+# K = 20 stays on the scalar loop.
+_MIN_LOCKSTEP = 64
 # Below this many expected events per slice a batch is sampled by this
 # process alone: a fork and its read-back cost about what the scalar loop
 # takes for 4000 to 5000 events.
@@ -347,42 +405,24 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     crosses the horizon mid-block runs on to the block's end and its steps
     past the horizon are dropped.  At a block's end every live generator
     stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
-    paths are live, _run_exact finishes them.
+    paths are live, _run_exact finishes them from their generators.
 
-    When lambda0 < lambda_inf each path first thins by _thin, reading its
-    uniforms in blocks (_uniforms) and counting those it reads; the path
-    then gets a fresh generator of its seed, which draws and drops that
-    many, so it stands where simulate_exact's would once its intensity
-    reaches the base level.  The lockstep steps only paths at or above the
-    base level, where rounding keeps them.
+    Each path starts as simulate_exact's does (_base_level_start), so a
+    deficit start has thinned to the base level, and the lockstep steps
+    only paths at or above it, where rounding keeps them.
 
-    A path whose block holds an exact 0, which simulate_exact redraws, is
+    A path whose block holds an exact 0, which simulate_exact skips, is
     finished by _run_exact where it stands, reading the block's raw draws
     and then its generator: the stream simulate_exact reads from there.
 
     Returns each seed's event times.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
-    rngs = [np.random.default_rng(s) for s in seeds]
-    # per path: its times so far
-    found_t = [np.empty(0) for _ in seeds]
-    ids = np.arange(len(seeds))  # the live paths
-    t = np.zeros(ids.size)
-    lam = np.full(ids.size, params.lambda0)
-    if params.lambda0 < lam_inf:
-        for i, rng in enumerate(rngs):
-            events: list[float] = []
-            drawn = count()
-            t[i], lam[i] = _thin(map(itemgetter(0), zip(_uniforms(rng), drawn)), params,
-                                 horizon, cap, 0.0, params.lambda0, events, cap)
-            # _uniforms drew ahead: a fresh generator, moved past the draws read
-            rngs[i] = np.random.default_rng(seeds[i])
-            read = next(drawn)
-            for lo in range(0, read, _MAX_UNIFORMS):
-                rngs[i].random(min(_MAX_UNIFORMS, read - lo))
-            found_t[i] = np.array(events)
-        live = t <= horizon
-        ids, t, lam = ids[live], t[live], lam[live]
+    rngs, t, lam, found_t = zip(*(_base_level_start(params, horizon, cap, s) for s in seeds))
+    found_t = [np.array(events) for events in found_t]  # per path: its times so far
+    t, lam = np.array(t), np.array(lam)
+    live = t <= horizon
+    ids, t, lam = np.arange(len(seeds))[live], t[live], lam[live]  # the live paths
     size = _FIRST_BLOCK
     # one buffer each for the uniforms and the recorded times, reused by
     # every block so that blocks leave no holes in the heap
@@ -398,9 +438,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         if not clean.all():
             for k in (~clean).nonzero()[0].tolist():
                 i = ids[k]
-                _append(found_t[i], _run_exact(chain(u[k].tolist(), _uniforms(rngs[i])),
-                                               params, horizon, cap, t[k].item(), lam[k].item(),
-                                               found_t[i].size))
+                _append(found_t[i], _run_exact(rngs[i], params, horizon, cap, t[k].item(),
+                                               lam[k].item(), found_t[i].size, head=u[k]))
             kept = u[clean]
             ids, t, lam = ids[clean], t[clean], lam[clean]
             u = buf_u[:kept.size].reshape(kept.shape)
@@ -443,7 +482,7 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
     for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
-        _append(found_t[i], _run_exact(_uniforms(rngs[i]), params, horizon, cap, t_i, lam_i,
+        _append(found_t[i], _run_exact(rngs[i], params, horizon, cap, t_i, lam_i,
                                        found_t[i].size))
     return found_t
 

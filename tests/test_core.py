@@ -152,6 +152,21 @@ class TestIntensityAt:
             assert intensity_at(p, events, t) == pytest.approx(
                 intensity_by_ode(p, events, t), abs=1e-8)
 
+    def test_sum_is_libms(self):
+        # a criterion-8 path, at times where numpy's SIMD exp in place of
+        # libm's changed the sum's last bits
+        p = validate_params(0.772, 1.133, 0.243, 0.243)
+        times = simulate_exact(p, 600.0, 1).events.times
+        at = np.linspace(0.0, 600.0, 500)
+        got = np.array([intensity_at(p, times, t) for t in at])
+        expected = []
+        for t in at.tolist():
+            before = times[:np.searchsorted(times, t, side="left")].tolist()
+            base = p.lambda_inf + (p.lambda0 - p.lambda_inf) * math.exp(-p.beta * t)
+            decay = np.array([math.exp(-p.beta * (t - s)) for s in before])
+            expected.append(base + p.alpha * float(decay.sum()) if before else base)
+        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+
     def test_jump_relation(self):
         p = validate_params(0.4, 1.2, 1.0, 1.0)
         events = np.array([0.5, 1.0, 1.0, 2.5])  # double event at t=1

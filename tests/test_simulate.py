@@ -26,12 +26,12 @@ from hawkesmom import (
     windowed_counts,
 )
 from hawkesmom import simulate as simulate_module
-from hawkesmom.simulate import _run_exact, _spawn_offspring, _uniforms, map_batch, sampler
+from hawkesmom.simulate import _spawn_offspring, map_batch, sampler
 
 
 # The scalar exact loop as it read when it took one uniform per call of
 # ``draw``, kept verbatim (but for its name) as the reference that
-# TestScalarLoopOracle checks the iterator-fed loop against.
+# TestScalarLoopOracle checks the block loop against.
 
 def _redraw_nonzero(draw) -> float:
     """Next nonzero uniform draw.
@@ -414,14 +414,15 @@ class TestBatch:
             # more loop iterations than the first four blocks hold
             assert min(sizes) > 15 * simulate_module._FIRST_BLOCK
 
-    def test_deficit_regime_rejects_proposals(self):
-        # the deficit case above must exercise thinning rejections: every
-        # loop iteration draws two uniforms, so more draws than two per
-        # event (plus the final one or two) means some proposal was rejected
-        # (the draws consumed, not the blocks drawn, which run ahead)
+    def test_deficit_regime_rejects_proposals(self, monkeypatch):
+        # the deficit case above must exercise thinning rejections: each
+        # proposal _thin reads takes two uniforms, but for the one that ends
+        # the path, which takes one, so more draws than two per accepted
+        # event plus one means some proposal was rejected (the draws _thin
+        # reads, not the blocks drawn, which run ahead)
         class CountingDraw:
-            def __init__(self, seed):
-                self.stream = _uniforms(np.random.default_rng(seed))
+            def __init__(self, src):
+                self.src = src
                 self.draws = 0
 
             def __iter__(self):
@@ -429,15 +430,27 @@ class TestBatch:
 
             def __next__(self):
                 self.draws += 1
-                return next(self.stream)
+                return next(self.src)
 
+        thin = simulate_module._thin
+        reads = []
+
+        def counting_thin(src, *args):
+            counted = CountingDraw(src)
+            try:
+                return thin(counted, *args)
+            finally:
+                reads.append((counted.draws, len(args[5])))  # its events
+
+        monkeypatch.setattr(simulate_module, "_thin", counting_thin)
         *raw, horizon, n_paths = self.REGIMES["deficit"]
         p = validate_params(*raw)
         rejected = 0
         for i in range(n_paths):
-            draw = CountingDraw(3_000 + i)
-            events = _run_exact(draw, p, horizon, 10**6, 0.0, p.lambda0)
-            rejected += draw.draws > 2 * len(events) + 2
+            reads.clear()
+            simulate_exact(p, horizon, 3_000 + i)
+            [(draws, events)] = reads
+            rejected += draws > 2 * events + 1
         assert rejected >= n_paths // 2
 
     @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
@@ -556,12 +569,18 @@ class TestScalarLoopOracle:
     # above lambda_inf draws 2k and 2k + 1 are event k's u1 and u2; from a
     # deficit start draw 0 is a proposal and draw 1 its accept draw, which
     # a 0 accepts without a redraw
+    # a 0 at draw 15, the last of simulate_exact's first block of 16, leaves
+    # an odd draw that the next block's first pairs with; two zeros at 15
+    # and 16 fall on both sides of that block edge
     ZEROS = {
         "u1": ("excess", (4,)),
         "u2": ("excess", (5,)),
         "two_zeros": ("excess", (0, 3)),
         "deficit_proposal": ("deficit", (0,)),
         "deficit_accept": ("deficit", (1,)),
+        "block_end": ("excess", (15,)),
+        "block_end_equal": ("alpha0_equal", (15,)),
+        "across_block_edge": ("excess", (15, 16)),
     }
     SEED, N_PATHS = 4_000, 12
 
@@ -627,6 +646,28 @@ class TestScalarLoopOracle:
                 run(n - 1)
             assert str(raised.value) == str(expected.value)
 
+
+    # a path that starts at or above the base level reads simulate_exact's
+    # first two blocks, of 16 and 32 draws, in its first 8 and next 16
+    # events: a cap one below, at and one above each of those block ends
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    @pytest.mark.parametrize("cap", [7, 8, 9, 23, 24, 25])
+    @pytest.mark.parametrize("case", ["excess", "alpha0_equal"])
+    def test_cap_at_a_block_edge(self, monkeypatch, case, cap, min_lockstep):
+        assert simulate_module._FIRST_UNIFORMS == 16
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
+        *raw, horizon = self.CASES[case]
+        p = validate_params(*raw)
+        times, _ = self.reference(p, horizon, self.SEED)
+        assert len(times) > cap + 1
+        with pytest.raises(CapacityExceeded) as expected:
+            self.reference(p, horizon, self.SEED, cap=cap)
+        for run in (lambda: simulate_exact(p, horizon, self.SEED, cap=cap),
+                    lambda: simulate_batch(p, horizon, self.SEED, 1, cap=cap)):
+            with pytest.raises(CapacityExceeded) as raised:
+                run()
+            assert str(raised.value) == str(expected.value)
 
 class TestBatchSlices:
     """simulate_batch spreads its groups over one forked child per CPU."""
