@@ -8,8 +8,9 @@ differed on 3503 of 10^6 uniforms, exp on 46523 of 10^6 normal(0, 20)
 draws, expm1 on 28221 of 5*10^5 normal(0, 20) draws and log1p on 38198 of
 5*10^5 uniforms on (-0.999, 1.001).  The lockstep sampler takes libm's
 values so that a batch path equals the single-path sampler bit for bit;
-the window shapes behind the moment closed forms, the intensity kernel and
-the cluster sampler do so that their values do not depend on the CPU.
+the window shapes behind the moment closed forms, the intensity kernel,
+the cluster sampler and the generator's matrix exponential and pathwise
+integral do so that their values do not depend on the CPU.
 
 numpy's float64 loops for these four functions take their SIMD path only
 when they write the output forward, at any stride.  When the input runs

@@ -37,6 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._libm import elementwise
 from .core import HawkesParams, _excess_after_events, _times
 
 __all__ = [
@@ -226,12 +227,13 @@ def _expm_triangular(T: np.ndarray) -> np.ndarray:
     where = np.concatenate((np.arange(0, n * n, n + 1), np.arange(1, n * n - n, n + 1)))
     # made exact for exp(2^(j-s) T): exp([[a, c], [0, b]]) has
     # c e^max(a,b) (1 - e^-|b-a|) / |b-a| above its diagonal, which cannot
-    # overflow; a zero gap takes the limit 1 through the smallest normal gap
+    # overflow; a zero gap takes the limit 1 through the smallest normal gap.
+    # The exps are libm's (_libm.elementwise), so they do not depend on the CPU
     a, c = exact[:, :n], exact[:, n:]
     gap = -np.maximum(np.abs(a[:, 1:] - a[:, :-1]), _TINY)
-    np.exp(a, out=a)
+    a[...] = elementwise(math.exp, a.ravel()).reshape(a.shape)
     c *= np.maximum(a[:, :-1], a[:, 1:])
-    c *= np.expm1(gap) / gap
+    c *= elementwise(math.expm1, gap.ravel()).reshape(gap.shape) / gap
 
     X = np.ldexp(T, -s)
     X2 = X @ X
@@ -332,6 +334,6 @@ def integrate_polynomial_on_path(
         for j in range(1, m + 1):
             # int_0^s e^{-j beta u} du = -expm1(-j beta s) / (j beta)
             acc += (math.comb(m, j) * lam_inf ** (m - j) * c_exc**j
-                    * -np.expm1(-j * beta * length) / (j * beta))
+                    * -elementwise(math.expm1, -j * beta * length) / (j * beta))
         total += c * float(n**l @ acc)
     return total

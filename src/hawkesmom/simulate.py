@@ -37,7 +37,11 @@ from numpy's per-element libm loop, which its probe checks against math.*
 at first use in a process, or else maps math.* over the array.  A deficit
 start thins first, as simulate_exact's does (_base_level_start).  The
 scalar loop finishes a path whose block holds an exact 0 where it stands,
-and every path once few are live.
+and every path once few are live; a group of fewer than _MIN_LOCKSTEP
+paths is drawn by simulate_exact alone.  A lockstep group keeps the times
+it finds in pieces, each with its paths' counts, and when it ends one
+scatter assembles them into one array, of which each path is a view
+(_assemble).
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -45,7 +49,7 @@ MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
 over the workers: each forked child samples a contiguous slice of groups
 with the same code, applies the function to each of its paths and pickles
 only the results.  So validate fits and envelope-counts each path in its
-worker, and simulate_batch's workers return raw time bytes.  A path
+worker, and simulate_batch's workers return raw time buffers.  A path
 depends only on its seed, so the output bytes do not depend on the CPU
 count; validate's K = 20 at horizon 10^4 on two CPUs, say, runs as two
 slices of 10 paths.
@@ -352,25 +356,22 @@ def sampler(method: str):
     raise ValueError(f"unknown simulation method {method!r}")
 
 
-# Paths stepped together: bounds the live generators and the per-path
-# arrays that grow at the same time.
-_GROUP = 250
+# Paths stepped together: bounds the live generators and the times a group
+# holds twice while its scatter runs (_assemble).  The cascade forecast's
+# 1000 paths on two CPUs run as one group of 500 per worker.
+_GROUP = 512
 # Below this many live paths the scalar loop finishes the paths from where
-# they stand.  A group of n paths in lockstep took, in two runs, these times
-# the scalar loop's (median ratio of 9 interleaved pairs, one CPU, libm
-# through numpy's loop):
+# they stand.  A group of n paths in lockstep to its end took, in two runs,
+# these times the scalar loop's (median ratio of 9 interleaved pairs, one
+# CPU, libm through numpy's loop, the group assembled by one scatter):
 #
-#   n                          16         32         48         64         96         128
-#   validate's, horizon 2000   2.67/2.50  1.58/1.64  1.05/1.06  0.79/0.83  0.55/0.54  0.50/0.53
-#   cascade's, horizon 600     3.46/3.57  1.84/1.89  1.30/1.37  1.03/1.12  0.81/0.89  0.55/0.57
+#   n                          32         48         64         96         128
+#   validate's, horizon 2000   1.45/1.33  0.94/0.90  0.70/0.63  0.44/0.42  0.40/0.36
+#   cascade's, horizon 600     1.47/1.70  1.19/1.13  0.95/0.95  0.57/0.50  0.48/0.49
 #
-# so 64 is where the cascade forecast's unevenly ending paths break even
-# and validate's already gain.  1000 cascade paths took the same time at
-# 48, 64 and 96, within 1% (median of 30 interleaved calls, one CPU and
-# two); 100 paths at validate's parameters took 0.94 and 1.07 times as
-# long at 64 as at 48 on one CPU and on two, where they run as two groups
-# of 50 on the scalar loop, and 1.88 times at 128 on one CPU.  validate's
-# K = 20 stays on the scalar loop.
+# so 64 is still at or just past where the cascade forecast's unevenly
+# ending paths break even (1.03/1.12 when each block was appended path by
+# path), and validate's gain.  validate's K = 20 stays on the scalar loop.
 _MIN_LOCKSTEP = 64
 # Below this many expected events per slice a batch is sampled by this
 # process alone: a fork and its read-back cost about what the scalar loop
@@ -385,17 +386,38 @@ _BLOCK_CELLS = 1 << 14
 _LOG_SLICE = 4096
 
 
-def _append(arr: np.ndarray, values) -> None:
-    """Extends ``arr``, which owns its data, in place by ``values``.
+def _runs(runs) -> tuple[np.ndarray, np.ndarray]:
+    """Lists of event times as (each list's length, the lists end to end).
 
-    realloc grows a path's array where it lies when it can, so no list of
-    pieces is kept and then copied into one array at the end."""
-    old = arr.size
-    arr.resize(old + len(values), refcheck=False)
-    arr[old:] = values
+    Each list becomes an array as ``runs`` yields it, so a generator of
+    long runs holds one list of floats at a time."""
+    arrays = [np.array(run, np.float64) for run in runs]
+    counts = np.fromiter(map(len, arrays), np.intp, len(arrays))
+    return counts, np.concatenate((np.empty(0), *arrays))
 
 
-def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> list:
+def _assemble(pieces: list, n: np.ndarray) -> list:
+    """Every path's times, as views of one array, from ``pieces``: (path
+    ids, each path's count, their times path after path), in the order the
+    lockstep found them, with ``n`` the count of every path.
+
+    Each piece is scattered in one step, last first, from each path's end,
+    and freed once placed.
+    """
+    ends = np.cumsum(n)
+    out = np.empty(ends[-1])
+    fill = ends.copy()  # per path: where its placed times begin
+    while pieces:
+        ids, counts, times = pieces.pop()
+        fill[ids] -= counts
+        at = np.repeat(fill[ids] - (np.cumsum(counts) - counts), counts)
+        at += np.arange(times.size)
+        out[at] = times
+    return [out[lo:hi] for lo, hi in zip((ends - n).tolist(), ends.tolist())]
+
+
+def _lockstep(params: HawkesParams, horizon: float, seeds: range,
+              cap: int) -> tuple[list, np.ndarray]:
     """simulate_exact's loop for every seed at once: one numpy step per loop
     iteration, across the live paths.
 
@@ -415,19 +437,29 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
     finished by _run_exact where it stands, reading the block's raw draws
     and then its generator: the stream simulate_exact reads from there.
 
-    Returns each seed's event times.
+    The times are kept as they are found, in pieces: the deficit starts',
+    each block's, the hand-backs' and the tails', each with its paths'
+    counts.  The group's count array checks the cap after every block: the
+    first path over it, in seed order, raises the scalar loop's error.
+
+    Returns the pieces and every path's count, which _assemble turns into
+    each seed's event times once the generators and buffers are freed.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
-    rngs, t, lam, found_t = zip(*(_base_level_start(params, horizon, cap, s) for s in seeds))
-    found_t = [np.array(events) for events in found_t]  # per path: its times so far
+    rngs, t, lam, starts = zip(*(_base_level_start(params, horizon, cap, s) for s in seeds))
+    ids = np.arange(len(seeds))
+    n, times = _runs(starts)  # n[i]: path i's times so far
+    pieces = [(ids, n.copy(), times)]
     t, lam = np.array(t), np.array(lam)
     live = t <= horizon
-    ids, t, lam = np.arange(len(seeds))[live], t[live], lam[live]  # the live paths
+    ids, t, lam = ids[live], t[live], lam[live]  # the live paths
     size = _FIRST_BLOCK
     # one buffer each for the uniforms and the recorded times, reused by
-    # every block so that blocks leave no holes in the heap
+    # every block so that blocks leave no holes in the heap, and the step's
+    # work arrays
     cells = max(_FIRST_BLOCK * ids.size, _BLOCK_CELLS)
     buf_u, buf_t = np.empty(2 * cells), np.empty(cells)
+    buf_step = np.empty((4, ids.size))
     while ids.size >= _MIN_LOCKSTEP:
         # row k holds the block's draws for path ids[k]: iteration j's two
         # uniforms at columns 2j and 2j + 1
@@ -436,10 +468,13 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
             rngs[i].random(out=row)
         clean = u.all(axis=1)
         if not clean.all():
-            for k in (~clean).nonzero()[0].tolist():
-                i = ids[k]
-                _append(found_t[i], _run_exact(rngs[i], params, horizon, cap, t[k].item(),
-                                               lam[k].item(), found_t[i].size, head=u[k]))
+            handed = ids[~clean]
+            counts, times = _runs(
+                _run_exact(rngs[i], params, horizon, cap, t[k].item(), lam[k].item(), int(n[i]),
+                           head=u[k])
+                for k, i in zip((~clean).nonzero()[0].tolist(), handed.tolist()))
+            pieces.append((handed, counts, times))
+            n[handed] += counts
             kept = u[clean]
             ids, t, lam = ids[clean], t[clean], lam[clean]
             u = buf_u[:kept.size].reshape(kept.shape)
@@ -452,39 +487,42 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range, cap: int) -> l
         logs[:, 1::2] /= -lam_inf  # s2, the arrival from the base level
         # row j: every live path's time after iteration j
         rec_t = buf_t[:size * ids.size].reshape(size, ids.size)
+        excess, d, s1, s = buf_step[:, :ids.size]
         for j in range(size):
-            excess = lam - lam_inf
+            np.subtract(lam, lam_inf, out=excess)
             # excess > 0: inversion; excess == 0 makes d = -inf, so s = s2
-            d = logs[:, 2 * j] / excess
+            np.divide(logs[:, 2 * j], excess, out=d)
             d += 1.0
-            s = logs[:, 2 * j + 1]
+            s2 = logs[:, 2 * j + 1]
             ok = (d > 0.0).nonzero()[0]
             if ok.size:
-                s1 = np.full(ids.size, np.inf)
+                s1.fill(np.inf)
                 s1[ok] = elementwise(math.log, d[ok]) / -beta
-                s = np.minimum(s1, s)
-            t = np.add(t, s, out=rec_t[j])
-            lam = excess * elementwise(math.exp, s * -beta)
+                s2 = np.minimum(s1, s2, out=s)
+            t = np.add(t, s2, out=rec_t[j])
+            # d's buffer takes -beta s
+            np.multiply(excess, elementwise(math.exp, np.multiply(s2, -beta, out=d)), out=lam)
             lam += lam_inf
             lam += alpha
-        # copy each path's events up to the horizon out of the buffer, onto
-        # the path's own array
+        # each path's times up to the horizon, path after path
         found = rec_t.T <= horizon
-        per_path = np.count_nonzero(found, axis=1)
-        block_t = rec_t.T[found]
-        ends = np.cumsum(per_path)
-        for k in per_path.nonzero()[0].tolist():
-            i, n, end = ids[k], per_path[k], ends[k]
-            _append(found_t[i], block_t[end - n:end])
-            if found_t[i].size > cap:
-                raise _capacity_exceeded(cap, found_t[i][cap], horizon)
+        counts = np.count_nonzero(found, axis=1)
+        pieces.append((ids, counts, rec_t.T[found]))
+        n[ids] += counts
+        over = n[ids] > cap
+        if over.any():
+            k = over.argmax()
+            # the path's time at index cap falls in this block
+            at = counts[:k].sum() + cap - (n[ids[k]] - counts[k])
+            raise _capacity_exceeded(cap, pieces[-1][2][at], horizon)
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
-    for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()):
-        _append(found_t[i], _run_exact(rngs[i], params, horizon, cap, t_i, lam_i,
-                                       found_t[i].size))
-    return found_t
+    counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]))
+                          for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()))
+    pieces.append((ids, counts, times))
+    n[ids] += counts
+    return pieces, n
 
 
 def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
@@ -492,24 +530,27 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
     """The event times of the path of each seed, in seed order, sampled a
     group of ``group_size`` paths at a time.
 
-    The exact method steps each group in lockstep (see _lockstep); every
-    path of another method is drawn by the single-path sampler.
+    The exact method steps each group of at least _MIN_LOCKSTEP paths in
+    lockstep (see _lockstep); every other path is drawn by the single-path
+    sampler, one at a time.
     """
     out = []
     for lo in range(seeds.start, seeds.stop, group_size):
         group = range(lo, min(lo + group_size, seeds.stop))
-        if method == "exact":
+        if method == "exact" and len(group) >= _MIN_LOCKSTEP:
             # excess == 0 divides by zero on purpose; a tiny excess may overflow d
             with np.errstate(divide="ignore", over="ignore"):
-                out += _lockstep(params, horizon, group, cap)
+                out += _assemble(*_lockstep(params, horizon, group, cap))
         else:
             out += (sampler(method)(params, horizon, s, cap=cap).events.times for s in group)
     return out
 
 
-def _times_bytes(traj: Trajectory) -> bytes:
-    """A path's event times as raw float64 bytes: simulate_batch's result."""
-    return traj.events.times.tobytes()
+def _times_buffer(traj: Trajectory) -> pickle.PickleBuffer:
+    """A path's event times as a raw float64 buffer, simulate_batch's result:
+    pickled (protocol 5) it is their bytes, and in this process the path's
+    own array, which keeps its lockstep group's times alive."""
+    return pickle.PickleBuffer(traj.events.times)
 
 
 def simulate_batch(
@@ -526,12 +567,13 @@ def simulate_batch(
     Path i's event times are bit for bit those of
     sampler(method)(params, horizon, seed + i), and the results are ordered
     by path index.  The batch is map_batch's, with each worker returning
-    its paths' times as raw bytes, which pickle at little more than their
-    size; this process wraps them without a copy.  Its workers, groups,
+    its paths' times as raw buffers, which pickle as their bytes; this
+    process wraps them, and its own slice's arrays, without a copy, so a
+    path of its slice keeps its lockstep group's times alive.  Its workers, groups,
     exceptions and their independence of the CPU count are map_batch's.
     """
     return [Trajectory(EventSequence._sampled(np.frombuffer(times), horizon), seed + i)
-            for i, times in enumerate(map_batch(params, horizon, seed, n_paths, _times_bytes,
+            for i, times in enumerate(map_batch(params, horizon, seed, n_paths, _times_buffer,
                                                 method=method, cap=cap))]
 
 
@@ -552,7 +594,8 @@ def map_batch(
     The batch has one worker per available CPU, but no more than one per
     MIN_EVENTS_PER_WORKER expected events (mean_count), and is cut into
     groups of min(_GROUP, ceil(n_paths / workers)) paths, which the exact
-    method steps in lockstep (see _lockstep).  Each worker samples one
+    method steps in lockstep when they hold at least _MIN_LOCKSTEP (see
+    _lockstep).  Each worker samples one
     contiguous slice of groups (see _fork.in_slices), this process the
     first, so a path over ``cap`` raises CapacityExceeded before any of the
     slice's paths reaches ``fn``; then it calls ``fn`` on each path in seed
@@ -592,7 +635,7 @@ def map_batch(
         if out is None:
             done.append(results)
         else:
-            pickle.dump(results, out)
+            pickle.dump(results, out, protocol=5)
 
     in_slices(bounds, run, lambda lo, hi, file: done.append(pickle.load(file)),
               "sampling seeds")

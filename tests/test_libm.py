@@ -11,11 +11,14 @@ import pytest
 
 from hawkesmom import _libm, simulate_batch, validate_params
 from hawkesmom import core as core_module
+from hawkesmom import generator as generator_module
 from hawkesmom import moments as moments_module
 from hawkesmom import simulate as simulate_module
 from hawkesmom.cli import main
 from hawkesmom.core import intensity_on_grid, post_jump_intensities
 from hawkesmom.estimate import _SCAN_HI, _SCAN_LO
+from hawkesmom.generator import (BivariatePolynomial, apply_generator, integrate_moments,
+                                 integrate_polynomial_on_path)
 from hawkesmom.moments import _window_shapes
 from hawkesmom.simulate import simulate_cluster, simulate_exact
 
@@ -187,6 +190,22 @@ class TestMapFallback:
             assert ((tmp_path / "routed" / name).read_bytes()
                     == (tmp_path / "mapped" / name).read_bytes()), name
 
+    def test_generator_moments(self, monkeypatch):
+        # the cascade forecast's curve, and criterion 5's pathwise integral
+        p = validate_params(0.772, 1.133, 0.243, 0.243)
+        times = simulate_exact(p, 600.0, 1).events.times
+        image = apply_generator(p, BivariatePolynomial.monomial(2, 2))
+
+        def bits():
+            curve = [integrate_moments(p, [(0, 1), (0, 2), (2, 1)], 10.0 * k)
+                     for k in range(1, 61)]
+            integral = integrate_polynomial_on_path(p, times, image, 600.0)
+            return [v.hex() for moments in curve for v in moments.values()] + [integral.hex()]
+
+        routed = bits()
+        monkeypatch.setattr(_libm, "_ROUTE", dict(MAP_ONLY))
+        assert bits() == routed
+
 
 class TestDomain:
     """Every caller's inputs have finite results, where math.* returns and
@@ -194,17 +213,18 @@ class TestDomain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_callers_stay_in_the_domain(self, monkeypatch):
-        seen = set()
+        seen = set()  # (module, fn)
 
-        def checked(fn, x):
-            seen.add(fn)
+        def checked(module, fn, x):
+            seen.add((module, fn))
             with np.errstate(divide="warn", over="warn", invalid="warn"):
                 out = _libm.elementwise(fn, x)
             assert np.isfinite(out).all(), fn
             return out
 
-        for module in (simulate_module, core_module, moments_module):
-            monkeypatch.setattr(module, "elementwise", checked)
+        for module in (simulate_module, core_module, moments_module, generator_module):
+            monkeypatch.setattr(module, "elementwise",
+                                lambda fn, x, module=module: checked(module, fn, x))
         monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", 1)
         for raw, horizon in [((0.3, 1.0, 1.0, 2.5), 40.0), ((0.3, 1.0, 2.0, 0.1), 10.0),
                              ((0.772, 1.133, 0.243, 0.243), 600.0),
@@ -216,4 +236,20 @@ class TestDomain:
                 post_jump_intensities(p, traj.events)
                 intensity_on_grid(p, traj.events, np.linspace(0.0, horizon + 1.0, 4001))
         _window_shapes(np.geomspace(_SCAN_LO, 1e100, 4000))
-        assert seen == set(_libm._UFUNCS)
+        assert {fn for _, fn in seen} == set(_libm._UFUNCS)
+        # the generator's exp and expm1 are libm's too: the matrix
+        # exponential's, and the pathwise integral's expm1
+        seen.clear()
+        params = [validate_params(*raw) for raw in [(0.772, 1.133, 0.243, 0.243),
+                                                    (0.2, 1.0, 1.0, 3.0), (0.999, 1.0, 1.0)]]
+        for p in params:
+            for t in (0.0, 1e-3, 10.0, 600.0):
+                integrate_moments(p, [(0, 2), (3, 1)], t)
+            with pytest.raises(ValueError, match="moments overflow"):
+                integrate_moments(p, [(0, 2)], 1e300)
+        assert seen == {(generator_module, math.exp), (generator_module, math.expm1)}
+        seen.clear()
+        for p in params:
+            integrate_polynomial_on_path(p, simulate_exact(p, 50.0, 3).events, apply_generator(
+                p, BivariatePolynomial.monomial(3, 1)), 50.0)
+        assert (generator_module, math.expm1) in seen

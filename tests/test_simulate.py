@@ -25,6 +25,7 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
+from hawkesmom import _libm
 from hawkesmom import simulate as simulate_module
 from hawkesmom.simulate import _spawn_offspring, map_batch, sampler
 
@@ -669,6 +670,76 @@ class TestScalarLoopOracle:
                 run()
             assert str(raised.value) == str(expected.value)
 
+
+class TestLockstepAssembly:
+    """One lockstep group's paths, assembled by one scatter from every route
+    their times take: deficit starts, blocks, an exact-0 hand-back and the
+    scalar tails."""
+
+    SEED = 6_000
+
+    def test_every_route_equals_simulate_exact(self, monkeypatch):
+        # the cascade forecast's parameters from a deficit start, which its
+        # first event leaves: the paths' lengths spread widely, so the group
+        # steps several blocks before fewer than _MIN_LOCKSTEP are live
+        p = validate_params(0.772, 1.133, 0.243, 0.1)
+        horizon, n_paths = 600.0, simulate_module._MIN_LOCKSTEP + 16
+        target = self.SEED + 5
+        # _libm's probes draw from default_rng: they run before it is scripted
+        for fn in (math.log, math.exp):
+            _libm.elementwise(fn, np.ones(2))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng(seed, (), target))
+        rng, t, _, start = simulate_module._base_level_start(p, horizon, 10**6, target)
+        assert start and t < horizon
+        # an exact 0 inside the target's second lockstep block
+        zero = rng.pos + 2 * simulate_module._FIRST_BLOCK + 3
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, (zero,), target))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        handed, shapes = [], []
+        run_exact, assemble = simulate_module._run_exact, simulate_module._assemble
+
+        def recording_run_exact(*args, **kwargs):
+            handed.append("head" in kwargs)
+            return run_exact(*args, **kwargs)
+
+        def recording_assemble(pieces, n):
+            shapes.append((len(pieces), int(pieces[0][1].sum())))
+            return assemble(pieces, n)
+
+        monkeypatch.setattr(simulate_module, "_run_exact", recording_run_exact)
+        monkeypatch.setattr(simulate_module, "_assemble", recording_assemble)
+        batch = simulate_batch(p, horizon, self.SEED, n_paths)
+        # one group: the deficit starts' piece holds events, and blocks, one
+        # hand-back and the tails follow it
+        [(n_pieces, start_events)] = shapes
+        assert start_events > 0 and n_pieces >= 5
+        assert handed.count(True) == 1 and handed.count(False) > 0
+        TestBatch._assert_bitwise_exact(batch, p, horizon, self.SEED, n_paths)
+        assert len(batch[target - self.SEED].events) > 2 * simulate_module._FIRST_BLOCK + 3
+
+    @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
+                             ids=["lockstep", "default"])
+    def test_cap_names_the_first_path_over_it(self, monkeypatch, min_lockstep):
+        # from the base level every live path finds one event per loop
+        # iteration, so every path over the cap crosses it in the same
+        # block, and the first of them in seed order raises, with the
+        # scalar loop's message; path 0 holds exactly cap events
+        monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
+        p = validate_params(0.3, 1.0, 1.0, 1.0)
+        horizon, n_paths = 60.0, 100
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        sizes = [len(t.events) for t in simulate_batch(p, horizon, self.SEED, n_paths)]
+        cap = sizes[0]
+        over = [i for i, size in enumerate(sizes) if size > cap]
+        assert len(over) > 1 and over[0] > 0
+        with pytest.raises(CapacityExceeded) as expected:
+            simulate_exact(p, horizon, self.SEED + over[0], cap=cap)
+        with pytest.raises(CapacityExceeded) as raised:
+            simulate_batch(p, horizon, self.SEED, n_paths, cap=cap)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestBatchSlices:
     """simulate_batch spreads its groups over one forked child per CPU."""
 
@@ -711,8 +782,8 @@ class TestBatchSlices:
             assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
 
     # validate's K = 20 is cut into one group per CPU; three groups stay
-    # three groups of 250 at 1 and 2 CPUs and become three of 169 at 3 (the
-    # exact method's are checked above)
+    # three groups of _GROUP at 1 and 2 CPUs and become three of a third of
+    # N_PATHS at 3 (the exact method's are checked above)
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n_paths, method", [(20, "exact"), (20, "cluster"),
                                                  (N_PATHS, "cluster")])
@@ -762,22 +833,28 @@ class TestBatchSlices:
         TestBatch._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
 
     @staticmethod
-    def _error(p, cap, **kwargs):
+    def _error(p, seed, cap, **kwargs):
         with pytest.raises(CapacityExceeded) as info:
-            simulate_batch(p, 4.0, 11, TestBatchSlices.N_PATHS, cap=cap, **kwargs)
+            simulate_batch(p, 4.0, seed, TestBatchSlices.N_PATHS, cap=cap, **kwargs)
         return type(info.value), str(info.value)
 
     @pytest.mark.parametrize("method", ["exact", "cluster"])
     def test_child_error_is_raised_as_in_one_process(self, monkeypatch, method):
-        # with two CPUs this process samples group 0 and the child groups 1 and 2
+        # with two CPUs this process samples group 0 and the child groups 1
+        # and 2; the batch starts at the first seed from 11 on whose later
+        # groups hold a longer path than group 0, and the cap is group 0's
+        # longest, so only the child fails
+        group = simulate_module._GROUP
         p = validate_params(0.5, 1.0, 2.0, 2.0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        sizes = [len(t.events) for t in simulate_batch(p, 4.0, 11, self.N_PATHS, method=method)]
-        cap = max(sizes[:simulate_module._GROUP])
-        assert max(sizes[simulate_module._GROUP:]) > cap
-        serial = self._error(p, cap, method=method)
+        sizes = [len(t.events)
+                 for t in simulate_batch(p, 4.0, 11, self.N_PATHS + group, method=method)]
+        start = next(lo for lo in range(group + 1)
+                     if max(sizes[lo + group:lo + self.N_PATHS]) > max(sizes[lo:lo + group]))
+        cap = max(sizes[start:start + group])
+        serial = self._error(p, 11 + start, cap, method=method)
         forks = self.count_forks(monkeypatch, 2)
-        assert self._error(p, cap, method=method) == serial
+        assert self._error(p, 11 + start, cap, method=method) == serial
         assert len(forks) == 1
 
     def test_parent_error_reaps_children(self, monkeypatch):
@@ -800,7 +877,9 @@ class TestBatchSlices:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(simulate_module, "MIN_EVENTS_PER_WORKER", 1)
         p = validate_params(0.2, 1.0, 1.0, 1.0)
-        with pytest.raises(OSError, match="seeds 251 to 507 exited with status 3"):
+        # the child samples groups 1 and 2: seeds 1 + _GROUP to N_PATHS
+        child = f"seeds {1 + simulate_module._GROUP} to {self.N_PATHS}"
+        with pytest.raises(OSError, match=f"{child} exited with status 3"):
             simulate_batch(p, 4.0, 1, self.N_PATHS)
 
 
