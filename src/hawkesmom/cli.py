@@ -84,21 +84,43 @@ def _require_seed(seed: int | None) -> int:
     )
 
 
-def _step_grid(flag: str, horizon: float, step: float) -> np.ndarray:
-    """The grid 0, step, 2 step, ... up to horizon, built before anything is
-    sampled or written, so a bad step or horizon, or a grid too large to
-    allocate, is an error with no output."""
+class _StepGrid:
+    """The grid 0, step, 2 step, ... of ``n`` points, made a slice at a time:
+    ``grid[lo:hi]`` is ``np.arange(lo, hi, dtype=float64) * step``.  Every
+    index is an integer-valued float, exact below 2**53 (no longer grid can
+    be allocated), under one IEEE multiply, so each slice equals that slice
+    of ``np.arange(n) * step`` bit for bit."""
+
+    __slots__ = ("n", "step")
+
+    def __init__(self, n: int, step: float):
+        self.n, self.step = n, step
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        return np.arange(*key.indices(self.n), dtype=np.float64) * self.step
+
+
+def _step_grid(flag: str, horizon: float, step: float) -> _StepGrid:
+    """The grid 0, step, 2 step, ... up to horizon, checked before anything
+    is sampled or written, so a bad step or horizon, or a grid too large to
+    allocate, is an error with no output.  The check asks numpy for the
+    whole grid, uninitialised, and releases it untouched: a block that large
+    is mapped, never written, so it costs no resident memory.  The points
+    are then made a slice at a time (see _StepGrid)."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"{flag} must be positive and finite, got {step}")
     _check_horizon(horizon)
-    n_pts = int(round(horizon / step)) + 1
+    n_pts = horizon / step  # inf for a step as small as a subnormal
     try:
-        grid = np.arange(n_pts, dtype=np.float64)
-    except (MemoryError, ValueError):  # numpy's ValueError: "Maximum allowed size exceeded"
+        n_pts = int(round(n_pts)) + 1  # OverflowError at inf
+        np.empty(n_pts)  # numpy's ValueError: "Maximum allowed dimension exceeded"
+    except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"{flag} {step} asks for {n_pts} grid points, "
                          f"more than can be allocated") from None
-    grid *= step  # in place: no second grid-sized array
-    return grid
+    return _StepGrid(n_pts, step)
 
 
 def _check_windows(delta: float, t0: float | None = None) -> None:
@@ -121,9 +143,9 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     """Simulate one trajectory; write the events file and its intensity on
     the grid.
 
-    The grid (8 bytes a point) is the one grid-sized array: the intensity is
-    computed chunk by chunk by the process that formats those rows (see
-    io.write_intensity_csv), so no values array is ever held whole.
+    No grid-sized array is held: the grid's points and the intensity there
+    are made chunk by chunk by the process that formats those rows (see
+    _StepGrid and io.write_intensity_csv).
     """
     _check_cap(args.cap)
     grid = _step_grid("--grid-step", args.horizon, args.grid_step)
@@ -211,7 +233,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         step = args.envelope_step
         if step is None:
             step = max(args.horizon / 600.0, args.delta)
-        grid = _step_grid("--envelope-step", args.horizon, step)
+        grid = _step_grid("--envelope-step", args.horizon, step)[:]  # count_at takes an array
     params = _params(args)
     seed = _require_seed(args.seed)
     real = None

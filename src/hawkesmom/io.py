@@ -5,8 +5,10 @@ optional single header line "t".  Timestamps are read as they are, never
 rescaled: in a file of minutes, rates fitted to it are per minute.  Grids
 and tables are written as CSV, reports as JSON; floats are serialized with
 repr so identical inputs give byte-identical files.  The intensity CSV
-takes the path's intensity as a function of a chunk of its grid, evaluated
-by whichever process formats that chunk's rows.
+reads its grid a chunk at a time, by slicing, and takes the path's
+intensity as a function of that chunk, evaluated by whichever process
+formats the chunk's rows: a grid that makes its points per slice, as
+simulate's does, is never held whole.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -164,24 +166,27 @@ def _intensity_rows(grid, values):
 def write_intensity_csv(path, grid, intensity) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
-    ``intensity`` maps a chunk of the grid (a 1-D float64 array of up to
-    _CSV_CHUNK_ROWS points) to the path's values there, one per point; each
-    chunk's values are computed in the process that formats its rows, so no
-    process holds a grid-sized values array.  Large grids are formatted in
-    contiguous slices, one process per available CPU and at least
-    MIN_ROWS_PER_WORKER rows per process (see _fork.in_slices); every row is
-    computed and formatted by the same functions in the same order, so the
-    bytes are those of a one-process run.  No file is left at ``path`` when
-    the call raises.
+    ``grid`` is read only through ``len(grid)`` and slices ``grid[lo:hi]``
+    of up to _CSV_CHUNK_ROWS points, each taken as a 1-D float64 array: a
+    1-D array or list, or a grid that makes each slice's points on demand.
+    ``intensity`` maps such a chunk to the path's values there, one per
+    point.  Each chunk is sliced and its values computed in the process
+    that formats its rows, so beyond what ``grid`` itself holds, no process
+    holds more than a chunk of grid points or values.  Large grids are
+    formatted in contiguous slices, one process per available CPU and at
+    least MIN_ROWS_PER_WORKER rows per process (see _fork.in_slices); every
+    row is computed and formatted by the same functions in the same order,
+    so the bytes are those of a one-process run.  No file is left at
+    ``path`` when the call raises.
     """
     path = Path(path)
-    grid = np.asarray(grid, dtype=np.float64)
-    n = worker_count(grid.size, MIN_ROWS_PER_WORKER)
+    rows = len(grid)
+    n = worker_count(rows, MIN_ROWS_PER_WORKER)
 
     def format_slice(lo, hi, out):
         dest = fh if out is None else codecs.getwriter("utf-8")(out)
         for start in range(lo, hi, _CSV_CHUNK_ROWS):
-            t = grid[start:min(start + _CSV_CHUNK_ROWS, hi)]
+            t = np.asarray(grid[start:min(start + _CSV_CHUNK_ROWS, hi)], dtype=np.float64)
             values = np.asarray(intensity(t), dtype=np.float64)
             if values.shape != t.shape:
                 raise ValueError(f"grid has {t.size} points but values has {values.size}")
@@ -193,7 +198,7 @@ def write_intensity_csv(path, grid, intensity) -> Path:
 
     with _overwrite(path) as fh:
         fh.write("t,intensity\n")
-        in_slices([grid.size * k // n for k in range(n + 1)], format_slice, append,
+        in_slices([rows * k // n for k in range(n + 1)], format_slice, append,
                   "formatting rows")
     return path
 

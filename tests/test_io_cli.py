@@ -27,9 +27,13 @@ from hawkesmom import (
     NegativeTimestamp,
     ParseError,
     parse_events,
+    simulate_exact,
     validate_params,
 )
+from hawkesmom import cli as cli_module
 from hawkesmom.cli import (
+    _StepGrid,
+    _step_grid,
     EXIT_CAPACITY,
     EXIT_CONVERGENCE,
     EXIT_OK,
@@ -41,6 +45,7 @@ from hawkesmom.cli import (
     cmd_validate,
     main,
 )
+from hawkesmom.core import _intensity_on_blocks
 from hawkesmom.estimate import DEFAULT_INIT
 from hawkesmom import io as io_module
 from hawkesmom.io import (
@@ -170,6 +175,48 @@ class TestRoundTrips:
         assert parsed.horizon == events.horizon
 
 
+class TestStepGrid:
+    """simulate's grid, made a slice at a time, against the whole array."""
+
+    @staticmethod
+    def writer_chunks(n):
+        """The slices write_intensity_csv takes of an n-point grid at 1 to 4
+        workers: each worker's contiguous rows, a chunk at a time."""
+        for workers in range(1, 5):
+            bounds = [n * k // workers for k in range(workers + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                for start in range(lo, hi, _CSV_CHUNK_ROWS):
+                    yield start, min(start + _CSV_CHUNK_ROWS, hi)
+
+    EDGES = sorted({base + d for base in (_CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS,
+                                          2 * MIN_ROWS_PER_WORKER, 4 * MIN_ROWS_PER_WORKER)
+                    for d in (-1, 0, 1)} | {1, 2})
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.one_of(st.sampled_from(EDGES), st.integers(1, 4 * MIN_ROWS_PER_WORKER + 5)),
+           step=st.floats(min_value=5e-324, max_value=1e300), data=st.data())
+    def test_slices_equal_the_whole_grid(self, n, step, data):
+        whole = np.arange(n) * step
+        grid = _StepGrid(n, step)
+        assert len(grid) == n
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        for a, b in [*self.writer_chunks(n), (lo, hi), (0, n)]:
+            t = grid[a:b]
+            assert t.dtype == np.float64 and t.tobytes() == whole[a:b].tobytes(), (a, b)
+
+    @pytest.mark.parametrize("horizon, step", [
+        (20.0, 0.01), (10_000.0, 0.01), (100.0, 0.0003), (7.0, 3.0), (1e-300, 3e-302),
+    ])
+    def test_step_grid_has_the_allocated_grids_points(self, horizon, step):
+        # the whole grid as one array, scaled in place
+        expected = np.arange(int(round(horizon / step)) + 1, dtype=np.float64)
+        expected *= step
+        grid = _step_grid("--grid-step", horizon, step)
+        assert len(grid) == expected.size
+        assert grid[:].tobytes() == expected.tobytes()
+
+
 class TestWriteIntensityCsv:
     def test_chunked_rows_match_per_row_format(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -240,6 +287,33 @@ class TestWriteIntensityCsv:
         assert serial.count(b"\n") == n + 1
         for v in (b",0.30000000000000004\n", b",1e-05\n", b",1e+16\n", b",1.0\n"):
             assert v in serial
+
+    def test_step_grid_writes_the_array_bytes(self, tmp_path, monkeypatch):
+        # simulate's grid and kernel at 1, 2 and 4 workers, whose slices end
+        # off the chunk edges, against the equal array at one
+        n = 4 * MIN_ROWS_PER_WORKER + 17
+        step = 0.0037
+        p = validate_params(0.3, 1.1, 0.7, 2.0)
+        intensity = _intensity_on_blocks(p, simulate_exact(p, (n - 1) * step, 9).events)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        array = write_intensity_csv(tmp_path / "array.csv", np.arange(n) * step, intensity)
+        expected = array.read_bytes()
+        assert expected.count(b"\n") == n + 1
+        for cpus in (1, 2, 4):
+            forks.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            path = write_intensity_csv(tmp_path / f"grid_{cpus}.csv", _StepGrid(n, step),
+                                       intensity)
+            assert len(forks) == cpus - 1
+            assert path.read_bytes() == expected, cpus
 
     @staticmethod
     def fail_in_worker(monkeypatch, fail_on_call):
@@ -538,7 +612,7 @@ class TestCmdSimulate:
         rows = intensity_path.read_text().strip().splitlines()
         assert len(rows) - 1 == int(20.0 / 0.01) + 1
 
-    def test_holds_the_grid_and_no_values_array(self, tmp_path, monkeypatch):
+    def test_holds_no_grid_or_values_array(self, tmp_path, monkeypatch):
         # one CPU: every row is computed and formatted here, where
         # tracemalloc sees it (numpy reports its arrays to it)
         def no_fork():
@@ -547,19 +621,33 @@ class TestCmdSimulate:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "fork", no_fork)
         argv = ["simulate", "--method", "cluster", "--alpha", "0.2", "--beta", "1",
-                "--lambda-inf", "1", "--horizon", "100", "--grid-step", "0.0003", "--seed", "5",
+                "--lambda-inf", "1", "--grid-step", "0.0003", "--seed", "5",
                 "--out-dir", str(tmp_path)]
         points = int(round(100 / 0.0003)) + 1
         assert points >= 1 << 18
+        # the peak counts from the grid's return: _step_grid's allocation
+        # check asks numpy for the whole grid, which tracemalloc counts
+        # though its pages are never touched
+        step_grid = cli_module._step_grid
+
+        def checked_grid(*args):
+            grid = step_grid(*args)
+            tracemalloc.reset_peak()
+            return grid
+
+        monkeypatch.setattr(cli_module, "_step_grid", checked_grid)
+        # first-use imports and libm probes, outside the trace
+        assert main(argv + ["--horizon", "1"]) == EXIT_OK
         tracemalloc.start()
         try:
-            assert main(argv) == EXIT_OK
+            assert main(argv + ["--horizon", "100"]) == EXIT_OK
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # beside the 8-byte grid points, a few chunks' worth of rows and
-        # temporaries; a values array alone would be another 2.7 MB
-        assert peak < 8 * points + 1_500_000
+        # a few chunks' worth of rows and temporaries, whatever the grid's
+        # length: the grid alone would be 8 bytes a point, 2.7 MB here, and
+        # a values array as much again
+        assert peak < 1_500_000
 
     def test_events_file_round_trips(self, tmp_path):
         cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
@@ -1047,6 +1135,21 @@ class TestMainExitCodes:
         assert f"{int(round(10 / float(step))) + 1} grid points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", [
+        "1e-310", "5e-324",  # subnormal: horizon / step is inf
+        repr(10 / 2**63),  # 2**63 + 1 points, past numpy's index range
+    ])
+    def test_uncountable_grid_writes_nothing(self, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "10", "--seed", "1", "--grid-step", step,
+                     "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid-step {float(step)} asks for ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @staticmethod
     def forbid_sampling(monkeypatch):
         """Make any sampling by the CLI fail the test."""
@@ -1242,6 +1345,20 @@ class TestMainExitCodes:
                      "--out-dir", str(out)])
         assert code == 1
         assert "error: --envelope-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e-310", "5e-324"])
+    def test_subnormal_envelope_step_writes_nothing(self, tmp_path, monkeypatch, capsys, step):
+        self.forbid_sampling(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "200", "--count", "2", "--delta", "0.5", "--t0", "10",
+                     "--seed", "4", "--envelope", "--envelope-step", step,
+                     "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --envelope-step {float(step)} asks for inf grid points, " \
+                      "more than can be allocated\n"
         assert not out.exists()
 
 

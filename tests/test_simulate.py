@@ -96,6 +96,15 @@ def _reference_run_exact(draw, params: HawkesParams, horizon: float, cap: int, t
     return events, post
 
 
+@pytest.fixture
+def libm_probed():
+    """Run _libm's first-use probes of log and exp, which draw from
+    np.random.default_rng, before the test scripts that generator: without
+    it the test's outcome would depend on whether an earlier one probed."""
+    for fn in (math.log, math.exp):
+        _libm.elementwise(fn, np.ones(2))
+
+
 class TestSimulateExact:
     def test_poisson_reduction_rate(self):
         # alpha = 0 is a homogeneous Poisson(lambda_inf) process
@@ -169,6 +178,7 @@ class TestSimulateExact:
         (1.0, (0.0,)), (1.0, (0.5, 0.0)),
         (0.4, (0.0,)),
     ], ids=["excess", "excess_s2", "equal_unused", "equal", "deficit"])
+    @pytest.mark.usefixtures("libm_probed")
     def test_zero_uniform_draw_is_redrawn(self, monkeypatch, lambda0, script):
         class ScriptedRng:
             def __init__(self, draws, seed):
@@ -455,6 +465,7 @@ class TestBatch:
         assert rejected >= n_paths // 2
 
     @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
+    @pytest.mark.usefixtures("libm_probed")
     def test_zero_draw_path_matches_simulate_exact(self, monkeypatch, position):
         """A scripted stream puts an exact 0 at one draw of one path: that
         path leaves the lockstep and still equals simulate_exact."""
@@ -616,6 +627,7 @@ class TestScalarLoopOracle:
     @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
                              ids=["lockstep", "default"])
     @pytest.mark.parametrize("name", list(ZEROS))
+    @pytest.mark.usefixtures("libm_probed")
     def test_scripted_zeros_equal_reference(self, monkeypatch, name, min_lockstep):
         case, zeros = self.ZEROS[name]
         *raw, horizon = self.CASES[case]
@@ -678,6 +690,7 @@ class TestLockstepAssembly:
 
     SEED = 6_000
 
+    @pytest.mark.usefixtures("libm_probed")
     def test_every_route_equals_simulate_exact(self, monkeypatch):
         # the cascade forecast's parameters from a deficit start, which its
         # first event leaves: the paths' lengths spread widely, so the group
@@ -685,9 +698,6 @@ class TestLockstepAssembly:
         p = validate_params(0.772, 1.133, 0.243, 0.1)
         horizon, n_paths = 600.0, simulate_module._MIN_LOCKSTEP + 16
         target = self.SEED + 5
-        # _libm's probes draw from default_rng: they run before it is scripted
-        for fn in (math.log, math.exp):
-            _libm.elementwise(fn, np.ones(2))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng(seed, (), target))
         rng, t, _, start = simulate_module._base_level_start(p, horizon, 10**6, target)
         assert start and t < horizon
