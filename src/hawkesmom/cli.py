@@ -73,11 +73,16 @@ def _params(args: argparse.Namespace) -> HawkesParams:
 
 
 def _require_seed(seed: int | None) -> int:
-    """--seed, else $HAWKES_SEED; a stochastic run without either is an error."""
+    """--seed, else $HAWKES_SEED; a stochastic run without either, or with a
+    seed that is not a non-negative integer, is an error."""
     if seed is not None:
+        if seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         return seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
         return int(env)
     raise ValueError(
         f"a seed is required for stochastic runs: pass --seed or set {SEED_ENV_VAR}"
@@ -118,7 +123,7 @@ def _step_grid(flag: str, horizon: float, step: float) -> _StepGrid:
         n_pts = int(round(n_pts)) + 1  # OverflowError at inf
         np.empty(n_pts)  # numpy's ValueError: "Maximum allowed dimension exceeded"
     except (OverflowError, MemoryError, ValueError):
-        raise ValueError(f"{flag} {step} asks for {n_pts} grid points, "
+        raise ValueError(f"{flag} {step} asks for {n_pts:.3g} grid points, "
                          f"more than can be allocated") from None
     return _StepGrid(n_pts, step)
 

@@ -16,32 +16,31 @@ Two independent constructions of the same law are provided:
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
 distinct seeds may run concurrently.  simulate_exact's loop takes its
-uniforms from blocks the generator draws at once, the same stream as one
-rng.random() per draw.  While the intensity sits below the base level it
-thins (_thin, the one thinning loop, in _base_level_start), and takes its
-accept draws raw from the stream.  Above the base level (_run_exact)
-numpy drops each block's draws of exactly 0 and takes the logs of the
-rest, two per event, scaled as the recurrence uses them (_log_pairs), so
-a 0 is skipped and no other draw moves; Python runs only the
-recurrence in the intensity, with math.log and math.exp.
+uniforms from blocks the generator draws at once (_blocks), the same
+stream as one rng.random() per draw.  While the intensity sits below the
+base level it thins (_thin, the one thinning loop, in _base_level_start),
+and takes its accept draws raw from the stream.  Above the base level
+(_run_exact) every block of n draws is the stream's next n nonzero draws,
+an exact 0 skipped in place (_skip_zeros), and numpy takes their logs,
+two per event, scaled as the recurrence uses them (_log_pairs); Python
+runs only the recurrence in the intensity, with math.log and math.exp.
 
 map_batch draws path i from seed seed + i, bit for bit what the
 single-path sampler gives for that seed, and applies a function to each
 path; simulate_batch is map_batch returning the paths themselves.  For the
 exact method it steps groups of paths in lockstep: every path keeps its
-own generator, draws its uniforms in blocks, and one vectorised step per
-loop iteration repeats simulate_exact's float operations in its order,
-with libm's log and exp, as simulate_exact takes them, rather than
-numpy's SIMD ones, whose last bit can differ.  _libm.elementwise gets them
-from numpy's per-element libm loop, which its probe checks against math.*
-at first use in a process, or else maps math.* over the array.  A deficit
-start thins first, as simulate_exact's does (_base_level_start).  The
-scalar loop finishes a path whose block holds an exact 0 where it stands,
-and every path once few are live; a group of fewer than _MIN_LOCKSTEP
-paths is drawn by simulate_exact alone.  A lockstep group keeps the times
-it finds in pieces, each with its paths' counts, and when it ends one
-scatter assembles them into one array, of which each path is a view
-(_assemble).
+own generator, draws its uniforms in blocks under the same rule, and one
+vectorised step per loop iteration repeats simulate_exact's float
+operations in its order, with libm's log and exp, as simulate_exact takes
+them, rather than numpy's SIMD ones, whose last bit can differ.
+_libm.elementwise gets them from numpy's per-element libm loop, which its
+probe checks against math.* at first use in a process, or else maps math.*
+over the array.  A deficit start thins first, as simulate_exact's does
+(_base_level_start).  The scalar loop finishes every path once few are
+live; a group of fewer than _MIN_LOCKSTEP paths is drawn by simulate_exact
+alone.  A lockstep group keeps the times it finds in pieces, each with its
+paths' counts, and when it ends one scatter assembles them into one array,
+of which each path is a view (_assemble).
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -121,26 +120,31 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
-# the scalar loop's uniform blocks: the first holds _FIRST_UNIFORMS draws,
-# and each later one twice as many, up to _MAX_UNIFORMS
+# the exact sampler's uniform blocks: the first holds _FIRST_UNIFORMS
+# draws, and each later one twice as many, up to _MAX_UNIFORMS
 _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
 
 
-def _uniforms(rng):
-    """rng's uniform stream, one float at a time, drawn in doubling blocks:
-    the stream _thin reads.
+def _blocks(rng):
+    """rng's uniform stream in doubling blocks, each drawn only when asked
+    for.  A block of n is the same n floats as n calls of rng.random(), at a
+    fraction of the per-call cost; short paths waste few draws."""
+    size = _FIRST_UNIFORMS
+    while True:
+        yield rng.random(size)
+        size = min(2 * size, _MAX_UNIFORMS)
 
-    A block of n is the same n floats as n calls of rng.random(), so the
-    iterator yields what successive rng.random() calls would, at a fraction
-    of the per-call cost; short paths waste few draws.
-    """
-    def blocks():
-        size = _FIRST_UNIFORMS
-        while True:
-            yield rng.random(size).tolist()
-            size = min(2 * size, _MAX_UNIFORMS)
 
-    return chain.from_iterable(blocks())
+def _skip_zeros(rng, u: np.ndarray) -> np.ndarray:
+    """Make ``u``, a block just drawn from ``rng``, the stream's next u.size
+    nonzero draws, in place: while it holds an exact 0, its nonzero draws
+    move to the front in order and ``rng`` refills the rest.  ``rng`` then
+    stands just after the block's last draw."""
+    while not u.all():
+        kept = np.count_nonzero(u)
+        u[:kept] = u[u != 0.0]
+        rng.random(out=u[kept:])
+    return u
 
 
 def simulate_exact(
@@ -177,11 +181,11 @@ def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
     )
 
 
-def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-          events: list[float], room: int) -> tuple[float, float]:
+def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
+          lam: float) -> tuple[float, float, list[float]]:
     """simulate_exact's loop while the path is in deficit (lam < lambda_inf),
-    appending its events to ``events``, which may hold ``room`` of them;
-    returns (t, lam) once lam >= lambda_inf, or t = inf once the path ends.
+    reading the uniform stream ``src``; returns (t, lam, events) once
+    lam >= lambda_inf, or t = inf once the path ends.
 
     lambda(t) < lambda_inf and increasing, so the constant rate lambda_inf
     dominates: proposals are thinned against it.  A proposal's draw of
@@ -189,20 +193,21 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float, lam: fl
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
+    events: list[float] = []
     nonzero = filter(None, src)
     while lam < lam_inf:
         excess = lam - lam_inf
         w = -log(next(nonzero)) / lam_inf
         if t + w > horizon:
-            return math.inf, lam
+            return math.inf, lam, events
         t += w
         lam = lam_inf + excess * exp(-beta * w)
         if next(src) * lam_inf <= lam:
             lam += alpha
             events.append(t)
-            if len(events) > room:
+            if len(events) > cap:
                 raise _capacity_exceeded(cap, t, horizon)
-    return t, lam
+    return t, lam, events
 
 
 def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int):
@@ -212,17 +217,17 @@ def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int)
     path ends first.
 
     A path that starts at or above the base level starts there.  One in
-    deficit thins (_thin) from the stream in blocks (_uniforms), counting
-    the draws it reads; since the blocks drew ahead, ``rng`` is then a fresh
-    generator of the seed that draws and drops that many.
+    deficit thins (_thin) from the stream of _blocks, one float at a time,
+    counting the draws it reads; since the blocks drew ahead, ``rng`` is
+    then a fresh generator of the seed that draws and drops that many.
     """
     rng = np.random.default_rng(seed)
-    events: list[float] = []
     if params.lambda0 >= params.lambda_inf:
-        return rng, 0.0, params.lambda0, events
+        return rng, 0.0, params.lambda0, []
     drawn = count()
-    t, lam = _thin(map(itemgetter(0), zip(_uniforms(rng), drawn)), params, horizon, cap,
-                   0.0, params.lambda0, events, cap)
+    stream = chain.from_iterable(map(np.ndarray.tolist, _blocks(rng)))
+    t, lam, events = _thin(map(itemgetter(0), zip(stream, drawn)), params, horizon, cap,
+                           0.0, params.lambda0)
     rng = np.random.default_rng(seed)
     read = next(drawn)
     for lo in range(0, read, _MAX_UNIFORMS):
@@ -230,53 +235,37 @@ def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int)
     return rng, t, lam, events
 
 
-def _log_pairs(rng, params: HawkesParams, head: np.ndarray | None):
-    """The logs of the nonzero draws of ``head``, then of rng's stream, taken
-    in pairs (u1, u2) and scaled as the recurrence uses them: per block, the
-    list of beta ln(u1) and the list of -ln(u2) / lambda_inf, the arrival
-    from the base level.  The blocks grow from _FIRST_UNIFORMS draws to
-    _MAX_UNIFORMS, and the logs are libm's (_libm.elementwise).
-
-    A draw of exactly 0 is dropped, and an odd draw left at a block's end
-    is carried into the next, so the pairs are those of
+def _log_pairs(rng, params: HawkesParams):
+    """The logs of rng's nonzero draws, a block at a time (_blocks,
+    _skip_zeros), taken in pairs (u1, u2) and scaled as the recurrence uses
+    them: per block, the list of beta ln(u1) and the list of
+    -ln(u2) / lambda_inf, the arrival from the base level.  The logs are
+    libm's (_libm.elementwise), and the pairs are those of
     map(log, filter(None, stream)), read two at a time.
     """
     beta, lam_inf = params.beta, params.lambda_inf
-    size = _FIRST_UNIFORMS
-    carry = np.empty(0)
-    while True:
-        if head is None:
-            u = rng.random(size)
-            size = min(2 * size, _MAX_UNIFORMS)
-        else:
-            u, head = head, None
-        if not u.all():
-            u = u[u != 0.0]
-        if carry.size:
-            u = np.concatenate((carry, u))
-        even = u.size & ~1
-        logs, carry = elementwise(math.log, u[:even]), u[even:]
+    for u in _blocks(rng):
+        logs = elementwise(math.log, _skip_zeros(rng, u))
         yield (logs[0::2] * beta).tolist(), (logs[1::2] / -lam_inf).tolist()
 
 
 def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int = 0, head: np.ndarray | None = None) -> list[float]:
+               recorded: int = 0) -> list[float]:
     """simulate_exact's loop from time t and intensity lam >= lambda_inf, on
     a path that already holds ``recorded`` events; returns the new events.
 
-    It reads the uniforms of ``head``, if given, then of the generator
-    ``rng``, a block at a time (_log_pairs), so numpy draws and logs them
-    and Python runs only the recurrence in lam; each event costs one pair
-    of nonzero draws, and a draw of exactly 0 is skipped.  Rounding keeps
-    lam >= lambda_inf.  The cap is checked once per block.  t = inf, a
-    path that _base_level_start ended, returns [].
+    It reads the generator ``rng`` a block at a time (_log_pairs), so numpy
+    draws and logs the uniforms and Python runs only the recurrence in lam;
+    each event costs one pair of nonzero draws, and a draw of exactly 0 is
+    skipped.  Rounding keeps lam >= lambda_inf.  The cap is checked once
+    per block.  t = inf, a path that _base_level_start ended, returns [].
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
     room = cap - recorded
     events: list[float] = []
     add_event = events.append
-    pairs = _log_pairs(rng, params, head)
+    pairs = _log_pairs(rng, params)
     while t <= horizon:
         # beta ln(u1), and s = -ln(u2) / lambda_inf, the arrival from the base level
         for beta_l1, s in zip(*next(pairs)):
@@ -422,25 +411,24 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
     iteration, across the live paths.
 
     Each path draws its uniforms from its own generator in blocks, two per
-    iteration, and every step repeats simulate_exact's float operations in
-    its order, so each path is bit for bit simulate_exact's.  A path that
-    crosses the horizon mid-block runs on to the block's end and its steps
-    past the horizon are dropped.  At a block's end every live generator
-    stands where simulate_exact's would, so once fewer than _MIN_LOCKSTEP
-    paths are live, _run_exact finishes them from their generators.
+    iteration, and a row that holds an exact 0 becomes the path's next
+    nonzero draws in place (_skip_zeros), as simulate_exact's blocks do.
+    Every step repeats simulate_exact's float operations in its order, so
+    each path is bit for bit simulate_exact's.  A path that crosses the
+    horizon mid-block runs on to the block's end and its steps past the
+    horizon are dropped.  At a block's end every live generator stands
+    just after the last draw its path used, where simulate_exact's would,
+    so once fewer than _MIN_LOCKSTEP paths are live, _run_exact finishes
+    them from their generators.
 
     Each path starts as simulate_exact's does (_base_level_start), so a
     deficit start has thinned to the base level, and the lockstep steps
     only paths at or above it, where rounding keeps them.
 
-    A path whose block holds an exact 0, which simulate_exact skips, is
-    finished by _run_exact where it stands, reading the block's raw draws
-    and then its generator: the stream simulate_exact reads from there.
-
     The times are kept as they are found, in pieces: the deficit starts',
-    each block's, the hand-backs' and the tails', each with its paths'
-    counts.  The group's count array checks the cap after every block: the
-    first path over it, in seed order, raises the scalar loop's error.
+    each block's and the tails', each with its paths' counts.  The group's
+    count array checks the cap after every block: the first path over it,
+    in seed order, raises the scalar loop's error.
 
     Returns the pieces and every path's count, which _assemble turns into
     each seed's event times once the generators and buffers are freed.
@@ -466,19 +454,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
         u = buf_u[:2 * size * ids.size].reshape(ids.size, 2 * size)
         for row, i in zip(u, ids):
             rngs[i].random(out=row)
-        clean = u.all(axis=1)
-        if not clean.all():
-            handed = ids[~clean]
-            counts, times = _runs(
-                _run_exact(rngs[i], params, horizon, cap, t[k].item(), lam[k].item(), int(n[i]),
-                           head=u[k])
-                for k, i in zip((~clean).nonzero()[0].tolist(), handed.tolist()))
-            pieces.append((handed, counts, times))
-            n[handed] += counts
-            kept = u[clean]
-            ids, t, lam = ids[clean], t[clean], lam[clean]
-            u = buf_u[:kept.size].reshape(kept.shape)
-            u[...] = kept
+        for k in np.flatnonzero(~u.all(axis=1)).tolist():
+            _skip_zeros(rngs[ids[k]], u[k])
         logs = u  # in place, in slices, so no block-sized temporary
         flat = logs.reshape(-1)
         for lo in range(0, flat.size, _LOG_SLICE):

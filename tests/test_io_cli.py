@@ -1131,8 +1131,10 @@ class TestMainExitCodes:
                      "--out-dir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --grid-step {float(step)} asks for ")
-        assert f"{int(round(10 / float(step))) + 1} grid points" in err
+        # the count to three significant digits, not all 302 of 10^301 + 1
+        points = {"1e-12": "1e+13", "1e-300": "1e+301"}[step]
+        assert err == (f"error: --grid-step {float(step)} asks for {points} grid points, "
+                       f"more than can be allocated\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("step", [
@@ -1148,6 +1150,27 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --grid-step {float(step)} asks for ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "10", "--seed", "-1", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env", ["abc", "-1", "1.5", ""],
+                             ids=["letters", "negative", "fraction", "empty"])
+    def test_bad_env_seed_writes_nothing(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("HAWKES_SEED", env)
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "10", "--count", "2", "--delta", "0.5",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: HAWKES_SEED must be a non-negative integer, got {env!r}\n")
         assert not out.exists()
 
     @staticmethod

@@ -51,7 +51,7 @@ def _reference_run_exact(draw, params: HawkesParams, horizon: float, cap: int, t
                          lam: float, recorded: int = 0) -> tuple[list[float], list[float]]:
     """simulate_exact's loop from time t and intensity lam, on a path that
     already holds ``recorded`` events, taking its uniforms from ``draw()``
-    (see _uniforms); returns the new events and post-jump intensities."""
+    (see simulate's _blocks); returns the new events and post-jump intensities."""
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     room = cap - recorded
     events: list[float] = []
@@ -185,9 +185,15 @@ class TestSimulateExact:
                 self.draws = list(draws)
                 self.rng = np.random.Generator(np.random.PCG64(seed))
 
-            def random(self, size):
-                head, self.draws = self.draws[:size], self.draws[size:]
-                return np.concatenate([head, self.rng.random(size - len(head))])
+            def random(self, size=None, out=None):
+                # blocks are drawn by size, their refills past a 0 into out
+                n = size or out.size
+                head, self.draws = self.draws[:n], self.draws[n:]
+                block = np.concatenate([head, self.rng.random(n - len(head))])
+                if out is None:
+                    return block
+                out[:] = block
+                return out
 
         p = validate_params(0.3, 1.0, 1.0, lambda0)
         runs = []
@@ -448,10 +454,9 @@ class TestBatch:
 
         def counting_thin(src, *args):
             counted = CountingDraw(src)
-            try:
-                return thin(counted, *args)
-            finally:
-                reads.append((counted.draws, len(args[5])))  # its events
+            t, lam, events = thin(counted, *args)
+            reads.append((counted.draws, len(events)))
+            return t, lam, events
 
         monkeypatch.setattr(simulate_module, "_thin", counting_thin)
         *raw, horizon, n_paths = self.REGIMES["deficit"]
@@ -581,9 +586,10 @@ class TestScalarLoopOracle:
     # above lambda_inf draws 2k and 2k + 1 are event k's u1 and u2; from a
     # deficit start draw 0 is a proposal and draw 1 its accept draw, which
     # a 0 accepts without a redraw
-    # a 0 at draw 15, the last of simulate_exact's first block of 16, leaves
-    # an odd draw that the next block's first pairs with; two zeros at 15
-    # and 16 fall on both sides of that block edge
+    # a block of n draws is the path's next n nonzero draws: a 0 at draw
+    # 15, the last of simulate_exact's first block of 16, is refilled by
+    # draw 16, and two zeros at 15 and 16 make that refill a 0 too; 7 and
+    # 8 do the same at the end of a path's first lockstep row of 8 draws
     ZEROS = {
         "u1": ("excess", (4,)),
         "u2": ("excess", (5,)),
@@ -593,6 +599,7 @@ class TestScalarLoopOracle:
         "block_end": ("excess", (15,)),
         "block_end_equal": ("alpha0_equal", (15,)),
         "across_block_edge": ("excess", (15, 16)),
+        "lockstep_row_edge": ("excess", (7, 8)),
     }
     SEED, N_PATHS = 4_000, 12
 
@@ -685,8 +692,8 @@ class TestScalarLoopOracle:
 
 class TestLockstepAssembly:
     """One lockstep group's paths, assembled by one scatter from every route
-    their times take: deficit starts, blocks, an exact-0 hand-back and the
-    scalar tails."""
+    their times take: deficit starts, blocks, one of which skips an exact 0
+    in place, and the scalar tails."""
 
     SEED = 6_000
 
@@ -706,25 +713,37 @@ class TestLockstepAssembly:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: ScriptedRng(seed, (zero,), target))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        handed, shapes = [], []
-        run_exact, assemble = simulate_module._run_exact, simulate_module._assemble
+        calls, shapes = [], []
+        run_exact, skip_zeros = simulate_module._run_exact, simulate_module._skip_zeros
+        assemble = simulate_module._assemble
 
-        def recording_run_exact(*args, **kwargs):
-            handed.append("head" in kwargs)
-            return run_exact(*args, **kwargs)
+        def recording_run_exact(*args):
+            calls.append("run_exact")
+            return run_exact(*args)
+
+        def recording_skip_zeros(rng, u):
+            if not u.all():
+                calls.append("skip_zeros")
+            return skip_zeros(rng, u)
 
         def recording_assemble(pieces, n):
-            shapes.append((len(pieces), int(pieces[0][1].sum())))
+            shapes.append(([ids.size for ids, _, _ in pieces], int(pieces[0][1].sum())))
             return assemble(pieces, n)
 
         monkeypatch.setattr(simulate_module, "_run_exact", recording_run_exact)
+        monkeypatch.setattr(simulate_module, "_skip_zeros", recording_skip_zeros)
         monkeypatch.setattr(simulate_module, "_assemble", recording_assemble)
         batch = simulate_batch(p, horizon, self.SEED, n_paths)
-        # one group: the deficit starts' piece holds events, and blocks, one
-        # hand-back and the tails follow it
-        [(n_pieces, start_events)] = shapes
-        assert start_events > 0 and n_pieces >= 5
-        assert handed.count(True) == 1 and handed.count(False) > 0
+        # one group: the deficit starts' piece holds events, every block's
+        # piece holds at least _MIN_LOCKSTEP paths and the tails' fewer
+        [(paths, start_events)] = shapes
+        assert start_events > 0 and len(paths) >= 4
+        assert paths[0] == n_paths and paths[-1] < simulate_module._MIN_LOCKSTEP
+        assert min(paths[1:-1]) >= simulate_module._MIN_LOCKSTEP
+        # no route hands a block back: the one block holding a 0 skipped it in
+        # the lockstep, and the scalar loop ran only the tails
+        assert calls.index("skip_zeros") < calls.index("run_exact")
+        assert calls.count("skip_zeros") == 1 and calls.count("run_exact") == paths[-1]
         TestBatch._assert_bitwise_exact(batch, p, horizon, self.SEED, n_paths)
         assert len(batch[target - self.SEED].events) > 2 * simulate_module._FIRST_BLOCK + 3
 
