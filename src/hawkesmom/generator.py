@@ -32,7 +32,9 @@ the exact exponential.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -175,14 +177,27 @@ def moment_closure(params: HawkesParams, indices: Iterable) -> list[tuple[int, i
 
 def _triangular_system(params: HawkesParams, indices: Iterable):
     """Row of each index of the closure of ``indices``, and the ODE matrix A,
-    in moment_closure's order, where A is upper triangular."""
-    images = _closure_images(params, indices)
+    in moment_closure's order, where A is upper triangular.  Both are
+    read-only and built once per (alpha, beta, lambda_inf, indices), which
+    is all they depend on: the rates are keyed by their bits, so alpha =
+    -0.0 does not take alpha = 0.0's system."""
+    rates = (float(params.alpha).hex(), float(params.beta).hex(),
+             float(params.lambda_inf).hex())
+    return _system(*rates, tuple(map(_as_exponents, indices)))
+
+
+@functools.lru_cache(maxsize=64)
+def _system(alpha: str, beta: str, lambda_inf: str, indices: tuple):
+    """_triangular_system's rows and matrix, for rates given by float.hex."""
+    images = _closure_images(HawkesParams(*map(float.fromhex, (alpha, beta, lambda_inf))),
+                             indices)
     pos = {ix: i for i, ix in enumerate(sorted(images, key=_solve_order))}
     A = np.zeros((len(pos), len(pos)))
     for ix, image in images.items():
         for dep, c in image.items():
             A[pos[ix], pos[dep]] = c
-    return pos, A
+    A.flags.writeable = False
+    return MappingProxyType(pos), A
 
 
 # Higham (2005), "The scaling and squaring method for the matrix exponential

@@ -15,15 +15,20 @@ Two independent constructions of the same law are provided:
   libm's (_libm.elementwise), so its paths do not depend on the CPU.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently.  simulate_exact's loop takes its
+distinct seeds may run concurrently.  Every generator of the exact sampler
+comes from one seam, _seeding.generators, which gives
+np.random.default_rng(seed)'s generator bit for bit and seeds a lockstep
+group's in one numpy pass.  simulate_exact's loop takes its
 uniforms from blocks the generator draws at once (_blocks), the same
 stream as one rng.random() per draw.  While the intensity sits below the
 base level it thins (_thin, the one thinning loop, in _base_level_start),
 and takes its accept draws raw from the stream.  Above the base level
 (_run_exact) every block of n draws is the stream's next n nonzero draws,
 an exact 0 skipped in place (_skip_zeros), and numpy takes their logs,
-two per event, scaled as the recurrence uses them (_log_pairs); Python
-runs only the recurrence in the intensity, with math.log and math.exp.
+two per event, scaled as the recurrence uses them, and the base level's
+decay exp(-beta s2) (_log_pairs); Python runs only the recurrence in the
+intensity, and calls math.log and math.exp only where the excess's
+arrival can win: where excess <= -beta ln(u1) the inversion has none.
 
 map_batch draws path i from seed seed + i, bit for bit what the
 single-path sampler gives for that seed, and applies a function to each
@@ -38,9 +43,10 @@ probe checks against math.* at first use in a process, or else maps math.*
 over the array.  A deficit start thins first, as simulate_exact's does
 (_base_level_start).  The scalar loop finishes every path once few are
 live; a group of fewer than _MIN_LOCKSTEP paths is drawn by simulate_exact
-alone.  A lockstep group keeps the times it finds in pieces, each with its
-paths' counts, and when it ends one scatter assembles them into one array,
-of which each path is a view (_assemble).
+alone; a tail's first block holds two draws per event it is expected to
+find (_tail_block).  A lockstep group keeps the times it finds in pieces,
+each with its paths' counts, and when it ends one scatter assembles them
+into one array, of which each path is a view (_assemble).
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, count
 from operator import itemgetter
 
@@ -72,6 +78,7 @@ import numpy as np
 
 from ._fork import in_slices, record_warnings, replay_warnings, worker_count
 from ._libm import elementwise
+from ._seeding import generators
 from .core import EventSequence, HawkesParams, _times
 from .errors import CapacityExceeded, WindowOutOfRange
 from .moments import mean_count
@@ -125,11 +132,11 @@ def _check_horizon(horizon: float) -> None:
 _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
 
 
-def _blocks(rng):
-    """rng's uniform stream in doubling blocks, each drawn only when asked
-    for.  A block of n is the same n floats as n calls of rng.random(), at a
-    fraction of the per-call cost; short paths waste few draws."""
-    size = _FIRST_UNIFORMS
+def _blocks(rng, size: int = _FIRST_UNIFORMS):
+    """rng's uniform stream in doubling blocks, the first of ``size``, each
+    drawn only when asked for.  A block of n is the same n floats as n calls
+    of rng.random(), at a fraction of the per-call cost; short paths waste
+    few draws."""
     while True:
         yield rng.random(size)
         size = min(2 * size, _MAX_UNIFORMS)
@@ -210,52 +217,59 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
     return t, lam, events
 
 
-def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int):
+def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int, rng=None):
     """The path of ``seed`` up to where its intensity first stands at or
     above the base level: (rng, t, lam, events), with ``rng`` a generator
     of the seed moved past every draw the path has read, or t = inf if the
-    path ends first.
+    path ends first.  The path reads ``rng``, a fresh generator of the
+    seed, or one the seeding seam makes (_seeding.generators).
 
     A path that starts at or above the base level starts there.  One in
     deficit thins (_thin) from the stream of _blocks, one float at a time,
     counting the draws it reads; since the blocks drew ahead, ``rng`` is
-    then a fresh generator of the seed that draws and drops that many.
+    then a fresh generator of the seed, from the same seam, that draws and
+    drops that many.
     """
-    rng = np.random.default_rng(seed)
+    if rng is None:
+        [rng] = generators(range(seed, seed + 1))
     if params.lambda0 >= params.lambda_inf:
         return rng, 0.0, params.lambda0, []
     drawn = count()
     stream = chain.from_iterable(map(np.ndarray.tolist, _blocks(rng)))
     t, lam, events = _thin(map(itemgetter(0), zip(stream, drawn)), params, horizon, cap,
                            0.0, params.lambda0)
-    rng = np.random.default_rng(seed)
+    [rng] = generators(range(seed, seed + 1))
     read = next(drawn)
     for lo in range(0, read, _MAX_UNIFORMS):
         rng.random(min(_MAX_UNIFORMS, read - lo))
     return rng, t, lam, events
 
 
-def _log_pairs(rng, params: HawkesParams):
-    """The logs of rng's nonzero draws, a block at a time (_blocks,
-    _skip_zeros), taken in pairs (u1, u2) and scaled as the recurrence uses
-    them: per block, the list of beta ln(u1) and the list of
-    -ln(u2) / lambda_inf, the arrival from the base level.  The logs are
-    libm's (_libm.elementwise), and the pairs are those of
-    map(log, filter(None, stream)), read two at a time.
+def _log_pairs(rng, params: HawkesParams, size: int):
+    """The logs of rng's nonzero draws, a block at a time (_blocks from
+    ``size``, _skip_zeros), taken in pairs (u1, u2) and scaled as the
+    recurrence uses them: per block, the lists of -beta ln(u1), of
+    s2 = -ln(u2) / lambda_inf, the arrival from the base level, and of
+    exp(-beta s2).  The logs and exps are libm's (_libm.elementwise), and
+    the pairs are those of map(log, filter(None, stream)), read two at a
+    time.
     """
     beta, lam_inf = params.beta, params.lambda_inf
-    for u in _blocks(rng):
+    for u in _blocks(rng, size):
         logs = elementwise(math.log, _skip_zeros(rng, u))
-        yield (logs[0::2] * beta).tolist(), (logs[1::2] / -lam_inf).tolist()
+        s2 = logs[1::2] / -lam_inf
+        yield ((logs[0::2] * -beta).tolist(), s2.tolist(),
+               elementwise(math.exp, s2 * -beta).tolist())
 
 
 def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int = 0) -> list[float]:
+               recorded: int = 0, first: int = _FIRST_UNIFORMS) -> list[float]:
     """simulate_exact's loop from time t and intensity lam >= lambda_inf, on
     a path that already holds ``recorded`` events; returns the new events.
 
-    It reads the generator ``rng`` a block at a time (_log_pairs), so numpy
-    draws and logs the uniforms and Python runs only the recurrence in lam;
+    It reads the generator ``rng`` a block at a time, the first of ``first``
+    draws (_log_pairs), so numpy draws the uniforms and takes their logs and
+    the base level's decay, and Python runs only the recurrence in lam;
     each event costs one pair of nonzero draws, and a draw of exactly 0 is
     skipped.  Rounding keeps lam >= lambda_inf.  The cap is checked once
     per block.  t = inf, a path that _base_level_start ended, returns [].
@@ -265,23 +279,24 @@ def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, la
     room = cap - recorded
     events: list[float] = []
     add_event = events.append
-    pairs = _log_pairs(rng, params)
+    pairs = _log_pairs(rng, params, first)
     while t <= horizon:
-        # beta ln(u1), and s = -ln(u2) / lambda_inf, the arrival from the base level
-        for beta_l1, s in zip(*next(pairs)):
+        # -beta ln(u1); s = s2, the arrival from the base level; e^{-beta s}
+        for neg_beta_l1, s, decay in zip(*next(pairs)):
             excess = lam - lam_inf
-            if excess:
-                # the excess's arrival, by inversion where it has one
-                d = 1.0 + beta_l1 / excess
+            # the excess's arrival, by inversion where it has one: d =
+            # 1 + beta ln(u1) / excess is <= 0 wherever excess <= -beta ln(u1)
+            if excess > neg_beta_l1:
+                d = 1.0 - neg_beta_l1 / excess
                 if d > 0.0:
                     s1 = -log(d) / beta
                     if s1 < s:
-                        s = s1
+                        s, decay = s1, exp(-beta * s1)
             if t + s > horizon:
                 t = math.inf  # the path ends
                 break
             t += s
-            lam = lam_inf + excess * exp(-beta * s) + alpha
+            lam = lam_inf + excess * decay + alpha
             add_event(t)
         if len(events) > room:
             raise _capacity_exceeded(cap, events[room], horizon)
@@ -352,15 +367,16 @@ _GROUP = 512
 # Below this many live paths the scalar loop finishes the paths from where
 # they stand.  A group of n paths in lockstep to its end took, in two runs,
 # these times the scalar loop's (median ratio of 9 interleaved pairs, one
-# CPU, libm through numpy's loop, the group assembled by one scatter):
+# CPU, libm through numpy's loop, the group seeded in one array pass and
+# assembled by one scatter, the scalar loop taking its base level's decay
+# from numpy):
 #
 #   n                          32         48         64         96         128
-#   validate's, horizon 2000   1.45/1.33  0.94/0.90  0.70/0.63  0.44/0.42  0.40/0.36
-#   cascade's, horizon 600     1.47/1.70  1.19/1.13  0.95/0.95  0.57/0.50  0.48/0.49
+#   validate's, horizon 2000   1.35/1.31  0.94/0.95  0.84/0.81  0.56/0.57  0.43/0.43
+#   cascade's, horizon 600     1.54/1.51  1.07/1.07  0.84/0.84  0.60/0.62  0.48/0.50
 #
-# so 64 is still at or just past where the cascade forecast's unevenly
-# ending paths break even (1.03/1.12 when each block was appended path by
-# path), and validate's gain.  validate's K = 20 stays on the scalar loop.
+# so the cascade forecast's unevenly ending paths still break even between
+# 48 and 64, and 64 stays.  validate's K = 20 stays on the scalar loop.
 _MIN_LOCKSTEP = 64
 # Below this many expected events per slice a batch is sampled by this
 # process alone: a fork and its read-back cost about what the scalar loop
@@ -368,9 +384,11 @@ _MIN_LOCKSTEP = 64
 MIN_EVENTS_PER_WORKER = 1 << 13
 # A path's first block holds _FIRST_BLOCK loop iterations (two uniforms
 # each); later blocks double, up to _BLOCK_CELLS path-iterations across the
-# live paths, so short paths waste few draws and the block buffers stay small.
+# live paths, so short paths waste few draws and the block buffers stay small
+# (768 kB).  1000 cascade paths on two CPUs took a median 0.115, 0.101, 0.099
+# and 0.101 s with 2^13, 2^14, 2^15 and 2^16 cells: fewer, longer row fills.
 _FIRST_BLOCK = 4
-_BLOCK_CELLS = 1 << 14
+_BLOCK_CELLS = 1 << 15
 # uniforms logged per call: the temporary stays small
 _LOG_SLICE = 4096
 
@@ -405,14 +423,24 @@ def _assemble(pieces: list, n: np.ndarray) -> list:
     return [out[lo:hi] for lo, hi in zip((ends - n).tolist(), ends.tolist())]
 
 
+def _tail_block(params: HawkesParams, horizon: float, t: float, lam: float) -> int:
+    """The first block, in uniforms, of a path that the scalar loop takes
+    over at time t and intensity lam: two per event it is expected to find
+    before the horizon (mean_count from lam), from _FIRST_UNIFORMS to
+    _MAX_UNIFORMS, so a long tail skips the small blocks."""
+    expected = mean_count(replace(params, lambda0=lam), horizon - t)
+    return max(_FIRST_UNIFORMS, 2 * math.ceil(min(expected, _MAX_UNIFORMS // 2)))
+
+
 def _lockstep(params: HawkesParams, horizon: float, seeds: range,
               cap: int) -> tuple[list, np.ndarray]:
     """simulate_exact's loop for every seed at once: one numpy step per loop
     iteration, across the live paths.
 
-    Each path draws its uniforms from its own generator in blocks, two per
-    iteration, and a row that holds an exact 0 becomes the path's next
-    nonzero draws in place (_skip_zeros), as simulate_exact's blocks do.
+    Each path draws its uniforms from its own generator, all of them seeded
+    in one pass (_seeding.generators), in blocks, two per iteration, and a
+    row that holds an exact 0 becomes the path's next nonzero draws in
+    place (_skip_zeros), as simulate_exact's blocks do.
     Every step repeats simulate_exact's float operations in its order, so
     each path is bit for bit simulate_exact's.  A path that crosses the
     horizon mid-block runs on to the block's end and its steps past the
@@ -434,7 +462,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
     each seed's event times once the generators and buffers are freed.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
-    rngs, t, lam, starts = zip(*(_base_level_start(params, horizon, cap, s) for s in seeds))
+    rngs, t, lam, starts = zip(*(_base_level_start(params, horizon, cap, s, rng)
+                                 for s, rng in zip(seeds, generators(seeds))))
     ids = np.arange(len(seeds))
     n, times = _runs(starts)  # n[i]: path i's times so far
     pieces = [(ids, n.copy(), times)]
@@ -495,7 +524,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
         size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
-    counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]))
+    counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]),
+                                     _tail_block(params, horizon, t_i, lam_i))
                           for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()))
     pieces.append((ids, counts, times))
     n[ids] += counts

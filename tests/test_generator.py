@@ -20,7 +20,7 @@ from hawkesmom import (
     simulate_exact,
     validate_params,
 )
-from hawkesmom.generator import MAX_EXPONENT, _expm_triangular, _triangular_system
+from hawkesmom.generator import MAX_EXPONENT, _expm_triangular, _system, _triangular_system
 
 P = validate_params(0.2, 1.0, 1.0, 1.0)
 
@@ -376,6 +376,47 @@ class TestTriangularExponential:
         with mp.workdps(50):
             expected = np.array(mp.expm(mp.matrix(T.tolist())).tolist(), dtype=float)
         np.testing.assert_allclose(_expm_triangular(T), expected, rtol=1e-13, atol=0)
+
+
+class TestSystemCache:
+    """integrate_moments builds each (alpha, beta, lambda_inf, indices)
+    system once: the cached system is read-only, shared across lambda0 and
+    equal to a fresh build, and alpha = -0.0 keeps a system of its own."""
+
+    INDICES = [(0, 1), (0, 2)]
+
+    @staticmethod
+    def fresh(params, indices):
+        """The system built without the cache, and integrate_moments' values
+        at a few times from an empty cache."""
+        _system.cache_clear()
+        built = _system.__wrapped__(float(params.alpha).hex(), float(params.beta).hex(),
+                                    float(params.lambda_inf).hex(), tuple(indices))
+        values = [integrate_moments(params, indices, t) for t in (0.5, 10.0, 600.0)]
+        _system.cache_clear()
+        return built, values
+
+    def test_built_once_shared_across_lambda0_and_read_only(self):
+        first = _triangular_system(validate_params(0.772, 1.133, 0.243, 0.1), self.INDICES)
+        again = _triangular_system(validate_params(0.772, 1.133, 0.243, 5.0), self.INDICES)
+        assert first[0] is again[0] and first[1] is again[1]
+        pos, A = first
+        assert not A.flags.writeable
+        with pytest.raises(TypeError):
+            pos[(9, 9)] = 0
+
+    @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first",
+                                                                          "minus_first"])
+    def test_signed_zero_alpha(self, order):
+        # a list, not a dict: 0.0 and -0.0 are one dict key
+        params = [validate_params(a, 1.0, 1.0, 2.0) for a in order]
+        expected = [self.fresh(p, self.INDICES) for p in params]
+        for p, ((pos, A), values) in zip(params, expected):
+            got_pos, got_A = _triangular_system(p, self.INDICES)
+            assert dict(got_pos) == dict(pos) and got_A.tobytes() == A.tobytes()
+            assert [integrate_moments(p, self.INDICES, t) for t in (0.5, 10.0, 600.0)] == values
+        plus, minus = (_triangular_system(p, self.INDICES)[1] for p in params)
+        assert plus is not minus
 
 
 class TestDynkinIdentity:

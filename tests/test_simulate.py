@@ -25,7 +25,7 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
-from hawkesmom import _libm
+from hawkesmom import _libm, _seeding
 from hawkesmom import simulate as simulate_module
 from hawkesmom.simulate import _spawn_offspring, map_batch, sampler
 
@@ -103,6 +103,15 @@ def libm_probed():
     it the test's outcome would depend on whether an earlier one probed."""
     for fn in (math.log, math.exp):
         _libm.elementwise(fn, np.ones(2))
+
+
+@pytest.fixture
+def per_seed_default_rng(monkeypatch, libm_probed):
+    """Turn off the seeding seam's array pass (_seeding.generators), as a
+    failed probe does, so that every generator the samplers make, a lockstep
+    group's included, comes from np.random.default_rng, which the test
+    scripts."""
+    monkeypatch.setattr(_seeding, "_HASHED", False)
 
 
 class TestSimulateExact:
@@ -470,7 +479,7 @@ class TestBatch:
         assert rejected >= n_paths // 2
 
     @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
-    @pytest.mark.usefixtures("libm_probed")
+    @pytest.mark.usefixtures("per_seed_default_rng")
     def test_zero_draw_path_matches_simulate_exact(self, monkeypatch, position):
         """A scripted stream puts an exact 0 at one draw of one path: that
         path leaves the lockstep and still equals simulate_exact."""
@@ -634,7 +643,7 @@ class TestScalarLoopOracle:
     @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
                              ids=["lockstep", "default"])
     @pytest.mark.parametrize("name", list(ZEROS))
-    @pytest.mark.usefixtures("libm_probed")
+    @pytest.mark.usefixtures("per_seed_default_rng")
     def test_scripted_zeros_equal_reference(self, monkeypatch, name, min_lockstep):
         case, zeros = self.ZEROS[name]
         *raw, horizon = self.CASES[case]
@@ -697,7 +706,7 @@ class TestLockstepAssembly:
 
     SEED = 6_000
 
-    @pytest.mark.usefixtures("libm_probed")
+    @pytest.mark.usefixtures("per_seed_default_rng")
     def test_every_route_equals_simulate_exact(self, monkeypatch):
         # the cascade forecast's parameters from a deficit start, which its
         # first event leaves: the paths' lengths spread widely, so the group
@@ -746,6 +755,21 @@ class TestLockstepAssembly:
         assert calls.count("skip_zeros") == 1 and calls.count("run_exact") == paths[-1]
         TestBatch._assert_bitwise_exact(batch, p, horizon, self.SEED, n_paths)
         assert len(batch[target - self.SEED].events) > 2 * simulate_module._FIRST_BLOCK + 3
+
+    def test_tail_first_block_from_expected_events(self):
+        # two uniforms per expected remaining event (E[N] is 456 over the
+        # cascade's 600), even, from _FIRST_UNIFORMS up to _MAX_UNIFORMS
+        p = validate_params(0.772, 1.133, 0.243)
+        lam_inf = p.lambda_inf
+        assert simulate_module._tail_block(p, 600.0, 0.0, lam_inf) == 2 * math.ceil(
+            mean_count(p, 600.0))
+        sizes = [simulate_module._tail_block(p, horizon, t, lam)
+                 for horizon, t, lam in [(600.0, 600.0, lam_inf), (600.0, 590.0, lam_inf),
+                                         (600.0, 590.0, 20 * lam_inf), (600.0, 0.0, lam_inf),
+                                         (1e4, 0.0, lam_inf)]]
+        assert sizes[0] == simulate_module._FIRST_UNIFORMS
+        assert sizes[-1] == simulate_module._MAX_UNIFORMS
+        assert sizes == sorted(sizes) and all(size % 2 == 0 for size in sizes)
 
     @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
                              ids=["lockstep", "default"])
