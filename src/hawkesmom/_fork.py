@@ -1,4 +1,4 @@
-"""Process fan-out shared by the intensity CSV writer and the batch sampler.
+"""Process fan-out shared by the column CSV writer and the batch sampler.
 
 in_slices forks one child per contiguous slice after the first, does the
 first slice in this process and collects the children's output in slice

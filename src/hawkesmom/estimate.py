@@ -41,8 +41,7 @@ import numpy as np
 
 from .core import EventSequence, HawkesParams
 from .errors import HawkesError, InsufficientData, NoConvergence
-from .moments import (_PHI, MomentTriple, _k3_over_m1, _window_shapes, stationary_m1,
-                      stationary_m2, stationary_m3)
+from .moments import _PHI, MomentTriple, _k3_over_m1, _window_shapes, moment_triple
 from .simulate import windowed_counts
 
 __all__ = [
@@ -267,9 +266,8 @@ def _params_or_none(alpha: float, beta: float, lam_inf: float) -> HawkesParams |
 
 
 def _residuals(p: HawkesParams, triple: MomentTriple, delta: float) -> tuple[float, float, float]:
-    return (stationary_m1(p, delta) - triple.m1,
-            stationary_m2(p, delta) - triple.m2,
-            stationary_m3(p, delta) - triple.m3)
+    exact = moment_triple(p, delta)
+    return exact.m1 - triple.m1, exact.m2 - triple.m2, exact.m3 - triple.m3
 
 
 def solve_moment_system(

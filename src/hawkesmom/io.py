@@ -2,13 +2,15 @@
 
 Events file: UTF-8 text, one nonnegative decimal timestamp per line, with an
 optional single header line "t".  Timestamps are read as they are, never
-rescaled: in a file of minutes, rates fitted to it are per minute.  Grids
-and tables are written as CSV, reports as JSON; floats are serialized with
-repr so identical inputs give byte-identical files.  The intensity CSV
-reads its grid a chunk at a time, by slicing, and takes the path's
-intensity as a function of that chunk, evaluated by whichever process
-formats the chunk's rows: a grid that makes its points per slice, as
-simulate's does, is never held whole.
+rescaled: in a file of minutes, rates fitted to it are per minute.  A
+leading byte order mark is skipped.  Grids and tables are written as CSV,
+reports as JSON; floats are serialized with repr so identical inputs give
+byte-identical files.  The events, intensity and envelope CSVs share one
+writer, _write_csv, which formats rows a chunk at a time, a large file in
+slices over the CPUs.  The intensity CSV reads its grid a chunk at a time,
+by slicing, and takes the path's intensity as a function of that chunk,
+evaluated by whichever process formats the chunk's rows: a grid that makes
+its points per slice, as simulate's does, is never held whole.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -57,7 +59,7 @@ def parse_events(path, horizon: float | None = None) -> EventSequence:
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     path = Path(path)
     values: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for line_number, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
@@ -124,28 +126,40 @@ def _overwrite(path: Path):
         raise
 
 
-def write_events(path, events: EventSequence) -> Path:
-    path = Path(path)
-    with _overwrite(path) as fh:
-        fh.write("t\n")
-        _write_rows(fh, _event_rows, events.times)
-    return path
-
-
 _CSV_CHUNK_ROWS = 4096
-# Below 2 * MIN_ROWS_PER_WORKER rows (about 0.25 s of formatting) an
-# intensity grid is written by this process alone.
+# Below 2 * MIN_ROWS_PER_WORKER rows (about 0.25 s of formatting) a column
+# file is written by this process alone.
 MIN_ROWS_PER_WORKER = 1 << 16
 
 
-def _write_rows(fh, format_rows, *columns) -> None:
-    """Write the rows of equal-length 1-D arrays a chunk at a time:
-    ``format_rows`` gets one chunk of each column as a list of Python
-    scalars and returns that chunk's text lines.  Memory stays flat for any
-    length."""
-    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        hi = lo + _CSV_CHUNK_ROWS
-        fh.write("".join(format_rows(*[c[lo:hi].tolist() for c in columns])))
+def _write_csv(path, header: str, n: int, rows) -> Path:
+    """Write ``header``, then ``n`` rows a _CSV_CHUNK_ROWS chunk at a time:
+    ``rows(lo, hi)`` returns the text lines of rows lo to hi - 1 and is
+    called in the process that formats them, so no process holds more than
+    a chunk of rows beyond what ``rows`` itself reads.  A file of at least
+    2 * MIN_ROWS_PER_WORKER rows is formatted in contiguous slices, one
+    process per available CPU and at least MIN_ROWS_PER_WORKER rows per
+    process (see _fork.in_slices); every row is formatted by the same calls
+    in the same order, so the bytes are those of a one-process run.  No
+    file is left at ``path`` when the call raises.
+    """
+    path = Path(path)
+    workers = worker_count(n, MIN_ROWS_PER_WORKER)
+
+    def format_slice(lo, hi, out):
+        dest = fh if out is None else codecs.getwriter("utf-8")(out)
+        for start in range(lo, hi, _CSV_CHUNK_ROWS):
+            dest.write("".join(rows(start, min(start + _CSV_CHUNK_ROWS, hi))))
+
+    def append(lo, hi, file):
+        fh.flush()
+        shutil.copyfileobj(file, fh.buffer)
+
+    with _overwrite(path) as fh:
+        fh.write(header)
+        in_slices([n * k // workers for k in range(workers + 1)], format_slice, append,
+                  "formatting rows")
+    return path
 
 
 def _repr_rows(*columns):
@@ -163,6 +177,13 @@ def _intensity_rows(grid, values):
     return [f"{t!r},{v!r}\n" for t, v in zip(grid, values)]
 
 
+def write_events(path, events: EventSequence) -> Path:
+    """Header ``t`` and one ``repr(t)`` row per event time (_write_csv)."""
+    times = events.times
+    return _write_csv(path, "t\n", times.size,
+                      lambda lo, hi: _event_rows(times[lo:hi].tolist()))
+
+
 def write_intensity_csv(path, grid, intensity) -> Path:
     """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
 
@@ -171,36 +192,17 @@ def write_intensity_csv(path, grid, intensity) -> Path:
     1-D array or list, or a grid that makes each slice's points on demand.
     ``intensity`` maps such a chunk to the path's values there, one per
     point.  Each chunk is sliced and its values computed in the process
-    that formats its rows, so beyond what ``grid`` itself holds, no process
-    holds more than a chunk of grid points or values.  Large grids are
-    formatted in contiguous slices, one process per available CPU and at
-    least MIN_ROWS_PER_WORKER rows per process (see _fork.in_slices); every
-    row is computed and formatted by the same functions in the same order,
-    so the bytes are those of a one-process run.  No file is left at
-    ``path`` when the call raises.
+    that formats its rows (_write_csv), so beyond what ``grid`` itself
+    holds, no process holds more than a chunk of grid points or values.
     """
-    path = Path(path)
-    rows = len(grid)
-    n = worker_count(rows, MIN_ROWS_PER_WORKER)
+    def rows(lo, hi):
+        t = np.asarray(grid[lo:hi], dtype=np.float64)
+        values = np.asarray(intensity(t), dtype=np.float64)
+        if values.shape != t.shape:
+            raise ValueError(f"grid has {t.size} points but values has {values.size}")
+        return _intensity_rows(t.tolist(), values.tolist())
 
-    def format_slice(lo, hi, out):
-        dest = fh if out is None else codecs.getwriter("utf-8")(out)
-        for start in range(lo, hi, _CSV_CHUNK_ROWS):
-            t = np.asarray(grid[start:min(start + _CSV_CHUNK_ROWS, hi)], dtype=np.float64)
-            values = np.asarray(intensity(t), dtype=np.float64)
-            if values.shape != t.shape:
-                raise ValueError(f"grid has {t.size} points but values has {values.size}")
-            dest.write("".join(_intensity_rows(t.tolist(), values.tolist())))
-
-    def append(lo, hi, file):
-        fh.flush()
-        shutil.copyfileobj(file, fh.buffer)
-
-    with _overwrite(path) as fh:
-        fh.write("t,intensity\n")
-        in_slices([rows * k // n for k in range(n + 1)], format_slice, append,
-                  "formatting rows")
-    return path
+    return _write_csv(path, "t,intensity\n", len(grid), rows)
 
 
 def write_table_csv(path, rows) -> Path:
@@ -222,17 +224,14 @@ def write_envelope_csv(path, grid, counts, real_counts=None) -> Path:
     counts: array of shape (n_runs, len(grid)); optional real-data column
     is appended last for overlay comparisons.
     """
-    path = Path(path)
     counts = np.asarray(counts)
     header = ["t"] + [f"run_{i}" for i in range(counts.shape[0])]
     columns = [np.asarray(grid, dtype=np.float64), *counts.astype(np.int64)]
     if real_counts is not None:
         header.append("real")
         columns.append(np.asarray(real_counts).astype(np.int64))
-    with _overwrite(path) as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, _repr_rows, *columns)
-    return path
+    return _write_csv(path, ",".join(header) + "\n", columns[0].size,
+                      lambda lo, hi: _repr_rows(*[c[lo:hi].tolist() for c in columns]))
 
 
 def report_to_dict(report: EstimateReport) -> dict:

@@ -110,6 +110,8 @@ def stationary_m2(params: HawkesParams, delta: float) -> float:
 
     evaluated through its cumulant form (see _window_cumulants).
     """
+    # not through moment_triple, whose m3 raises OverflowError where m2
+    # is still finite
     m1, k2, _ = _window_cumulants(params, delta)
     return k2 + m1 * m1
 
@@ -130,8 +132,7 @@ def stationary_m3(params: HawkesParams, delta: float) -> float:
 
     evaluated through its cumulant form (see _window_cumulants).
     """
-    m1, k2, k3 = _window_cumulants(params, delta)
-    return k3 + 3.0 * k2 * m1 + m1**3
+    return moment_triple(params, delta).m3
 
 
 def _window_cumulants(params: HawkesParams, delta: float) -> tuple[float, float, float]:
@@ -238,13 +239,12 @@ def _k3_over_m1(shapes: np.ndarray, u):
 
 
 def moment_triple(params: HawkesParams, delta: float) -> MomentTriple:
-    """Theoretical stationary (m1, m2, m3) bundled for a window length."""
-    return MomentTriple(
-        m1=stationary_m1(params, delta),
-        m2=stationary_m2(params, delta),
-        m3=stationary_m3(params, delta),
-        delta=float(delta),
-    )
+    """Theoretical stationary (m1, m2, m3) bundled for a window length,
+    from one evaluation of the cumulants (_window_cumulants):
+    m2 = k2 + M1^2 and m3 = k3 + 3 k2 M1 + M1^3."""
+    m1, k2, k3 = _window_cumulants(params, delta)
+    return MomentTriple(m1=m1, m2=k2 + m1 * m1, m3=k3 + 3.0 * k2 * m1 + m1**3,
+                        delta=float(delta))
 
 
 def limit_intensity_moments(params: HawkesParams) -> tuple[float, float, float]:

@@ -176,7 +176,8 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.
     """
     _check_horizon(horizon)
-    rng, t, lam, events = _base_level_start(params, horizon, cap, seed)
+    [rng] = generators(range(seed, seed + 1))
+    t, lam, events = _base_level_start(rng, params, horizon, cap)
     events += _run_exact(rng, params, horizon, cap, t, lam, len(events))
     return Trajectory(EventSequence._sampled(np.asarray(events), horizon), seed)
 
@@ -217,32 +218,28 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
     return t, lam, events
 
 
-def _base_level_start(params: HawkesParams, horizon: float, cap: int, seed: int, rng=None):
-    """The path of ``seed`` up to where its intensity first stands at or
-    above the base level: (rng, t, lam, events), with ``rng`` a generator
-    of the seed moved past every draw the path has read, or t = inf if the
-    path ends first.  The path reads ``rng``, a fresh generator of the
-    seed, or one the seeding seam makes (_seeding.generators).
+def _base_level_start(rng, params: HawkesParams, horizon: float, cap: int):
+    """The path that reads the generator ``rng`` up to where its intensity
+    first stands at or above the base level: (t, lam, events), with ``rng``
+    moved past every draw the path has read, or t = inf if the path ends
+    first.
 
     A path that starts at or above the base level starts there.  One in
     deficit thins (_thin) from the stream of _blocks, one float at a time,
     counting the draws it reads; since the blocks drew ahead, ``rng`` is
-    then a fresh generator of the seed, from the same seam, that draws and
-    drops that many.
+    then set back to its state before them and jumped ahead by that many
+    draws (one PCG64 step each).
     """
-    if rng is None:
-        [rng] = generators(range(seed, seed + 1))
     if params.lambda0 >= params.lambda_inf:
-        return rng, 0.0, params.lambda0, []
-    drawn = count()
+        return 0.0, params.lambda0, []
+    bits = rng.bit_generator
+    state, drawn = bits.state, count()
     stream = chain.from_iterable(map(np.ndarray.tolist, _blocks(rng)))
     t, lam, events = _thin(map(itemgetter(0), zip(stream, drawn)), params, horizon, cap,
                            0.0, params.lambda0)
-    [rng] = generators(range(seed, seed + 1))
-    read = next(drawn)
-    for lo in range(0, read, _MAX_UNIFORMS):
-        rng.random(min(_MAX_UNIFORMS, read - lo))
-    return rng, t, lam, events
+    bits.state = state
+    bits.advance(next(drawn))
+    return t, lam, events
 
 
 def _log_pairs(rng, params: HawkesParams, size: int):
@@ -462,8 +459,8 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
     each seed's event times once the generators and buffers are freed.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
-    rngs, t, lam, starts = zip(*(_base_level_start(params, horizon, cap, s, rng)
-                                 for s, rng in zip(seeds, generators(seeds))))
+    rngs = generators(seeds)
+    t, lam, starts = zip(*(_base_level_start(rng, params, horizon, cap) for rng in rngs))
     ids = np.arange(len(seeds))
     n, times = _runs(starts)  # n[i]: path i's times so far
     pieces = [(ids, n.copy(), times)]

@@ -3,6 +3,7 @@
 Timestamps are read as the file gives them: no command rescales them.
 """
 
+import codecs
 import hashlib
 import importlib
 import json
@@ -160,6 +161,27 @@ class TestParseEvents:
     def test_bad_horizon_rejected_before_the_file_is_opened(self, tmp_path, horizon):
         with pytest.raises(ValueError, match=f"horizon must be finite and >= 0, got {horizon}"):
             parse_events(tmp_path / "missing.txt", horizon=horizon)
+
+    @staticmethod
+    def outcome(path):
+        """What parse_events makes of ``path``: the times and horizon, or
+        the error's type, line number and message after the path."""
+        try:
+            seq = parse_events(path)
+        except ParseError as exc:
+            return type(exc), exc.line_number, str(exc).split(":", 2)[2]
+        return seq.times.tobytes(), seq.horizon
+
+    # a BOM before the header, before a first timestamp, and before files
+    # whose third and first lines do not parse
+    @pytest.mark.parametrize("text", ["t\n0.5\n1.0\n", "0.25\n2.5\n", "t\n1.0\nbogus\n",
+                                      "bogus\n1.0\n"],
+                             ids=["header", "timestamp", "bad_line_3", "bad_line_1"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain = write(tmp_path, "plain.txt", text)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert self.outcome(marked) == self.outcome(plain)
 
 
 
@@ -395,6 +417,60 @@ class TestWriteIntensityCsv:
         n = 2 * MIN_ROWS_PER_WORKER - 1
         grid = np.arange(n * 1.0)
         path = write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
+        assert path.read_bytes().count(b"\n") == n + 1
+
+
+class TestColumnWriters:
+    """The events and envelope CSVs take the intensity CSV's sliced writer:
+    at any CPU count a large file has the bytes of a one-process run."""
+
+    @staticmethod
+    def outputs(n):
+        """The events and envelope writers, by name, each writing ``n`` rows
+        to the path it takes."""
+        rng = np.random.default_rng(36)
+        # among the times 17-digit reprs, exponent forms and integral values
+        special = [0.1 + 0.2, 1e-05, 1e+16, 1.0, 2.0 / 3.0, 1e-300, 12345678901234.5]
+        times = np.sort(np.concatenate([rng.uniform(0.0, 1e4, n - len(special)), special]))
+        events = EventSequence(times=times, horizon=1e16)
+        grid = np.arange(n) * 0.01
+        counts = np.cumsum(rng.poisson(2.0, size=(3, n)), axis=1)
+        return {
+            "events": lambda path: write_events(path, events),
+            "envelope": lambda path: write_envelope_csv(path, grid, counts, counts[0]),
+        }
+
+    @pytest.mark.parametrize("writer", ["events", "envelope"])
+    def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch, writer):
+        n = 3 * MIN_ROWS_PER_WORKER + 17
+        write = self.outputs(n)[writer]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = write(tmp_path / "serial.csv").read_bytes()
+        assert serial.count(b"\n") == n + 1
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for cpus in (1, 2, 3):
+            forks.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            assert write(tmp_path / f"cpus_{cpus}.csv").read_bytes() == serial, cpus
+            assert len(forks) == cpus - 1
+
+    # the intensity CSV's case is TestWriteIntensityCsv::test_small_grid_never_forks
+    @pytest.mark.parametrize("writer", ["events", "envelope"])
+    def test_small_file_never_forks(self, tmp_path, monkeypatch, writer):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        n = 2 * MIN_ROWS_PER_WORKER - 1
+        path = self.outputs(n)[writer](tmp_path / "out.csv")
         assert path.read_bytes().count(b"\n") == n + 1
 
 

@@ -237,6 +237,15 @@ class TestStationaryMoments:
         assert (t.m1, t.m2, t.m3, t.delta) == (
             stationary_m1(P, 0.5), stationary_m2(P, 0.5), stationary_m3(P, 0.5), 0.5)
 
+    def test_m2_finite_where_m3_overflows(self):
+        # M1 = 2e150: M1^2 fits in float64, M1^3 does not
+        p = validate_params(1e150, 2e150, 1e150)
+        with np.errstate(over="ignore"):
+            assert math.isfinite(stationary_m2(p, 1.0))
+            for m3 in (stationary_m3, moment_triple):
+                with pytest.raises(OverflowError):
+                    m3(p, 1.0)
+
 
 def mp_reference(a, b, li, d):
     """(m2, m3, I1, I2) of the printed closed forms at 50 digits."""

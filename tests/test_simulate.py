@@ -1,5 +1,6 @@
 """Distributional checks for both samplers and the window extraction."""
 
+import copy
 import math
 import os
 import warnings
@@ -114,6 +115,28 @@ def per_seed_default_rng(monkeypatch, libm_probed):
     monkeypatch.setattr(_seeding, "_HASHED", False)
 
 
+class Rewindable:
+    """The bit_generator interface a deficit start uses of a scripted
+    generator: ``state`` saves and restores the whole script, and
+    ``advance(n)`` draws and drops the script's next n draws."""
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return copy.deepcopy(vars(self))
+
+    @state.setter
+    def state(self, saved):
+        vars(self).update(copy.deepcopy(saved))
+
+    def advance(self, n):
+        if n:
+            self.random(n)
+
+
 class TestSimulateExact:
     def test_poisson_reduction_rate(self):
         # alpha = 0 is a homogeneous Poisson(lambda_inf) process
@@ -189,7 +212,7 @@ class TestSimulateExact:
     ], ids=["excess", "excess_s2", "equal_unused", "equal", "deficit"])
     @pytest.mark.usefixtures("libm_probed")
     def test_zero_uniform_draw_is_redrawn(self, monkeypatch, lambda0, script):
-        class ScriptedRng:
+        class ScriptedRng(Rewindable):
             def __init__(self, draws, seed):
                 self.draws = list(draws)
                 self.rng = np.random.Generator(np.random.PCG64(seed))
@@ -485,7 +508,7 @@ class TestBatch:
         path leaves the lockstep and still equals simulate_exact."""
         target = 3_005
 
-        class ScriptedRng:
+        class ScriptedRng(Rewindable):
             def __init__(self, seed):
                 self.rng = np.random.Generator(np.random.PCG64(seed))
                 self.pos = 0
@@ -553,7 +576,7 @@ class TestBatch:
             assert traj.events.horizon == horizon
 
 
-class ScriptedRng:
+class ScriptedRng(Rewindable):
     """PCG64 of ``seed`` with exact 0s at the stream positions ``zeros`` when
     ``seed`` is ``target``, drawn one at a time, in blocks (size) or into
     rows (out)."""
@@ -714,8 +737,8 @@ class TestLockstepAssembly:
         p = validate_params(0.772, 1.133, 0.243, 0.1)
         horizon, n_paths = 600.0, simulate_module._MIN_LOCKSTEP + 16
         target = self.SEED + 5
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng(seed, (), target))
-        rng, t, _, start = simulate_module._base_level_start(p, horizon, 10**6, target)
+        rng = ScriptedRng(target, (), target)
+        t, _, start = simulate_module._base_level_start(rng, p, horizon, 10**6)
         assert start and t < horizon
         # an exact 0 inside the target's second lockstep block
         zero = rng.pos + 2 * simulate_module._FIRST_BLOCK + 3
