@@ -173,7 +173,7 @@ def cmd_moments(args: argparse.Namespace) -> dict:
 
     _check_windows(args.delta)
     params = _params(args)
-    # past float64's range numpy's power rows overflow, ** raises and * gives inf
+    # past float64's range numpy's products overflow, ** raises and * gives inf
     try:
         with np.errstate(over="raise", invalid="raise"):
             triple = moment_triple(params, args.delta)

@@ -11,13 +11,15 @@ by ``alpha`` at every event:
                + sum_{T_k < t} alpha e^{-beta (t - T_k)}.
 
 intensity_at evaluates this sum directly and is the reference the tests
-compare against.  post_jump_intensities and intensity_on_grid share one
-vectorised kernel, a doubling scan over the post-jump recurrence (see
-_excess_after_events), so neither loops over events or grid points in
-Python; between events, _intensity_on_blocks decays that scan's values on
-a block of grid times, for intensity_on_grid and for simulate's CSV writer
-alike.  Its relative error against the direct sum measured at most 5.1e-16
-for beta from 1e-5 to 1e5 and for any event spacing.
+compare against; no module here calls it, and it stays public because the
+benchmark's simulate_plot check reads the intensity through it.
+post_jump_intensities and intensity_on_grid share one vectorised kernel, a
+doubling scan over the post-jump recurrence (see _excess_after_events), so
+neither loops over events or grid points in Python; between events,
+_intensity_on_blocks decays that scan's values on a block of grid times,
+for intensity_on_grid and for simulate's CSV writer alike.  Its relative
+error against the direct sum measured at most 5.1e-16 for beta from 1e-5
+to 1e5 and for any event spacing.
 
 Times carry no declared scale: the intensity, beta and lambda_inf are
 rates per whatever step the event times count in (per minute for times in

@@ -1,7 +1,7 @@
 """Method-of-moments calibration of (alpha, beta, lambda_inf).
 
 Empirical moments M_i are arithmetic means of i-th powers of window counts
-over consecutive windows of length delta.  The fit solves
+over consecutive windows of length delta (windowed_counts).  The fit solves
 
     stationary_mi(alpha, beta, lambda_inf; delta) = M_i,   i = 1, 2, 3
 
@@ -39,18 +39,19 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import EventSequence, HawkesParams
-from .errors import HawkesError, InsufficientData, NoConvergence
+from .core import EventSequence, HawkesParams, _times
+from .errors import HawkesError, InsufficientData, NoConvergence, WindowOutOfRange
 from .moments import _PHI, MomentTriple, _k3_over_m1, _window_shapes, moment_triple
-from .simulate import windowed_counts
 
 __all__ = [
     "MIN_WINDOWS",
     "DEFAULT_INIT",
     "TOL",
+    "IncrementSample",
     "EmpiricalMoments",
     "EstimateConfig",
     "EstimateReport",
+    "windowed_counts",
     "empirical_from_counts",
     "empirical_moments",
     "solve_moment_system",
@@ -65,6 +66,15 @@ BOUNDARY_ALPHA_RATIO = 1e-6
 DEFAULT_INIT = (0.5, 1.5, 2.0)
 # the solver's residual tolerance, relative to max(1, M_i)
 TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class IncrementSample:
+    """Counts over consecutive half-open windows [t0 + j delta, t0 + (j+1) delta)."""
+
+    t0: float
+    delta: float
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,32 @@ class EstimateConfig:
     t0: float = 0.0
     init: tuple[float, float, float] = DEFAULT_INIT
     tol: ClassVar[float] = TOL
+
+
+def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:
+    """Event counts in ``count`` consecutive half-open windows starting at t0.
+
+    counts[j] = N_{t_j + delta} - N_{t_j} with t_j = t0 + j delta; windows
+    must fit inside the observation horizon.
+    """
+    if not (math.isfinite(t0) and math.isfinite(delta) and t0 >= 0.0 and delta > 0.0
+            and count >= 1):
+        raise WindowOutOfRange(
+            f"need finite t0 >= 0 and delta > 0, count >= 1; "
+            f"got t0={t0}, delta={delta}, count={count}"
+        )
+    times = _times(events)
+    if isinstance(events, EventSequence):
+        end = t0 + count * delta
+        # small relative slack so a window count computed by floor() is not
+        # rejected for floating-point rounding
+        if end > events.horizon * (1.0 + 1e-12) + 1e-12:
+            raise WindowOutOfRange(
+                f"windows end at {end} beyond horizon {events.horizon}"
+            )
+    edges = t0 + delta * np.arange(count + 1)
+    counts = np.diff(np.searchsorted(times, edges, side="left")).astype(np.int64)
+    return IncrementSample(t0=float(t0), delta=float(delta), counts=counts)
 
 
 def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._libm import elementwise
-from .core import HawkesParams, _excess_after_events, _times
+from .core import HawkesParams
 
 __all__ = [
     "MAX_EXPONENT",
@@ -48,7 +48,6 @@ __all__ = [
     "apply_generator",
     "moment_closure",
     "integrate_moments",
-    "integrate_polynomial_on_path",
 ]
 
 # Exponent cap: only moments up to order 3 are needed; 8 gives test headroom
@@ -319,36 +318,3 @@ def integrate_moments(
         if all(map(math.isfinite, out.values())):
             return out
     raise ValueError(f"moments overflow at t={t}: the moment system is beyond float64's range")
-
-
-def integrate_polynomial_on_path(
-    params: HawkesParams, events, poly: BivariatePolynomial, t: float
-) -> float:
-    """Exact pathwise integral int_0^t p(lambda_u, N_u) du for one realization.
-
-    Between events the intensity is lambda_inf + c e^{-beta s} and N is
-    constant, so every monomial integrates in closed form segment by
-    segment; each segment's starting excess c comes from the one intensity
-    recurrence, core._excess_after_events.  Used to check the martingale
-    identity E[k(X_t)] = k(X_0) + int_0^t E[A k(X_u)] du without quadrature
-    bias.
-    """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    times = _times(events)
-    before = times[:np.searchsorted(times, t, side="left")]
-    beta, lam_inf = params.beta, params.lambda_inf
-    # segment n runs from the n-th event (time 0 for n = 0) to the next one,
-    # or to t, with N = n on it; tied events give empty segments
-    length = np.diff(before, prepend=0.0, append=t)
-    c_exc = np.concatenate(([params.lambda0 - lam_inf], _excess_after_events(params, before)))
-    n = np.arange(before.size + 1, dtype=float)
-    total = 0.0
-    for (m, l), c in poly.terms():
-        acc = lam_inf**m * length
-        for j in range(1, m + 1):
-            # int_0^s e^{-j beta u} du = -expm1(-j beta s) / (j beta)
-            acc += (math.comb(m, j) * lam_inf ** (m - j) * c_exc**j
-                    * -elementwise(math.expm1, -j * beta * length) / (j * beta))
-        total += c * float(n**l @ acc)
-    return total

@@ -1,4 +1,4 @@
-"""Exact trajectory generation and windowed increment extraction.
+"""Exact trajectory generation, one path or a seeded batch of paths.
 
 Two independent constructions of the same law are provided:
 
@@ -79,20 +79,18 @@ import numpy as np
 from ._fork import in_slices, record_warnings, replay_warnings, worker_count
 from ._libm import elementwise
 from ._seeding import generators
-from .core import EventSequence, HawkesParams, _times
-from .errors import CapacityExceeded, WindowOutOfRange
+from .core import EventSequence, HawkesParams
+from .errors import CapacityExceeded
 from .moments import mean_count
 
 __all__ = [
     "DEFAULT_EVENT_CAP",
     "Trajectory",
-    "IncrementSample",
     "simulate_exact",
     "simulate_cluster",
     "sampler",
     "simulate_batch",
     "map_batch",
-    "windowed_counts",
 ]
 
 # Guards memory near criticality (expected count ~ horizon * lambda* blows up
@@ -110,15 +108,6 @@ class Trajectory:
 
     events: EventSequence
     seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class IncrementSample:
-    """Counts over consecutive half-open windows [t0 + j delta, t0 + (j+1) delta)."""
-
-    t0: float
-    delta: float
-    counts: np.ndarray
 
 
 def _check_horizon(horizon: float) -> None:
@@ -645,29 +634,3 @@ def map_batch(
               "sampling seeds")
     replay_warnings([record for _, caught in done for record in caught])
     return [result for results, _ in done for result in results]
-
-
-def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:
-    """Event counts in ``count`` consecutive half-open windows starting at t0.
-
-    counts[j] = N_{t_j + delta} - N_{t_j} with t_j = t0 + j delta; windows
-    must fit inside the observation horizon.
-    """
-    if not (math.isfinite(t0) and math.isfinite(delta) and t0 >= 0.0 and delta > 0.0
-            and count >= 1):
-        raise WindowOutOfRange(
-            f"need finite t0 >= 0 and delta > 0, count >= 1; "
-            f"got t0={t0}, delta={delta}, count={count}"
-        )
-    times = _times(events)
-    if isinstance(events, EventSequence):
-        end = t0 + count * delta
-        # small relative slack so a window count computed by floor() is not
-        # rejected for floating-point rounding
-        if end > events.horizon * (1.0 + 1e-12) + 1e-12:
-            raise WindowOutOfRange(
-                f"windows end at {end} beyond horizon {events.horizon}"
-            )
-    edges = t0 + delta * np.arange(count + 1)
-    counts = np.diff(np.searchsorted(times, edges, side="left")).astype(np.int64)
-    return IncrementSample(t0=float(t0), delta=float(delta), counts=counts)

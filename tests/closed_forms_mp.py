@@ -1,7 +1,9 @@
 """The printed stationary window-moment closed forms in mpmath, evaluated at
 the working precision (set it with mp.workdps): the kappa-factored forms
 cancel through kappa^-6, so only high precision evaluates them faithfully as
-kappa delta -> 0."""
+kappa delta -> 0.  helper_integrals sets its own 50 digits."""
+
+import math
 
 import mpmath as mp
 
@@ -26,3 +28,21 @@ def m3_mp(a, b, li, d):
             + a**2 * b * li * (2 * a - 3 * b) / (2 * k**5) * e2
             + a * b * li / k**6 * (a**3 - 4 * a**2 * b + 3 * a * b**2 + 6 * b**3) * e1
             - 3 * a * b**2 * li * (li + a) * (a - 2 * b) / k**5 * d * e1)
+
+
+def helper_integrals(params, delta: float) -> tuple[float, float]:
+    """The iterated exponential integrals behind the second-moment bracket,
+    at 50 digits, for the parameters as given (kappa = beta - alpha exact):
+
+        I1 = delta^2/(2 kappa) - delta/kappa^2 - (e^{-kappa delta} - 1)/kappa^3
+        I2 = delta/kappa + (e^{-kappa delta} - 1)/kappa^2
+
+    They reconstruct the stationary second moment exactly:
+    Lambda1 delta + 2 beta lambda_inf Lambda1 I1 + 2 (Lambda2 + alpha Lambda1) I2.
+    """
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+    with mp.workdps(50):
+        k, d = mp.mpf(params.beta) - params.alpha, mp.mpf(delta)
+        em1 = mp.e ** (-k * d) - 1
+        return float(d * d / (2 * k) - d / k**2 - em1 / k**3), float(d / k + em1 / k**2)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracles import integrate_polynomial_on_path
 from scipy import stats
 
 from hawkesmom import (
@@ -17,7 +18,6 @@ from hawkesmom import (
     apply_generator,
     estimate,
     integrate_moments,
-    integrate_polynomial_on_path,
     intensity_at,
     limit_intensity_moments,
     mean_count,

@@ -5,17 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import integrate_polynomial_on_path, mean_intensity, second_moment_intensity
 
 from hawkesmom import (
     BivariatePolynomial,
     apply_generator,
     integrate_moments,
-    integrate_polynomial_on_path,
     intensity_at,
     mean_count,
-    mean_intensity,
     moment_closure,
-    second_moment_intensity,
     simulate_batch,
     simulate_exact,
     validate_params,

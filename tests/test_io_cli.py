@@ -762,6 +762,15 @@ class TestCmdMoments:
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
 
+    def test_poisson_at_huge_beta(self, capsys):
+        # alpha = 0 with kappa delta = 1e200: Poisson counts and intensity,
+        # with mean 1, where squares of beta overflow
+        assert main(["moments", "--alpha", "0", "--beta", "1e200", "--lambda-inf", "1",
+                     "--delta", "1"]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert [printed[k] for k in ("m1", "m2", "m3")] == [1.0, 2.0, 5.0]
+        assert [printed[k] for k in ("Lambda1", "Lambda2", "Lambda3")] == [1.0, 1.0, 1.0]
+
 
 class TestCmdEstimate:
     def _events_file(self, tmp_path, seed=21, horizon=4000.0):
@@ -820,7 +829,10 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 from hawkesmom import integrate_moments, simulate_batch, validate_params
 from hawkesmom.cli import main
-out = sys.argv[1]
+out, tests = sys.argv[1:]
+# the tests' closed-form oracles load on numpy alone too
+sys.path.insert(0, tests)
+import oracles
 params = ["--alpha", "0.2", "--beta", "1", "--lambda-inf", "1"]
 assert main(["simulate", *params, "--horizon", "2000", "--seed", "3", "--out-dir", out]) == 0
 assert main(["moments", *params, "--delta", "0.5"]) == 0
@@ -840,10 +852,55 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
         src = str(Path(hawkesmom.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path),
+                               str(Path(__file__).parent)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+class TestPublicApi:
+    """hawkesmom.__all__ is this list, every name in it resolves, and the
+    closed forms that only the tests call are no longer part of it."""
+
+    NAMES = {
+        "__version__",
+        # core
+        "HawkesParams", "EventSequence", "validate_params",
+        "intensity_at", "intensity_on_grid", "post_jump_intensities", "count_at",
+        # generator
+        "BivariatePolynomial", "apply_generator", "moment_closure", "integrate_moments",
+        # simulate
+        "Trajectory", "simulate_exact", "simulate_cluster", "sampler", "simulate_batch",
+        # moments
+        "MomentTriple", "mean_count", "stationary_m1", "stationary_m2", "stationary_m3",
+        "moment_triple", "limit_intensity_moments",
+        # estimate
+        "IncrementSample", "windowed_counts", "EmpiricalMoments", "EstimateConfig",
+        "EstimateReport", "empirical_moments", "solve_moment_system", "estimate",
+        # io
+        "parse_events",
+        # errors
+        "HawkesError", "ExplosionRisk", "NonPositiveBase", "NegativeInput",
+        "CapacityExceeded", "WindowOutOfRange", "InsufficientData", "NoConvergence",
+        "ParseError", "NegativeTimestamp", "EmptyFile",
+    }
+    REMOVED = ["mean_intensity", "second_moment_intensity", "increment_mean_exact",
+               "helper_integrals", "integrate_polynomial_on_path"]
+
+    def test_all_is_the_listed_set(self):
+        assert len(hawkesmom.__all__) == len(set(hawkesmom.__all__))
+        assert set(hawkesmom.__all__) == self.NAMES
+
+    def test_every_name_resolves(self):
+        for name in hawkesmom.__all__:
+            assert getattr(hawkesmom, name) is not None, name
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_test_only_closed_forms_are_gone(self, name):
+        assert not hasattr(hawkesmom, name)
+        for module in ("core", "generator", "moments", "simulate", "estimate"):
+            assert not hasattr(importlib.import_module(f"hawkesmom.{module}"), name), module
 
 
 class TestCmdValidate:
@@ -1137,8 +1194,8 @@ class TestMainExitCodes:
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
 
-    # at 1e150 m3 overflows, and numpy's power rows with it; at 1e100 the
-    # window moments fit but Lambda2 and Lambda3 do not
+    # at 1e150 m3 overflows; at 1e100 the window moments fit but Lambda3's
+    # product alpha^3 Lambda1 does not
     @pytest.mark.parametrize("scale", ["1e150", "1e100"])
     def test_moments_beyond_float64_is_one_error_line(self, capsys, scale):
         code = main(["moments", "--alpha", scale, "--beta", f"2{scale}", "--lambda-inf", scale,

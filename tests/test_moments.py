@@ -15,9 +15,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from closed_forms_mp import m2_mp, m3_mp
+from closed_forms_mp import helper_integrals, m2_mp, m3_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (increment_mean_exact, integrate_polynomial_on_path, mean_intensity,
+                     second_moment_intensity)
 from scipy.integrate import quad
 
 from hawkesmom import (
@@ -25,17 +27,12 @@ from hawkesmom import (
     EventSequence,
     apply_generator,
     count_at,
-    helper_integrals,
-    increment_mean_exact,
     integrate_moments,
-    integrate_polynomial_on_path,
     intensity_at,
     intensity_on_grid,
     limit_intensity_moments,
     mean_count,
-    mean_intensity,
     moment_triple,
-    second_moment_intensity,
     simulate_batch,
     simulate_exact,
     stationary_m1,
@@ -248,23 +245,19 @@ class TestStationaryMoments:
 
 
 def mp_reference(a, b, li, d):
-    """(m2, m3, I1, I2) of the printed closed forms at 50 digits."""
+    """(m2, m3) of the printed closed forms at 50 digits."""
     with mp.workdps(50):
-        k, d = mp.mpf(b) - a, mp.mpf(d)
-        em1 = mp.e ** (-k * d) - 1
-        refs = (m2_mp(a, b, li, d), m3_mp(a, b, li, d),
-                d * d / (2 * k) - d / k**2 - em1 / k**3, d / k + em1 / k**2)
-        return [float(r) for r in refs]
+        return [float(m2_mp(a, b, li, d)), float(m3_mp(a, b, li, d))]
 
 
 def cumulant_form(p, d):
-    return (stationary_m2(p, d), stationary_m3(p, d), *helper_integrals(p, d))
+    return stationary_m2(p, d), stationary_m3(p, d)
 
 
 class TestCumulantForm:
-    """The window moments and helper integrals against 50-digit evaluation of
-    the printed closed forms (parameters as given, in floats), from alpha = 0
-    to eta = 1 - 1e-4 and over kappa delta from 1e-9 to 1e3."""
+    """The window moments against 50-digit evaluation of the printed closed
+    forms (parameters as given, in floats), from alpha = 0 to eta = 1 - 1e-4
+    and over kappa delta from 1e-9 to 1e3."""
 
     @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-6, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-4])
     def test_within_1e_14_of_high_precision(self, eta):
@@ -276,10 +269,9 @@ class TestCumulantForm:
                     assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (x, li)
 
     def test_shapes_have_no_pole_at_zero(self):
-        # each numerator N(x) vanishes to the order d of its denominator x^d
-        for d, coefficients in _SHAPES:
-            for n in range(-d, 0):
-                assert _taylor_coefficient(d, coefficients, n) == 0.0
+        # each numerator N(x) of N(x)/x has constant term [x^-1] N(x)/x = 0
+        for coefficients in _SHAPES:
+            assert _taylor_coefficient(coefficients, -1) == 0.0
 
     def test_poisson_at_vanishing_kappa(self):
         # alpha = 0 with kappa = beta = 1e-110: every kappa power of the
@@ -287,6 +279,15 @@ class TestCumulantForm:
         p = validate_params(0.0, 1e-110, 1.0)
         assert stationary_m2(p, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
         assert stationary_m3(p, 1.0) == pytest.approx(5.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [1e155, 1e200, 1e300])
+    def test_poisson_at_huge_kappa(self, beta):
+        # alpha = 0 with kappa delta = beta, past 1.34e154, where an x^2 term
+        # of the window shapes once overflowed and made every shape NaN; the
+        # counts are Poisson with mean 1
+        triple = moment_triple(validate_params(0.0, beta, 1.0), 1.0)
+        assert [triple.m1, triple.m2, triple.m3] == pytest.approx([1.0, 2.0, 5.0],
+                                                                  rel=1e-15, abs=0.0)
 
 
 class TestNearCriticalBranch:
@@ -332,6 +333,12 @@ class TestLimitIntensityMoments:
     def test_poisson_degenerate(self):
         p = validate_params(0.0, 1.0, 1.0, 1.0)
         assert limit_intensity_moments(p) == pytest.approx((1.0, 1.0, 1.0), rel=1e-12)
+
+    def test_poisson_at_huge_kappa(self):
+        # beta lambda_inf squared is 1e400, past float64's range; the
+        # intensity is the constant 1
+        p = validate_params(0.0, 1e200, 1.0)
+        assert limit_intensity_moments(p) == (1.0, 1.0, 1.0)
 
     def test_reference_values(self):
         lam1, lam2, lam3 = limit_intensity_moments(P)
