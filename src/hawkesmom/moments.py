@@ -211,13 +211,15 @@ def limit_intensity_moments(params: HawkesParams) -> tuple[float, float, float]:
 
     each from the one before, so that kappa is divided out one power at a
     time: Lambda2 = Lambda1 (alpha^2 + 2 beta lambda_inf) / (2 kappa) and
-    Lambda3 = alpha^3 Lambda1 / (3 kappa) + Lambda2 (alpha^2 + beta
-    lambda_inf) / kappa.  No product then leaves float64's range where the
-    moments do not (alpha = 0, beta = 1e200, lambda_inf = 1 gives 1, 1, 1).
+    Lambda3 = (alpha / kappa) alpha^2 Lambda1 / 3 + (Lambda2 / kappa)
+    (alpha^2 + beta lambda_inf), with kappa divided out before the products
+    grow.  No product then leaves float64's range where the moments do not
+    (alpha = 0, beta = 1e200, lambda_inf = 1 gives 1, 1, 1; alpha = 1e100,
+    beta = 2e100, lambda_inf = 1e100 gives Lambda3 = 1.5667e301).
     """
     a, b, li = params.alpha, params.beta, params.lambda_inf
     k = params.kappa
     lam1 = b * li / k
     lam2 = lam1 * (a * a + 2.0 * b * li) / (2.0 * k)
-    lam3 = a**3 * lam1 / (3.0 * k) + lam2 * (a * a + b * li) / k
+    lam3 = (a / k) * a * a * lam1 / 3.0 + (lam2 / k) * (a * a + b * li)
     return lam1, lam2, lam3

@@ -257,8 +257,10 @@ def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, la
     draws (_log_pairs), so numpy draws the uniforms and takes their logs and
     the base level's decay, and Python runs only the recurrence in lam;
     each event costs one pair of nonzero draws, and a draw of exactly 0 is
-    skipped.  Rounding keeps lam >= lambda_inf.  The cap is checked once
-    per block.  t = inf, a path that _base_level_start ended, returns [].
+    skipped.  Each event adds its wait to t once and then compares t with
+    the horizon; the first t past it ends the path and is not recorded.
+    Rounding keeps lam >= lambda_inf.  The cap is checked once per block.
+    t = inf, a path that _base_level_start ended, returns [].
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
@@ -278,10 +280,10 @@ def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, la
                     s1 = -log(d) / beta
                     if s1 < s:
                         s, decay = s1, exp(-beta * s1)
-            if t + s > horizon:
+            t += s
+            if t > horizon:
                 t = math.inf  # the path ends
                 break
-            t += s
             lam = lam_inf + excess * decay + alpha
             add_event(t)
         if len(events) > room:

@@ -46,3 +46,13 @@ def helper_integrals(params, delta: float) -> tuple[float, float]:
         k, d = mp.mpf(params.beta) - params.alpha, mp.mpf(delta)
         em1 = mp.e ** (-k * d) - 1
         return float(d * d / (2 * k) - d / k**2 - em1 / k**3), float(d / k + em1 / k**2)
+
+
+def limit_intensity_mp(a, b, li):
+    """The stationary intensity moments (Lambda1, Lambda2, Lambda3) as printed
+    in moments.limit_intensity_moments, at the working precision."""
+    a, b, li = map(mp.mpf, (a, b, li))
+    k = b - a
+    return (b * li / k,
+            b * li * (a**2 + 2 * b * li) / (2 * k**2),
+            a**3 * b * li / (3 * k**2) + b * li * (a**2 + b * li) * (a**2 + 2 * b * li) / (2 * k**3))

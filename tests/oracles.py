@@ -1,6 +1,7 @@
 """Closed forms the tests check the package against, and that the package
 itself never calls: the transient intensity moments, the finite-t window
-mean and the exact pathwise integral of a polynomial in (lambda_t, N_t).
+mean, the exact pathwise integral of a polynomial in (lambda_t, N_t) and
+window counts by one binary search per window edge.
 
 Not collected by pytest (no test_ prefix).  It imports only math, numpy and
 hawkesmom, so it runs where scipy is not installed.
@@ -90,3 +91,10 @@ def integrate_polynomial_on_path(
                     * -elementwise(math.expm1, -j * beta * length) / (j * beta))
         total += c * float(n**l @ acc)
     return total
+
+
+def windowed_counts_reference(times, t0: float, delta: float, count: int) -> np.ndarray:
+    """Event counts in the half-open windows [t0 + j delta, t0 + (j+1) delta),
+    j < count, by one binary search for each window edge."""
+    edges = t0 + delta * np.arange(count + 1)
+    return np.diff(np.searchsorted(times, edges, side="left"))

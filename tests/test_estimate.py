@@ -65,6 +65,16 @@ class TestEmpiricalMoments:
         assert (emp.triple.m1, emp.triple.m2, emp.triple.m3) == (1.5, 2.5, 4.5)
         assert emp.window_count == 2
 
+    def test_cubes_are_exact(self):
+        # cubes above 2^53 (counts above 208,063) are rounded once, as
+        # products; numpy's SIMD power loop misses some of them by an ulp
+        for c in np.random.default_rng(3).integers(208_064, 2**21, size=2_000, endpoint=True):
+            counts = np.zeros(32, dtype=np.int64)  # at least MIN_WINDOWS
+            counts[0] = c
+            exact = np.zeros(32)
+            exact[0] = float(int(c) ** 3)
+            assert empirical_from_counts(counts, delta=0.5).triple.m3 == exact.mean(), c
+
     def test_empty_windows_are_insufficient_data(self):
         with pytest.raises(InsufficientData, match="all 40 count windows are empty"):
             empirical_from_counts(np.zeros(40), delta=0.5)

@@ -16,8 +16,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+from closed_forms_mp import limit_intensity_mp, m2_mp, m3_mp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -1194,9 +1196,23 @@ class TestMainExitCodes:
         assert main(["moments", "--alpha", "0.2", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--delta", "0.5"]) == EXIT_OK
 
-    # at 1e150 m3 overflows; at 1e100 the window moments fit but Lambda3's
-    # product alpha^3 Lambda1 does not
-    @pytest.mark.parametrize("scale", ["1e150", "1e100"])
+    def test_moments_near_float64_limit_match_mpmath(self, capsys):
+        # Lambda3 = 1.5667e301 fits, though alpha^3 Lambda1 = 2e400 would not
+        a, b, li = 1e100, 2e100, 1e100
+        code = main(["moments", "--alpha", "1e100", "--beta", "2e100", "--lambda-inf", "1e100",
+                     "--delta", "1"])
+        assert code == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        with mp.workdps(50):
+            lam = limit_intensity_mp(a, b, li)
+            want = {"Lambda1": lam[0], "Lambda2": lam[1], "Lambda3": lam[2],
+                    # m1 = Lambda1 delta, with delta 1
+                    "m1": lam[0], "m2": m2_mp(a, b, li, 1.0), "m3": m3_mp(a, b, li, 1.0)}
+            for name, value in want.items():
+                assert printed[name] == pytest.approx(float(value), rel=1e-15, abs=0.0), name
+
+    # at 1e150 m3 overflows
+    @pytest.mark.parametrize("scale", ["1e150"])
     def test_moments_beyond_float64_is_one_error_line(self, capsys, scale):
         code = main(["moments", "--alpha", scale, "--beta", f"2{scale}", "--lambda-inf", scale,
                      "--delta", "1"])

@@ -15,7 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from closed_forms_mp import helper_integrals, m2_mp, m3_mp
+from closed_forms_mp import helper_integrals, limit_intensity_mp, m2_mp, m3_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (increment_mean_exact, integrate_polynomial_on_path, mean_intensity,
@@ -339,6 +339,25 @@ class TestLimitIntensityMoments:
         # intensity is the constant 1
         p = validate_params(0.0, 1e200, 1.0)
         assert limit_intensity_moments(p) == (1.0, 1.0, 1.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(log_beta=st.floats(-3.0, 3.0), eta=st.floats(0.0, 0.999),
+           log_lam=st.floats(-3.0, 3.0))
+    def test_against_mpmath(self, log_beta, eta, log_lam):
+        b = 10.0**log_beta
+        p = validate_params(eta * b, b, 10.0**log_lam)
+        with mp.workdps(50):
+            want = limit_intensity_mp(p.alpha, p.beta, p.lambda_inf)
+            for got, ref in zip(limit_intensity_moments(p), want):
+                assert got == pytest.approx(float(ref), rel=2e-15, abs=0.0)
+
+    # alpha^3 alone would leave float64's range; each moment does not
+    @pytest.mark.parametrize("a, b, li", [(1e100, 2e100, 1e100), (1e120, 2e120, 1e-100)])
+    def test_finite_where_alpha_cubed_is_not(self, a, b, li):
+        with mp.workdps(50):
+            want = limit_intensity_mp(a, b, li)
+            for got, ref in zip(limit_intensity_moments(validate_params(a, b, li)), want):
+                assert got == pytest.approx(float(ref), rel=2e-15, abs=0.0)
 
     def test_reference_values(self):
         lam1, lam2, lam3 = limit_intensity_moments(P)

@@ -1,6 +1,8 @@
 """Distributional checks for both samplers and the window extraction."""
 
 import copy
+import hashlib
+import importlib
 import math
 import os
 import warnings
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import windowed_counts_reference
 from scipy import stats
 
 from hawkesmom import (
@@ -398,6 +401,77 @@ class TestWindowedCounts:
                  - np.count_nonzero(times == end) + np.count_nonzero(times == t0))
         assert fine.sum() == total
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(t0=st.one_of(st.sampled_from([0.0, 0.3, 1e9, 2.0**53]), st.floats(0.0, 1e9)),
+           delta=st.one_of(st.sampled_from([5e-324, 1e-8, 1e-6, 0.5, 1.0 / 3.0]),
+                           st.floats(1e-8, 10.0)),
+           count=st.integers(1, 40),
+           on_edge=st.lists(st.integers(0, 40), max_size=20),
+           offsets=st.lists(st.floats(-3.0, 43.0), max_size=30))
+    def test_equals_one_search_per_edge(self, t0, delta, count, on_edge, offsets):
+        # events on the edges and one ulp either side of them, before t0
+        # and past the last edge; t0 = 2^53 with delta = 0.5, or a subnormal
+        # delta, collapses edges, and at t0 = 1e9 a delta of 1e-8 is under
+        # one ulp of t0
+        edges = t0 + delta * np.arange(count + 1)
+        ties = edges[np.minimum(np.array(on_edge, dtype=np.int64), count)]
+        times = np.sort(np.concatenate([
+            ties, np.nextafter(ties, -math.inf), np.nextafter(ties, math.inf),
+            t0 + delta * np.array(offsets, dtype=float)]))
+        counts = windowed_counts(times, t0, delta, count).counts
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, windowed_counts_reference(times, t0, delta, count))
+
+    @staticmethod
+    def _searches_for_strays(monkeypatch) -> list:
+        # the one-pass count's fallback is its only right-side binary search
+        strays, search = [], np.searchsorted
+
+        def spy(a, v, side="left", sorter=None):
+            if side == "right":
+                strays.append(np.size(v))
+            return search(a, v, side, sorter)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        return strays
+
+    def test_far_guesses_fall_back_to_a_search(self, monkeypatch):
+        # at t0 = 1e9 the edges are 1e-8 apart but rounded to ulps of 1.2e-7,
+        # so the quotient (t - t0) / delta is off by up to 6 windows
+        t0, delta, count = 1e9, 1e-8, 500
+        times = t0 + np.linspace(0.0, count * delta, 200, endpoint=False)
+        expected = windowed_counts_reference(times, t0, delta, count)
+        strays = self._searches_for_strays(monkeypatch)
+        assert np.array_equal(windowed_counts(times, t0, delta, count).counts, expected)
+        assert strays and sum(strays) > 0
+
+    def test_edge_hugging_events_match_the_reference(self):
+        # on the edges 0.3 + 0.1 j and one ulp either side, about 100 of
+        # 3000 quotients fall one window too high or too low
+        edges = 0.3 + 0.1 * np.arange(1001)
+        times = np.sort(np.concatenate([edges, np.nextafter(edges, -math.inf),
+                                        np.nextafter(edges, math.inf)]))
+        assert np.array_equal(windowed_counts(times, 0.3, 0.1, 1000).counts,
+                              windowed_counts_reference(times, 0.3, 0.1, 1000))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, None])
+    def test_chunks_match_the_reference(self, monkeypatch, chunk):
+        # windows that straddle chunk boundaries, ties on edges, strays and
+        # empty stretches; None keeps the real chunk, which 3 chunks + 17
+        # events span
+        estimate_module = importlib.import_module("hawkesmom.estimate")
+        size = 3 * estimate_module._COUNT_CHUNK_EVENTS + 17
+        if chunk is not None:
+            monkeypatch.setattr(estimate_module, "_COUNT_CHUNK_EVENTS", chunk)
+            size = 500
+        rng = np.random.default_rng(79)
+        lattice = np.round(rng.uniform(0.0, 40.0, size // 2), 1)
+        times = np.sort(np.concatenate([lattice, rng.uniform(0.0, 40.0, size - lattice.size),
+                                        np.full(5, 12.3)]))
+        for t0, delta, count in [(0.3, 0.1, 300), (1.0, 0.7, 50), (2.0, 5.0, 7)]:
+            assert np.array_equal(windowed_counts(times, t0, delta, count).counts,
+                                  windowed_counts_reference(times, t0, delta, count))
+
     def test_stationary_window_mean(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         traj = simulate_exact(p, 10_000.0, 404)
@@ -407,6 +481,18 @@ class TestWindowedCounts:
 
 
 class TestBatch:
+    # criterion 8's cascade batch, from the base level and from a deficit
+    # start: a sha256 over every path's times, pinned
+    @pytest.mark.parametrize("lambda0, digest", [
+        (0.243, "707ec6b758dfcf516d001f6c39a606891c44550542bec45f295a31a7d0cefc86"),
+        (0.1, "3d63275c59718134eab9dfdaaa9904500d99a2e6ddfd1066f3eb082dfdb2caf6"),
+    ])
+    def test_cascade_batch_digest(self, lambda0, digest):
+        sha = hashlib.sha256()
+        for traj in simulate_batch(validate_params(0.772, 1.133, 0.243, lambda0), 600.0, 1, 1000):
+            sha.update(traj.events.times.tobytes())
+        assert sha.hexdigest() == digest
+
     def test_order_and_determinism(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         batch = simulate_batch(p, 50.0, 1000, 5)
