@@ -29,6 +29,7 @@ minutes).  All functions here are pure; inputs are immutable records.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,8 @@ class EventSequence:
     Timestamps are stored as float64 on the data's own clock; a caller who
     wants another scale rescales them, EventSequence(times * f, horizon * f).
     Ties are permitted (finite-resolution data records several events at
-    the same instant).
+    the same instant).  A pickled or copied sequence carries its times as
+    raw float64 bytes and comes back read-only, without the checks re-run.
     """
 
     times: np.ndarray
@@ -147,8 +149,19 @@ class EventSequence:
         object.__setattr__(seq, "horizon", float(horizon))
         return seq
 
+    def __reduce_ex__(self, protocol):
+        # the times' raw float64 bytes, which protocol 5 may send out of band
+        times = np.ascontiguousarray(self.times)
+        raw = pickle.PickleBuffer(times) if protocol >= 5 else times.tobytes()
+        return _unpickled, (raw, self.horizon)
+
     def __len__(self) -> int:
         return int(self.times.size)
+
+
+def _unpickled(raw, horizon: float) -> EventSequence:
+    """__reduce_ex__'s sequence, unchecked: its times were checked or sampled."""
+    return EventSequence._sampled(np.frombuffer(raw), horizon)
 
 
 def _times(events) -> np.ndarray:

@@ -224,11 +224,11 @@ def _expm_triangular(T: np.ndarray) -> np.ndarray:
     2009, Code Fragment 2.1).  Near criticality the entries above the
     diagonal set the scaling while kappa t is small, so e^{-2^-s m kappa t}
     is 1 to within its rounding, and s squarings would raise that rounding
-    to the power 2^s; the exact entries discard it at every level.
+    to the power 2^s; the exact entries discard it at every level.  The
+    caller silences and checks overflow (np.errstate).
     """
     n = len(T)
-    with np.errstate(over="ignore"):
-        norm = np.abs(T).sum(axis=0).max()
+    norm = np.abs(T).sum(axis=0).max()
     if norm == math.inf:
         # finite entries whose column sum overflows: sum them at 2^-e, with
         # 2^e just above the largest, and add e to the sum's log2
@@ -236,9 +236,9 @@ def _expm_triangular(T: np.ndarray) -> np.ndarray:
         s = math.ceil(math.log2(np.ldexp(np.abs(T), -e).sum(axis=0).max() / _THETA13) + e)
     else:
         s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    # row j: the diagonal, then the first superdiagonal, of 2^(j-s) T
-    exact = np.ldexp(np.concatenate((T.diagonal(), T.diagonal(1))), np.arange(-s, 1)[:, None])
     where = np.concatenate((np.arange(0, n * n, n + 1), np.arange(1, n * n - n, n + 1)))
+    # row j: the diagonal, then the first superdiagonal, of 2^(j-s) T
+    exact = np.ldexp(T.reshape(-1)[where], np.arange(-s, 1)[:, None])
     # made exact for exp(2^(j-s) T): exp([[a, c], [0, b]]) has
     # c e^max(a,b) (1 - e^-|b-a|) / |b-a| above its diagonal, which cannot
     # overflow; a zero gap takes the limit 1 through the smallest normal gap.
@@ -308,13 +308,12 @@ def integrate_moments(
             if not math.isfinite(y0[i]):
                 raise ValueError(f"initial_intensity_moments[{m}] must be finite, got {y0[i]}")
 
-    with np.errstate(over="ignore"):
+    # a moment past float64's range overflows in A t or in the squarings
+    with np.errstate(over="ignore", invalid="ignore"):
         At = A * t
-    if np.isfinite(At).all():
-        # a moment past float64's range overflows in the squarings
-        with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(At).all():
             y = _expm_triangular(At) @ y0
-        out = {ix: float(y[pos[ix]]) for ix in requested}
-        if all(map(math.isfinite, out.values())):
-            return out
+            out = {ix: float(y[pos[ix]]) for ix in requested}
+            if all(map(math.isfinite, out.values())):
+                return out
     raise ValueError(f"moments overflow at t={t}: the moment system is beyond float64's range")

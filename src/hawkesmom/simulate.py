@@ -18,17 +18,20 @@ Each call owns its RNG (PCG64 seeded from the given integer), so calls with
 distinct seeds may run concurrently.  Every generator of the exact sampler
 comes from one seam, _seeding.generators, which gives
 np.random.default_rng(seed)'s generator bit for bit and seeds a lockstep
-group's in one numpy pass.  simulate_exact's loop takes its
-uniforms from blocks the generator draws at once (_blocks), the same
-stream as one rng.random() per draw.  While the intensity sits below the
-base level it thins (_thin, the one thinning loop, in _base_level_start),
-and takes its accept draws raw from the stream.  Above the base level
-(_run_exact) every block of n draws is the stream's next n nonzero draws,
-an exact 0 skipped in place (_skip_zeros), and numpy takes their logs,
-two per event, scaled as the recurrence uses them, and the base level's
-decay exp(-beta s2) (_log_pairs); Python runs only the recurrence in the
-intensity, and calls math.log and math.exp only where the excess's
-arrival can win: where excess <= -beta ln(u1) the inversion has none.
+group's in one numpy pass.  While the intensity sits below the base level a
+path thins (_thin, the one thinning loop, in _base_level_start), reading
+one rng.random() per draw and its accept draws raw, so the generator never
+runs ahead of it.  Above the base level (_run_exact) it reads the stream in
+blocks the generator draws at once, the same stream as one rng.random()
+per draw: every block of n draws is the stream's next n nonzero draws, an
+exact 0 skipped in place (_skip_zeros), and numpy takes their logs, two per
+event, scaled as the recurrence uses them, and the base level's decay
+exp(-beta s2) (_log_pairs); Python runs only the recurrence in the
+intensity, and calls math.log and math.exp only where the excess's arrival
+can win: where excess <= -beta ln(u1) the inversion has none.  One rule
+sizes the first block of every exact loop, simulate_exact's, a lockstep
+group's and a tail's: two draws per event the path is expected to find
+(_first_block); later blocks double.
 
 map_batch draws path i from seed seed + i, bit for bit what the
 single-path sampler gives for that seed, and applies a function to each
@@ -43,10 +46,9 @@ probe checks against math.* at first use in a process, or else maps math.*
 over the array.  A deficit start thins first, as simulate_exact's does
 (_base_level_start).  The scalar loop finishes every path once few are
 live; a group of fewer than _MIN_LOCKSTEP paths is drawn by simulate_exact
-alone; a tail's first block holds two draws per event it is expected to
-find (_tail_block).  A lockstep group keeps the times it finds in pieces,
-each with its paths' counts, and when it ends one scatter assembles them
-into one array, of which each path is a view (_assemble).
+alone.  A lockstep group keeps the times it finds in pieces, each with its
+paths' counts, and when it ends one scatter assembles them into one array,
+of which each path is a view (_assemble).
 
 A batch is cut into groups of at most _GROUP paths, and into at least one
 group per worker: one per available CPU, but no more than one per
@@ -54,10 +56,10 @@ MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
 over the workers: each forked child samples a contiguous slice of groups
 with the same code, applies the function to each of its paths and pickles
 only the results.  So validate fits and envelope-counts each path in its
-worker, and simulate_batch's workers return raw time buffers.  A path
-depends only on its seed, so the output bytes do not depend on the CPU
-count; validate's K = 20 at horizon 10^4 on two CPUs, say, runs as two
-slices of 10 paths.
+worker, and simulate_batch's workers return the paths, whose times pickle
+as their raw bytes (EventSequence.__reduce_ex__).  A path depends only on
+its seed, so the output bytes do not depend on the CPU count; validate's
+K = 20 at horizon 10^4 on two CPUs, say, runs as two slices of 10 paths.
 
 The samplers build their EventSequences without re-checking the times;
 simulate_exact's and the lockstep's are nondecreasing and within
@@ -71,8 +73,6 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import dataclass, replace
-from itertools import chain, count
-from operator import itemgetter
 
 import numpy as np
 
@@ -116,19 +116,19 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
-# the exact sampler's uniform blocks: the first holds _FIRST_UNIFORMS
-# draws, and each later one twice as many, up to _MAX_UNIFORMS
+# the exact sampler's uniform blocks: a loop's first is _first_block's, and
+# each later one twice as many draws, up to _MAX_UNIFORMS
 _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
 
 
-def _blocks(rng, size: int = _FIRST_UNIFORMS):
-    """rng's uniform stream in doubling blocks, the first of ``size``, each
-    drawn only when asked for.  A block of n is the same n floats as n calls
-    of rng.random(), at a fraction of the per-call cost; short paths waste
-    few draws."""
-    while True:
-        yield rng.random(size)
-        size = min(2 * size, _MAX_UNIFORMS)
+def _first_block(params: HawkesParams, horizon: float, t: float, lam: float) -> int:
+    """The first block, in uniforms, of an exact loop from time t <= horizon
+    and intensity lam: two per event it expects by the horizon (mean_count),
+    from _FIRST_UNIFORMS to _MAX_UNIFORMS.  A block of n is the same n
+    floats as n calls of rng.random(), so the sizes change no path."""
+    expected = mean_count(replace(params, lambda0=lam), horizon - t)
+    # NaN, where lambda* overflows, takes the largest
+    return max(_FIRST_UNIFORMS, 2 * math.ceil(min(_MAX_UNIFORMS // 2, expected)))
 
 
 def _skip_zeros(rng, u: np.ndarray) -> np.ndarray:
@@ -167,7 +167,9 @@ def simulate_exact(
     _check_horizon(horizon)
     [rng] = generators(range(seed, seed + 1))
     t, lam, events = _base_level_start(rng, params, horizon, cap)
-    events += _run_exact(rng, params, horizon, cap, t, lam, len(events))
+    if t <= horizon:
+        events += _run_exact(rng, params, horizon, cap, t, lam, len(events),
+                             _first_block(params, horizon, t, lam))
     return Trajectory(EventSequence._sampled(np.asarray(events), horizon), seed)
 
 
@@ -210,57 +212,51 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
 def _base_level_start(rng, params: HawkesParams, horizon: float, cap: int):
     """The path that reads the generator ``rng`` up to where its intensity
     first stands at or above the base level: (t, lam, events), with ``rng``
-    moved past every draw the path has read, or t = inf if the path ends
+    just after the last draw the path read, or t = inf if the path ends
     first.
 
     A path that starts at or above the base level starts there.  One in
-    deficit thins (_thin) from the stream of _blocks, one float at a time,
-    counting the draws it reads; since the blocks drew ahead, ``rng`` is
-    then set back to its state before them and jumped ahead by that many
-    draws (one PCG64 step each).
+    deficit thins (_thin), reading rng.random() one float per draw, so the
+    generator never runs ahead of the path.
     """
     if params.lambda0 >= params.lambda_inf:
         return 0.0, params.lambda0, []
-    bits = rng.bit_generator
-    state, drawn = bits.state, count()
-    stream = chain.from_iterable(map(np.ndarray.tolist, _blocks(rng)))
-    t, lam, events = _thin(map(itemgetter(0), zip(stream, drawn)), params, horizon, cap,
-                           0.0, params.lambda0)
-    bits.state = state
-    bits.advance(next(drawn))
-    return t, lam, events
+    return _thin(iter(rng.random, None), params, horizon, cap, 0.0, params.lambda0)
 
 
 def _log_pairs(rng, params: HawkesParams, size: int):
-    """The logs of rng's nonzero draws, a block at a time (_blocks from
-    ``size``, _skip_zeros), taken in pairs (u1, u2) and scaled as the
-    recurrence uses them: per block, the lists of -beta ln(u1), of
+    """The logs of rng's nonzero draws, a block at a time, the first of
+    ``size`` draws and each later one twice as many, up to _MAX_UNIFORMS
+    (_skip_zeros), taken in pairs (u1, u2) and scaled as the recurrence
+    uses them: per block, the lists of -beta ln(u1), of
     s2 = -ln(u2) / lambda_inf, the arrival from the base level, and of
     exp(-beta s2).  The logs and exps are libm's (_libm.elementwise), and
     the pairs are those of map(log, filter(None, stream)), read two at a
     time.
     """
     beta, lam_inf = params.beta, params.lambda_inf
-    for u in _blocks(rng, size):
-        logs = elementwise(math.log, _skip_zeros(rng, u))
+    while True:
+        logs = elementwise(math.log, _skip_zeros(rng, rng.random(size)))
         s2 = logs[1::2] / -lam_inf
         yield ((logs[0::2] * -beta).tolist(), s2.tolist(),
                elementwise(math.exp, s2 * -beta).tolist())
+        size = min(2 * size, _MAX_UNIFORMS)
 
 
 def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int = 0, first: int = _FIRST_UNIFORMS) -> list[float]:
-    """simulate_exact's loop from time t and intensity lam >= lambda_inf, on
-    a path that already holds ``recorded`` events; returns the new events.
+               recorded: int, first: int) -> list[float]:
+    """simulate_exact's loop from time t <= horizon and intensity
+    lam >= lambda_inf, on a path that already holds ``recorded`` events;
+    returns the new events.
 
     It reads the generator ``rng`` a block at a time, the first of ``first``
-    draws (_log_pairs), so numpy draws the uniforms and takes their logs and
-    the base level's decay, and Python runs only the recurrence in lam;
-    each event costs one pair of nonzero draws, and a draw of exactly 0 is
-    skipped.  Each event adds its wait to t once and then compares t with
-    the horizon; the first t past it ends the path and is not recorded.
-    Rounding keeps lam >= lambda_inf.  The cap is checked once per block.
-    t = inf, a path that _base_level_start ended, returns [].
+    draws (_first_block, _log_pairs), so numpy draws the uniforms and takes
+    their logs and the base level's decay, and Python runs only the
+    recurrence in lam; each event costs one pair of nonzero draws, and a
+    draw of exactly 0 is skipped.  Each event adds its wait to t once and
+    then compares t with the horizon; the first t past it ends the path and
+    is not recorded.  Rounding keeps lam >= lambda_inf.  The cap is checked
+    once per block.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     log, exp = math.log, math.exp
@@ -370,12 +366,10 @@ _MIN_LOCKSTEP = 64
 # process alone: a fork and its read-back cost about what the scalar loop
 # takes for 4000 to 5000 events.
 MIN_EVENTS_PER_WORKER = 1 << 13
-# A path's first block holds _FIRST_BLOCK loop iterations (two uniforms
-# each); later blocks double, up to _BLOCK_CELLS path-iterations across the
-# live paths, so short paths waste few draws and the block buffers stay small
-# (768 kB).  1000 cascade paths on two CPUs took a median 0.115, 0.101, 0.099
-# and 0.101 s with 2^13, 2^14, 2^15 and 2^16 cells: fewer, longer row fills.
-_FIRST_BLOCK = 4
+# A lockstep block holds at most _BLOCK_CELLS path-iterations (two uniforms
+# each) across the live paths, so the block buffers stay small (768 kB).
+# 1000 cascade paths on two CPUs took a median 0.115, 0.101, 0.099 and
+# 0.101 s with 2^13, 2^14, 2^15 and 2^16 cells: fewer, longer row fills.
 _BLOCK_CELLS = 1 << 15
 # uniforms logged per call: the temporary stays small
 _LOG_SLICE = 4096
@@ -409,15 +403,6 @@ def _assemble(pieces: list, n: np.ndarray) -> list:
         at += np.arange(times.size)
         out[at] = times
     return [out[lo:hi] for lo, hi in zip((ends - n).tolist(), ends.tolist())]
-
-
-def _tail_block(params: HawkesParams, horizon: float, t: float, lam: float) -> int:
-    """The first block, in uniforms, of a path that the scalar loop takes
-    over at time t and intensity lam: two per event it is expected to find
-    before the horizon (mean_count from lam), from _FIRST_UNIFORMS to
-    _MAX_UNIFORMS, so a long tail skips the small blocks."""
-    expected = mean_count(replace(params, lambda0=lam), horizon - t)
-    return max(_FIRST_UNIFORMS, 2 * math.ceil(min(expected, _MAX_UNIFORMS // 2)))
 
 
 def _lockstep(params: HawkesParams, horizon: float, seeds: range,
@@ -458,14 +443,17 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
     t, lam = np.array(t), np.array(lam)
     live = t <= horizon
     ids, t, lam = ids[live], t[live], lam[live]  # the live paths
-    size = _FIRST_BLOCK
+    # iterations per block: half of _first_block's draws from time 0, then
+    # twice as many per block, up to _BLOCK_CELLS across the live paths
+    size = _first_block(params, horizon, 0.0, params.lambda0) // 2
     # one buffer each for the uniforms and the recorded times, reused by
     # every block so that blocks leave no holes in the heap, and the step's
     # work arrays
-    cells = max(_FIRST_BLOCK * ids.size, _BLOCK_CELLS)
+    cells = max(ids.size, _BLOCK_CELLS)
     buf_u, buf_t = np.empty(2 * cells), np.empty(cells)
     buf_step = np.empty((4, ids.size))
     while ids.size >= _MIN_LOCKSTEP:
+        size = min(size, max(1, _BLOCK_CELLS // ids.size))
         # row k holds the block's draws for path ids[k]: iteration j's two
         # uniforms at columns 2j and 2j + 1
         u = buf_u[:2 * size * ids.size].reshape(ids.size, 2 * size)
@@ -511,9 +499,9 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
             raise _capacity_exceeded(cap, pieces[-1][2][at], horizon)
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
-        size = min(2 * size, max(_FIRST_BLOCK, _BLOCK_CELLS // max(ids.size, 1)))
+        size *= 2
     counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]),
-                                     _tail_block(params, horizon, t_i, lam_i))
+                                     _first_block(params, horizon, t_i, lam_i))
                           for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()))
     pieces.append((ids, counts, times))
     n[ids] += counts
@@ -541,13 +529,6 @@ def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: st
     return out
 
 
-def _times_buffer(traj: Trajectory) -> pickle.PickleBuffer:
-    """A path's event times as a raw float64 buffer, simulate_batch's result:
-    pickled (protocol 5) it is their bytes, and in this process the path's
-    own array, which keeps its lockstep group's times alive."""
-    return pickle.PickleBuffer(traj.events.times)
-
-
 def simulate_batch(
     params: HawkesParams,
     horizon: float,
@@ -562,14 +543,12 @@ def simulate_batch(
     Path i's event times are bit for bit those of
     sampler(method)(params, horizon, seed + i), and the results are ordered
     by path index.  The batch is map_batch's, with each worker returning
-    its paths' times as raw buffers, which pickle as their bytes; this
-    process wraps them, and its own slice's arrays, without a copy, so a
-    path of its slice keeps its lockstep group's times alive.  Its workers, groups,
+    its paths themselves: a path's times pickle as their raw bytes
+    (EventSequence.__reduce_ex__), and a path of this process's slice is a
+    view that keeps its lockstep group's times alive.  Its workers, groups,
     exceptions and their independence of the CPU count are map_batch's.
     """
-    return [Trajectory(EventSequence._sampled(np.frombuffer(times), horizon), seed + i)
-            for i, times in enumerate(map_batch(params, horizon, seed, n_paths, _times_buffer,
-                                                method=method, cap=cap))]
+    return map_batch(params, horizon, seed, n_paths, lambda traj: traj, method=method, cap=cap)
 
 
 def map_batch(

@@ -4,7 +4,8 @@ a sha256 over every path's times for each, one a line.
 
 The deficit batch's digest equals the scalar loop's, path by path.  Both
 equal the batches drawn with every path on the scalar loop, those drawn in
-lockstep groups of 64 paths, those drawn with every generator seeded by
+lockstep groups of 64 paths, those drawn with every loop's first block
+_FIRST_UNIFORMS draws, those drawn with every generator seeded by
 np.random.default_rng, and those drawn with the map over math.* alone.  The
 batch forks exactly when more than one CPU is available, so comparing the
 output at one CPU and at all of them shows it does not depend on the CPU
@@ -64,6 +65,12 @@ group = simulate._GROUP
 simulate._GROUP = 64
 assert list(batches()) == routed
 simulate._GROUP = group
+# nor do the block sizes: every loop's first block the smallest, as when
+# no block was sized from the expected events
+first_block = simulate._first_block
+simulate._first_block = lambda *args: simulate._FIRST_UNIFORMS
+assert list(batches()) == routed
+simulate._first_block = first_block
 # each seed through np.random.default_rng, as a failed seeding
 # probe leaves it, rather than one array pass per group
 hashed = _seeding._HASHED

@@ -1,5 +1,6 @@
 """Generator action on polynomials and the assembled moment ODE system."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -251,6 +252,19 @@ class TestIntegrateMoments:
             assert out[(1, 0)] == pytest.approx(mean_intensity(params, t), rel=1e-12)
             assert out[(2, 0)] == pytest.approx(second_moment_intensity(params, t), rel=1e-12)
             assert out[(0, 1)] == pytest.approx(mean_count(params, t), rel=1e-12)
+
+    def test_cascade_forecast_moments_pinned(self):
+        # criterion 8's forecast curve, E[N_t] and E[N_t^2] at t = 10, 20,
+        # ..., 600: a sha256 over the 120 values' float.hex, one a line
+        p = validate_params(0.772, 1.133, 0.243, 0.243)
+        values = []
+        for k in range(1, 61):
+            moments = integrate_moments(p, [(0, 1), (0, 2)], 10.0 * k)
+            values += [moments[(0, 1)].hex(), moments[(0, 2)].hex()]
+        assert values[:2] == ["0x1.8e7704a3cf7e1p+2", "0x1.3c2942fef5f68p+6"]
+        assert values[-2:] == ["0x1.c82787aeb7fa0p+8", "0x1.9f2144d1aa0c3p+17"]
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
+            "1f64232381e58e9fd219a721689cf10a2b2961f4a7e5cd6ad49866c360e949fb")
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_rejects_negative_or_non_finite_t(self, t):

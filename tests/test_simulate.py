@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from hawkesmom import (
 )
 from hawkesmom import _libm, _seeding
 from hawkesmom import simulate as simulate_module
-from hawkesmom.simulate import _spawn_offspring, map_batch, sampler
+from hawkesmom.simulate import Trajectory, _spawn_offspring, map_batch, sampler
 
 
 # The scalar exact loop as it read when it took one uniform per call of
@@ -55,7 +56,7 @@ def _reference_run_exact(draw, params: HawkesParams, horizon: float, cap: int, t
                          lam: float, recorded: int = 0) -> tuple[list[float], list[float]]:
     """simulate_exact's loop from time t and intensity lam, on a path that
     already holds ``recorded`` events, taking its uniforms from ``draw()``
-    (see simulate's _blocks); returns the new events and post-jump intensities."""
+    (see simulate's _log_pairs); returns the new events and post-jump intensities."""
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
     room = cap - recorded
     events: list[float] = []
@@ -118,26 +119,28 @@ def per_seed_default_rng(monkeypatch, libm_probed):
     monkeypatch.setattr(_seeding, "_HASHED", False)
 
 
-class Rewindable:
-    """The bit_generator interface a deficit start uses of a scripted
-    generator: ``state`` saves and restores the whole script, and
-    ``advance(n)`` draws and drops the script's next n draws."""
+class ScriptedRng:
+    """PCG64 of ``seed`` with exact 0s at the stream positions ``zeros`` when
+    ``seed`` is ``target``, drawn one at a time, in blocks (size) or into
+    rows (out)."""
 
-    @property
-    def bit_generator(self):
-        return self
+    def __init__(self, seed, zeros, target):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.zeros = set(zeros) if seed == target else set()
+        self.pos = 0
 
-    @property
-    def state(self):
-        return copy.deepcopy(vars(self))
+    def draw(self):
+        self.pos += 1
+        return 0.0 if self.pos - 1 in self.zeros else self.rng.random()
 
-    @state.setter
-    def state(self, saved):
-        vars(self).update(copy.deepcopy(saved))
-
-    def advance(self, n):
-        if n:
-            self.random(n)
+    def random(self, size=None, out=None):
+        if size is None and out is None:
+            return self.draw()
+        block = [self.draw() for _ in range(size or out.size)]
+        if out is None:
+            return np.array(block)
+        out[:] = block
+        return out
 
 
 class TestSimulateExact:
@@ -192,6 +195,17 @@ class TestSimulateExact:
         with pytest.raises(CapacityExceeded):
             simulate_exact(p, 10_000.0, 5, cap=1000)
 
+    def test_cap_where_lambda_star_overflows(self):
+        # beta lambda_inf overflows, so the expected count that sizes the
+        # first block is NaN: the path still runs into its cap
+        p = validate_params(0.5e300, 1e300, 1e9)
+        assert math.isnan(mean_count(p, 1.0))
+        for run in (lambda: simulate_exact(p, 1.0, 1, cap=1000),
+                    lambda: simulate_batch(p, 1.0, 1, 2 * simulate_module._MIN_LOCKSTEP,
+                                           cap=1000)):
+            with pytest.raises(CapacityExceeded, match="exceeded 1000 events"):
+                run()
+
     def test_deficit_start_mean_count(self):
         # lambda0 below the base level exercises the thinning branch
         p = validate_params(0.3, 1.0, 2.0, 0.2)
@@ -215,13 +229,16 @@ class TestSimulateExact:
     ], ids=["excess", "excess_s2", "equal_unused", "equal", "deficit"])
     @pytest.mark.usefixtures("libm_probed")
     def test_zero_uniform_draw_is_redrawn(self, monkeypatch, lambda0, script):
-        class ScriptedRng(Rewindable):
+        class ScriptedRng:
             def __init__(self, draws, seed):
                 self.draws = list(draws)
                 self.rng = np.random.Generator(np.random.PCG64(seed))
 
             def random(self, size=None, out=None):
-                # blocks are drawn by size, their refills past a 0 into out
+                # a deficit start draws one float at a time, blocks are drawn
+                # by size, their refills past a 0 into out
+                if size is None and out is None:
+                    return float(self.random(1)[0])
                 n = size or out.size
                 head, self.draws = self.draws[:n], self.draws[n:]
                 block = np.concatenate([head, self.rng.random(n - len(head))])
@@ -519,7 +536,7 @@ class TestBatch:
         "alpha0_deficit": (0.0, 1.0, 1.0, 0.3, 20.0, 20),
         "short": (0.2, 1.0, 1.0, 1.0, 0.05, 40),
         "one_path": (0.2, 1.0, 1.0, 1.2, 300.0, 1),
-        "many_blocks": (0.2, 1.0, 1.0, 1.0, 500.0, 13),
+        "many_blocks": (0.2, 1.0, 1.0, 1.0, 2000.0, 64),
         "group_and_remainder": (0.2, 1.0, 1.0, 1.0, 4.0, simulate_module._GROUP + 13),
     }
 
@@ -546,15 +563,18 @@ class TestBatch:
         if regime == "short":
             assert 0 in sizes and max(sizes) > 0
         if regime == "many_blocks":
-            # more loop iterations than the first four blocks hold
-            assert min(sizes) > 15 * simulate_module._FIRST_BLOCK
+            # more loop iterations than the group's first four blocks hold,
+            # each capped at _BLOCK_CELLS across the live paths
+            cells = simulate_module._BLOCK_CELLS // n_paths
+            size = min(simulate_module._first_block(p, horizon, 0.0, p.lambda0) // 2, cells)
+            held = size + 3 * cells
+            assert size == cells and min(sizes) > held
 
     def test_deficit_regime_rejects_proposals(self, monkeypatch):
         # the deficit case above must exercise thinning rejections: each
         # proposal _thin reads takes two uniforms, but for the one that ends
         # the path, which takes one, so more draws than two per accepted
-        # event plus one means some proposal was rejected (the draws _thin
-        # reads, not the blocks drawn, which run ahead)
+        # event plus one means some proposal was rejected
         class CountingDraw:
             def __init__(self, src):
                 self.src = src
@@ -587,38 +607,27 @@ class TestBatch:
             rejected += draws > 2 * events + 1
         assert rejected >= n_paths // 2
 
-    @pytest.mark.parametrize("position", [3, 301], ids=["first_block", "later_block"])
+    @pytest.mark.parametrize("later", [False, True], ids=["first_block", "later_block"])
     @pytest.mark.usefixtures("per_seed_default_rng")
-    def test_zero_draw_path_matches_simulate_exact(self, monkeypatch, position):
-        """A scripted stream puts an exact 0 at one draw of one path: that
-        path leaves the lockstep and still equals simulate_exact."""
+    def test_zero_draw_path_matches_simulate_exact(self, monkeypatch, later):
+        """A scripted stream puts an exact 0 at one draw of one path, in the
+        group's first block or its second: that path skips it in the
+        lockstep and still equals simulate_exact."""
         target = 3_005
-
-        class ScriptedRng(Rewindable):
-            def __init__(self, seed):
-                self.rng = np.random.Generator(np.random.PCG64(seed))
-                self.pos = 0
-                self.zero_at = position if seed == target else -1
-
-            def draw(self):
-                self.pos += 1
-                return 0.0 if self.pos - 1 == self.zero_at else self.rng.random()
-
-            def random(self, size=None, out=None):
-                # the lockstep fills rows (out=), the scalar loop takes blocks (size)
-                block = [self.draw() for _ in range(size or out.size)]
-                if out is None:
-                    return np.array(block)
-                out[:] = block
-                return out
-
         p = validate_params(0.2, 1.0, 1.0, 1.0)
-        horizon, n_paths = 400.0, 16
+        # enough paths that _BLOCK_CELLS caps the group's first block below
+        # the paths' expected events
+        horizon, n_paths = 600.0, 2 * simulate_module._MIN_LOCKSTEP
+        first = min(simulate_module._first_block(p, horizon, 0.0, p.lambda0) // 2,
+                    simulate_module._BLOCK_CELLS // n_paths)
+        assert first < mean_count(p, horizon) / 2
+        position = 2 * first + 3 if later else 3
         plain = simulate_exact(p, horizon, target)
         # one group, stepped in lockstep to its end, whatever the CPU count
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", 1)
-        monkeypatch.setattr(np.random, "default_rng", ScriptedRng)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, (position,), target))
         batch = simulate_batch(p, horizon, 3_000, n_paths)
         self._assert_bitwise_exact(batch, p, horizon, 3_000, n_paths)
         # the zero fell inside the used stream and was redrawn
@@ -662,30 +671,6 @@ class TestBatch:
             assert traj.events.horizon == horizon
 
 
-class ScriptedRng(Rewindable):
-    """PCG64 of ``seed`` with exact 0s at the stream positions ``zeros`` when
-    ``seed`` is ``target``, drawn one at a time, in blocks (size) or into
-    rows (out)."""
-
-    def __init__(self, seed, zeros, target):
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.zeros = set(zeros) if seed == target else set()
-        self.pos = 0
-
-    def draw(self):
-        self.pos += 1
-        return 0.0 if self.pos - 1 in self.zeros else self.rng.random()
-
-    def random(self, size=None, out=None):
-        if size is None and out is None:
-            return self.draw()
-        block = [self.draw() for _ in range(size or out.size)]
-        if out is None:
-            return np.array(block)
-        out[:] = block
-        return out
-
-
 class TestScalarLoopOracle:
     """simulate_exact and the exact batch, byte for byte against the
     draw-by-draw reference loop: the batch-vs-simulate_exact tests cannot see
@@ -700,26 +685,35 @@ class TestScalarLoopOracle:
         "alpha0_equal": (0.0, 1.0, 1.0, 1.0, 60.0),
         "excess": (0.3, 1.0, 1.0, 2.5, 60.0),
     }
+    SEED, N_PATHS = 4_000, 12
+    # paths long enough that every exact loop's first block holds
+    # _MAX_UNIFORMS draws (_first_block): simulate_exact's blocks, and the
+    # first lockstep row of a group of N_PATHS, end after every
+    # _MAX_UNIFORMS // 2 events; the group's second row is capped at
+    # _BLOCK_CELLS across its paths
+    LONG = {"long_excess": (0.3, 1.0, 1.0, 2.5, 3500.0),
+            "long_equal": (0.0, 1.0, 1.0, 1.0, 5000.0)}
+    EDGE = simulate_module._MAX_UNIFORMS
+    ROW = EDGE + 2 * min(EDGE, simulate_module._BLOCK_CELLS // N_PATHS)
     # (case, stream positions of exact 0s in the target path): with lambda0
     # above lambda_inf draws 2k and 2k + 1 are event k's u1 and u2; from a
     # deficit start draw 0 is a proposal and draw 1 its accept draw, which
     # a 0 accepts without a redraw
-    # a block of n draws is the path's next n nonzero draws: a 0 at draw
-    # 15, the last of simulate_exact's first block of 16, is refilled by
-    # draw 16, and two zeros at 15 and 16 make that refill a 0 too; 7 and
-    # 8 do the same at the end of a path's first lockstep row of 8 draws
+    # a block of n draws is the path's next n nonzero draws: a 0 at the
+    # last draw of the first block is refilled by the next one, and two
+    # zeros there make that refill a 0 too; ROW - 1 and ROW do the same at
+    # the end of a path's second lockstep row
     ZEROS = {
         "u1": ("excess", (4,)),
         "u2": ("excess", (5,)),
         "two_zeros": ("excess", (0, 3)),
         "deficit_proposal": ("deficit", (0,)),
         "deficit_accept": ("deficit", (1,)),
-        "block_end": ("excess", (15,)),
-        "block_end_equal": ("alpha0_equal", (15,)),
-        "across_block_edge": ("excess", (15, 16)),
-        "lockstep_row_edge": ("excess", (7, 8)),
+        "block_end": ("long_excess", (EDGE - 1,)),
+        "block_end_equal": ("long_equal", (EDGE - 1,)),
+        "across_block_edge": ("long_excess", (EDGE - 1, EDGE)),
+        "lockstep_row_edge": ("long_excess", (ROW - 1, ROW)),
     }
-    SEED, N_PATHS = 4_000, 12
 
     @staticmethod
     def reference(params, horizon, seed, cap=10**9):
@@ -755,8 +749,10 @@ class TestScalarLoopOracle:
     @pytest.mark.usefixtures("per_seed_default_rng")
     def test_scripted_zeros_equal_reference(self, monkeypatch, name, min_lockstep):
         case, zeros = self.ZEROS[name]
-        *raw, horizon = self.CASES[case]
+        *raw, horizon = {**self.CASES, **self.LONG}[case]
         p = validate_params(*raw)
+        if case in self.LONG:
+            assert simulate_module._first_block(p, horizon, 0.0, p.lambda0) == self.EDGE
         target = self.SEED + 3
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: ScriptedRng(seed, zeros, target))
@@ -785,18 +781,21 @@ class TestScalarLoopOracle:
             assert str(raised.value) == str(expected.value)
 
 
-    # a path that starts at or above the base level reads simulate_exact's
-    # first two blocks, of 16 and 32 draws, in its first 8 and next 16
-    # events: a cap one below, at and one above each of those block ends
+    # a long path that starts at or above the base level reads
+    # simulate_exact's blocks of _MAX_UNIFORMS draws, and a lone path's
+    # first lockstep row as many, in its first _MAX_UNIFORMS // 2 events,
+    # and simulate_exact's second block in the next as many: a cap one
+    # below, at and one above each of those block ends
     @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
                              ids=["lockstep", "default"])
-    @pytest.mark.parametrize("cap", [7, 8, 9, 23, 24, 25])
-    @pytest.mark.parametrize("case", ["excess", "alpha0_equal"])
+    @pytest.mark.parametrize("cap", [k * simulate_module._MAX_UNIFORMS // 2 + d
+                                     for k in (1, 2) for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("case", list(LONG))
     def test_cap_at_a_block_edge(self, monkeypatch, case, cap, min_lockstep):
-        assert simulate_module._FIRST_UNIFORMS == 16
         monkeypatch.setattr(simulate_module, "_MIN_LOCKSTEP", min_lockstep)
-        *raw, horizon = self.CASES[case]
+        *raw, horizon = self.LONG[case]
         p = validate_params(*raw)
+        assert simulate_module._first_block(p, horizon, 0.0, p.lambda0) == self.EDGE
         times, _ = self.reference(p, horizon, self.SEED)
         assert len(times) > cap + 1
         with pytest.raises(CapacityExceeded) as expected:
@@ -818,16 +817,20 @@ class TestLockstepAssembly:
     @pytest.mark.usefixtures("per_seed_default_rng")
     def test_every_route_equals_simulate_exact(self, monkeypatch):
         # the cascade forecast's parameters from a deficit start, which its
-        # first event leaves: the paths' lengths spread widely, so the group
-        # steps several blocks before fewer than _MIN_LOCKSTEP are live
+        # first event leaves: with twice _MIN_LOCKSTEP paths _BLOCK_CELLS
+        # caps each block at about half a path's expected events, so the
+        # group steps two blocks, and the paths' lengths spread widely, so
+        # fewer than _MIN_LOCKSTEP are live after them
         p = validate_params(0.772, 1.133, 0.243, 0.1)
-        horizon, n_paths = 600.0, simulate_module._MIN_LOCKSTEP + 16
-        target = self.SEED + 5
+        horizon, n_paths = 600.0, 2 * simulate_module._MIN_LOCKSTEP
+        first = min(simulate_module._first_block(p, horizon, 0.0, p.lambda0) // 2,
+                    simulate_module._BLOCK_CELLS // n_paths)
+        target = self.SEED + 23  # a path of 608 events
         rng = ScriptedRng(target, (), target)
         t, _, start = simulate_module._base_level_start(rng, p, horizon, 10**6)
         assert start and t < horizon
         # an exact 0 inside the target's second lockstep block
-        zero = rng.pos + 2 * simulate_module._FIRST_BLOCK + 3
+        zero = rng.pos + 2 * first + 3
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: ScriptedRng(seed, (zero,), target))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -863,22 +866,39 @@ class TestLockstepAssembly:
         assert calls.index("skip_zeros") < calls.index("run_exact")
         assert calls.count("skip_zeros") == 1 and calls.count("run_exact") == paths[-1]
         TestBatch._assert_bitwise_exact(batch, p, horizon, self.SEED, n_paths)
-        assert len(batch[target - self.SEED].events) > 2 * simulate_module._FIRST_BLOCK + 3
+        assert len(batch[target - self.SEED].events) > len(start) + 2 * first + 3
 
-    def test_tail_first_block_from_expected_events(self):
+    def test_tail_first_block_from_expected_events(self, monkeypatch):
         # two uniforms per expected remaining event (E[N] is 456 over the
         # cascade's 600), even, from _FIRST_UNIFORMS up to _MAX_UNIFORMS
         p = validate_params(0.772, 1.133, 0.243)
         lam_inf = p.lambda_inf
-        assert simulate_module._tail_block(p, 600.0, 0.0, lam_inf) == 2 * math.ceil(
-            mean_count(p, 600.0))
-        sizes = [simulate_module._tail_block(p, horizon, t, lam)
+        first_block = simulate_module._first_block
+        assert first_block(p, 600.0, 0.0, lam_inf) == 2 * math.ceil(mean_count(p, 600.0))
+        sizes = [first_block(p, horizon, t, lam)
                  for horizon, t, lam in [(600.0, 600.0, lam_inf), (600.0, 590.0, lam_inf),
                                          (600.0, 590.0, 20 * lam_inf), (600.0, 0.0, lam_inf),
                                          (1e4, 0.0, lam_inf)]]
         assert sizes[0] == simulate_module._FIRST_UNIFORMS
         assert sizes[-1] == simulate_module._MAX_UNIFORMS
         assert sizes == sorted(sizes) and all(size % 2 == 0 for size in sizes)
+        # simulate_exact's loop takes the rule's first block from t = 0, and
+        # from where a deficit start reaches the base level
+        log_pairs, firsts = simulate_module._log_pairs, []
+
+        def recording_log_pairs(rng, params, size):
+            firsts.append(size)
+            return log_pairs(rng, params, size)
+
+        monkeypatch.setattr(simulate_module, "_log_pairs", recording_log_pairs)
+        simulate_exact(p, 600.0, self.SEED)
+        assert firsts == [sizes[3]]
+        deficit = validate_params(0.772, 1.133, 0.243, 0.1)
+        t, lam, _ = simulate_module._base_level_start(
+            np.random.default_rng(self.SEED), deficit, 600.0, 10**6)
+        firsts.clear()
+        simulate_exact(deficit, 600.0, self.SEED)
+        assert 0.0 < t and firsts == [first_block(deficit, 600.0, t, lam)]
 
     @pytest.mark.parametrize("min_lockstep", [1, simulate_module._MIN_LOCKSTEP],
                              ids=["lockstep", "default"])
@@ -900,6 +920,55 @@ class TestLockstepAssembly:
         with pytest.raises(CapacityExceeded) as raised:
             simulate_batch(p, horizon, self.SEED, n_paths, cap=cap)
         assert str(raised.value) == str(expected.value)
+
+
+class TestPickle:
+    """A path's times pickle and copy as their raw float64 bytes, and come
+    back read-only with the horizon and the seed they had."""
+
+    @pytest.fixture
+    def traj(self):
+        return simulate_exact(validate_params(0.3, 1.0, 1.0, 2.5), 40.0, 11)
+
+    @staticmethod
+    def assert_same(got, traj):
+        assert type(got) is Trajectory and got is not traj
+        assert got.seed == traj.seed and got.events.horizon == traj.events.horizon
+        times = got.events.times
+        assert times.dtype == np.float64 and times.tobytes() == traj.events.times.tobytes()
+        assert not times.flags.writeable
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, traj, protocol):
+        self.assert_same(pickle.loads(pickle.dumps(traj, protocol)), traj)
+        events = pickle.loads(pickle.dumps(traj.events, protocol))
+        self.assert_same(Trajectory(events, traj.seed), traj)
+
+    def test_out_of_band_buffer(self, traj):
+        # protocol 5 hands the times to buffer_callback without a copy; a
+        # writable copy of them still comes back read-only
+        buffers = []
+        data = pickle.dumps(traj, protocol=5, buffer_callback=buffers.append)
+        [buffer] = buffers
+        assert buffer.raw().tobytes() == traj.events.times.tobytes()
+        assert len(data) < traj.events.times.nbytes
+        for given in (buffers, [bytearray(buffer.raw())]):
+            self.assert_same(pickle.loads(data, buffers=given), traj)
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy])
+    def test_copy(self, traj, how):
+        events = how(traj.events)
+        assert events is not traj.events
+        self.assert_same(Trajectory(events, traj.seed), traj)
+        self.assert_same(copy.deepcopy(traj), traj)
+
+    def test_empty_and_strided_times(self):
+        for events in (EventSequence(np.empty(0), 3.0),
+                       EventSequence(np.arange(10.0)[::2], 9.0)):
+            for protocol in (4, 5):
+                got = pickle.loads(pickle.dumps(events, protocol))
+                assert got.times.tobytes() == events.times.tobytes()
+                assert got.horizon == events.horizon and not got.times.flags.writeable
 
 
 class TestBatchSlices:
@@ -958,6 +1027,19 @@ class TestBatchSlices:
         for i, traj in enumerate(batch):
             ref = sampler(method)(p, 40.0, 3_000 + i)
             assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
+
+    def test_paths_from_children_are_read_only(self, monkeypatch):
+        # a child's paths come back pickled, their times as raw bytes
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        forks = self.count_forks(monkeypatch, 2)
+        batch = simulate_batch(p, 40.0, 3_000, 40)
+        assert len(forks) == 1
+        TestBatch._assert_bitwise_exact(batch, p, 40.0, 3_000, 40)
+        for traj in batch:
+            assert traj.events.times.dtype == np.float64
+            assert not traj.events.times.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                traj.events.times[:1] = 0.0
 
     def test_one_path_never_forks(self, monkeypatch):
         def no_fork():
