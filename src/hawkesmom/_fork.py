@@ -1,12 +1,14 @@
-"""Process fan-out shared by the column CSV writer and the batch sampler.
+"""Process fan-out shared by the CSV writer and the batch sampler.
 
-in_slices forks one child per contiguous slice after the first, does the
-first slice in this process and collects the children's output in slice
-order, so the result does not depend on the CPU count.  Each child writes
-into its own unlinked temporary file, not a pipe, so it never waits for
-this process to read.  Its exit status is the whole protocol: 0 when the
-file is complete, _RAISED when it holds the child's pickled exception,
-which this process raises unchanged, and anything else is an OSError.
+in_slices alone cuts a range of items into contiguous slices (one per CPU,
+by the caller's share of work), forks one child per slice after the
+first, does the first slice in this process and collects the children's
+output in slice order, so the result does not depend on the CPU count.
+Each child writes into its own unlinked temporary file, not a pipe, so it
+never waits for this process to read.  Its exit status is the whole
+protocol: 0 when the file is complete, _RAISED when it holds the child's
+pickled exception, which this process raises unchanged, and anything
+else is an OSError.
 
 Warnings cross the fork as data: record_warnings keeps what a call warns
 instead of showing it, and replay_warnings issues those records in this
@@ -16,6 +18,7 @@ registry, as if the call had run here.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -37,20 +40,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def worker_count(work: float, min_per_worker: float) -> int:
-    """One worker per available CPU, but none with less than
-    ``min_per_worker`` of the ``work``."""
-    return int(max(1, min(available_cpus(), work / min_per_worker)))
-
-
-def reap(pids: list[int]) -> None:
-    """Kill and wait for every child in ``pids``, emptying the list."""
-    while pids:
-        pid = pids.pop()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 def record_warnings(fn):
@@ -81,13 +70,13 @@ def replay_warnings(records) -> None:
                                registry=vars(module).setdefault("__warningregistry__", {}))
 
 
-def _run_child(work, lo: int, hi: int, out) -> NoReturn:
-    """In a forked child: run ``work(lo, hi, out)`` and exit, 0 when ``out``
+def _run_child(run, lo: int, hi: int, out) -> NoReturn:
+    """In a forked child: run ``run(lo, hi, out)`` and exit, 0 when ``out``
     is complete and flushed, _RAISED when it holds the pickled exception."""
     status = 1
     try:
         try:
-            work(lo, hi, out)
+            run(lo, hi, out)
             out.flush()
             status = 0
         except Exception as exc:
@@ -102,13 +91,20 @@ def _run_child(work, lo: int, hi: int, out) -> NoReturn:
         os._exit(status)
 
 
-def in_slices(bounds: list[int], work, collect, what: str) -> None:
-    """Run ``work(lo, hi, out)`` on each slice [bounds[k], bounds[k + 1]):
-    here with ``out=None`` for the first, in a forked child writing the
-    binary file ``out`` for each later one.  Then ``collect(lo, hi, file)``
-    gets each child's rewound file in slice order.  Every child is reaped
-    and every file closed before the call returns or raises.
+def in_slices(items: range, work: float, min_work: float, run, collect, what: str) -> None:
+    """Run ``run(lo, hi, out)`` on even contiguous slices [lo, hi) of
+    ``items``, a range of step 1, one per available CPU, but no more than
+    there are items and none with less than ``min_work`` of the ``work`` (a
+    NaN ``work``, as where an expectation overflows, makes one): here with
+    ``out=None`` for the first, in a forked child writing the binary file
+    ``out`` for each later one.  Then ``collect(file)`` gets each child's
+    rewound file in slice order.  Every child is reaped and every file
+    closed before the call returns or raises.
     """
+    n = len(items)
+    share = 1.0 if math.isnan(work) else work / min_work
+    count = int(max(1, min(available_cpus(), n, share)))
+    bounds = [items.start + n * k // count for k in range(count + 1)]
     slices = list(zip(bounds[1:-1], bounds[2:]))
     files, pids = [], []
     try:
@@ -116,9 +112,9 @@ def in_slices(bounds: list[int], work, collect, what: str) -> None:
             files.append(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                _run_child(work, lo, hi, files[-1])
+                _run_child(run, lo, hi, files[-1])
             pids.append(pid)
-        work(bounds[0], bounds[1], None)
+        run(bounds[0], bounds[1], None)
         for file, (lo, hi) in zip(files, slices):
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pids.pop(0)
@@ -127,8 +123,10 @@ def in_slices(bounds: list[int], work, collect, what: str) -> None:
                 raise pickle.load(file)
             if status != 0:
                 raise OSError(f"the worker {what} {lo} to {hi - 1} exited with status {status}")
-            collect(lo, hi, file)
+            collect(file)
     finally:
-        reap(pids)
+        for pid in pids:  # the children an error left unwaited for
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for file in files:
             file.close()

@@ -15,6 +15,7 @@ return the paths they wrote, estimate its report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,7 +33,8 @@ from .errors import (
     NoConvergence,
     ParseError,
 )
-from .estimate import DEFAULT_INIT, EstimateConfig, EstimateReport, _check_start, estimate
+from .estimate import (DEFAULT_INIT, EstimateConfig, EstimateReport, _check_start,
+                       _window_count, estimate)
 from .io import (
     parse_events,
     report_to_dict,
@@ -246,6 +248,10 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         # read before sampling, so a bad file costs no paths and writes nothing
         real_events = parse_events(args.real_events_path, horizon=args.horizon)
         real = count_at(real_events, grid)
+    # an unallocatable window count fails before sampling; no window fails the fits
+    _check_horizon(args.horizon)
+    with contextlib.suppress(InsufficientData):
+        _window_count(args.horizon, args.t0, args.delta)
     est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
 
     def fit(traj):

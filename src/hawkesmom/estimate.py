@@ -206,23 +206,33 @@ def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMom
     return EmpiricalMoments(triple=triple, window_count=int(counts.size), t0=float(t0))
 
 
-def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
-    """Empirical M_1, M_2, M_3 over the maximal whole number of windows in
-    [t0, horizon]."""
+def _window_count(horizon: float, t0: float, delta: float) -> int:
+    """The maximal whole number of windows of length delta in [t0, horizon]:
+    InsufficientData when none fits, and a ValueError naming the count when
+    numpy cannot allocate it (asked for uninitialised and released
+    untouched, so it costs no resident memory)."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
-    if t0 < 0.0 or t0 >= events.horizon:
-        raise InsufficientData(
-            f"window start t0={t0} leaves no room before horizon {events.horizon}"
-        )
-    n_windows = int((events.horizon - t0) / delta + 1e-12)
+    if t0 < 0.0 or t0 >= horizon:
+        raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
+    n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
+    try:
+        n_windows = int(n_windows)  # OverflowError at inf
+        np.empty(n_windows + 1)  # windowed_counts' edges; numpy's ValueError past its maximum
+    except (OverflowError, MemoryError, ValueError):
+        raise ValueError(f"delta {delta} asks for {n_windows:.3g} windows in [{t0}, {horizon}], "
+                         f"more than can be allocated") from None
     if n_windows < 1:
-        raise InsufficientData(
-            f"no window of length {delta} fits in [{t0}, {events.horizon}]"
-        )
-    sample = windowed_counts(events, t0, delta, n_windows)
+        raise InsufficientData(f"no window of length {delta} fits in [{t0}, {horizon}]")
+    return n_windows
+
+
+def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
+    """Empirical M_1, M_2, M_3 over the maximal whole number of windows in
+    [t0, horizon] (_window_count)."""
+    sample = windowed_counts(events, t0, delta, _window_count(events.horizon, t0, delta))
     return empirical_from_counts(sample.counts, delta, t0)
 
 

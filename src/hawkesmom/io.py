@@ -5,12 +5,13 @@ optional single header line "t".  Timestamps are read as they are, never
 rescaled: in a file of minutes, rates fitted to it are per minute.  A
 leading byte order mark is skipped.  Grids and tables are written as CSV,
 reports as JSON; floats are serialized with repr so identical inputs give
-byte-identical files.  The events, intensity and envelope CSVs share one
-writer, _write_csv, which formats rows a chunk at a time, a large file in
-slices over the CPUs.  The intensity CSV reads its grid a chunk at a time,
-by slicing, and takes the path's intensity as a function of that chunk,
-evaluated by whichever process formats the chunk's rows: a grid that makes
-its points per slice, as simulate's does, is never held whole.
+byte-identical files.  Every CSV, the events, intensity, table and
+envelope files, goes through one writer, _write_csv, which formats rows a
+chunk at a time, a large file in slices over the CPUs.  The intensity CSV
+reads its grid a chunk at a time, by slicing, and takes the path's
+intensity as a function of that chunk, evaluated by whichever process
+formats the chunk's rows: a grid that makes its points per slice, as
+simulate's does, is never held whole.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import in_slices, worker_count
+from ._fork import in_slices
 from .core import EventSequence
 from .errors import EmptyFile, NegativeTimestamp, ParseError
 from .estimate import EstimateReport
@@ -144,21 +145,19 @@ def _write_csv(path, header: str, n: int, rows) -> Path:
     file is left at ``path`` when the call raises.
     """
     path = Path(path)
-    workers = worker_count(n, MIN_ROWS_PER_WORKER)
 
     def format_slice(lo, hi, out):
         dest = fh if out is None else codecs.getwriter("utf-8")(out)
         for start in range(lo, hi, _CSV_CHUNK_ROWS):
             dest.write("".join(rows(start, min(start + _CSV_CHUNK_ROWS, hi))))
 
-    def append(lo, hi, file):
+    def append(file):
         fh.flush()
         shutil.copyfileobj(file, fh.buffer)
 
     with _overwrite(path) as fh:
         fh.write(header)
-        in_slices([n * k // workers for k in range(workers + 1)], format_slice, append,
-                  "formatting rows")
+        in_slices(range(n), n, MIN_ROWS_PER_WORKER, format_slice, append, "formatting rows")
     return path
 
 
@@ -206,16 +205,19 @@ def write_intensity_csv(path, grid, intensity) -> Path:
 
 
 def write_table_csv(path, rows) -> Path:
-    """Per-run estimation table mirroring the harness summary layout.
+    """Per-run estimation table mirroring the harness summary layout (_write_csv).
 
     rows: iterables (run, alpha_hat, beta_hat, lambda_inf_hat, converged).
     """
     path = Path(path)
-    with _overwrite(path) as fh:
-        fh.write("run,alpha_hat,beta_hat,lambda_inf_hat,converged\n")
-        for run, a, b, li, conv in rows:
-            fh.write(f"{int(run)},{float(a)!r},{float(b)!r},{float(li)!r},{bool(conv)}\n")
-    return path
+    try:
+        rows = list(rows)
+    except BaseException:
+        path.unlink(missing_ok=True)  # as a write that raises does
+        raise
+    return _write_csv(path, "run,alpha_hat,beta_hat,lambda_inf_hat,converged\n", len(rows),
+                      lambda lo, hi: [f"{int(run)},{float(a)!r},{float(b)!r},{float(li)!r},"
+                                      f"{bool(conv)}\n" for run, a, b, li, conv in rows[lo:hi]])
 
 
 def write_envelope_csv(path, grid, counts, real_counts=None) -> Path:

@@ -19,8 +19,8 @@ distinct seeds may run concurrently.  Every generator of the exact sampler
 comes from one seam, _seeding.generators, which gives
 np.random.default_rng(seed)'s generator bit for bit and seeds a lockstep
 group's in one numpy pass.  While the intensity sits below the base level a
-path thins (_thin, the one thinning loop, in _base_level_start), reading
-one rng.random() per draw and its accept draws raw, so the generator never
+path thins (_base_level_start, the one deficit start), reading one
+rng.random() per draw and its accept draws raw, so the generator never
 runs ahead of it.  Above the base level (_run_exact) it reads the stream in
 blocks the generator draws at once, the same stream as one rng.random()
 per draw: every block of n draws is the stream's next n nonzero draws, an
@@ -31,7 +31,7 @@ intensity, and calls math.log and math.exp only where the excess's arrival
 can win: where excess <= -beta ln(u1) the inversion has none.  One rule
 sizes the first block of every exact loop, simulate_exact's, a lockstep
 group's and a tail's: two draws per event the path is expected to find
-(_first_block); later blocks double.
+(_first_block, which _run_exact calls for itself); later blocks double.
 
 map_batch draws path i from seed seed + i, bit for bit what the
 single-path sampler gives for that seed, and applies a function to each
@@ -50,15 +50,14 @@ alone.  A lockstep group keeps the times it finds in pieces, each with its
 paths' counts, and when it ends one scatter assembles them into one array,
 of which each path is a view (_assemble).
 
-A batch is cut into groups of at most _GROUP paths, and into at least one
-group per worker: one per available CPU, but no more than one per
-MIN_EVENTS_PER_WORKER expected events.  _fork.in_slices spreads the groups
-over the workers: each forked child samples a contiguous slice of groups
-with the same code, applies the function to each of its paths and pickles
-only the results.  So validate fits and envelope-counts each path in its
-worker, and simulate_batch's workers return the paths, whose times pickle
-as their raw bytes (EventSequence.__reduce_ex__).  A path depends only on
-its seed, so the output bytes do not depend on the CPU count; validate's
+_fork.in_slices cuts a batch's seeds into slices by its expected events
+(see map_batch), and _sample_slice cuts each slice into groups of _GROUP
+paths; each forked child samples its slice with the same code, applies
+the function to each of its paths and pickles only the results.  So
+validate fits and envelope-counts each path in its worker, and
+simulate_batch's workers return the paths, whose times pickle as their
+raw bytes (EventSequence.__reduce_ex__).  A path depends only on its
+seed, so the output bytes do not depend on the CPU count; validate's
 K = 20 at horizon 10^4 on two CPUs, say, runs as two slices of 10 paths.
 
 The samplers build their EventSequences without re-checking the times;
@@ -76,7 +75,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fork import in_slices, record_warnings, replay_warnings, worker_count
+from ._fork import in_slices, record_warnings, replay_warnings
 from ._libm import elementwise
 from ._seeding import generators
 from .core import EventSequence, HawkesParams
@@ -168,8 +167,7 @@ def simulate_exact(
     [rng] = generators(range(seed, seed + 1))
     t, lam, events = _base_level_start(rng, params, horizon, cap)
     if t <= horizon:
-        events += _run_exact(rng, params, horizon, cap, t, lam, len(events),
-                             _first_block(params, horizon, t, lam))
+        events += _run_exact(rng, params, horizon, cap, t, lam, len(events))
     return Trajectory(EventSequence._sampled(np.asarray(events), horizon), seed)
 
 
@@ -180,19 +178,24 @@ def _capacity_exceeded(cap: int, t: float, horizon: float) -> CapacityExceeded:
     )
 
 
-def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
-          lam: float) -> tuple[float, float, list[float]]:
-    """simulate_exact's loop while the path is in deficit (lam < lambda_inf),
-    reading the uniform stream ``src``; returns (t, lam, events) once
-    lam >= lambda_inf, or t = inf once the path ends.
+def _base_level_start(rng, params: HawkesParams, horizon: float, cap: int):
+    """simulate_exact's path up to where its intensity first stands at or
+    above the base level: (t, lam, events), with the generator ``rng`` just
+    after the last draw the path read, or t = inf if the path ends first.
 
-    lambda(t) < lambda_inf and increasing, so the constant rate lambda_inf
-    dominates: proposals are thinned against it.  A proposal's draw of
-    exactly 0 is skipped; the accept draw is raw, so a 0 accepts.
+    A path in deficit (lam < lambda_inf) thins: lambda(t) < lambda_inf and
+    increasing, so the constant rate lambda_inf dominates the proposals.
+    It reads rng.random() one float per draw, so the generator never runs
+    ahead of the path; a proposal's draw of exactly 0 is skipped, and the
+    accept draw is raw, so a 0 accepts.
     """
     alpha, beta, lam_inf = params.alpha, params.beta, params.lambda_inf
-    log, exp = math.log, math.exp
+    t, lam = 0.0, params.lambda0
     events: list[float] = []
+    if lam >= lam_inf:
+        return t, lam, events
+    log, exp = math.log, math.exp
+    src = iter(rng.random, None)
     nonzero = filter(None, src)
     while lam < lam_inf:
         excess = lam - lam_inf
@@ -207,21 +210,6 @@ def _thin(src, params: HawkesParams, horizon: float, cap: int, t: float,
             if len(events) > cap:
                 raise _capacity_exceeded(cap, t, horizon)
     return t, lam, events
-
-
-def _base_level_start(rng, params: HawkesParams, horizon: float, cap: int):
-    """The path that reads the generator ``rng`` up to where its intensity
-    first stands at or above the base level: (t, lam, events), with ``rng``
-    just after the last draw the path read, or t = inf if the path ends
-    first.
-
-    A path that starts at or above the base level starts there.  One in
-    deficit thins (_thin), reading rng.random() one float per draw, so the
-    generator never runs ahead of the path.
-    """
-    if params.lambda0 >= params.lambda_inf:
-        return 0.0, params.lambda0, []
-    return _thin(iter(rng.random, None), params, horizon, cap, 0.0, params.lambda0)
 
 
 def _log_pairs(rng, params: HawkesParams, size: int):
@@ -244,13 +232,13 @@ def _log_pairs(rng, params: HawkesParams, size: int):
 
 
 def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, lam: float,
-               recorded: int, first: int) -> list[float]:
+               recorded: int) -> list[float]:
     """simulate_exact's loop from time t <= horizon and intensity
     lam >= lambda_inf, on a path that already holds ``recorded`` events;
     returns the new events.
 
-    It reads the generator ``rng`` a block at a time, the first of ``first``
-    draws (_first_block, _log_pairs), so numpy draws the uniforms and takes
+    It reads the generator ``rng`` a block at a time, the first sized from
+    t and lam (_first_block, _log_pairs), so numpy draws the uniforms and takes
     their logs and the base level's decay, and Python runs only the
     recurrence in lam; each event costs one pair of nonzero draws, and a
     draw of exactly 0 is skipped.  Each event adds its wait to t once and
@@ -263,7 +251,7 @@ def _run_exact(rng, params: HawkesParams, horizon: float, cap: int, t: float, la
     room = cap - recorded
     events: list[float] = []
     add_event = events.append
-    pairs = _log_pairs(rng, params, first)
+    pairs = _log_pairs(rng, params, _first_block(params, horizon, t, lam))
     while t <= horizon:
         # -beta ln(u1); s = s2, the arrival from the base level; e^{-beta s}
         for neg_beta_l1, s, decay in zip(*next(pairs)):
@@ -500,8 +488,7 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
         live = t <= horizon
         ids, t, lam = ids[live], t[live], lam[live]
         size *= 2
-    counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]),
-                                     _first_block(params, horizon, t_i, lam_i))
+    counts, times = _runs(_run_exact(rngs[i], params, horizon, cap, t_i, lam_i, int(n[i]))
                           for i, t_i, lam_i in zip(ids.tolist(), t.tolist(), lam.tolist()))
     pieces.append((ids, counts, times))
     n[ids] += counts
@@ -509,23 +496,24 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
 
 
 def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
-                  cap: int, group_size: int) -> list[np.ndarray]:
-    """The event times of the path of each seed, in seed order, sampled a
-    group of ``group_size`` paths at a time.
+                  cap: int) -> list[Trajectory]:
+    """The path of each seed, in seed order, sampled _GROUP seeds at a time.
 
     The exact method steps each group of at least _MIN_LOCKSTEP paths in
     lockstep (see _lockstep); every other path is drawn by the single-path
     sampler, one at a time.
     """
     out = []
-    for lo in range(seeds.start, seeds.stop, group_size):
-        group = range(lo, min(lo + group_size, seeds.stop))
+    for lo in range(0, len(seeds), _GROUP):
+        group = seeds[lo:lo + _GROUP]
         if method == "exact" and len(group) >= _MIN_LOCKSTEP:
             # excess == 0 divides by zero on purpose; a tiny excess may overflow d
             with np.errstate(divide="ignore", over="ignore"):
-                out += _assemble(*_lockstep(params, horizon, group, cap))
+                times = _assemble(*_lockstep(params, horizon, group, cap))
+            out += (Trajectory(EventSequence._sampled(t, horizon), s)
+                    for s, t in zip(group, times))
         else:
-            out += (sampler(method)(params, horizon, s, cap=cap).events.times for s in group)
+            out += (sampler(method)(params, horizon, s, cap=cap) for s in group)
     return out
 
 
@@ -545,7 +533,7 @@ def simulate_batch(
     by path index.  The batch is map_batch's, with each worker returning
     its paths themselves: a path's times pickle as their raw bytes
     (EventSequence.__reduce_ex__), and a path of this process's slice is a
-    view that keeps its lockstep group's times alive.  Its workers, groups,
+    view that keeps its lockstep group's times alive.  Its slices, groups,
     exceptions and their independence of the CPU count are map_batch's.
     """
     return map_batch(params, horizon, seed, n_paths, lambda traj: traj, method=method, cap=cap)
@@ -565,22 +553,20 @@ def map_batch(
     sampler(method)(params, horizon, seed + i), with each fn(path) run in
     the worker that sampled the path: the one batch driver.
 
-    The batch has one worker per available CPU, but no more than one per
-    MIN_EVENTS_PER_WORKER expected events (mean_count), and is cut into
-    groups of min(_GROUP, ceil(n_paths / workers)) paths, which the exact
-    method steps in lockstep when they hold at least _MIN_LOCKSTEP (see
-    _lockstep).  Each worker samples one
-    contiguous slice of groups (see _fork.in_slices), this process the
-    first, so a path over ``cap`` raises CapacityExceeded before any of the
-    slice's paths reaches ``fn``; then it calls ``fn`` on each path in seed
-    order.  A forked child pickles only the results, and the warnings the
-    calls issued, into its file; ``fn`` itself is not pickled, so it may be
-    a closure.  Every slice's warnings are issued here in path order once
-    all are back (see _fork.replay_warnings).  A path depends only on its
-    seed, so neither the results nor what a run prints depend on the CPU
-    count; a batch of fewer than 2 * MIN_EVENTS_PER_WORKER expected events
-    never forks.  A bad horizon or method, or a negative n_paths, fails
-    before any fork; n_paths = 0 gives [].
+    _fork.in_slices cuts the seeds into slices by the batch's expected
+    events (mean_count) and MIN_EVENTS_PER_WORKER, so a batch of fewer than
+    2 * MIN_EVENTS_PER_WORKER expected events, of one path or of a NaN
+    expectation never forks.  Each worker samples its slice, this process
+    the first (_sample_slice), so a path over ``cap`` raises
+    CapacityExceeded before any of the slice's paths reaches ``fn``; then it
+    calls ``fn`` on each path in seed order.  A forked child pickles only
+    the results, and the warnings the calls issued, into its file; ``fn``
+    itself is not pickled, so it may be a closure.  Every slice's warnings
+    are issued here in path order once all are back (see
+    _fork.replay_warnings).  A path depends only on its seed, so neither the
+    results nor what a run prints depend on the CPU count.  A bad horizon
+    or method, or a negative n_paths, fails before any fork; n_paths = 0
+    gives [].
 
     An exception in a worker, ``fn``'s included, is raised here unchanged:
     the lowest failing slice's, and within it the lowest failing group's.
@@ -593,25 +579,18 @@ def map_batch(
     sampler(method)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
-    workers = worker_count(n_paths * mean_count(params, horizon), MIN_EVENTS_PER_WORKER)
-    group_size = max(1, min(_GROUP, -(-n_paths // workers)))
-    groups = -(-n_paths // group_size)
-    workers = max(1, min(workers, groups))
-    bounds = [seed + min(n_paths, group_size * (groups * k // workers))
-              for k in range(workers + 1)]
     done = []
 
     def run(lo, hi, out):
-        sampled = _sample_slice(params, horizon, range(lo, hi), method, cap, group_size)
-        results = record_warnings(lambda: [
-            fn(Trajectory(EventSequence._sampled(times, horizon), s))
-            for s, times in zip(range(lo, hi), sampled)])
+        paths = _sample_slice(params, horizon, range(lo, hi), method, cap)
+        results = record_warnings(lambda: [fn(path) for path in paths])
         if out is None:
             done.append(results)
         else:
             pickle.dump(results, out, protocol=5)
 
-    in_slices(bounds, run, lambda lo, hi, file: done.append(pickle.load(file)),
+    in_slices(range(seed, seed + n_paths), n_paths * mean_count(params, horizon),
+              MIN_EVENTS_PER_WORKER, run, lambda file: done.append(pickle.load(file)),
               "sampling seeds")
     replay_warnings([record for _, caught in done for record in caught])
     return [result for results, _ in done for result in results]

@@ -5,7 +5,8 @@ the pytest selection that must fail on the mutated code, with the reason
 that selection sees the fault.  Mutants that no test can see are recorded
 as expected survivors, with the reason they survive, so that a later
 change turns neither a killed mutant into a survivor nor a survivor into a
-silent pass.
+silent pass.  A mutant that only some CPUs can show, such as numpy's SIMD
+loop in place of libm's, takes its record from a check of this CPU.
 
 For each mutant the runner copies src/ to a temporary directory, applies
 the replacement there (the old text must occur exactly once, so a change
@@ -24,6 +25,7 @@ survives against its record, or if a selection fails unmutated.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -31,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,7 +49,27 @@ class Mutant(NamedTuple):
     survives: bool = False
 
 
+def _simd_differs(fn, x: np.ndarray) -> bool:
+    """Whether numpy's own loop for ``fn`` (its SIMD code where the CPU has
+    one, as on AVX-512 x86-64) differs from libm's on ``x``: a mutant that
+    puts that loop in place of libm's is visible only where it does."""
+    ufunc = {math.log: np.log, math.exp: np.exp, math.expm1: np.expm1,
+             math.log1p: np.log1p}[fn]
+    return not np.array_equal(ufunc(x), np.fromiter(map(fn, x.tolist()), np.float64, x.size))
+
+
+_DRAWS = np.random.default_rng(0)
+EXP_SIMD = _simd_differs(math.exp, _DRAWS.normal(0.0, 20.0, 4096))
+EXPM1_SIMD = _simd_differs(math.expm1, _DRAWS.normal(0.0, 20.0, 4096))
+ANY_SIMD = EXP_SIMD or EXPM1_SIMD or any(
+    _simd_differs(fn, _DRAWS.random(4096)) for fn in (math.log, math.log1p))
+
 PICKLE = ("tests/test_simulate.py::TestPickle",)
+LIBM = ("tests/test_libm.py",)
+CAP = ("tests/test_simulate.py", "-k", "cap_at_a_block_edge or cap_names_the_first_path")
+ASSEMBLY = ("tests/test_simulate.py", "-k", "Assembly or bitwise_equal_to_simulate_exact")
+ZEROS = ("tests/test_simulate.py", "-k", "Oracle or Lockstep or zero")
+SLICES = ("tests/test_simulate.py", "-k", "SliceRule")
 
 MUTANTS = [
     Mutant(
@@ -78,6 +102,171 @@ MUTANTS = [
         "floats whatever n is, so every path keeps its bytes; only tests that "
         "read _first_block itself (test_tail_first_block_from_expected_events, "
         "and the block-edge tests' checks of where the edges are) pin the rule",
+        survives=True),
+    # the fan-out's one slicing rule and the deficit start
+    Mutant(
+        "slices_from_a_nan_share", "src/hawkesmom/_fork.py",
+        "share = 1.0 if math.isnan(work) else work / min_work", "share = work / min_work",
+        SLICES,
+        "min(cpus, len(items), nan) is cpus, so the NaN-expectation batch forks"),
+    Mutant(
+        "more_slices_than_items", "src/hawkesmom/_fork.py",
+        "min(available_cpus(), n, share)", "min(available_cpus(), share)", SLICES,
+        "a one-path batch with enough expected events forks, and the property "
+        "test counts more slices than items"),
+    Mutant(
+        "deficit_start_without_early_return", "src/hawkesmom/simulate.py",
+        "    if lam >= lam_inf:\n        return t, lam, events\n", "",
+        ("tests/test_simulate.py", "-k", "bitwise or Oracle or deficit"),
+        "the thinning loop does not run from the base level, so only the "
+        "iterators it builds for nothing differ: it costs time, not a path",
+        survives=True),
+    Mutant(
+        "thin_accepts_below_strictly", "src/hawkesmom/simulate.py",
+        "if next(src) * lam_inf <= lam:", "if next(src) * lam_inf < lam:",
+        ("tests/test_simulate.py", "-k", "bitwise or Oracle or deficit"),
+        "an accept draw exactly at lam / lambda_inf has probability about 0",
+        survives=True),
+    # _libm's route
+    Mutant(
+        "libm_one_element_on_the_ufunc", "src/hawkesmom/_libm.py",
+        "if ufunc is None or x.size < 2:", "if ufunc is None:", LIBM,
+        "numpy runs a one-element array as contiguous, on its SIMD loop "
+        "(test_short_arrays); unseen where that loop is libm's",
+        survives=not ANY_SIMD),
+    Mutant(
+        "libm_backward_input", "src/hawkesmom/_libm.py",
+        "return _reversed_out(ufunc, np.ascontiguousarray(x))",
+        "return _reversed_out(ufunc, x)", LIBM,
+        "numpy flips a backward input with the reversed output, onto its SIMD "
+        "loop (test_backward_and_strided_inputs); unseen where that loop is libm's",
+        survives=not EXP_SIMD),
+    Mutant(
+        "libm_probe_always_passes", "src/hawkesmom/_libm.py",
+        "return ufunc if same else None", "return ufunc", LIBM,
+        "a route that flips one bit in 500 is kept (test_rejects_one_flipped_bit_in_500)"),
+    Mutant(
+        "libm_forward_output", "src/hawkesmom/_libm.py",
+        "out = np.empty(x.size)[::-1]", "out = np.empty(x.size)", LIBM,
+        "the forward-written output is numpy's SIMD loop, which the probe "
+        "rejects where it differs from libm, and the map then gives libm's values",
+        survives=True),
+    # the lockstep's cap message and its one scatter
+    Mutant(
+        "cap_names_the_last_event", "src/hawkesmom/simulate.py",
+        "raise _capacity_exceeded(cap, events[room], horizon)",
+        "raise _capacity_exceeded(cap, events[-1], horizon)", CAP,
+        "the message names the block's last event, not event cap + 1"),
+    Mutant(
+        "lockstep_cap_names_event_cap_plus_two", "src/hawkesmom/simulate.py",
+        "at = counts[:k].sum() + cap - (n[ids[k]] - counts[k])",
+        "at = counts[:k].sum() + cap + 1 - (n[ids[k]] - counts[k])", CAP,
+        "the lockstep names the time after the one the scalar loop names"),
+    Mutant(
+        "lockstep_cap_names_the_last_path", "src/hawkesmom/simulate.py",
+        "k = over.argmax()", "k = over.size - 1 - over[::-1].argmax()", CAP,
+        "the last path over the cap, not the first in seed order, is named"),
+    Mutant(
+        "assemble_before_stepping_fill", "src/hawkesmom/simulate.py",
+        "        fill[ids] -= counts\n"
+        "        at = np.repeat(fill[ids] - (np.cumsum(counts) - counts), counts)\n",
+        "        at = np.repeat(fill[ids] - (np.cumsum(counts) - counts), counts)\n"
+        "        fill[ids] -= counts\n", ASSEMBLY,
+        "each piece lands one piece's length too far on"),
+    Mutant(
+        "assemble_reversed_starts", "src/hawkesmom/simulate.py",
+        "pieces = [(ids, n.copy(), times)]", "pieces = [(ids[::-1], n[::-1].copy(), times)]",
+        ASSEMBLY, "the deficit starts' times go to the wrong paths"),
+    Mutant(
+        "assemble_reversed_tails", "src/hawkesmom/simulate.py",
+        "    pieces.append((ids, counts, times))\n    n[ids] += counts\n    return pieces, n",
+        "    pieces.append((ids[::-1], counts[::-1], times))\n    n[ids] += counts\n"
+        "    return pieces, n", ASSEMBLY,
+        "the scalar tails' times go to the wrong paths"),
+    # the lockstep's exact zeros
+    Mutant(
+        "lockstep_keeps_zero_draws", "src/hawkesmom/simulate.py",
+        "            _skip_zeros(rngs[ids[k]], u[k])\n", "            pass\n", ZEROS,
+        "an exact 0 reaches the lockstep's log"),
+    Mutant(
+        "skip_zeros_refills_once", "src/hawkesmom/simulate.py",
+        "    while not u.all():", "    if not u.all():", ZEROS,
+        "a refill that itself draws a 0 keeps it (across_block_edge, lockstep_row_edge)"),
+    Mutant(
+        "skip_zeros_in_place", "src/hawkesmom/simulate.py",
+        "        kept = np.count_nonzero(u)\n"
+        "        u[:kept] = u[u != 0.0]\n"
+        "        rng.random(out=u[kept:])\n",
+        "        zeros = np.flatnonzero(u == 0.0)\n"
+        "        u[zeros] = rng.random(zeros.size)\n", ZEROS,
+        "a redrawn 0 is read where the 0 stood, not after the block's other draws"),
+    # the generator's libm exps
+    Mutant(
+        "generator_simd_exp", "src/hawkesmom/generator.py",
+        "a[...] = elementwise(math.exp, a.ravel()).reshape(a.shape)", "a[...] = np.exp(a)",
+        ("tests/test_generator.py", "-k", "pinned or Triangular"),
+        "numpy's SIMD exp moves the pinned cascade moments in their last bits; "
+        "unseen where that loop is libm's",
+        survives=not EXP_SIMD),
+    Mutant(
+        "generator_simd_expm1", "src/hawkesmom/generator.py",
+        "c *= elementwise(math.expm1, gap.ravel()).reshape(gap.shape) / gap",
+        "c *= np.expm1(gap) / gap",
+        ("tests/test_generator.py", "-k", "pinned or Triangular"),
+        "numpy's SIMD expm1 moves the pinned cascade moments in their last bits; "
+        "unseen where that loop is libm's",
+        survives=not EXPM1_SIMD),
+    # simulate's grid and the window count
+    Mutant(
+        "simulate_holds_the_grid", "src/hawkesmom/cli.py",
+        'grid = _step_grid("--grid-step", args.horizon, args.grid_step)',
+        'grid = _step_grid("--grid-step", args.horizon, args.grid_step)[:]',
+        ("tests/test_io_cli.py", "-k", "holds_no_grid"),
+        "the whole grid is one array, which tracemalloc sees"),
+    Mutant(
+        "step_grid_offset_slices", "src/hawkesmom/cli.py",
+        "return np.arange(*key.indices(self.n), dtype=np.float64) * self.step",
+        "lo, hi, _ = key.indices(self.n)\n"
+        "        return lo * self.step + np.arange(hi - lo, dtype=np.float64) * self.step",
+        ("tests/test_io_cli.py", "-k", "StepGrid"),
+        "lo step + j step is not (lo + j) step to the last bit"),
+    Mutant(
+        "step_grid_overflow_uncaught", "src/hawkesmom/cli.py",
+        "    except (OverflowError, MemoryError, ValueError):\n"
+        '        raise ValueError(f"{flag} {step}',
+        "    except (MemoryError, ValueError):\n"
+        '        raise ValueError(f"{flag} {step}',
+        ("tests/test_io_cli.py", "-k", "uncountable_grid"),
+        "a subnormal step's inf point count ends in a traceback"),
+    Mutant(
+        "step_grid_checked_by_arange", "src/hawkesmom/cli.py",
+        "np.empty(n_pts)  #", "np.arange(n_pts)  #",
+        ("tests/test_io_cli.py", "-k", "uncountable_grid"),
+        "np.arange gives an empty array for 2^63 + 1 points, where np.empty refuses"),
+    Mutant(
+        "window_count_overflow_uncaught", "src/hawkesmom/estimate.py",
+        "    except (OverflowError, MemoryError, ValueError):",
+        "    except (MemoryError, ValueError):",
+        ("tests/test_io_cli.py", "-k", "window_count"),
+        "a subnormal delta's inf window count ends in a traceback"),
+    Mutant(
+        "validate_counts_windows_after_sampling", "src/hawkesmom/cli.py",
+        "        _window_count(args.horizon, args.t0, args.delta)\n", "        pass\n",
+        ("tests/test_io_cli.py", "-k", "window_count"),
+        "validate samples its paths before the first fit finds the count"),
+    # moments and the fit
+    Mutant(
+        "stationary_m2_through_moment_triple", "src/hawkesmom/moments.py",
+        "    m1, k2, _ = _window_cumulants(params, delta)\n    return k2 + m1 * m1\n",
+        "    return moment_triple(params, delta).m2\n",
+        ("tests/test_moments.py", "-k", "m2_finite_where_m3_overflows"),
+        "moment_triple's m3 overflows where m2 is finite"),
+    Mutant(
+        "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
+        "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",
+        ("tests/test_estimate.py",),
+        "on the (M1, M2)-exact curve alpha >= 0 holds wherever beta and "
+        "lambda_inf are finite, so the check never decides",
         survives=True),
 ]
 

@@ -1101,12 +1101,17 @@ sys.exit(code)
         simulate_module = importlib.import_module("hawkesmom.simulate")
         real_in_slices, sizes = simulate_module.in_slices, []
 
-        def in_slices(bounds, work, collect, what):
-            def measured(lo, hi, file):
-                sizes.append((lo, hi, os.fstat(file.fileno()).st_size))
-                collect(lo, hi, file)
+        def in_slices(items, work, min_work, run, collect, what):
+            # the children's slices, as in_slices cuts them: one per CPU
+            children = [items[len(items) * k // cpus:len(items) * (k + 1) // cpus]
+                        for k in range(1, cpus)]
 
-            real_in_slices(bounds, work, measured, what)
+            def measured(file):
+                part = children[len(sizes)]
+                sizes.append((part.start, part.stop, os.fstat(file.fileno()).st_size))
+                collect(file)
+
+            real_in_slices(items, work, min_work, run, measured, what)
 
         monkeypatch.setattr(simulate_module, "in_slices", in_slices)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -1353,6 +1358,32 @@ class TestMainExitCodes:
         assert out == ""
         assert err == f"error: --delta must be positive and finite, got {float(delta)}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delta, windows", [
+        # 10^14 windows, 728 TiB of counts: more than any heuristic overcommit grants
+        pytest.param("1e-12", "1e+14", marks=pytest.mark.skipif(
+            _OVERCOMMIT_ALWAYS, reason="vm.overcommit_memory=1 would grant the windows")),
+        ("1e-300", "1e+302"),  # beyond numpy's maximum array size
+        ("5e-324", "inf"),  # subnormal: the count is inf
+    ])
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_ungrantable_window_count_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                     command, delta, windows):
+        # a 100-unit record from t0 = 0; validate fails before it samples
+        self.forbid_sampling(monkeypatch)
+        out = tmp_path / "out"
+        if command == "estimate":
+            events = write(tmp_path, "ev.txt", "".join(f"{i}\n" for i in range(1, 101)))
+            argv = ["estimate", "--events", str(events)]
+        else:
+            argv = ["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                    "--horizon", "100", "--count", "2", "--seed", "4"]
+        code = main(argv + ["--delta", delta, "--t0", "0", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"error: delta {float(delta)} asks for {windows} windows in [0.0, 100.0], "
+            f"more than can be allocated\n"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("t0", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", ["estimate", "validate"])

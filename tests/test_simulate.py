@@ -30,7 +30,7 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
-from hawkesmom import _libm, _seeding
+from hawkesmom import _fork, _libm, _seeding
 from hawkesmom import simulate as simulate_module
 from hawkesmom.simulate import Trajectory, _spawn_offspring, map_batch, sampler
 
@@ -572,31 +572,29 @@ class TestBatch:
 
     def test_deficit_regime_rejects_proposals(self, monkeypatch):
         # the deficit case above must exercise thinning rejections: each
-        # proposal _thin reads takes two uniforms, but for the one that ends
-        # the path, which takes one, so more draws than two per accepted
-        # event plus one means some proposal was rejected
-        class CountingDraw:
-            def __init__(self, src):
-                self.src = src
+        # proposal the deficit start reads takes two rng.random() calls, but
+        # for the one that ends the path, which takes one, so more calls
+        # than two per accepted event plus one means some proposal was
+        # rejected
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
                 self.draws = 0
 
-            def __iter__(self):
-                return self
+            def random(self, *args, **kwargs):
+                self.draws += not (args or kwargs)  # one float per call
+                return self.rng.random(*args, **kwargs)
 
-            def __next__(self):
-                self.draws += 1
-                return next(self.src)
-
-        thin = simulate_module._thin
+        start = simulate_module._base_level_start
         reads = []
 
-        def counting_thin(src, *args):
-            counted = CountingDraw(src)
-            t, lam, events = thin(counted, *args)
+        def counting_start(rng, *args):
+            counted = CountingRng(rng)
+            t, lam, events = start(counted, *args)
             reads.append((counted.draws, len(events)))
             return t, lam, events
 
-        monkeypatch.setattr(simulate_module, "_thin", counting_thin)
+        monkeypatch.setattr(simulate_module, "_base_level_start", counting_start)
         *raw, horizon, n_paths = self.REGIMES["deficit"]
         p = validate_params(*raw)
         rejected = 0
@@ -972,9 +970,9 @@ class TestPickle:
 
 
 class TestBatchSlices:
-    """simulate_batch spreads its groups over one forked child per CPU."""
+    """simulate_batch spreads its seeds over one forked child per CPU."""
 
-    N_PATHS = 2 * simulate_module._GROUP + 7  # three groups
+    N_PATHS = 2 * simulate_module._GROUP + 7  # three groups on one CPU
 
     @staticmethod
     def count_forks(monkeypatch, cpus):
@@ -1012,9 +1010,10 @@ class TestBatchSlices:
             ref = simulate_cluster(p, 5.0, 40 + i)
             assert traj.events.times.tobytes() == ref.events.times.tobytes(), i
 
-    # validate's K = 20 is cut into one group per CPU; three groups stay
-    # three groups of _GROUP at 1 and 2 CPUs and become three of a third of
-    # N_PATHS at 3 (the exact method's are checked above)
+    # validate's K = 20 is cut into one slice per CPU; N_PATHS runs as
+    # groups of _GROUP, _GROUP and 7 paths at 1 CPU, as _GROUP and a few in
+    # each half at 2, and as one group per third at 3 (the exact method's
+    # are checked above)
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n_paths, method", [(20, "exact"), (20, "cluster"),
                                                  (N_PATHS, "cluster")])
@@ -1084,18 +1083,18 @@ class TestBatchSlices:
 
     @pytest.mark.parametrize("method", ["exact", "cluster"])
     def test_child_error_is_raised_as_in_one_process(self, monkeypatch, method):
-        # with two CPUs this process samples group 0 and the child groups 1
-        # and 2; the batch starts at the first seed from 11 on whose later
-        # groups hold a longer path than group 0, and the cap is group 0's
-        # longest, so only the child fails
-        group = simulate_module._GROUP
+        # with two CPUs this process samples the first half of the seeds and
+        # the child the second; the batch starts at the first seed from 11
+        # on whose second half holds a longer path than its first, and the
+        # cap is the first half's longest, so only the child fails
+        half = self.N_PATHS // 2
         p = validate_params(0.5, 1.0, 2.0, 2.0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         sizes = [len(t.events)
-                 for t in simulate_batch(p, 4.0, 11, self.N_PATHS + group, method=method)]
-        start = next(lo for lo in range(group + 1)
-                     if max(sizes[lo + group:lo + self.N_PATHS]) > max(sizes[lo:lo + group]))
-        cap = max(sizes[start:start + group])
+                 for t in simulate_batch(p, 4.0, 11, 2 * self.N_PATHS, method=method)]
+        start = next(lo for lo in range(self.N_PATHS + 1)
+                     if max(sizes[lo + half:lo + self.N_PATHS]) > max(sizes[lo:lo + half]))
+        cap = max(sizes[start:start + half])
         serial = self._error(p, 11 + start, cap, method=method)
         forks = self.count_forks(monkeypatch, 2)
         assert self._error(p, 11 + start, cap, method=method) == serial
@@ -1121,10 +1120,68 @@ class TestBatchSlices:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(simulate_module, "MIN_EVENTS_PER_WORKER", 1)
         p = validate_params(0.2, 1.0, 1.0, 1.0)
-        # the child samples groups 1 and 2: seeds 1 + _GROUP to N_PATHS
-        child = f"seeds {1 + simulate_module._GROUP} to {self.N_PATHS}"
+        # the child samples the second half of seeds 1 to N_PATHS
+        child = f"seeds {1 + self.N_PATHS // 2} to {self.N_PATHS}"
         with pytest.raises(OSError, match=f"{child} exited with status 3"):
             simulate_batch(p, 4.0, 1, self.N_PATHS)
+
+
+class TestSliceRule:
+    """_fork.in_slices alone decides how many slices a batch or a file gets."""
+
+    @staticmethod
+    def forbid_forks(monkeypatch, cpus):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def test_nan_expectation_never_forks(self, monkeypatch):
+        # lambda* overflows, so the batch's expected events are NaN: one
+        # slice, whose first path passes the cap at once
+        p = validate_params(0.5e300, 1e300, 1e9)
+        assert math.isnan(mean_count(p, 1.0))
+        self.forbid_forks(monkeypatch, 2)
+        with pytest.raises(CapacityExceeded, match="exceeded 1000 events"):
+            simulate_batch(p, 1.0, 1, 2 * simulate_module._MIN_LOCKSTEP, cap=1000)
+
+    def test_one_path_is_one_slice(self, monkeypatch):
+        # enough expected events for two slices, but only one path
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        horizon = 20_000.0
+        assert mean_count(p, horizon) > 2 * simulate_module.MIN_EVENTS_PER_WORKER
+        self.forbid_forks(monkeypatch, 4)
+        [traj] = simulate_batch(p, horizon, 5, 1)
+        assert traj.events.times.tobytes() == simulate_exact(p, horizon, 5).events.times.tobytes()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cpus=st.integers(1, 4), start=st.integers(-5, 5), n=st.integers(0, 12),
+           work=st.one_of(st.floats(0.0, 1e3), st.just(math.nan), st.just(math.inf)),
+           min_work=st.floats(1e-3, 1e3))
+    def test_slices_cover_the_items_in_order(self, cpus, start, n, work, min_work):
+        # each child sends back the slice it ran; the first runs here
+        parent, seen = os.getpid(), []
+
+        def run(lo, hi, out):
+            if out is None:
+                seen.append((lo, hi, os.getpid() == parent))
+            else:
+                pickle.dump((lo, hi, os.getpid() == parent), out)
+
+        items = range(start, start + n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            _fork.in_slices(items, work, min_work, run,
+                            lambda file: seen.append(pickle.load(file)), "testing")
+        count = 1 if math.isnan(work) else max(1, int(min(cpus, n, work / min_work)))
+        assert len(seen) == count
+        assert [here for _, _, here in seen] == [True] + [False] * (count - 1)
+        bounds = [lo for lo, _, _ in seen] + [seen[-1][1]]
+        assert bounds[0] == items.start and bounds[-1] == items.stop
+        assert [hi for _, hi, _ in seen] == bounds[1:]
+        sizes = [hi - lo for lo, hi, _ in seen]
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestMapBatch:
