@@ -1,9 +1,11 @@
 """Command-line surface: simulate | moments | estimate | validate.
 
 Exit codes: 0 success, 2 event-file parse errors, 3 estimation/convergence
-failures, 4 trajectory capacity exceeded, 1 anything else.  Seeds come from
---seed, falling back to the HAWKES_SEED environment variable; stochastic
-subcommands refuse to run without one so every run is reproducible.
+failures, 4 trajectory capacity exceeded, 1 anything else: main prints a
+failure as one "error:" line and takes its code from one table, _EXIT_CODES.
+validate checks its window rule, as it checks its flags, before it samples.
+Seeds come from --seed, falling back to the HAWKES_SEED environment variable;
+stochastic subcommands refuse to run without one so every run is reproducible.
 
 build_parser is the one configuration: each flag and its default are
 declared there once, and each subcommand's parser sets its cmd_* function
@@ -15,7 +17,6 @@ return the paths they wrote, estimate its report.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -180,12 +181,10 @@ def cmd_moments(args: argparse.Namespace) -> dict:
         with np.errstate(over="raise", invalid="raise"):
             triple = moment_triple(params, args.delta)
             lam1, lam2, lam3 = limit_intensity_moments(params)
+        if not all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, lam3))):
+            raise OverflowError
     except (OverflowError, FloatingPointError):
-        finite = False
-    else:
-        finite = all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, lam3)))
-    if not finite:
-        raise ValueError("the moments at these parameters are beyond float64's range")
+        raise ValueError("the moments at these parameters are beyond float64's range") from None
     payload = {
         "params": asdict(params),
         "delta": args.delta,
@@ -248,10 +247,9 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         # read before sampling, so a bad file costs no paths and writes nothing
         real_events = parse_events(args.real_events_path, horizon=args.horizon)
         real = count_at(real_events, grid)
-    # an unallocatable window count fails before sampling; no window fails the fits
+    # no whole window, or a window count too large to allocate, fails before sampling
     _check_horizon(args.horizon)
-    with contextlib.suppress(InsufficientData):
-        _window_count(args.horizon, args.t0, args.delta)
+    _window_count(args.horizon, args.t0, args.delta)
     est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
 
     def fit(traj):
@@ -388,22 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of a failure is that of its first matching entry: a
+# ParseError is a HawkesError, so it comes before the catch-all.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    ((NoConvergence, InsufficientData), EXIT_CONVERGENCE),
+    (CapacityExceeded, EXIT_CAPACITY),
+    (Exception, EXIT_FAILURE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NoConvergence, InsufficientData) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except (HawkesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     if isinstance(result, EstimateReport) and not result.converged:
         print("error: estimation did not converge (report written for diagnostics)",
               file=sys.stderr)

@@ -207,14 +207,8 @@ def write_intensity_csv(path, grid, intensity) -> Path:
 def write_table_csv(path, rows) -> Path:
     """Per-run estimation table mirroring the harness summary layout (_write_csv).
 
-    rows: iterables (run, alpha_hat, beta_hat, lambda_inf_hat, converged).
+    rows: a sequence of (run, alpha_hat, beta_hat, lambda_inf_hat, converged).
     """
-    path = Path(path)
-    try:
-        rows = list(rows)
-    except BaseException:
-        path.unlink(missing_ok=True)  # as a write that raises does
-        raise
     return _write_csv(path, "run,alpha_hat,beta_hat,lambda_inf_hat,converged\n", len(rows),
                       lambda lo, hi: [f"{int(run)},{float(a)!r},{float(b)!r},{float(li)!r},"
                                       f"{bool(conv)}\n" for run, a, b, li, conv in rows[lo:hi]])

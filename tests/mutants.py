@@ -251,9 +251,40 @@ MUTANTS = [
         "a subnormal delta's inf window count ends in a traceback"),
     Mutant(
         "validate_counts_windows_after_sampling", "src/hawkesmom/cli.py",
-        "        _window_count(args.horizon, args.t0, args.delta)\n", "        pass\n",
+        "    _window_count(args.horizon, args.t0, args.delta)\n", "    pass\n",
         ("tests/test_io_cli.py", "-k", "window_count"),
         "validate samples its paths before the first fit finds the count"),
+    # one owner per failure rule
+    Mutant(
+        "validate_suppresses_no_window", "src/hawkesmom/cli.py",
+        "    _window_count(args.horizon, args.t0, args.delta)\n",
+        "    try:\n        _window_count(args.horizon, args.t0, args.delta)\n"
+        "    except InsufficientData:\n        pass\n",
+        ("tests/test_io_cli.py", "-k", "no_whole_window"),
+        "validate samples its paths where no fit can have a window"),
+    Mutant(
+        "exit_table_catch_all_first", "src/hawkesmom/cli.py",
+        "    (ParseError, EXIT_PARSE),\n"
+        "    ((NoConvergence, InsufficientData), EXIT_CONVERGENCE),\n"
+        "    (CapacityExceeded, EXIT_CAPACITY),\n"
+        "    (Exception, EXIT_FAILURE),\n",
+        "    (Exception, EXIT_FAILURE),\n"
+        "    (ParseError, EXIT_PARSE),\n"
+        "    ((NoConvergence, InsufficientData), EXIT_CONVERGENCE),\n"
+        "    (CapacityExceeded, EXIT_CAPACITY),\n",
+        ("tests/test_io_cli.py::TestMainExitCodes::test_parse_error",),
+        "every failure matches the catch-all first, so a parse error exits 1, not 2"),
+    Mutant(
+        "moments_without_finiteness_check", "src/hawkesmom/cli.py",
+        "        if not all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, "
+        "lam3))):\n            raise OverflowError\n", "",
+        ("tests/test_io_cli.py", "-k", "beyond_float64"),
+        "at 1e200 the products are inf without raising, and Infinity is printed with exit 0"),
+    Mutant(
+        "overwrite_keeps_a_failed_file", "src/hawkesmom/io.py",
+        "        path.unlink(missing_ok=True)\n", "        pass\n",
+        ("tests/test_io_cli.py", "-k", "failing_table_removes"),
+        "the table's first rows stay on disk after its last row fails"),
     # moments and the fit
     Mutant(
         "stationary_m2_through_moment_triple", "src/hawkesmom/moments.py",

@@ -81,6 +81,8 @@ class TestValidateParams:
             validate_params(float("nan"), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             validate_params(0.1, float("inf"), 1.0, 1.0)
+        with pytest.raises(ValueError, match="lambda0 must be finite, got nan"):
+            validate_params(0.1, 1.0, 1.0, float("nan"))
 
     def test_alpha_zero_poisson_case_admitted(self):
         p = validate_params(0.0, 1.0, 2.0, 2.0)
@@ -103,6 +105,15 @@ class TestEventSequence:
     def test_rejects_beyond_horizon(self):
         with pytest.raises(ValueError):
             EventSequence(times=np.array([1.0, 5.0]), horizon=3.0)
+
+    def test_rejects_two_dimensional_times(self):
+        with pytest.raises(ValueError, match="times must be one-dimensional"):
+            EventSequence(times=np.array([[1.0, 2.0]]), horizon=3.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be finite and >= 0, got {horizon}"):
+            EventSequence(times=np.array([1.0]), horizon=horizon)
 
     def test_ties_permitted(self):
         seq = EventSequence(times=np.array([1.0, 1.0, 1.0]), horizon=2.0)

@@ -1,5 +1,6 @@
 """Method-of-moments calibration: empirical moments and the nonlinear solve."""
 
+import importlib
 import math
 import warnings
 
@@ -76,6 +77,8 @@ class TestEmpiricalMoments:
             assert empirical_from_counts(counts, delta=0.5).triple.m3 == exact.mean(), c
 
     def test_empty_windows_are_insufficient_data(self):
+        with pytest.raises(InsufficientData, match="^no count windows$"):
+            empirical_from_counts([], delta=0.5)
         with pytest.raises(InsufficientData, match="all 40 count windows are empty"):
             empirical_from_counts(np.zeros(40), delta=0.5)
         events = EventSequence(times=np.array([0.5]), horizon=10.0)
@@ -317,6 +320,20 @@ class TestSolveMomentSystem:
 
         with pytest.raises(NoConvergence, match="admissible"):
             solve_moment_system(MomentTriple(1, m2, 2, delta), delta, DEFAULT_INIT)
+
+    @pytest.mark.parametrize("m3_scale, flags", [(1.0, ()), (1.5, ("m3_best_fit",))],
+                             ids=["root", "least_squares"])
+    def test_missed_tolerance_warns_and_returns_the_fit(self, monkeypatch, m3_scale, flags):
+        # no float residual reaches a tolerance of 0, on either path
+        estimate_module = importlib.import_module("hawkesmom.estimate")
+        monkeypatch.setattr(estimate_module, "TOL", 0.0)
+        t = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
+        triple = MomentTriple(t.m1, t.m2, m3_scale * t.m3, 0.5)
+        with pytest.warns(UserWarning, match=r"^no admissible parameters reach residual 0\.0 "):
+            report = solve_moment_system(triple, 0.5, init=DEFAULT_INIT)
+        assert not report.converged
+        assert report.flags == flags
+        assert report.params_hat is not None and report.residual_norm > 0.0
 
     def test_rejects_nonpositive_moments(self):
         from hawkesmom import MomentTriple

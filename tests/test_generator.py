@@ -76,6 +76,11 @@ class TestPolynomialAlgebra:
         with pytest.raises(ValueError, match=r"exponents \(1, 0\) must be finite"):
             poly({(0, 2): 1.0, (1, 0): c})
 
+    def test_repr_lists_the_terms_in_order(self):
+        assert repr(poly({(2, 1): 3.0, (0, 0): -1.0})) == \
+            "BivariatePolynomial(-1*lam^0*n^0 +3*lam^2*n^1)"
+        assert repr(poly({})) == "BivariatePolynomial(0)"
+
     def test_evaluate(self):
         p = poly({(2, 1): 3.0, (0, 0): -1.0})
         assert p.evaluate(2.0, 5.0) == pytest.approx(3.0 * 4.0 * 5.0 - 1.0)

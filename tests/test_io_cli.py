@@ -141,6 +141,11 @@ class TestParseEvents:
         path = write(tmp_path, "ev.txt", "t\n\n")
         with pytest.raises(EmptyFile):
             parse_events(path)
+        # every event beyond the horizon
+        path = write(tmp_path, "late.txt", "5.0\n9.0\n")
+        with pytest.warns(UserWarning, match="dropping 2 events"), \
+                pytest.raises(EmptyFile, match="no timestamps at or before horizon 1.0"):
+            parse_events(path, horizon=1.0)
 
     def test_cascade_shape_horizon(self, tmp_path):
         # 448 events spread over 600 minutes: horizon from the data
@@ -588,14 +593,11 @@ class TestWriteInPlace:
     def test_failing_table_removes_the_old_file(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_bytes(b"x" * 1_000_000)
-
-        def rows():
-            for i in range(10_000):  # more than one buffer reaches the file first
-                yield i, 0.1, 0.2, 0.3, True
-            raise RuntimeError("rows failed")
-
-        with pytest.raises(RuntimeError, match="rows failed"):
-            write_table_csv(path, rows())
+        # more than one buffer reaches the file before the last row fails
+        rows = [(i, 0.1, 0.2, 0.3, True) for i in range(10_000)]
+        rows.append((10_000, "not a float", 0.2, 0.3, True))
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            write_table_csv(path, rows)
         assert os.listdir(tmp_path) == []
 
     def test_failing_worker_removes_the_old_file(self, tmp_path, monkeypatch):
@@ -1216,8 +1218,8 @@ class TestMainExitCodes:
             for name, value in want.items():
                 assert printed[name] == pytest.approx(float(value), rel=1e-15, abs=0.0), name
 
-    # at 1e150 m3 overflows
-    @pytest.mark.parametrize("scale", ["1e150"])
+    # at 1e150 m3's ** raises; at 1e200 the products are inf
+    @pytest.mark.parametrize("scale", ["1e150", "1e200"])
     def test_moments_beyond_float64_is_one_error_line(self, capsys, scale):
         code = main(["moments", "--alpha", scale, "--beta", f"2{scale}", "--lambda-inf", scale,
                      "--delta", "1"])
@@ -1445,6 +1447,16 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and message in err
         assert os.listdir(out) == []
 
+    def test_one_trajectory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        self.forbid_sampling(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--horizon", "100", "--count", "1", "--delta", "0.5", "--t0", "10",
+                     "--seed", "1", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: validate needs at least 2 trajectories, got 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "t\n1.0\n2.0\n"], ids=["missing", "readable"])
     def test_real_events_without_envelope_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                          text):
@@ -1458,6 +1470,24 @@ class TestMainExitCodes:
                      "--seed", "1", "--real-events", str(real), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: --real-events is overlaid on the envelope; it needs --envelope\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        # the default --t0 of 3000
+        (["--horizon", "100", "--delta", "0.5"],
+         "window start t0=3000.0 leaves no room before horizon 100.0"),
+        (["--horizon", "10", "--t0", "0", "--delta", "20"],
+         "no window of length 20.0 fits in [0.0, 10.0]"),
+    ], ids=["t0_past_horizon", "delta_past_horizon"])
+    def test_no_whole_window_validate_exits_3_before_sampling(self, tmp_path, monkeypatch,
+                                                              capsys, flags, message):
+        # whether a fit has a window does not depend on the path
+        self.forbid_sampling(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                     "--count", "2", "--seed", "1", "--out-dir", str(out), *flags])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_empty_windows_estimate_exits_3(self, tmp_path, capsys):

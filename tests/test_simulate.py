@@ -1240,6 +1240,11 @@ class TestMapBatch:
                 map_batch(p, 40.0, 3_020, self.N_PATHS, self.fit, cap=cap)
         assert caught == []
 
+    def test_replay_of_a_file_that_is_no_module(self):
+        with pytest.warns(UserWarning, match="^from nowhere$") as caught:
+            _fork.replay_warnings([("from nowhere", UserWarning, "/no/such/module.py", 7)])
+        assert [(w.filename, w.lineno) for w in caught] == [("/no/such/module.py", 7)]
+
     def test_child_exception_is_raised_unchanged(self, monkeypatch):
         def fail_late(traj):
             if traj.seed == 3_000 + self.N_PATHS - 1:
