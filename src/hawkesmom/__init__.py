@@ -27,7 +27,7 @@ from .estimate import (
     EmpiricalMoments,
     EstimateConfig,
     EstimateReport,
-    IncrementSample,
+    WindowCounts,
     empirical_moments,
     estimate,
     solve_moment_system,
@@ -72,7 +72,7 @@ __all__ = [
     "MomentTriple", "mean_count", "stationary_m1", "stationary_m2", "stationary_m3",
     "moment_triple", "limit_intensity_moments",
     # estimate
-    "IncrementSample", "windowed_counts", "EmpiricalMoments", "EstimateConfig",
+    "WindowCounts", "windowed_counts", "EmpiricalMoments", "EstimateConfig",
     "EstimateReport", "empirical_moments", "solve_moment_system", "estimate",
     # io
     "parse_events",

@@ -247,7 +247,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         # read before sampling, so a bad file costs no paths and writes nothing
         real_events = parse_events(args.real_events_path, horizon=args.horizon)
         real = count_at(real_events, grid)
-    # no whole window, or a window count too large to allocate, fails before sampling
+    # no whole window, or more than 2^53 of them, fails before sampling
     _check_horizon(args.horizon)
     _window_count(args.horizon, args.t0, args.delta)
     est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)

@@ -1,7 +1,7 @@
 """Method-of-moments calibration of (alpha, beta, lambda_inf).
 
-Empirical moments M_i are arithmetic means of i-th powers of window counts
-over consecutive windows of length delta (windowed_counts).  The fit solves
+Empirical moments M_i are the i-th power sums of the non-empty windows'
+counts (windowed_counts) over J windows of length delta, divided by J.  The fit solves
 
     stationary_mi(alpha, beta, lambda_inf; delta) = M_i,   i = 1, 2, 3
 
@@ -35,7 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ __all__ = [
     "MIN_WINDOWS",
     "DEFAULT_INIT",
     "TOL",
-    "IncrementSample",
+    "WindowCounts",
     "EmpiricalMoments",
     "EstimateConfig",
     "EstimateReport",
@@ -69,15 +69,6 @@ TOL = 1e-9
 # windowed_counts places this many events per pass, so its per-event
 # arrays stay near 1 MB however long the path is
 _COUNT_CHUNK_EVENTS = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class IncrementSample:
-    """Counts over consecutive half-open windows [t0 + j delta, t0 + (j+1) delta)."""
-
-    t0: float
-    delta: float
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,90 +118,101 @@ class EstimateConfig:
     tol: ClassVar[float] = TOL
 
 
-def windowed_counts(events, t0: float, delta: float, count: int) -> IncrementSample:
-    """Event counts in ``count`` consecutive half-open windows starting at t0.
+class WindowCounts(NamedTuple):
+    """The non-empty windows' ascending indices j and event counts, both int64."""
 
-    counts[j] = N_{t_j + delta} - N_{t_j} with t_j = t0 + j delta; windows
-    must fit inside the observation horizon.
+    index: np.ndarray
+    counts: np.ndarray
 
-    The events in [edges[0], edges[-1]) are placed a chunk of
-    _COUNT_CHUNK_EVENTS at a time, not by one binary search per edge: each
-    event's window is guessed as floor((t - t0) / delta), clipped to the
-    windows (the last edge's rounding can leave the quotient at count or
-    above), and checked against the edges.  The quotient stays below about
-    3 count, even for a subnormal delta: an event lies inside the edges only
-    if edges[-1] > t0, which needs count delta to reach half an ulp of t0,
-    and then t - t0 is below count delta plus an ulp of edges[-1].  An
-    event the edges do not bracket (within a few ulps of an edge, where
-    delta is below an ulp of t0, as at t0 = 1e9 with delta = 1e-8, and
-    where rounding collapses edges) is placed by a binary search, so every
-    count is that of np.diff(np.searchsorted(times, edges)).  The time is
-    linear in the events, where one search per edge is linear in the
-    windows, so this is the cheaper of the two up to about 8 events per
-    window and the dearer above.
+
+def _bisect_windows(t: np.ndarray, t0: float, delta: float, count: int) -> np.ndarray:
+    """The last j with t0 + j delta <= t, for each t in [t0, t0 + count delta) at once."""
+    lo, hi = np.zeros(t.size, dtype=np.int64), np.full(t.size, count, dtype=np.int64)
+    for _ in range(int(count).bit_length()):
+        mid = (lo + hi) >> 1
+        below = t0 + delta * mid <= t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
+
+
+def windowed_counts(events, t0: float, delta: float, count: int) -> WindowCounts:
+    """Event counts in the non-empty windows among ``count`` consecutive
+    half-open windows [t0 + j delta, t0 + (j+1) delta), which must fit
+    inside the observation horizon; time and memory are linear in the events.
+
+    The events are placed a chunk of _COUNT_CHUNK_EVENTS at a time: each
+    window is guessed as floor((t - t0) / delta), clipped to the windows,
+    and checked against its two edges t0 + delta * j (bit-equal to
+    np.arange's for j up to 2^53).  The quotient stays below about 3 count,
+    even for a subnormal delta: an event lies inside the windows only if
+    count delta reaches half an ulp of t0, and then t - t0 is below count
+    delta plus an ulp of the last edge.  An event its edges do not bracket
+    (within a few ulps of an edge, where delta is below an ulp of t0, as at
+    t0 = 1e9 with delta = 1e-8, and where rounding collapses edges) is
+    placed by _bisect_windows, so every count is that of
+    np.diff(np.searchsorted(times, edges)).  A window that straddles two
+    chunks is still one pair.
     """
     if not (math.isfinite(t0) and math.isfinite(delta) and t0 >= 0.0 and delta > 0.0
             and count >= 1):
-        raise WindowOutOfRange(
-            f"need finite t0 >= 0 and delta > 0, count >= 1; "
-            f"got t0={t0}, delta={delta}, count={count}"
-        )
+        raise WindowOutOfRange(f"need finite t0 >= 0 and delta > 0, count >= 1; "
+                               f"got t0={t0}, delta={delta}, count={count}")
     times = _times(events)
-    if isinstance(events, EventSequence):
-        end = t0 + count * delta
-        # small relative slack so a window count computed by floor() is not
-        # rejected for floating-point rounding
-        if end > events.horizon * (1.0 + 1e-12) + 1e-12:
-            raise WindowOutOfRange(
-                f"windows end at {end} beyond horizon {events.horizon}"
-            )
-    edges = t0 + delta * np.arange(count + 1)
-    times = times[np.searchsorted(times, edges[0]):np.searchsorted(times, edges[-1])]
-    counts = np.zeros(count, dtype=np.int64)
+    end = t0 + delta * count
+    # relative slack: a window count computed by floor() may round past the horizon
+    if isinstance(events, EventSequence) and end > events.horizon * (1.0 + 1e-12) + 1e-12:
+        raise WindowOutOfRange(f"windows end at {end} beyond horizon {events.horizon}")
+    times = times[np.searchsorted(times, t0):np.searchsorted(times, end)]
+    index, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, times.size, _COUNT_CHUNK_EVENTS):
         t = times[lo:lo + _COUNT_CHUNK_EVENTS]
-        j = np.clip((t - t0) / delta, 0.0, count - 1).astype(np.int64)
-        astray = (t < edges[j]) | (t >= edges[1:][j])
+        j = np.floor(np.clip((t - t0) / delta, 0.0, count - 1))
+        astray = (t < t0 + delta * j) | (t >= t0 + delta * (j + 1.0))
+        j = j.astype(np.int64)
         if astray.any():
-            j[astray] = np.searchsorted(edges, t[astray], side="right") - 1
+            j[astray] = _bisect_windows(t[astray], t0, delta, count)
         # placed exactly, j is sorted like t
-        counts[j[0]:j[-1] + 1] += np.bincount(j - j[0])
-    return IncrementSample(t0=float(t0), delta=float(delta), counts=counts)
+        first = np.flatnonzero(np.concatenate(([True], j[1:] != j[:-1])))
+        n = np.diff(first, append=j.size)
+        if index[-1].size and index[-1][-1] == j[0]:
+            counts[-1][-1] += n[0]
+            first, n = first[1:], n[1:]
+        if n.size:  # else the chunk lies in the last pair's window
+            index.append(j[first])
+            counts.append(n)
+    index = np.concatenate(index)  # the chunks' indices go before the counts are joined
+    return WindowCounts(index, np.concatenate(counts))
 
 
-def empirical_from_counts(counts, delta: float, t0: float = 0.0) -> EmpiricalMoments:
-    """Moment triple from an existing vector of window counts; no windows, or
-    only empty ones, are InsufficientData.
+def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -> EmpiricalMoments:
+    """Moment triple of ``windows`` windows from the counts of the non-empty
+    ones; no windows, or only empty ones, are InsufficientData.
 
     The powers are products, c c and (c c) c, so each cube is correctly
-    rounded wherever c c is exact (every count below 2^26), and m3 does not
-    depend on numpy's SIMD power loop.
+    rounded wherever c c is exact (every count below 2^26), whatever numpy's
+    SIMD power loop does.  Their sums are of integers, so they equal the
+    sums over every window while below 2^53.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.size == 0:
+    if windows == 0:
         raise InsufficientData("no count windows")
     if not counts.any():
-        raise InsufficientData(f"all {counts.size} count windows are empty")
-    if counts.size < MIN_WINDOWS:
-        warnings.warn(
-            f"only {counts.size} windows; moment estimates will be noisy "
-            f"(fewer than {MIN_WINDOWS})",
-            UserWarning,
-            stacklevel=2,
-        )
+        raise InsufficientData(f"all {windows} count windows are empty")
+    if windows < MIN_WINDOWS:
+        warnings.warn(f"only {windows} windows; moment estimates will be noisy "
+                      f"(fewer than {MIN_WINDOWS})", UserWarning, stacklevel=2)
     powers = counts * counts
-    m2 = float(powers.mean())
+    m2 = float(powers.sum()) / windows
     powers *= counts
-    triple = MomentTriple(m1=float(counts.mean()), m2=m2, m3=float(powers.mean()),
-                          delta=float(delta))
-    return EmpiricalMoments(triple=triple, window_count=int(counts.size), t0=float(t0))
+    triple = MomentTriple(m1=float(counts.sum()) / windows, m2=m2,
+                          m3=float(powers.sum()) / windows, delta=float(delta))
+    return EmpiricalMoments(triple=triple, window_count=windows, t0=float(t0))
 
 
 def _window_count(horizon: float, t0: float, delta: float) -> int:
     """The maximal whole number of windows of length delta in [t0, horizon]:
-    InsufficientData when none fits, and a ValueError naming the count when
-    numpy cannot allocate it (asked for uninitialised and released
-    untouched, so it costs no resident memory)."""
+    InsufficientData when none fits, and a ValueError naming the count
+    past 2^53, where t0 + j delta no longer names each window."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
     if not math.isfinite(t0):
@@ -218,22 +220,20 @@ def _window_count(horizon: float, t0: float, delta: float) -> int:
     if t0 < 0.0 or t0 >= horizon:
         raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
     n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
-    try:
-        n_windows = int(n_windows)  # OverflowError at inf
-        np.empty(n_windows + 1)  # windowed_counts' edges; numpy's ValueError past its maximum
-    except (OverflowError, MemoryError, ValueError):
+    if not n_windows <= 2**53:
         raise ValueError(f"delta {delta} asks for {n_windows:.3g} windows in [{t0}, {horizon}], "
-                         f"more than can be allocated") from None
+                         f"more than 2^53")
     if n_windows < 1:
         raise InsufficientData(f"no window of length {delta} fits in [{t0}, {horizon}]")
-    return n_windows
+    return int(n_windows)
 
 
 def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
     """Empirical M_1, M_2, M_3 over the maximal whole number of windows in
     [t0, horizon] (_window_count)."""
-    sample = windowed_counts(events, t0, delta, _window_count(events.horizon, t0, delta))
-    return empirical_from_counts(sample.counts, delta, t0)
+    windows = _window_count(events.horizon, t0, delta)
+    return empirical_from_counts(windowed_counts(events, t0, delta, windows).counts,
+                                 windows, delta, t0)
 
 
 def _check_start(theta) -> tuple[float, float, float]:

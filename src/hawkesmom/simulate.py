@@ -305,6 +305,10 @@ def simulate_cluster(
     # lambda0) -- the deterministic rate is monotone between those levels.
     bound = max(lam_inf, lam0)
     n_prop = int(rng.poisson(bound * horizon))
+    if n_prop > cap and lam0 == lam_inf:
+        # the rate is its bound, so every proposal is an immigrant: the cap
+        # is exceeded before any proposal is drawn
+        raise CapacityExceeded(f"cluster construction exceeded {cap} events")
     proposals = np.sort(rng.random(n_prop)) * horizon
     rate = lam_inf + (lam0 - lam_inf) * elementwise(math.exp, -beta * proposals)
     immigrants = proposals[rng.random(n_prop) * bound <= rate]

@@ -244,16 +244,34 @@ MUTANTS = [
         ("tests/test_io_cli.py", "-k", "uncountable_grid"),
         "np.arange gives an empty array for 2^63 + 1 points, where np.empty refuses"),
     Mutant(
-        "window_count_overflow_uncaught", "src/hawkesmom/estimate.py",
-        "    except (OverflowError, MemoryError, ValueError):",
-        "    except (MemoryError, ValueError):",
+        "window_count_without_the_2_53_bound", "src/hawkesmom/estimate.py",
+        "    if not n_windows <= 2**53:\n", "    if False:\n",
         ("tests/test_io_cli.py", "-k", "window_count"),
-        "a subnormal delta's inf window count ends in a traceback"),
+        "10^16 windows are fitted and a subnormal delta's inf count ends in "
+        "int()'s OverflowError, neither with the 2^53 message"),
     Mutant(
         "validate_counts_windows_after_sampling", "src/hawkesmom/cli.py",
         "    _window_count(args.horizon, args.t0, args.delta)\n", "    pass\n",
         ("tests/test_io_cli.py", "-k", "window_count"),
         "validate samples its paths before the first fit finds the count"),
+    # windowing by the events: strays, chunk borders, and the cluster cap
+    Mutant(
+        "strays_left_at_their_guess", "src/hawkesmom/estimate.py",
+        "            j[astray] = _bisect_windows(t[astray], t0, delta, count)\n",
+        "            pass\n",
+        ("tests/test_simulate.py", "-k", "far_guesses or edge_hugging or one_search_per_edge"),
+        "an event within an ulp of an edge is counted one window off"),
+    Mutant(
+        "chunk_border_not_merged", "src/hawkesmom/estimate.py",
+        "        if index[-1].size and index[-1][-1] == j[0]:\n", "        if False:\n",
+        ("tests/test_simulate.py::TestWindowedCounts::test_chunks_match_the_reference[1]",),
+        "a window whose events span two chunks becomes two pairs with one index"),
+    Mutant(
+        "cluster_cap_after_the_proposals", "src/hawkesmom/simulate.py",
+        "    if n_prop > cap and lam0 == lam_inf:\n", "    if False:\n",
+        ("tests/test_simulate.py", "-k", "cap_checked_before_the_proposals"),
+        "2e7 proposals are drawn and sorted before the cap fails, which "
+        "tracemalloc sees"),
     # one owner per failure rule
     Mutant(
         "validate_suppresses_no_window", "src/hawkesmom/cli.py",

@@ -98,3 +98,10 @@ def windowed_counts_reference(times, t0: float, delta: float, count: int) -> np.
     j < count, by one binary search for each window edge."""
     edges = t0 + delta * np.arange(count + 1)
     return np.diff(np.searchsorted(times, edges, side="left"))
+
+
+def dense_counts(pairs, count: int) -> np.ndarray:
+    """All ``count`` window counts from windowed_counts' non-empty pairs."""
+    dense = np.zeros(count, dtype=np.int64)
+    dense[pairs.index] = pairs.counts
+    return dense

@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from oracles import integrate_polynomial_on_path
+from oracles import dense_counts, integrate_polynomial_on_path
 from scipy import stats
 
 from hawkesmom import (
@@ -65,7 +65,8 @@ class TestCriterion2MonteCarloVsClosedForm:
         per_traj = np.empty((n_traj, 3))
         for i in range(n_traj):
             traj = simulate_exact(params, horizon, 20_000 + i)
-            counts = windowed_counts(traj.events, burn_in, delta, n_windows).counts.astype(float)
+            pairs = windowed_counts(traj.events, burn_in, delta, n_windows)
+            counts = dense_counts(pairs, n_windows).astype(float)
             per_traj[i] = [counts.mean(), (counts**2).mean(), (counts**3).mean()]
         means = per_traj.mean(axis=0)
         ses = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)

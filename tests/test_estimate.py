@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -62,7 +63,7 @@ class TestEmpiricalMoments:
     def test_power_means(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # fewer than 30 windows
-            emp = empirical_from_counts([1, 2], delta=0.5)
+            emp = empirical_from_counts([1, 2], 2, delta=0.5)
         assert (emp.triple.m1, emp.triple.m2, emp.triple.m3) == (1.5, 2.5, 4.5)
         assert emp.window_count == 2
 
@@ -74,13 +75,13 @@ class TestEmpiricalMoments:
             counts[0] = c
             exact = np.zeros(32)
             exact[0] = float(int(c) ** 3)
-            assert empirical_from_counts(counts, delta=0.5).triple.m3 == exact.mean(), c
+            assert empirical_from_counts(counts, 32, delta=0.5).triple.m3 == exact.mean(), c
 
     def test_empty_windows_are_insufficient_data(self):
         with pytest.raises(InsufficientData, match="^no count windows$"):
-            empirical_from_counts([], delta=0.5)
+            empirical_from_counts([], 0, delta=0.5)
         with pytest.raises(InsufficientData, match="all 40 count windows are empty"):
-            empirical_from_counts(np.zeros(40), delta=0.5)
+            empirical_from_counts([], 40, delta=0.5)
         events = EventSequence(times=np.array([0.5]), horizon=10.0)
         with warnings.catch_warnings(), \
                 pytest.raises(InsufficientData, match="all 9 count windows are empty"):
@@ -128,6 +129,21 @@ class TestEmpiricalMoments:
         emp = empirical_moments(traj.events, t0=3_000.0, delta=0.5)
         assert emp.window_count == 14_000
         assert abs(emp.triple.m1 - stationary_m1(p, 0.5)) <= 0.03  # ~3.5 adjusted SE
+
+    def test_memory_follows_the_events(self):
+        # epoch-like times from t0 = 0: 33,333,334 windows, one of them
+        # non-empty; 16 bytes a window would be 533 MB
+        times = 1e8 + np.array([0.5, 1.0, 1.5, 4.0])
+        events = EventSequence(times=times, horizon=float(times[-1]))
+        tracemalloc.start()
+        try:
+            emp = empirical_moments(events, t0=0.0, delta=3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emp.window_count == 33_333_334
+        assert emp.triple.m3 == 27.0 / 33_333_334
+        assert peak < 1 << 20
 
 
 class TestM3ResidualScan:

@@ -880,7 +880,7 @@ class TestPublicApi:
         "MomentTriple", "mean_count", "stationary_m1", "stationary_m2", "stationary_m3",
         "moment_triple", "limit_intensity_moments",
         # estimate
-        "IncrementSample", "windowed_counts", "EmpiricalMoments", "EstimateConfig",
+        "WindowCounts", "windowed_counts", "EmpiricalMoments", "EstimateConfig",
         "EstimateReport", "empirical_moments", "solve_moment_system", "estimate",
         # io
         "parse_events",
@@ -1193,6 +1193,22 @@ class TestMainExitCodes:
         assert code == EXIT_CAPACITY
         assert not (tmp_path / "out").exists()
 
+    # at lambda0 = lambda_inf every immigrant proposal is kept, so the cap
+    # fails before the proposals are drawn: 2e7 of them would hold 320 MB,
+    # and 1e12 would ask numpy for 7.28 TiB
+    @pytest.mark.parametrize("lambda_inf", ["2e7", "1e12"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "0"],
+    ], ids=["simulate", "validate"])
+    def test_cluster_cap_before_the_proposals(self, tmp_path, capsys, command, lambda_inf):
+        out = tmp_path / "out"
+        code = main(command + ["--alpha", "0", "--beta", "1", "--lambda-inf", lambda_inf,
+                               "--horizon", "1", "--cap", "1", "--method", "cluster",
+                               "--seed", "1", "--out-dir", str(out)])
+        assert code == EXIT_CAPACITY
+        assert capsys.readouterr().err == "error: cluster construction exceeded 1 events\n"
+        assert not out.exists()
+
     def test_validation_error(self, tmp_path):
         code = main(["simulate", "--alpha", "1.5", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--horizon", "10", "--seed", "1",
@@ -1362,10 +1378,8 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delta, windows", [
-        # 10^14 windows, 728 TiB of counts: more than any heuristic overcommit grants
-        pytest.param("1e-12", "1e+14", marks=pytest.mark.skipif(
-            _OVERCOMMIT_ALWAYS, reason="vm.overcommit_memory=1 would grant the windows")),
-        ("1e-300", "1e+302"),  # beyond numpy's maximum array size
+        ("1e-14", "1e+16"),  # past 2^53, where t0 + j delta stops naming each window
+        ("1e-300", "1e+302"),
         ("5e-324", "inf"),  # subnormal: the count is inf
     ])
     @pytest.mark.parametrize("command", ["estimate", "validate"])
@@ -1384,8 +1398,22 @@ class TestMainExitCodes:
         assert code == 1
         assert capsys.readouterr() == ("", (
             f"error: delta {float(delta)} asks for {windows} windows in [0.0, 100.0], "
-            f"more than can be allocated\n"))
+            f"more than 2^53\n"))
         assert not out.exists()
+
+    def test_window_count_below_2_53_fits(self, tmp_path, capsys):
+        # 10^14 windows, one event in each of 100: the pairs hold 100
+        # windows, not 10^14
+        events = write(tmp_path, "ev.txt", "".join(f"{i}\n" for i in range(1, 101)))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="t0 = 0"):
+            code = main(["estimate", "--events", str(events), "--delta", "1e-12", "--t0", "0",
+                         "--out-dir", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        report = strict_json(out / "estimate.json")
+        assert report["window_stats"]["count"] == 10**14
+        assert "boundary_alpha" in report["flags"]
 
     @pytest.mark.parametrize("t0", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", ["estimate", "validate"])

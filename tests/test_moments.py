@@ -18,8 +18,8 @@ import pytest
 from closed_forms_mp import helper_integrals, limit_intensity_mp, m2_mp, m3_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (increment_mean_exact, integrate_polynomial_on_path, mean_intensity,
-                     second_moment_intensity)
+from oracles import (dense_counts, increment_mean_exact, integrate_polynomial_on_path,
+                     mean_intensity, second_moment_intensity)
 from scipy.integrate import quad
 
 from hawkesmom import (
@@ -216,7 +216,8 @@ class TestStationaryMoments:
     def test_monte_carlo_spot_check(self):
         # one long path; the 200-path version is acceptance criterion 2
         traj = simulate_exact(P, 10_000.0, 909)
-        counts = windowed_counts(traj.events, 3_000.0, 0.5, 14_000).counts.astype(float)
+        pairs = windowed_counts(traj.events, 3_000.0, 0.5, 14_000)
+        counts = dense_counts(pairs, 14_000).astype(float)
         # correlation-inflated standard errors on this window sample
         for power, ref, tol in [(1, M1_REF, 0.030), (2, M2_REF, 0.075), (3, M3_REF, 0.30)]:
             assert abs((counts**power).mean() - ref) <= tol

@@ -6,13 +6,14 @@ import importlib
 import math
 import os
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import windowed_counts_reference
+from oracles import dense_counts, windowed_counts_reference
 from scipy import stats
 
 from hawkesmom import (
@@ -329,6 +330,19 @@ class TestSimulateCluster:
             with pytest.raises(CapacityExceeded, match=f"exceeded {cap} events"):
                 simulate_cluster(p, 1000.0, 1, cap=cap)
 
+    def test_cap_checked_before_the_proposals(self):
+        # at lambda0 = lambda_inf every proposal is an immigrant: 2e7 of
+        # them would hold 320 MB of draws
+        p = validate_params(0.0, 1.0, 2e7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="exceeded 1 events"):
+                simulate_cluster(p, 1.0, 1, cap=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_deterministic_given_seed(self):
         p = validate_params(0.2, 1.0, 1.0, 1.2)
         a = simulate_cluster(p, 200.0, 9)
@@ -343,8 +357,8 @@ class TestSelfExcitationOrdering:
         for alpha, seed in [(0.0, 31), (0.2, 32), (0.5, 33)]:
             p = validate_params(alpha, 1.0, 1.0, 1.0)
             traj = simulate_exact(p, horizon, seed)
-            counts = windowed_counts(traj.events, t0, delta,
-                                     int((horizon - t0) / delta)).counts
+            count = int((horizon - t0) / delta)
+            counts = dense_counts(windowed_counts(traj.events, t0, delta, count), count)
             means.append(counts.mean())
             ses.append(counts.std(ddof=1) / math.sqrt(counts.size))
         # expected means 0.5, 0.625, 1.0 are separated far beyond 3 sigma
@@ -357,16 +371,18 @@ class TestSelfExcitationOrdering:
 class TestWindowedCounts:
     def test_basic(self):
         out = windowed_counts([0.1, 0.6, 0.7], 0.0, 0.5, 2)
+        assert list(out.index) == [0, 1]
         assert list(out.counts) == [1, 2]
 
     def test_empty_events(self):
         out = windowed_counts([], 0.0, 1.0, 5)
-        assert list(out.counts) == [0, 0, 0, 0, 0]
+        assert out.index.size == out.counts.size == 0
+        assert list(dense_counts(out, 5)) == [0, 0, 0, 0, 0]
 
     def test_half_open_windows(self):
         # event exactly at a window edge belongs to the right window
         out = windowed_counts([0.5], 0.0, 0.5, 2)
-        assert list(out.counts) == [0, 1]
+        assert list(dense_counts(out, 2)) == [0, 1]
 
     def test_out_of_range(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
@@ -387,9 +403,9 @@ class TestWindowedCounts:
     def test_partition_invariance(self):
         rng = np.random.default_rng(77)
         events = np.sort(rng.uniform(0, 30, size=200))
-        whole = windowed_counts(events, 2.0, 0.7, 20).counts
-        first = windowed_counts(events, 2.0, 0.7, 8).counts
-        second = windowed_counts(events, 2.0 + 8 * 0.7, 0.7, 12).counts
+        whole = dense_counts(windowed_counts(events, 2.0, 0.7, 20), 20)
+        first = dense_counts(windowed_counts(events, 2.0, 0.7, 8), 8)
+        second = dense_counts(windowed_counts(events, 2.0 + 8 * 0.7, 0.7, 12), 12)
         assert np.array_equal(whole, np.concatenate([first, second]))
 
     def test_total_matches_counting(self):
@@ -410,8 +426,8 @@ class TestWindowedCounts:
         t0, delta = t0_ticks * quantum, delta_ticks * quantum
         end = t0 + delta * (2 * pairs)
         events = EventSequence(times=times, horizon=max(end, times.max(initial=0.0)))
-        fine = windowed_counts(events, t0, delta, 2 * pairs).counts
-        coarse = windowed_counts(events, t0, 2.0 * delta, pairs).counts
+        fine = dense_counts(windowed_counts(events, t0, delta, 2 * pairs), 2 * pairs)
+        coarse = dense_counts(windowed_counts(events, t0, 2.0 * delta, pairs), pairs)
         assert np.array_equal(fine[0::2] + fine[1::2], coarse)
         # windows are [t0, end), count_at is right-continuous
         total = (count_at(events, end) - count_at(events, t0)
@@ -435,21 +451,24 @@ class TestWindowedCounts:
         times = np.sort(np.concatenate([
             ties, np.nextafter(ties, -math.inf), np.nextafter(ties, math.inf),
             t0 + delta * np.array(offsets, dtype=float)]))
-        counts = windowed_counts(times, t0, delta, count).counts
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, windowed_counts_reference(times, t0, delta, count))
+        pairs = windowed_counts(times, t0, delta, count)
+        assert pairs.index.dtype == pairs.counts.dtype == np.int64
+        assert (pairs.counts > 0).all()
+        assert (np.diff(pairs.index) > 0).all()
+        assert np.array_equal(dense_counts(pairs, count),
+                              windowed_counts_reference(times, t0, delta, count))
 
     @staticmethod
     def _searches_for_strays(monkeypatch) -> list:
-        # the one-pass count's fallback is its only right-side binary search
-        strays, search = [], np.searchsorted
+        # the sizes of the strays handed to the one-pass count's bisection
+        estimate_module = importlib.import_module("hawkesmom.estimate")
+        strays, bisect = [], estimate_module._bisect_windows
 
-        def spy(a, v, side="left", sorter=None):
-            if side == "right":
-                strays.append(np.size(v))
-            return search(a, v, side, sorter)
+        def spy(t, *args):
+            strays.append(t.size)
+            return bisect(t, *args)
 
-        monkeypatch.setattr(np, "searchsorted", spy)
+        monkeypatch.setattr(estimate_module, "_bisect_windows", spy)
         return strays
 
     def test_far_guesses_fall_back_to_a_search(self, monkeypatch):
@@ -459,7 +478,8 @@ class TestWindowedCounts:
         times = t0 + np.linspace(0.0, count * delta, 200, endpoint=False)
         expected = windowed_counts_reference(times, t0, delta, count)
         strays = self._searches_for_strays(monkeypatch)
-        assert np.array_equal(windowed_counts(times, t0, delta, count).counts, expected)
+        assert np.array_equal(dense_counts(windowed_counts(times, t0, delta, count), count),
+                              expected)
         assert strays and sum(strays) > 0
 
     def test_edge_hugging_events_match_the_reference(self):
@@ -468,7 +488,7 @@ class TestWindowedCounts:
         edges = 0.3 + 0.1 * np.arange(1001)
         times = np.sort(np.concatenate([edges, np.nextafter(edges, -math.inf),
                                         np.nextafter(edges, math.inf)]))
-        assert np.array_equal(windowed_counts(times, 0.3, 0.1, 1000).counts,
+        assert np.array_equal(dense_counts(windowed_counts(times, 0.3, 0.1, 1000), 1000),
                               windowed_counts_reference(times, 0.3, 0.1, 1000))
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64, None])
@@ -486,13 +506,13 @@ class TestWindowedCounts:
         times = np.sort(np.concatenate([lattice, rng.uniform(0.0, 40.0, size - lattice.size),
                                         np.full(5, 12.3)]))
         for t0, delta, count in [(0.3, 0.1, 300), (1.0, 0.7, 50), (2.0, 5.0, 7)]:
-            assert np.array_equal(windowed_counts(times, t0, delta, count).counts,
+            assert np.array_equal(dense_counts(windowed_counts(times, t0, delta, count), count),
                                   windowed_counts_reference(times, t0, delta, count))
 
     def test_stationary_window_mean(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         traj = simulate_exact(p, 10_000.0, 404)
-        counts = windowed_counts(traj.events, 3_000.0, 0.5, 14_000).counts
+        counts = dense_counts(windowed_counts(traj.events, 3_000.0, 0.5, 14_000), 14_000)
         # correlation-adjusted SE of the window mean is ~ 0.0084
         assert abs(counts.mean() - stationary_m1(p, 0.5)) <= 0.03
 
