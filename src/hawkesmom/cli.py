@@ -220,9 +220,10 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     the report and, with --envelope, the envelope; returns the paths written.
 
     Each worker of the batch (see simulate.map_batch) fits, and with
-    --envelope counts on the shared grid, the paths it sampled, so only
+    --envelope counts on the shared grid, each path as it draws it, so only
     the reports and envelope rows cross the fork, never the paths; the
-    fits' warnings are issued here in path order, as in a one-process run.
+    sampler's and the fits' warnings are issued here in path order, as in
+    a one-process run, and a failed batch issues none.
     Non-converged runs are kept in the table (converged = False) and
     excluded from the mean/sd summary.  With --envelope, per-trajectory
     cumulative counts are written on a shared grid, optionally alongside a

@@ -52,9 +52,11 @@ of which each path is a view (_assemble).
 
 _fork.in_slices cuts a batch's seeds into slices by its expected events
 (see map_batch), and _sample_slice cuts each slice into groups of _GROUP
-paths; each forked child samples its slice with the same code, applies
-the function to each of its paths and pickles only the results.  So
-validate fits and envelope-counts each path in its worker, and
+paths and yields each path as it is drawn, a lockstep group's once the
+group is assembled; each worker, this process for the first slice and a
+forked child for each later one, hands each path to the function as it
+comes and a child pickles only the results.  So validate fits and
+envelope-counts each path in its worker, as the worker draws it, and
 simulate_batch's workers return the paths, whose times pickle as their
 raw bytes (EventSequence.__reduce_ex__).  A path depends only on its
 seed, so the output bytes do not depend on the CPU count; validate's
@@ -309,7 +311,13 @@ def simulate_cluster(
         # the rate is its bound, so every proposal is an immigrant: the cap
         # is exceeded before any proposal is drawn
         raise CapacityExceeded(f"cluster construction exceeded {cap} events")
-    proposals = np.sort(rng.random(n_prop)) * horizon
+    try:
+        proposals = rng.random(n_prop)
+    except MemoryError:  # numpy's, raised before any draw
+        raise ValueError(f"cluster construction cannot allocate its {n_prop} "
+                         f"immigrant proposals") from None
+    proposals.sort()
+    proposals *= horizon
     rate = lam_inf + (lam0 - lam_inf) * elementwise(math.exp, -beta * proposals)
     immigrants = proposals[rng.random(n_prop) * bound <= rate]
 
@@ -500,25 +508,23 @@ def _lockstep(params: HawkesParams, horizon: float, seeds: range,
 
 
 def _sample_slice(params: HawkesParams, horizon: float, seeds: range, method: str,
-                  cap: int) -> list[Trajectory]:
-    """The path of each seed, in seed order, sampled _GROUP seeds at a time.
+                  cap: int):
+    """Yield the path of each seed, in seed order, _GROUP seeds at a time.
 
     The exact method steps each group of at least _MIN_LOCKSTEP paths in
-    lockstep (see _lockstep); every other path is drawn by the single-path
-    sampler, one at a time.
+    lockstep (see _lockstep) and yields its paths once they are assembled;
+    every other path is yielded as the single-path sampler draws it.
     """
-    out = []
     for lo in range(0, len(seeds), _GROUP):
         group = seeds[lo:lo + _GROUP]
         if method == "exact" and len(group) >= _MIN_LOCKSTEP:
             # excess == 0 divides by zero on purpose; a tiny excess may overflow d
             with np.errstate(divide="ignore", over="ignore"):
                 times = _assemble(*_lockstep(params, horizon, group, cap))
-            out += (Trajectory(EventSequence._sampled(t, horizon), s)
-                    for s, t in zip(group, times))
+            yield from (Trajectory(EventSequence._sampled(t, horizon), s)
+                        for s, t in zip(group, times))
         else:
-            out += (sampler(method)(params, horizon, s, cap=cap) for s in group)
-    return out
+            yield from (sampler(method)(params, horizon, s, cap=cap) for s in group)
 
 
 def simulate_batch(
@@ -555,29 +561,34 @@ def map_batch(
 ) -> list:
     """[fn(path) for path in the batch], where path i is bit for bit
     sampler(method)(params, horizon, seed + i), with each fn(path) run in
-    the worker that sampled the path: the one batch driver.
+    the worker that draws the path, as it draws it: the one batch driver.
 
     _fork.in_slices cuts the seeds into slices by the batch's expected
     events (mean_count) and MIN_EVENTS_PER_WORKER, so a batch of fewer than
     2 * MIN_EVENTS_PER_WORKER expected events, of one path or of a NaN
-    expectation never forks.  Each worker samples its slice, this process
-    the first (_sample_slice), so a path over ``cap`` raises
-    CapacityExceeded before any of the slice's paths reaches ``fn``; then it
-    calls ``fn`` on each path in seed order.  A forked child pickles only
-    the results, and the warnings the calls issued, into its file; ``fn``
-    itself is not pickled, so it may be a closure.  Every slice's warnings
-    are issued here in path order once all are back (see
-    _fork.replay_warnings).  A path depends only on its seed, so neither the
-    results nor what a run prints depend on the CPU count.  A bad horizon
-    or method, or a negative n_paths, fails before any fork; n_paths = 0
-    gives [].
+    expectation never forks.  Each worker, this process for the first
+    slice, hands the paths of its slice to ``fn`` in seed order as
+    _sample_slice yields them: a single-path sampler's path as it is drawn,
+    so the worker holds one at a time beyond what ``fn`` keeps, and a
+    lockstep group's paths once the whole group is sampled.  A forked child
+    pickles only the results, and the warnings the sampler and ``fn``
+    issued, into its file; ``fn`` itself is not pickled, so it may be a
+    closure.  Every slice's warnings are issued here in path order once all
+    are back (see _fork.replay_warnings).  A path depends only on its seed,
+    so neither the results nor what a successful run prints depend on the
+    CPU count.  A bad horizon or method, or a negative n_paths, fails before
+    any fork; n_paths = 0 gives [].
 
-    An exception in a worker, ``fn``'s included, is raised here unchanged:
-    the lowest failing slice's, and within it the lowest failing group's.
-    Its type does not depend on the CPU count, but the path it names may,
-    since the groups differ and a lockstep group fails at whichever of its
-    paths passes the cap first.  Every child is reaped before the call
-    returns or raises.
+    An exception in a worker, the sampler's or ``fn``'s, is raised here
+    unchanged: the first failure of the lowest failing slice, where a
+    lockstep group samples all its paths before ``fn`` sees any of them.
+    The slices and groups depend on the CPU count, and so may the error:
+    with ``fn`` failing on path 5 and path 400 over ``cap`` among 600, one
+    CPU steps paths 0 to 511 as one group and raises CapacityExceeded, and
+    two CPUs fit path 5 in the slice of paths 0 to 299 and raise ``fn``'s
+    error.  A lockstep group fails at whichever of its paths passes the cap
+    first.  A failed batch issues no warning.  Every child is reaped before
+    the call returns or raises.
     """
     _check_horizon(horizon)
     sampler(method)

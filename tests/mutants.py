@@ -272,6 +272,24 @@ MUTANTS = [
         ("tests/test_simulate.py", "-k", "cap_checked_before_the_proposals"),
         "2e7 proposals are drawn and sorted before the cap fails, which "
         "tracemalloc sees"),
+    Mutant(
+        "cluster_proposals_memory_error_unconverted", "src/hawkesmom/simulate.py",
+        "    except MemoryError:  # numpy's, raised before any draw\n",
+        "    except OverflowError:\n",
+        ("tests/test_io_cli.py", "-k", "unallocatable_cluster_proposals"),
+        "1e12 proposals end in numpy's MemoryError and a traceback, not one error line"),
+    # the batch worker hands each path to fn as it draws it
+    Mutant(
+        "sample_slice_materialised", "src/hawkesmom/simulate.py",
+        "        paths = _sample_slice(params, horizon, range(lo, hi), method, cap)\n",
+        "        paths = list(_sample_slice(params, horizon, range(lo, hi), method, cap))\n",
+        ("tests/test_simulate.py", "-k", "one_scalar_path_at_a_time"),
+        "the whole slice stays alive while fn runs, so fn finds its earlier paths alive"),
+    Mutant(
+        "sampler_warnings_before_fns", "src/hawkesmom/simulate.py",
+        "[fn(path) for path in paths]", "[fn(path) for path in list(paths)]",
+        ("tests/test_simulate.py", "-k", "sampler_warnings_cross_the_fork"),
+        "a slice's sampler warnings all come before its fn warnings"),
     # one owner per failure rule
     Mutant(
         "validate_suppresses_no_window", "src/hawkesmom/cli.py",

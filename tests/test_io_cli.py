@@ -1209,6 +1209,26 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "error: cluster construction exceeded 1 events\n"
         assert not out.exists()
 
+    # at lambda0 = 1e12 the rate falls from its bound, so the cap cannot fail
+    # first, and about 1e12 proposals ask numpy for 7.28 TiB; validate's two
+    # paths are two slices where two CPUs are available, and the fd-level
+    # capture sees a child's stderr too
+    @pytest.mark.skipif(_OVERCOMMIT_ALWAYS, reason="vm.overcommit_memory=1 would grant them")
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "0"],
+    ], ids=["simulate", "validate"])
+    def test_unallocatable_cluster_proposals_are_one_error_line(self, tmp_path, capfd,
+                                                                 command):
+        out = tmp_path / "out"
+        code = main(command + ["--alpha", "0", "--beta", "1", "--lambda-inf", "1",
+                               "--lambda0", "1e12", "--horizon", "1", "--cap", "1",
+                               "--method", "cluster", "--seed", "1", "--out-dir", str(out)])
+        assert code == 1
+        n_prop = int(np.random.default_rng(1).poisson(1e12))
+        assert capfd.readouterr().err == (f"error: cluster construction cannot allocate its "
+                                          f"{n_prop} immigrant proposals\n")
+        assert not out.exists()
+
     def test_validation_error(self, tmp_path):
         code = main(["simulate", "--alpha", "1.5", "--beta", "1.0",
                      "--lambda-inf", "1.0", "--horizon", "10", "--seed", "1",

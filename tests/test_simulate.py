@@ -8,6 +8,7 @@ import os
 import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1205,8 +1206,9 @@ class TestSliceRule:
 
 
 class TestMapBatch:
-    """map_batch applies a function to each path in the worker that sampled
-    it; results and warnings come back in path order at any CPU count."""
+    """map_batch hands each path to a function in the worker that draws it,
+    as it draws it; results and warnings come back in path order at any CPU
+    count."""
 
     N_PATHS = 20
 
@@ -1258,6 +1260,70 @@ class TestMapBatch:
             warnings.simplefilter("always")
             with pytest.raises(CapacityExceeded):
                 map_batch(p, 40.0, 3_020, self.N_PATHS, self.fit, cap=cap)
+        assert caught == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("method", ["exact", "cluster"])
+    def test_a_worker_holds_one_scalar_path_at_a_time(self, monkeypatch, method, cpus):
+        # 20 paths are drawn one at a time by the single-path sampler: each
+        # is gone by the time fn gets the next
+        held = []
+
+        def fit(traj):
+            assert all(ref() is None for ref in held), f"path {traj.seed}"
+            held.append(weakref.ref(traj))
+            return traj.seed
+
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        forks = TestBatchSlices.count_forks(monkeypatch, cpus)
+        results = map_batch(p, 40.0, 3_000, self.N_PATHS, fit, method=method)
+        assert results == list(range(3_000, 3_000 + self.N_PATHS))
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_sampler_warnings_cross_the_fork_like_fns(self, monkeypatch, cpus):
+        cluster = simulate_module.simulate_cluster
+
+        def warning_cluster(params, horizon, seed, **kwargs):
+            warnings.warn(f"drawn {seed}", UserWarning)
+            return cluster(params, horizon, seed, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "simulate_cluster", warning_cluster)
+        p = validate_params(0.3, 1.0, 1.0, 2.5)
+        forks = TestBatchSlices.count_forks(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            map_batch(p, 40.0, 3_000, self.N_PATHS, self.fit, method="cluster")
+        assert len(forks) == cpus - 1
+        assert [str(w.message) for w in caught] == [
+            text for seed in range(3_000, 3_000 + self.N_PATHS)
+            for text in (f"drawn {seed}", "every path", f"path {seed}")]
+
+    @pytest.mark.parametrize("cpus, error", [(1, CapacityExceeded), (2, ZeroDivisionError)])
+    def test_error_is_the_first_failure_of_the_lowest_failing_slice(self, monkeypatch, cpus,
+                                                                    error):
+        # fn fails on path 5 and a path in 300 to 511 passes the cap: one
+        # CPU steps paths 0 to 511 as one lockstep group, which fails before
+        # fn sees any of them; on two CPUs the first slice, paths 0 to 299,
+        # passes no cap, and fn fails on path 5 first
+        n_paths, p = 600, validate_params(0.5, 1.0, 2.0, 2.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        sizes = [len(t.events) for t in simulate_batch(p, 4.0, 11, n_paths)]
+        cap = max(sizes[:300])
+        assert max(sizes[300:512]) > cap
+
+        def fail_on_path_5(traj):
+            warnings.warn(f"path {traj.seed}", UserWarning)
+            if traj.seed == 11 + 5:
+                raise ZeroDivisionError(f"path {traj.seed}")
+            return traj.seed
+
+        forks = TestBatchSlices.count_forks(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                map_batch(p, 4.0, 11, n_paths, fail_on_path_5, cap=cap)
+        assert len(forks) == cpus - 1
         assert caught == []
 
     def test_replay_of_a_file_that_is_no_module(self):
