@@ -3,7 +3,6 @@
 Exit codes: 0 success, 2 event-file parse errors, 3 estimation/convergence
 failures, 4 trajectory capacity exceeded, 1 anything else: main prints a
 failure as one "error:" line and takes its code from one table, _EXIT_CODES.
-validate checks its window rule, as it checks its flags, before it samples.
 Seeds come from --seed, falling back to the HAWKES_SEED environment variable;
 stochastic subcommands refuse to run without one so every run is reproducible.
 
@@ -11,7 +10,10 @@ build_parser is the one configuration: each flag and its default are
 declared there once, and each subcommand's parser sets its cmd_* function
 as the namespace's func, to which main hands the parsed argparse.Namespace;
 the function reads the flags by their dest names.  simulate and validate
-return the paths they wrote, estimate its report.
+return the paths they wrote, estimate its report.  The library checks its
+own settings: estimate and validate make their EstimateConfig, which checks
+--delta, --t0 and --init, and validate counts its windows, before anything
+is read or sampled; moments leaves --delta to moment_triple.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .errors import (
     NoConvergence,
     ParseError,
 )
-from .estimate import (DEFAULT_INIT, EstimateConfig, EstimateReport, _check_start,
-                       _window_count, estimate)
+from .estimate import DEFAULT_INIT, EstimateConfig, EstimateReport, _window_count, estimate
 from .io import (
     parse_events,
     report_to_dict,
@@ -92,32 +93,13 @@ def _require_seed(seed: int | None) -> int:
     )
 
 
-class _StepGrid:
-    """The grid 0, step, 2 step, ... of ``n`` points, made a slice at a time:
-    ``grid[lo:hi]`` is ``np.arange(lo, hi, dtype=float64) * step``.  Every
-    index is an integer-valued float, exact below 2**53 (no longer grid can
-    be allocated), under one IEEE multiply, so each slice equals that slice
-    of ``np.arange(n) * step`` bit for bit."""
-
-    __slots__ = ("n", "step")
-
-    def __init__(self, n: int, step: float):
-        self.n, self.step = n, step
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        return np.arange(*key.indices(self.n), dtype=np.float64) * self.step
-
-
-def _step_grid(flag: str, horizon: float, step: float) -> _StepGrid:
-    """The grid 0, step, 2 step, ... up to horizon, checked before anything
-    is sampled or written, so a bad step or horizon, or a grid too large to
-    allocate, is an error with no output.  The check asks numpy for the
-    whole grid, uninitialised, and releases it untouched: a block that large
-    is mapped, never written, so it costs no resident memory.  The points
-    are then made a slice at a time (see _StepGrid)."""
+def _step_grid(flag: str, horizon: float, step: float) -> int:
+    """The number of points of the grid 0, step, 2 step, ... up to horizon,
+    checked before anything is sampled or written, so a bad step or horizon,
+    or a grid too large to allocate, is an error with no output.  The check
+    asks numpy for the whole grid, uninitialised, and releases it untouched:
+    a block that large is mapped, never written, so it costs no resident
+    memory."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"{flag} must be positive and finite, got {step}")
     _check_horizon(horizon)
@@ -128,17 +110,7 @@ def _step_grid(flag: str, horizon: float, step: float) -> _StepGrid:
     except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"{flag} {step} asks for {n_pts:.3g} grid points, "
                          f"more than can be allocated") from None
-    return _StepGrid(n_pts, step)
-
-
-def _check_windows(delta: float, t0: float | None = None) -> None:
-    """Reject a window length, and a start where the command has one, before
-    anything is sampled or written: NaN or infinity would reach the window
-    count unchecked."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"--delta must be positive and finite, got {delta}")
-    if t0 is not None and not (math.isfinite(t0) and t0 >= 0.0):
-        raise ValueError(f"--t0 must be finite and >= 0, got {t0}")
+    return n_pts
 
 
 def _check_cap(cap: int) -> None:
@@ -153,17 +125,17 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
 
     No grid-sized array is held: the grid's points and the intensity there
     are made chunk by chunk by the process that formats those rows (see
-    _StepGrid and io.write_intensity_csv).
+    io.write_intensity_csv).
     """
     _check_cap(args.cap)
-    grid = _step_grid("--grid-step", args.horizon, args.grid_step)
+    n_pts = _step_grid("--grid-step", args.horizon, args.grid_step)
     params = _params(args)
     seed = _require_seed(args.seed)
     traj = sampler(args.method)(params, args.horizon, seed, cap=args.cap)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(args.out_dir / "events.txt", traj.events)
-    intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", grid,
+    intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", args.grid_step, n_pts,
                                          _intensity_on_blocks(params, traj.events))
     print(f"simulated {len(traj.events)} events on [0, {args.horizon}] (seed {seed})")
     print(f"wrote {events_path} and {intensity_path}")
@@ -174,7 +146,6 @@ def cmd_moments(args: argparse.Namespace) -> dict:
     """Print theoretical stationary window moments and intensity moments."""
     from .moments import limit_intensity_moments, moment_triple
 
-    _check_windows(args.delta)
     params = _params(args)
     # past float64's range numpy's products overflow, ** raises and * gives inf
     try:
@@ -202,10 +173,9 @@ def cmd_moments(args: argparse.Namespace) -> dict:
 
 def cmd_estimate(args: argparse.Namespace) -> EstimateReport:
     """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
-    _check_windows(args.delta, args.t0)
-    _check_start(args.init)
+    config = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
     events = parse_events(args.events_path, horizon=args.horizon)
-    report = estimate(events, EstimateConfig(delta=args.delta, t0=args.t0, init=args.init))
+    report = estimate(events, config)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = write_report_json(args.out_dir / "estimate.json", report_to_dict(report))
     p = report.params_hat
@@ -233,14 +203,16 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         raise ValueError(f"validate needs at least 2 trajectories, got {args.count}")
     if args.real_events_path is not None and not args.envelope:
         raise ValueError("--real-events is overlaid on the envelope; it needs --envelope")
-    _check_windows(args.delta, args.t0)
-    _check_start(args.init)
+    if args.envelope_step is not None and not args.envelope:
+        raise ValueError("--envelope-step spaces the envelope's grid; it needs --envelope")
+    est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
     _check_cap(args.cap)
     if args.envelope:
         step = args.envelope_step
         if step is None:
             step = max(args.horizon / 600.0, args.delta)
-        grid = _step_grid("--envelope-step", args.horizon, step)[:]  # count_at takes an array
+        grid = np.arange(_step_grid("--envelope-step", args.horizon, step),
+                         dtype=np.float64) * step
     params = _params(args)
     seed = _require_seed(args.seed)
     real = None
@@ -251,7 +223,6 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     # no whole window, or more than 2^53 of them, fails before sampling
     _check_horizon(args.horizon)
     _window_count(args.horizon, args.t0, args.delta)
-    est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
 
     def fit(traj):
         """One path's report, and its envelope row under --envelope."""
@@ -314,10 +285,6 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    init_help = ("solver start, finite, with BETA > ALPHA > 0 and LAMBDA_INF > 0 "
-                 "(default %(default)s): the fit is the exact root nearest it in "
-                 "(ln alpha, ln(beta - alpha)), or, with none, the least-squares point "
-                 "within half an e-fold of (BETA - ALPHA) * delta, flagged m3_best_fit")
     parser = argparse.ArgumentParser(
         prog="hawkesmom",
         description="Simulate, analyze and calibrate the exponentially decaying "
@@ -333,51 +300,56 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda0", type=float, default=None,
                            help="initial intensity (default: lambda-inf)")
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+    def add_common(p, sampled=True):  # sampling needs --horizon, --seed, --cap, --method
         p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP,
-                       help="per-trajectory event cap")
+        p.add_argument("--horizon", type=float, required=sampled, default=None,
+                       help="time span to simulate" if sampled else
+                       "truncate events beyond this time (default: last event)")
+        if sampled:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+            p.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP,
+                           help="per-trajectory event cap")
+            p.add_argument("--method", choices=("exact", "cluster"), default="exact")
+
+    def add_windows(p, t0=None):
+        p.add_argument("--delta", type=float, required=True, help="window length")
+        if t0 is not None:
+            p.add_argument("--t0", type=float, default=t0,
+                           help="burn-in start of the window grid (default %(default)s)")
+            p.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
+                           metavar=("ALPHA", "BETA", "LAMBDA_INF"),
+                           help="solver start, finite, with BETA > ALPHA > 0 and "
+                                "LAMBDA_INF > 0 (default %(default)s): the fit is the exact "
+                                "root nearest it in (ln alpha, ln(beta - alpha)), or, with "
+                                "none, the least-squares point within half an e-fold of "
+                                "(BETA - ALPHA) * delta, flagged m3_best_fit")
 
     p_sim = sub.add_parser("simulate", help="simulate one trajectory and write plot-ready files")
     p_sim.set_defaults(func=cmd_simulate)
     add_params(p_sim)
     add_common(p_sim)
-    p_sim.add_argument("--horizon", type=float, required=True)
-    p_sim.add_argument("--method", choices=("exact", "cluster"), default="exact")
     p_sim.add_argument("--grid-step", type=float, default=0.01,
                        help="intensity output grid resolution")
 
     p_mom = sub.add_parser("moments", help="print theoretical window and intensity moments")
     p_mom.set_defaults(func=cmd_moments)
     add_params(p_mom, with_lambda0=False)
-    p_mom.add_argument("--delta", type=float, required=True, help="window length")
+    add_windows(p_mom)
 
     p_est = sub.add_parser("estimate", help="fit parameters to an events file")
     p_est.set_defaults(func=cmd_estimate)
     p_est.add_argument("--events", dest="events_path", metavar="EVENTS", type=Path,
                        required=True, help="events file (one timestamp per line)")
-    p_est.add_argument("--delta", type=float, required=True, help="window length")
-    p_est.add_argument("--t0", type=float, default=0.0, help="burn-in start of the window grid")
-    p_est.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
-                       metavar=("ALPHA", "BETA", "LAMBDA_INF"), help=init_help)
-    p_est.add_argument("--horizon", type=float, default=None,
-                       help="truncate events beyond this time (default: last event)")
-    p_est.add_argument("--out-dir", type=Path, default=Path("."))
+    add_windows(p_est, t0=0.0)
+    add_common(p_est, sampled=False)
 
     p_val = sub.add_parser("validate", help="simulate K trajectories, estimate each, summarize")
     p_val.set_defaults(func=cmd_validate)
     add_params(p_val)
     add_common(p_val)
-    p_val.add_argument("--horizon", type=float, required=True)
     p_val.add_argument("--count", "-k", type=int, default=20, help="number of trajectories")
-    p_val.add_argument("--delta", type=float, required=True)
-    p_val.add_argument("--t0", type=float, default=3000.0,
-                       help="burn-in before the window grid (default 3000)")
-    p_val.add_argument("--init", type=float, nargs=3, default=DEFAULT_INIT,
-                       metavar=("ALPHA", "BETA", "LAMBDA_INF"), help=init_help)
-    p_val.add_argument("--method", choices=("exact", "cluster"), default="exact")
+    add_windows(p_val, t0=3000.0)
     p_val.add_argument("--envelope", action="store_true",
                        help="also write per-trajectory cumulative counts on a shared grid")
     p_val.add_argument("--envelope-step", type=float, default=None)

@@ -110,12 +110,18 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class EstimateConfig:
-    """Windowing settings for estimate(); tol is the solver's constant TOL."""
+    """Settings for estimate(), checked as made (_check_windows, _check_start),
+    so a caller that makes them first reads nothing for bad ones; tol is
+    the solver's constant TOL."""
 
     delta: float
     t0: float = 0.0
     init: tuple[float, float, float] = DEFAULT_INIT
     tol: ClassVar[float] = TOL
+
+    def __post_init__(self):
+        _check_windows(self.delta, self.t0)
+        _check_start(self.init)
 
 
 class WindowCounts(NamedTuple):
@@ -209,15 +215,20 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
     return EmpiricalMoments(triple=triple, window_count=windows, t0=float(t0))
 
 
+def _check_windows(delta: float, t0: float) -> None:
+    """ValueError unless the window length delta > 0 and start t0 >= 0 are finite."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+    if not (math.isfinite(t0) and t0 >= 0.0):
+        raise ValueError(f"t0 must be finite and >= 0, got {t0}")
+
+
 def _window_count(horizon: float, t0: float, delta: float) -> int:
     """The maximal whole number of windows of length delta in [t0, horizon]:
     InsufficientData when none fits, and a ValueError naming the count
     past 2^53, where t0 + j delta no longer names each window."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be > 0 and finite, got {delta}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
-    if t0 < 0.0 or t0 >= horizon:
+    _check_windows(delta, t0)
+    if t0 >= horizon:
         raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
     n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
     if not n_windows <= 2**53:

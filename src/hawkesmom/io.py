@@ -8,10 +8,9 @@ reports as JSON; floats are serialized with repr so identical inputs give
 byte-identical files.  Every CSV, the events, intensity, table and
 envelope files, goes through one writer, _write_csv, which formats rows a
 chunk at a time, a large file in slices over the CPUs.  The intensity CSV
-reads its grid a chunk at a time, by slicing, and takes the path's
-intensity as a function of that chunk, evaluated by whichever process
-formats the chunk's rows: a grid that makes its points per slice, as
-simulate's does, is never held whole.
+makes its grid's points a chunk at a time and takes the path's intensity
+as a function of that chunk, both in whichever process formats the
+chunk's rows, so its grid is never held whole.
 
 Every writer overwrites an existing file in place and cuts it to the length
 written, so its bytes equal a write into an empty directory; a writer that
@@ -183,25 +182,26 @@ def write_events(path, events: EventSequence) -> Path:
                       lambda lo, hi: _event_rows(times[lo:hi].tolist()))
 
 
-def write_intensity_csv(path, grid, intensity) -> Path:
-    """Header ``t,intensity`` and one ``repr(t),repr(value)`` row per grid point.
+def write_intensity_csv(path, step: float, n: int, intensity) -> Path:
+    """Header ``t,intensity`` and one ``repr(t),repr(value)`` row for each
+    of the ``n`` grid points 0, step, 2 step, ...
 
-    ``grid`` is read only through ``len(grid)`` and slices ``grid[lo:hi]``
-    of up to _CSV_CHUNK_ROWS points, each taken as a 1-D float64 array: a
-    1-D array or list, or a grid that makes each slice's points on demand.
-    ``intensity`` maps such a chunk to the path's values there, one per
-    point.  Each chunk is sliced and its values computed in the process
-    that formats its rows (_write_csv), so beyond what ``grid`` itself
-    holds, no process holds more than a chunk of grid points or values.
+    Rows lo to hi - 1 have the points ``np.arange(lo, hi, dtype=float64) *
+    step``: every index is an integer-valued float, exact below 2**53, under
+    one IEEE multiply, so each chunk's points equal those rows of
+    ``np.arange(n) * step`` bit for bit.  ``intensity`` maps a chunk's
+    points to the path's values there, one per point.  Each chunk's points
+    and values are made in the process that formats its rows (_write_csv),
+    so no process holds more than a chunk of them.
     """
     def rows(lo, hi):
-        t = np.asarray(grid[lo:hi], dtype=np.float64)
+        t = np.arange(lo, hi, dtype=np.float64) * step
         values = np.asarray(intensity(t), dtype=np.float64)
         if values.shape != t.shape:
             raise ValueError(f"grid has {t.size} points but values has {values.size}")
         return _intensity_rows(t.tolist(), values.tolist())
 
-    return _write_csv(path, "t,intensity\n", len(grid), rows)
+    return _write_csv(path, "t,intensity\n", n, rows)
 
 
 def write_table_csv(path, rows) -> Path:

@@ -291,6 +291,9 @@ def _spawn_offspring(rng, parents: np.ndarray, params: HawkesParams, horizon: fl
     return rep_parents - elementwise(math.log1p, -u * rep_frac) / params.beta
 
 
+_THIN_BLOCK = 1 << 16  # simulate_cluster's immigrant proposals thinned at a time
+
+
 def simulate_cluster(
     params: HawkesParams,
     horizon: float,
@@ -298,7 +301,11 @@ def simulate_cluster(
     *,
     cap: int = DEFAULT_EVENT_CAP,
 ) -> Trajectory:
-    """Draw one path via the immigrant/offspring branching construction."""
+    """Draw one path via the immigrant/offspring branching construction.
+
+    The sorted proposals are thinned a _THIN_BLOCK at a time, the cap checked
+    after each block, so a path over the cap holds its proposals (8 bytes
+    each) and one block's arrays."""
     _check_horizon(horizon)
     rng = np.random.default_rng(seed)
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
@@ -318,12 +325,17 @@ def simulate_cluster(
                          f"immigrant proposals") from None
     proposals.sort()
     proposals *= horizon
-    rate = lam_inf + (lam0 - lam_inf) * elementwise(math.exp, -beta * proposals)
-    immigrants = proposals[rng.random(n_prop) * bound <= rate]
+    generations = [np.empty(0)]
+    total = 0
+    for lo in range(0, n_prop, _THIN_BLOCK):
+        block = proposals[lo:lo + _THIN_BLOCK]
+        rate = lam_inf + (lam0 - lam_inf) * elementwise(math.exp, -beta * block)
+        generations.append(block[rng.random(block.size) * bound <= rate])
+        total += generations[-1].size
+        if total > cap:
+            raise CapacityExceeded(f"cluster construction exceeded {cap} events")
 
-    generations = [immigrants]
-    frontier = immigrants
-    total = immigrants.size
+    frontier = np.concatenate(generations)  # the immigrants
     while total <= cap and frontier.size and alpha > 0.0:
         frontier = _spawn_offspring(rng, frontier, params, horizon)
         total += frontier.size

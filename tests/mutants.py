@@ -218,16 +218,15 @@ MUTANTS = [
         survives=not EXPM1_SIMD),
     # simulate's grid and the window count
     Mutant(
-        "simulate_holds_the_grid", "src/hawkesmom/cli.py",
-        'grid = _step_grid("--grid-step", args.horizon, args.grid_step)',
-        'grid = _step_grid("--grid-step", args.horizon, args.grid_step)[:]',
+        "simulate_holds_the_grid", "src/hawkesmom/io.py",
+        "t = np.arange(lo, hi, dtype=np.float64) * step",
+        "t = (np.arange(n, dtype=np.float64) * step)[lo:hi]",
         ("tests/test_io_cli.py", "-k", "holds_no_grid"),
-        "the whole grid is one array, which tracemalloc sees"),
+        "each chunk's points are sliced from the whole grid, which tracemalloc sees"),
     Mutant(
-        "step_grid_offset_slices", "src/hawkesmom/cli.py",
-        "return np.arange(*key.indices(self.n), dtype=np.float64) * self.step",
-        "lo, hi, _ = key.indices(self.n)\n"
-        "        return lo * self.step + np.arange(hi - lo, dtype=np.float64) * self.step",
+        "step_grid_offset_slices", "src/hawkesmom/io.py",
+        "t = np.arange(lo, hi, dtype=np.float64) * step",
+        "t = lo * step + np.arange(hi - lo, dtype=np.float64) * step",
         ("tests/test_io_cli.py", "-k", "StepGrid"),
         "lo step + j step is not (lo + j) step to the last bit"),
     Mutant(
@@ -273,6 +272,13 @@ MUTANTS = [
         "2e7 proposals are drawn and sorted before the cap fails, which "
         "tracemalloc sees"),
     Mutant(
+        "cluster_cap_after_thinning", "src/hawkesmom/simulate.py",
+        "        if total > cap:\n"
+        '            raise CapacityExceeded(f"cluster construction exceeded {cap} events")\n',
+        "", ("tests/test_simulate.py", "-k", "cap_checked_per_thinning_block"),
+        "every block is thinned before the cap fails: the immigrants, about 63% "
+        "of the 2e6 proposals, join the proposals in tracemalloc's peak"),
+    Mutant(
         "cluster_proposals_memory_error_unconverted", "src/hawkesmom/simulate.py",
         "    except MemoryError:  # numpy's, raised before any draw\n",
         "    except OverflowError:\n",
@@ -298,6 +304,21 @@ MUTANTS = [
         "    except InsufficientData:\n        pass\n",
         ("tests/test_io_cli.py", "-k", "no_whole_window"),
         "validate samples its paths where no fit can have a window"),
+    Mutant(
+        "estimate_config_unchecked", "src/hawkesmom/estimate.py",
+        "    def __post_init__(self):\n"
+        "        _check_windows(self.delta, self.t0)\n"
+        "        _check_start(self.init)\n",
+        "    def __post_init__(self):\n        pass\n",
+        ("tests/test_io_cli.py", "-k", "bad_init_writes_nothing"),
+        "estimate reads the events file, and validate samples, before a bad "
+        "--init is found"),
+    Mutant(
+        "envelope_step_without_envelope_ignored", "src/hawkesmom/cli.py",
+        "    if args.envelope_step is not None and not args.envelope:\n",
+        "    if False:\n",
+        ("tests/test_io_cli.py", "-k", "without_envelope_writes_nothing"),
+        "--envelope-step without --envelope is dropped and validate samples"),
     Mutant(
         "exit_table_catch_all_first", "src/hawkesmom/cli.py",
         "    (ParseError, EXIT_PARSE),\n"

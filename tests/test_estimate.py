@@ -103,12 +103,12 @@ class TestEmpiricalMoments:
             with pytest.raises(ValueError, match=f"delta must be > 0 and finite, got {delta}"):
                 fit()
 
-    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
-    def test_non_finite_t0_is_named(self, t0):
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_t0_is_named(self, t0):
         events = EventSequence(times=np.array([0.5, 1.5, 2.5]), horizon=10.0)
         for fit in (lambda: empirical_moments(events, t0=t0, delta=1.0),
                     lambda: estimate(events, EstimateConfig(delta=1.0, t0=t0))):
-            with pytest.raises(ValueError, match=f"t0 must be finite, got {t0}"):
+            with pytest.raises(ValueError, match=f"t0 must be finite and >= 0, got {t0}"):
                 fit()
 
     def test_few_windows_warns(self):

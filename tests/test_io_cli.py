@@ -35,7 +35,6 @@ from hawkesmom import (
 )
 from hawkesmom import cli as cli_module
 from hawkesmom.cli import (
-    _StepGrid,
     _step_grid,
     EXIT_CAPACITY,
     EXIT_CONVERGENCE,
@@ -205,45 +204,33 @@ class TestRoundTrips:
 
 
 class TestStepGrid:
-    """simulate's grid, made a slice at a time, against the whole array."""
+    """simulate's grid: its point count, and its points, made by the writer
+    a chunk at a time, against the whole array."""
 
-    @staticmethod
-    def writer_chunks(n):
-        """The slices write_intensity_csv takes of an n-point grid at 1 to 4
-        workers: each worker's contiguous rows, a chunk at a time."""
-        for workers in range(1, 5):
-            bounds = [n * k // workers for k in range(workers + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                for start in range(lo, hi, _CSV_CHUNK_ROWS):
-                    yield start, min(start + _CSV_CHUNK_ROWS, hi)
-
+    # slices of at least 1000 rows, so the writer's chunks and its workers'
+    # slices start at rows other than multiples of _CSV_CHUNK_ROWS
+    MIN_ROWS = 1000
     EDGES = sorted({base + d for base in (_CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS,
-                                          2 * MIN_ROWS_PER_WORKER, 4 * MIN_ROWS_PER_WORKER)
+                                          2 * MIN_ROWS, 4 * MIN_ROWS)
                     for d in (-1, 0, 1)} | {1, 2})
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(n=st.one_of(st.sampled_from(EDGES), st.integers(1, 4 * MIN_ROWS_PER_WORKER + 5)),
-           step=st.floats(min_value=5e-324, max_value=1e300), data=st.data())
-    def test_slices_equal_the_whole_grid(self, n, step, data):
-        whole = np.arange(n) * step
-        grid = _StepGrid(n, step)
-        assert len(grid) == n
-        lo = data.draw(st.integers(0, n))
-        hi = data.draw(st.integers(lo, n))
-        for a, b in [*self.writer_chunks(n), (lo, hi), (0, n)]:
-            t = grid[a:b]
-            assert t.dtype == np.float64 and t.tobytes() == whole[a:b].tobytes(), (a, b)
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * _CSV_CHUNK_ROWS + 5)),
+           step=st.floats(min_value=5e-324, max_value=1e300), cpus=st.integers(1, 4))
+    def test_slices_equal_the_whole_grid(self, tmp_path, monkeypatch, n, step, cpus):
+        monkeypatch.setattr(io_module, "MIN_ROWS_PER_WORKER", self.MIN_ROWS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = write_intensity_csv(tmp_path / "grid.csv", step, n, lambda t: t)
+        whole = (np.arange(n) * step).tolist()
+        assert path.read_text() == "t,intensity\n" + "".join(f"{t!r},{t!r}\n" for t in whole)
 
     @pytest.mark.parametrize("horizon, step", [
         (20.0, 0.01), (10_000.0, 0.01), (100.0, 0.0003), (7.0, 3.0), (1e-300, 3e-302),
     ])
     def test_step_grid_has_the_allocated_grids_points(self, horizon, step):
-        # the whole grid as one array, scaled in place
         expected = np.arange(int(round(horizon / step)) + 1, dtype=np.float64)
-        expected *= step
-        grid = _step_grid("--grid-step", horizon, step)
-        assert len(grid) == expected.size
-        assert grid[:].tobytes() == expected.tobytes()
+        assert _step_grid("--grid-step", horizon, step) == expected.size
 
 
 class TestWriteIntensityCsv:
@@ -253,14 +240,14 @@ class TestWriteIntensityCsv:
         grid = np.arange(n) * 0.01
         values = rng.lognormal(0.0, 3.0, size=n)
         values[:4] = [1.0, 0.1, 1e-300, 12345678901234.5]
-        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, values))
+        path = write_intensity_csv(tmp_path / "intensity.csv", 0.01, n, values_on(grid, values))
         expected = "t,intensity\n" + "".join(
             f"{float(t)!r},{float(v)!r}\n" for t, v in zip(grid, values))
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="grid has 3 points but values has 2"):
-            write_intensity_csv(tmp_path / "intensity.csv", np.arange(3.0), lambda t: np.ones(2))
+            write_intensity_csv(tmp_path / "intensity.csv", 1.0, 3, lambda t: np.ones(2))
         assert not (tmp_path / "intensity.csv").exists()
 
     def test_each_process_computes_its_own_rows(self, tmp_path, monkeypatch):
@@ -276,7 +263,7 @@ class TestWriteIntensityCsv:
             return t + 0.5
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        path = write_intensity_csv(tmp_path / "intensity.csv", grid, intensity)
+        path = write_intensity_csv(tmp_path / "intensity.csv", 1.0, n, intensity)
         assert [start for start, _ in asked] == list(range(0, n // 2, _CSV_CHUNK_ROWS))
         assert [size for _, size in asked[:-1]] == [_CSV_CHUNK_ROWS] * (len(asked) - 1)
         assert sum(size for _, size in asked) == n // 2
@@ -303,13 +290,13 @@ class TestWriteIntensityCsv:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         default_workers = min(len(os.sched_getaffinity(0)), 3)
-        default = write_intensity_csv(tmp_path / "default.csv", grid, intensity).read_bytes()
+        default = write_intensity_csv(tmp_path / "default.csv", 0.01, n, intensity).read_bytes()
         assert len(forks) == default_workers - 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        three = write_intensity_csv(tmp_path / "three.csv", grid, intensity).read_bytes()
+        three = write_intensity_csv(tmp_path / "three.csv", 0.01, n, intensity).read_bytes()
         assert len(forks) == default_workers - 1 + 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = write_intensity_csv(tmp_path / "serial.csv", grid, intensity).read_bytes()
+        serial = write_intensity_csv(tmp_path / "serial.csv", 0.01, n, intensity).read_bytes()
         assert len(forks) == default_workers - 1 + 2
         assert default == serial
         assert three == serial
@@ -333,14 +320,13 @@ class TestWriteIntensityCsv:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        array = write_intensity_csv(tmp_path / "array.csv", np.arange(n) * step, intensity)
+        array = write_intensity_csv(tmp_path / "array.csv", step, n, intensity)
         expected = array.read_bytes()
         assert expected.count(b"\n") == n + 1
         for cpus in (1, 2, 4):
             forks.clear()
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            path = write_intensity_csv(tmp_path / f"grid_{cpus}.csv", _StepGrid(n, step),
-                                       intensity)
+            path = write_intensity_csv(tmp_path / f"grid_{cpus}.csv", step, n, intensity)
             assert len(forks) == cpus - 1
             assert path.read_bytes() == expected, cpus
 
@@ -373,7 +359,7 @@ class TestWriteIntensityCsv:
         n = 2 * MIN_ROWS_PER_WORKER
         grid = np.arange(n * 1.0)
         with pytest.raises(RuntimeError, match=f"^worker failed on chunk {failing_chunk}$"):
-            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
+            write_intensity_csv(tmp_path / "intensity.csv", 1.0, n, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -384,7 +370,7 @@ class TestWriteIntensityCsv:
         grid = np.arange(n * 1.0)
         with pytest.raises(OSError, match=f"formatting rows {n // 2} to {n - 1} exited with "
                                           f"status 1$"):
-            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
+            write_intensity_csv(tmp_path / "intensity.csv", 1.0, n, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         out = tmp_path / "out"
         code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
@@ -410,7 +396,7 @@ class TestWriteIntensityCsv:
         n = 3 * MIN_ROWS_PER_WORKER
         grid = np.arange(n * 1.0)
         with pytest.raises(RuntimeError, match="parent failed"):
-            write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
+            write_intensity_csv(tmp_path / "intensity.csv", 1.0, n, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -423,7 +409,7 @@ class TestWriteIntensityCsv:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         n = 2 * MIN_ROWS_PER_WORKER - 1
         grid = np.arange(n * 1.0)
-        path = write_intensity_csv(tmp_path / "intensity.csv", grid, values_on(grid, np.ones(n)))
+        path = write_intensity_csv(tmp_path / "intensity.csv", 1.0, n, values_on(grid, np.ones(n)))
         assert path.read_bytes().count(b"\n") == n + 1
 
 
@@ -512,7 +498,7 @@ def _small_outputs():
     rows = [(i, 0.2 + i / 3, 1.0 / 3, 1e-05, i % 2 == 0) for i in range(5)]
     return {
         "events": lambda path: write_events(path, events),
-        "intensity": lambda path: write_intensity_csv(path, grid, values_on(grid, values)),
+        "intensity": lambda path: write_intensity_csv(path, 0.01, n, values_on(grid, values)),
         "table": lambda path: write_table_csv(path, rows),
         "envelope": lambda path: write_envelope_csv(path, grid, counts, counts[0]),
         "report": lambda path: write_report_json(path, {"b": [0.1, 1e-05], "a": None}),
@@ -543,7 +529,7 @@ class TestWriteInPlace:
         grid = np.arange(n) * 0.01
         values = rng.lognormal(0.0, 3.0, size=n)
         intensity = values_on(grid, values)
-        fresh = write_intensity_csv(tmp_path / "fresh.csv", grid, intensity).read_bytes()
+        fresh = write_intensity_csv(tmp_path / "fresh.csv", 0.01, n, intensity).read_bytes()
         forks = []
         real_fork = os.fork
 
@@ -555,7 +541,8 @@ class TestWriteInPlace:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         for old in (b"x" * (len(fresh) + MIN_ROWS_PER_WORKER), b"y" * (len(fresh) // 3)):
             (tmp_path / "out.csv").write_bytes(old)
-            assert write_intensity_csv(tmp_path / "out.csv", grid, intensity).read_bytes() == fresh
+            assert write_intensity_csv(tmp_path / "out.csv", 0.01, n,
+                                       intensity).read_bytes() == fresh
         assert len(forks) == 2 * (cpus - 1)
 
     def test_no_writer_truncates_on_open(self, tmp_path, monkeypatch):
@@ -611,7 +598,7 @@ class TestWriteInPlace:
         grid = np.arange(n * 1.0)
         path.write_bytes(b"x" * (4 * n))
         with pytest.raises(RuntimeError, match="^worker failed$"):
-            write_intensity_csv(path, grid, values_on(grid, np.ones(n)))
+            write_intensity_csv(path, 1.0, n, values_on(grid, np.ones(n)))
         assert os.listdir(tmp_path) == []
 
     RERUNS = {
@@ -1394,7 +1381,7 @@ class TestMainExitCodes:
         assert self.run_windows(tmp_path, monkeypatch, command, ["--delta", delta]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: --delta must be positive and finite, got {float(delta)}\n"
+        assert err == f"error: delta must be > 0 and finite, got {float(delta)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delta, windows", [
@@ -1442,7 +1429,7 @@ class TestMainExitCodes:
         assert self.run_windows(tmp_path, monkeypatch, command, flags) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: --t0 must be finite and >= 0, got {float(t0)}\n"
+        assert err == f"error: t0 must be finite and >= 0, got {float(t0)}\n"
         assert not (tmp_path / "out").exists()
 
     # checked before the events file is read or any path is sampled; a
@@ -1505,19 +1492,23 @@ class TestMainExitCodes:
             "", "error: validate needs at least 2 trajectories, got 1\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [None, "t\n1.0\n2.0\n"], ids=["missing", "readable"])
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--real-events", None, "--real-events is overlaid on the envelope"),
+        ("--real-events", "t\n1.0\n2.0\n", "--real-events is overlaid on the envelope"),
+        ("--envelope-step", None, "--envelope-step spaces the envelope's grid"),
+    ], ids=["missing", "readable", "envelope_step"])
     def test_real_events_without_envelope_writes_nothing(self, tmp_path, monkeypatch, capsys,
-                                                         text):
+                                                         flag, text, message):
         self.forbid_sampling(monkeypatch)
         real = tmp_path / "real.txt"
         if text is not None:
             real.write_text(text, encoding="utf-8")
+        value = str(real) if flag == "--real-events" else "1.0"
         out = tmp_path / "out"
         assert main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
                      "--horizon", "100", "--count", "2", "--delta", "0.5", "--t0", "10",
-                     "--seed", "1", "--real-events", str(real), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: --real-events is overlaid on the envelope; it needs --envelope\n")
+                     "--seed", "1", flag, value, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}; it needs --envelope\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

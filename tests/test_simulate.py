@@ -344,6 +344,32 @@ class TestSimulateCluster:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_cap_checked_per_thinning_block(self):
+        # at lambda0 = 2e6 the rate falls below its bound, so the proposals
+        # are drawn and sorted, 8 bytes each; a path over the cap fails at
+        # its first block of them, before the rates and accept draws of the rest
+        proposals = int(np.random.default_rng(1).poisson(2e6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="exceeded 1 events"):
+                simulate_cluster(validate_params(0.0, 1.0, 1.0, 2e6), 1.0, 1, cap=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * proposals
+
+    def test_thinning_blocks_read_one_stream(self):
+        # alpha = 0: the path is its immigrants, about three blocks of
+        # proposals, here thinned as one array
+        lam0 = 2e5
+        rng = np.random.default_rng(3)
+        proposals = np.sort(rng.random(int(rng.poisson(lam0))))
+        rate = 1.0 + (lam0 - 1.0) * np.array([math.exp(-x) for x in proposals.tolist()])
+        expected = proposals[rng.random(proposals.size) * lam0 <= rate]
+        traj = simulate_cluster(validate_params(0.0, 1.0, 1.0, lam0), 1.0, 3)
+        assert proposals.size > 3 * simulate_module._THIN_BLOCK
+        assert traj.events.times.tobytes() == expected.tobytes()
+
     def test_deterministic_given_seed(self):
         p = validate_params(0.2, 1.0, 1.0, 1.2)
         a = simulate_cluster(p, 200.0, 9)
