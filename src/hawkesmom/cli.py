@@ -10,8 +10,9 @@ build_parser is the one configuration: each flag and its default are
 declared there once, and each subcommand's parser sets its cmd_* function
 as the namespace's func, to which main hands the parsed argparse.Namespace;
 the function reads the flags by their dest names.  simulate and validate
-return the paths they wrote, estimate its report.  The library checks its
-own settings: estimate and validate make their EstimateConfig, which checks
+return the paths they wrote, estimate its report, or NoConvergence once it
+has written one that did not converge.  The library checks its own
+settings: estimate and validate make their EstimateConfig, which checks
 --delta, --t0 and --init, and validate counts its windows, before anything
 is read or sampled; moments leaves --delta to moment_triple.
 """
@@ -172,7 +173,8 @@ def cmd_moments(args: argparse.Namespace) -> dict:
 
 
 def cmd_estimate(args: argparse.Namespace) -> EstimateReport:
-    """Fit (alpha, beta, lambda_inf) to an events file; write a JSON report."""
+    """Fit (alpha, beta, lambda_inf) to an events file and write a JSON
+    report; a report that did not converge is written, then NoConvergence."""
     config = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
     events = parse_events(args.events_path, horizon=args.horizon)
     report = estimate(events, config)
@@ -182,6 +184,8 @@ def cmd_estimate(args: argparse.Namespace) -> EstimateReport:
     print(f"alpha_hat={p.alpha:.6g} beta_hat={p.beta:.6g} lambda_inf_hat={p.lambda_inf:.6g} "
           f"converged={report.converged} residual={report.residual_norm:.3e}")
     print(f"wrote {out}")
+    if not report.converged:
+        raise NoConvergence("estimation did not converge (report written for diagnostics)")
     return report
 
 
@@ -372,14 +376,10 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        args.func(args)
     except (HawkesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    if isinstance(result, EstimateReport) and not result.converged:
-        print("error: estimation did not converge (report written for diagnostics)",
-              file=sys.stderr)
-        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ class CapacityExceeded(HawkesError):
 
 
 class WindowOutOfRange(HawkesError):
-    """Requested count windows do not fit inside the observation horizon."""
+    """Requested count windows do not fit the observation horizon (2^53 for raw times)."""
 
 
 class InsufficientData(HawkesError):
@@ -32,7 +32,8 @@ class InsufficientData(HawkesError):
 class NoConvergence(HawkesError):
     """No admissible parameters match the first two moments, so the
     moment-system solver has no fit to report (a fit that only misses the
-    tolerance is returned with converged = False instead)."""
+    tolerance is returned with converged = False instead); the CLI's
+    estimate raises it after it writes a report that did not converge."""
 
 
 class ParseError(HawkesError):

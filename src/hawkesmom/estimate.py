@@ -69,6 +69,7 @@ TOL = 1e-9
 # windowed_counts places this many events per pass, so its per-event
 # arrays stay near 1 MB however long the path is
 _COUNT_CHUNK_EVENTS = 1 << 16
+_MAX_WINDOWS = 2**53  # past it, t0 + j delta no longer names each window
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,10 @@ def _bisect_windows(t: np.ndarray, t0: float, delta: float, count: int) -> np.nd
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> WindowCounts:
     """Event counts in the non-empty windows among ``count`` consecutive
-    half-open windows [t0 + j delta, t0 + (j+1) delta), which must fit
-    inside the observation horizon; time and memory are linear in the events.
+    half-open windows [t0 + j delta, t0 + (j+1) delta), with delta and t0
+    checked by _check_windows and 1 <= count <= the _window_count of a path's
+    horizon (_MAX_WINDOWS for raw times), else WindowOutOfRange; time and
+    memory are linear in the events.
 
     The events are placed a chunk of _COUNT_CHUNK_EVENTS at a time: each
     window is guessed as floor((t - t0) / delta), clipped to the windows,
@@ -159,15 +162,13 @@ def windowed_counts(events, t0: float, delta: float, count: int) -> WindowCounts
     np.diff(np.searchsorted(times, edges)).  A window that straddles two
     chunks is still one pair.
     """
-    if not (math.isfinite(t0) and math.isfinite(delta) and t0 >= 0.0 and delta > 0.0
-            and count >= 1):
-        raise WindowOutOfRange(f"need finite t0 >= 0 and delta > 0, count >= 1; "
-                               f"got t0={t0}, delta={delta}, count={count}")
+    _check_windows(delta, t0)
+    fit = (_window_count(events.horizon, t0, delta) if isinstance(events, EventSequence)
+           else _MAX_WINDOWS)
+    if not 1 <= count <= fit:
+        raise WindowOutOfRange(f"{count} windows of length {delta} from t0={t0}; 1 to {fit} fit")
     times = _times(events)
     end = t0 + delta * count
-    # relative slack: a window count computed by floor() may round past the horizon
-    if isinstance(events, EventSequence) and end > events.horizon * (1.0 + 1e-12) + 1e-12:
-        raise WindowOutOfRange(f"windows end at {end} beyond horizon {events.horizon}")
     times = times[np.searchsorted(times, t0):np.searchsorted(times, end)]
     index, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, times.size, _COUNT_CHUNK_EVENTS):
@@ -231,7 +232,7 @@ def _window_count(horizon: float, t0: float, delta: float) -> int:
     if t0 >= horizon:
         raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
     n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
-    if not n_windows <= 2**53:
+    if not n_windows <= _MAX_WINDOWS:
         raise ValueError(f"delta {delta} asks for {n_windows:.3g} windows in [{t0}, {horizon}], "
                          f"more than 2^53")
     if n_windows < 1:

@@ -167,11 +167,11 @@ def _solve_order(ix: tuple[int, int]) -> tuple[int, int, int]:
 def moment_closure(params: HawkesParams, indices: Iterable) -> list[tuple[int, int]]:
     """Smallest index set containing ``indices`` closed under the ODE dependencies.
 
-    Ordered by (total degree descending, m, l), the order the system is
-    solved in.  Terminates because the generator image of lambda^m n^l only
-    references total degrees <= m + l.
+    Ordered by (total degree descending, m, l): the rows of the cached
+    _triangular_system, the order it is solved in.  Terminates because the
+    generator image of lambda^m n^l only references total degrees <= m + l.
     """
-    return sorted(_closure_images(params, indices), key=_solve_order)
+    return list(_triangular_system(params, indices)[0])
 
 
 def _triangular_system(params: HawkesParams, indices: Iterable):

@@ -167,14 +167,15 @@ def _window_shapes(x: np.ndarray) -> np.ndarray:
     """
     out = np.empty((len(_SHAPES), x.size))
     small = x < 1.0
-    xs = x[small]
-    # the series summed from its smallest terms up
-    terms = _SERIES[:0:-1, :, None] * _powers(xs, _TAYLOR_TERMS - 1)[::-1, None]
-    out[:, small] = _SERIES[0, :, None] + terms.sum(axis=0)
-    xl = x[~small]
-    e1 = elementwise(math.exp, -xl)
-    basis = np.array((np.ones_like(xl), xl, e1, xl * e1, e1 * e1))
-    out[:, ~small] = (_NUMERATORS[:, :, None] * basis).sum(axis=1) / xl
+    if small.any():
+        # the series summed from its smallest terms up
+        terms = _SERIES[:0:-1, :, None] * _powers(x[small], _TAYLOR_TERMS - 1)[::-1, None]
+        out[:, small] = _SERIES[0, :, None] + terms.sum(axis=0)
+    if not small.all():
+        xl = x[~small]
+        e1 = elementwise(math.exp, -xl)
+        basis = np.array((np.ones_like(xl), xl, e1, xl * e1, e1 * e1))
+        out[:, ~small] = (_NUMERATORS[:, :, None] * basis).sum(axis=1) / xl
     return out
 
 

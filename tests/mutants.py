@@ -244,7 +244,7 @@ MUTANTS = [
         "np.arange gives an empty array for 2^63 + 1 points, where np.empty refuses"),
     Mutant(
         "window_count_without_the_2_53_bound", "src/hawkesmom/estimate.py",
-        "    if not n_windows <= 2**53:\n", "    if False:\n",
+        "    if not n_windows <= _MAX_WINDOWS:\n", "    if False:\n",
         ("tests/test_io_cli.py", "-k", "window_count"),
         "10^16 windows are fitted and a subnormal delta's inf count ends in "
         "int()'s OverflowError, neither with the 2^53 message"),
@@ -260,6 +260,16 @@ MUTANTS = [
         "            pass\n",
         ("tests/test_simulate.py", "-k", "far_guesses or edge_hugging or one_search_per_edge"),
         "an event within an ulp of an edge is counted one window off"),
+    Mutant(
+        "windowed_counts_past_the_horizon", "src/hawkesmom/estimate.py",
+        "count <= fit", "count <= fit + 10",
+        ("tests/test_simulate.py", "-k", "no_window_past_the_horizon"),
+        "a path's windows past its horizon are counted as empty"),
+    Mutant(
+        "windowed_counts_past_2_53", "src/hawkesmom/estimate.py",
+        "else _MAX_WINDOWS)", "else math.inf)",
+        ("tests/test_simulate.py", "-k", "raw_times_take_at_most_2_53"),
+        "10^17 windows of raw times are counted, at colliding edges"),
     Mutant(
         "chunk_border_not_merged", "src/hawkesmom/estimate.py",
         "        if index[-1].size and index[-1][-1] == j[0]:\n", "        if False:\n",
@@ -331,6 +341,13 @@ MUTANTS = [
         "    (CapacityExceeded, EXIT_CAPACITY),\n",
         ("tests/test_io_cli.py::TestMainExitCodes::test_parse_error",),
         "every failure matches the catch-all first, so a parse error exits 1, not 2"),
+    Mutant(
+        "unconverged_estimate_exits_0", "src/hawkesmom/cli.py",
+        "    if not report.converged:\n"
+        '        raise NoConvergence("estimation did not converge (report written for '
+        'diagnostics)")\n', "",
+        ("tests/test_io_cli.py", "-k", "sub_poisson_estimate_warns_once_and_exits_3"),
+        "an unconverged report is written and estimate exits 0, with no error line"),
     Mutant(
         "moments_without_finiteness_check", "src/hawkesmom/cli.py",
         "        if not all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, "

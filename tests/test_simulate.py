@@ -21,6 +21,7 @@ from hawkesmom import (
     CapacityExceeded,
     EventSequence,
     HawkesParams,
+    InsufficientData,
     count_at,
     WindowOutOfRange,
     mean_count,
@@ -416,16 +417,39 @@ class TestWindowedCounts:
         traj = simulate_exact(p, 10.0, 3)
         with pytest.raises(WindowOutOfRange):
             windowed_counts(traj.events, 5.0, 1.0, 6)
-        with pytest.raises(WindowOutOfRange):
+        with pytest.raises(ValueError):
             windowed_counts(traj.events, -1.0, 1.0, 2)
-        with pytest.raises(WindowOutOfRange):
+        with pytest.raises(ValueError):
             windowed_counts(traj.events, 0.0, 0.0, 2)
         # a non-finite t0 or delta, for a path and for its raw times alike
         for events in (traj.events, traj.events.times):
             for t0, delta in [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0),
                               (0.0, math.inf)]:
-                with pytest.raises(WindowOutOfRange):
+                with pytest.raises(ValueError):
                     windowed_counts(events, t0, delta, 2)
+
+    # a path's bound is the _window_count of its horizon, with no slack: a
+    # relative slack of 1e-12 would pass 10 unobserved windows at horizon
+    # 1e13, and one at t0 = 1e9 - 100 with delta = 1e-3
+    @pytest.mark.parametrize("horizon, t0, delta", [(1e13, 0.0, 1.0), (1e9, 1e9 - 100.0, 1e-3)])
+    def test_no_window_past_the_horizon(self, horizon, t0, delta):
+        events = EventSequence(times=np.array([t0]), horizon=horizon)
+        fit = importlib.import_module("hawkesmom.estimate")._window_count(horizon, t0, delta)
+        assert list(windowed_counts(events, t0, delta, fit).counts) == [1]
+        with pytest.raises(WindowOutOfRange):
+            windowed_counts(events, t0, delta, fit + 1)
+
+    def test_no_whole_window_is_insufficient_data(self):
+        events = EventSequence(times=np.array([0.5]), horizon=1.0)
+        with pytest.raises(InsufficientData):
+            windowed_counts(events, 0.0, 2.0, 1)
+
+    def test_raw_times_take_at_most_2_53_windows(self):
+        # past 2^53 the edges t0 + j delta collide: at 10^17 windows t = 0.5
+        # would land in window 50000000000000004, not 5e16
+        with pytest.raises(WindowOutOfRange):
+            windowed_counts([0.5], 0.0, 1e-17, 10**17)
+        assert windowed_counts([0.5], 0.0, 1e-17, 2**53).index.size == 0
 
     def test_partition_invariance(self):
         rng = np.random.default_rng(77)
