@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,13 @@ class HawkesParams:
 
     @property
     def lambda_star(self) -> float:
-        """The t -> infinity limit of E[lambda_t]."""
-        return self.beta * self.lambda_inf / (self.beta - self.alpha)
+        """The t -> infinity limit of E[lambda_t], beta lambda_inf / kappa,
+        formed as lambda_inf (beta / kappa) where the product beta lambda_inf
+        leaves float64's normal range, so it is finite wherever lambda* is."""
+        product = self.beta * self.lambda_inf
+        if sys.float_info.min <= product <= sys.float_info.max:
+            return product / self.kappa
+        return self.lambda_inf * (self.beta / self.kappa)
 
 
 def validate_params(alpha, beta, lambda_inf, lambda0=None) -> HawkesParams:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import EventSequence, HawkesParams, _times
 from .errors import HawkesError, InsufficientData, NoConvergence, WindowOutOfRange
-from .moments import _PHI, MomentTriple, _k3_over_m1, _window_shapes, moment_triple
+from .moments import _PHI, MomentTriple, _check_delta, _k3_over_m1, _window_shapes, moment_triple
 
 __all__ = [
     "MIN_WINDOWS",
@@ -217,9 +217,8 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
 
 
 def _check_windows(delta: float, t0: float) -> None:
-    """ValueError unless the window length delta > 0 and start t0 >= 0 are finite."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+    """ValueError unless delta passes _check_delta and the start t0 >= 0 is finite."""
+    _check_delta(delta)
     if not (math.isfinite(t0) and t0 >= 0.0):
         raise ValueError(f"t0 must be finite and >= 0, got {t0}")
 
@@ -355,17 +354,9 @@ def _params_or_none(alpha: float, beta: float, lam_inf: float) -> HawkesParams |
         return None
 
 
-def _residuals(p: HawkesParams, triple: MomentTriple, delta: float) -> tuple[float, float, float]:
-    exact = moment_triple(p, delta)
-    return exact.m1 - triple.m1, exact.m2 - triple.m2, exact.m3 - triple.m3
-
-
-def solve_moment_system(
-    triple: MomentTriple,
-    delta: float,
-    init: tuple[float, float, float],
-) -> EstimateReport:
-    """Solve the three-equation moment system for (alpha, beta, lambda_inf).
+def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) -> EstimateReport:
+    """Solve the three-equation moment system for (alpha, beta, lambda_inf)
+    at the triple's window length triple.delta (_check_delta's rule).
 
     The system is reduced exactly: M1 pins lambda*, the variance excess pins
     eta = alpha/beta as a closed-form function of x = kappa delta, and the
@@ -399,19 +390,21 @@ def solve_moment_system(
     1e-10 around the least |residual|).  ``iterations`` reports the number of
     residual evaluations, each grid or sub-grid point counting as one.
     """
+    _check_delta(triple.delta)
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"moment {name} must be finite and positive, got {v}")
     start = _check_start(init)
     a0, b0, _ = start
 
-    m1, m2, m3 = triple.m1, triple.m2, triple.m3
+    m1, m2, m3, delta = triple.m1, triple.m2, triple.m3, triple.delta
     lam_star = m1 / delta
     excess = (m2 - m1 - m1 * m1) / m1
     evaluations = 0
 
     def make_report(p: HawkesParams, flags: tuple[str, ...]) -> EstimateReport:
-        residuals = _residuals(p, triple, delta)
+        exact = moment_triple(p, delta)
+        residuals = exact.m1 - m1, exact.m2 - m2, exact.m3 - m3
         norm = max(map(abs, residuals))
         within = [abs(r) <= TOL * max(1.0, m) for r, m in zip(residuals, (m1, m2, m3))]
         if p.alpha < BOUNDARY_ALPHA_RATIO * p.beta:
@@ -509,5 +502,5 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
         )
         extra_flags = ("t0_in_transient",)
 
-    report = solve_moment_system(emp.triple, config.delta, config.init)
+    report = solve_moment_system(emp.triple, config.init)
     return replace(report, window_stats=emp, flags=report.flags + extra_flags)

@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentTriple:
-    """First three raw moments of the window increment for window length delta."""
+    """First three raw window-increment moments, with the window length the solver reads."""
 
     m1: float
     m2: float
@@ -50,10 +50,15 @@ def mean_count(params: HawkesParams, t: float) -> float:
     return lam_star * t + (lam_star - params.lambda0) * math.expm1(-params.kappa * t) / params.kappa
 
 
-def stationary_m1(params: HawkesParams, delta: float) -> float:
-    """lim_t E[N_{t+delta} - N_t] = lambda* delta."""
+def _check_delta(delta: float) -> None:
+    """ValueError unless the window length delta is > 0 and finite."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
+
+
+def stationary_m1(params: HawkesParams, delta: float) -> float:
+    """lim_t E[N_{t+delta} - N_t] = lambda* delta."""
+    _check_delta(delta)
     return params.lambda_star * delta
 
 
@@ -220,7 +225,7 @@ def limit_intensity_moments(params: HawkesParams) -> tuple[float, float, float]:
     """
     a, b, li = params.alpha, params.beta, params.lambda_inf
     k = params.kappa
-    lam1 = b * li / k
+    lam1 = params.lambda_star
     lam2 = lam1 * (a * a + 2.0 * b * li) / (2.0 * k)
     lam3 = (a / k) * a * a * lam1 / 3.0 + (lam2 / k) * (a * a + b * li)
     return lam1, lam2, lam3

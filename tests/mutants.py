@@ -353,7 +353,8 @@ MUTANTS = [
         "        if not all(map(math.isfinite, (triple.m1, triple.m2, triple.m3, lam1, lam2, "
         "lam3))):\n            raise OverflowError\n", "",
         ("tests/test_io_cli.py", "-k", "beyond_float64"),
-        "at 1e200 the products are inf without raising, and Infinity is printed with exit 0"),
+        "at lambda_inf = 1e200 Lambda2 and Lambda3 are inf without raising, and "
+        "Infinity is printed with exit 0"),
     Mutant(
         "overwrite_keeps_a_failed_file", "src/hawkesmom/io.py",
         "        path.unlink(missing_ok=True)\n", "        pass\n",
@@ -366,6 +367,33 @@ MUTANTS = [
         "    return moment_triple(params, delta).m2\n",
         ("tests/test_moments.py", "-k", "m2_finite_where_m3_overflows"),
         "moment_triple's m3 overflows where m2 is finite"),
+    Mutant(
+        "solver_delta_unchecked", "src/hawkesmom/estimate.py",
+        "    _check_delta(triple.delta)\n", "",
+        ("tests/test_moments.py", "-k", "solve_moment_system"),
+        "a zero delta divides by zero, and a NaN, inf or negative one ends in "
+        "NoConvergence, neither with the window-length message"),
+    Mutant(
+        "lambda_star_unguarded", "src/hawkesmom/core.py",
+        "        product = self.beta * self.lambda_inf\n"
+        "        if sys.float_info.min <= product <= sys.float_info.max:\n"
+        "            return product / self.kappa\n"
+        "        return self.lambda_inf * (self.beta / self.kappa)\n",
+        "        return self.beta * self.lambda_inf / self.kappa\n",
+        ("tests/test_estimate.py", "-k", "extreme_time_units"),
+        "at rates near 2^520 the product overflows and near 2^-530 it is "
+        "subnormal, so the rescaled fits miss the tolerance and read as not converged"),
+    Mutant(
+        "m3_best_fit_without_m2_clause", "src/hawkesmom/estimate.py",
+        "and within[0] and within[1])", "and within[0])",
+        ("tests/test_estimate.py", "-k", "missing_m2"),
+        "a near-critical least-squares point that misses M2 by 1.26e-9 "
+        "relative reads as converged"),
+    Mutant(
+        "boundary_alpha_ratio_loosened", "src/hawkesmom/estimate.py",
+        "BOUNDARY_ALPHA_RATIO = 1e-6", "BOUNDARY_ALPHA_RATIO = 1e-3",
+        ("tests/test_estimate.py", "-k", "weak_excitation"),
+        "an exact fit with alpha/beta = 1e-4 is flagged boundary_alpha"),
     Mutant(
         "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
         "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",

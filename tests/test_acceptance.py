@@ -90,7 +90,7 @@ class TestCriterion3RoundTrip:
                     for delta in (0.25, 0.5):
                         p = validate_params(alpha, beta, lam_inf)
                         rep = solve_moment_system(
-                            moment_triple(p, delta), delta,
+                            moment_triple(p, delta),
                             init=(1.5 * alpha, 1.5 * beta, 1.5 * lam_inf))
                         assert rep.converged and rep.residual_norm <= 1e-9
                         worst = max(worst,

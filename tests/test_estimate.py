@@ -227,7 +227,7 @@ class TestM3ResidualScan:
         # the solve returns a report or raises a library error, never crashes
         triple = MomentTriple(m1, m1 + m1 * m1 + excess * m1, 2.0, delta)
         try:
-            report = solve_moment_system(triple, delta, init=DEFAULT_INIT)
+            report = solve_moment_system(triple, init=DEFAULT_INIT)
         except NoConvergence:
             # no candidate can be built: a decline with no attempt to report
             assert error is not None
@@ -239,7 +239,7 @@ class TestSolveMomentSystem:
     def test_round_trip_reference_point(self):
         p = validate_params(0.2, 1.0, 1.0)
         triple = moment_triple(p, 0.5)
-        report = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
+        report = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
         assert report.converged
         assert report.residual_norm <= 1e-9
         assert report.params_hat.alpha == pytest.approx(0.2, abs=1e-6)
@@ -254,7 +254,7 @@ class TestSolveMomentSystem:
         p = validate_params(alpha, beta, lam_inf)
         triple = moment_triple(p, delta)
         init = (1.5 * alpha, 1.5 * beta, 1.5 * lam_inf)
-        report = solve_moment_system(triple, delta, init=init)
+        report = solve_moment_system(triple, init=init)
         assert report.converged
         assert report.params_hat.alpha == pytest.approx(alpha, abs=1e-6)
         assert report.params_hat.beta == pytest.approx(beta, abs=1e-6)
@@ -271,8 +271,8 @@ class TestSolveMomentSystem:
         beta = kappa / (1.0 - eta)
         p = validate_params(beta - kappa, beta, 10.0**log_m1 / delta * (1.0 - eta))
         triple = moment_triple(p, delta)
-        report = solve_moment_system(triple, delta, init=(max(p.alpha, 1e-9 * beta), beta,
-                                                          p.lambda_inf))
+        report = solve_moment_system(triple, init=(max(p.alpha, 1e-9 * beta), beta,
+                                                   p.lambda_inf))
         # an exact root: every moment matched, the third one too
         assert report.converged
         assert report.residual_norm <= 1e-9 * max(1.0, triple.m3)
@@ -293,7 +293,7 @@ class TestSolveMomentSystem:
     ], ids=["m3_2e3", "m3_1e4"])
     def test_tolerance_scales_with_large_m3(self, m1, m2, m3, delta):
         triple = MomentTriple(m1=m1, m2=m2, m3=m3, delta=delta)
-        report = solve_moment_system(triple, delta, init=(0.5, 1.5, 2.0))
+        report = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
         assert report.converged and report.flags == ()
         assert report.residual_norm <= 1e-14 * m3  # reported unscaled
         hat = report.params_hat
@@ -303,7 +303,7 @@ class TestSolveMomentSystem:
     def test_constraints_hold_by_construction(self):
         p = validate_params(0.3, 1.4, 0.8)
         triple = moment_triple(p, 0.4)
-        report = solve_moment_system(triple, 0.4, init=(0.1, 2.5, 0.3))
+        report = solve_moment_system(triple, init=(0.1, 2.5, 0.3))
         hat = report.params_hat
         assert hat.beta > hat.alpha > 0.0 and hat.lambda_inf > 0.0
 
@@ -312,10 +312,32 @@ class TestSolveMomentSystem:
         from hawkesmom import MomentTriple
 
         triple = MomentTriple(m1=mu, m2=mu + mu**2, m3=mu + 3 * mu**2 + mu**3, delta=0.5)
-        report = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
+        report = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
         assert report.converged
         assert "boundary_alpha" in report.flags
         assert report.params_hat.lambda_inf == pytest.approx(mu / 0.5, rel=1e-6)
+
+    def test_weak_excitation_is_not_a_boundary_fit(self):
+        # alpha/beta = 1e-4 is far above BOUNDARY_ALPHA_RATIO
+        truth = validate_params(1e-4, 1.0, 1.0)
+        report = solve_moment_system(moment_triple(truth, 0.5), init=DEFAULT_INIT)
+        assert report.converged and report.flags == ()
+        hat = report.params_hat
+        assert hat.alpha / hat.beta == pytest.approx(1e-4, rel=1e-4)
+
+    def test_best_fit_missing_m2_is_not_converged(self):
+        # near criticality the least-squares point on the (M1, M2)-exact
+        # curve matches M1 within TOL but misses M2 by 1.26e-9 relative
+        triple = MomentTriple(m1=810346265611.3002, m2=6.566746099475116e+23,
+                              m3=5.319421034250102e+35, delta=0.0033583157605554374)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = solve_moment_system(triple, init=(0.9999998716386658, 1.0, 1.0))
+        assert [w.category for w in caught] == [UserWarning]
+        assert report.flags == ("m3_best_fit",) and not report.converged
+        exact = moment_triple(report.params_hat, triple.delta)
+        assert abs(exact.m1 - triple.m1) <= TOL * triple.m1
+        assert abs(exact.m2 - triple.m2) > TOL * triple.m2
 
     def test_no_convergence_on_infeasible_triple(self):
         from hawkesmom import MomentTriple
@@ -323,7 +345,7 @@ class TestSolveMomentSystem:
         # m2 < m1^2 cannot come from any point process: negative variance
         triple = MomentTriple(m1=2.0, m2=1.0, m3=1.0, delta=0.5)
         with pytest.warns(UserWarning, match="Poisson level"):
-            best = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
+            best = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
         assert not best.converged
         assert math.isfinite(best.residual_norm)
 
@@ -335,7 +357,7 @@ class TestSolveMomentSystem:
         from hawkesmom import MomentTriple
 
         with pytest.raises(NoConvergence, match="admissible"):
-            solve_moment_system(MomentTriple(1, m2, 2, delta), delta, DEFAULT_INIT)
+            solve_moment_system(MomentTriple(1, m2, 2, delta), DEFAULT_INIT)
 
     @pytest.mark.parametrize("m3_scale, flags", [(1.0, ()), (1.5, ("m3_best_fit",))],
                              ids=["root", "least_squares"])
@@ -346,7 +368,7 @@ class TestSolveMomentSystem:
         t = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
         triple = MomentTriple(t.m1, t.m2, m3_scale * t.m3, 0.5)
         with pytest.warns(UserWarning, match=r"^no admissible parameters reach residual 0\.0 "):
-            report = solve_moment_system(triple, 0.5, init=DEFAULT_INIT)
+            report = solve_moment_system(triple, init=DEFAULT_INIT)
         assert not report.converged
         assert report.flags == flags
         assert report.params_hat is not None and report.residual_norm > 0.0
@@ -355,12 +377,12 @@ class TestSolveMomentSystem:
         from hawkesmom import MomentTriple
 
         with pytest.raises(ValueError):
-            solve_moment_system(MomentTriple(0.0, 1.0, 1.0, 0.5), 0.5, (0.5, 1.5, 2.0))
+            solve_moment_system(MomentTriple(0.0, 1.0, 1.0, 0.5), (0.5, 1.5, 2.0))
 
     def test_rejects_inadmissible_init(self):
         p = validate_params(0.2, 1.0, 1.0)
         with pytest.raises(ValueError):
-            solve_moment_system(moment_triple(p, 0.5), 0.5, init=(1.5, 1.0, 1.0))
+            solve_moment_system(moment_triple(p, 0.5), init=(1.5, 1.0, 1.0))
 
     @pytest.mark.parametrize("init", [
         (0.5, math.inf, 2.0), (math.nan, 1.5, 2.0), (0.5, 1.5, math.inf), (0.5, 1.5, math.nan),
@@ -368,7 +390,7 @@ class TestSolveMomentSystem:
     def test_rejects_non_finite_init(self, init):
         triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
         with pytest.raises(ValueError, match="start point must be finite"):
-            solve_moment_system(triple, 0.5, init=init)
+            solve_moment_system(triple, init=init)
 
     # root choice reads only the start's alpha and beta, so starts differing
     # only in lambda_inf give the same fit and report their own init
@@ -380,8 +402,8 @@ class TestSolveMomentSystem:
     def test_start_differing_only_in_lambda_inf_changes_nothing(self, m3_scale, init, other):
         exact = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
         triple = MomentTriple(exact.m1, exact.m2, exact.m3 * m3_scale, 0.5)
-        first = solve_moment_system(triple, 0.5, init=init)
-        second = solve_moment_system(triple, 0.5, init=other)
+        first = solve_moment_system(triple, init=init)
+        second = solve_moment_system(triple, init=other)
         assert ("m3_best_fit" in first.flags) == (m3_scale != 1.0)
         assert (first.init, second.init) == (init, other)
         for name in ("params_hat", "iterations", "residual_norm", "flags", "converged"):
@@ -396,7 +418,7 @@ class TestSolveMomentSystem:
     def test_root_nearest_the_start(self, init, root):
         truth = validate_params(1.0167845160400812, 1.2787350843487018, 1.835952805023765)
         delta = 0.08570525505752138
-        report = solve_moment_system(moment_triple(truth, delta), delta, init=init)
+        report = solve_moment_system(moment_triple(truth, delta), init=init)
         assert report.converged and report.flags == () and report.init == init
         assert report.residual_norm <= 1e-14
         hat = report.params_hat
@@ -405,8 +427,8 @@ class TestSolveMomentSystem:
     def test_deterministic(self):
         p = validate_params(0.25, 1.2, 0.9)
         triple = moment_triple(p, 0.5)
-        r1 = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
-        r2 = solve_moment_system(triple, 0.5, init=(0.5, 1.5, 2.0))
+        r1 = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
+        r2 = solve_moment_system(triple, init=(0.5, 1.5, 2.0))
         assert r1.params_hat == r2.params_hat
         assert r1.iterations == r2.iterations
         assert r1.residual_norm == r2.residual_norm
@@ -459,6 +481,24 @@ class TestEstimate:
         assert scaled.params_hat.lambda_inf == pytest.approx(
             c * base.params_hat.lambda_inf, rel=1e-6)
 
+    # at rates near 2^520 and 2^-530, beta lambda_inf overflows or is
+    # subnormal while lambda* is a normal float
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_fit_at_extreme_time_units(self, alpha):
+        events = simulate_exact(validate_params(alpha, 1.0, 1.0), 10_000.0, 30001).events
+        init = (0.5, 1.5, 2.0)
+        base = estimate(events, EstimateConfig(delta=0.5, t0=3_000.0, init=init))
+        assert base.converged
+        unit = base.params_hat
+        for c in (2.0**-520, 2.0**530):
+            scaled = estimate(EventSequence(times=events.times * c, horizon=events.horizon * c),
+                              EstimateConfig(delta=0.5 * c, t0=3_000.0 * c,
+                                             init=tuple(v / c for v in init)))
+            assert (scaled.converged, scaled.flags) == (base.converged, base.flags), c
+            hat = scaled.params_hat
+            assert (hat.alpha * c, hat.beta * c, hat.lambda_inf * c) == (
+                unit.alpha, unit.beta, unit.lambda_inf), c
+
     def test_reports_best_attempt_when_nothing_converges(self):
         # two events -> degenerate moments the system cannot match
         events = EventSequence(times=np.array([0.1, 5.0]), horizon=40.0)
@@ -487,7 +527,7 @@ class TestEstimate:
             EstimateConfig(delta=0.5, tol=1e-6)
         triple = moment_triple(validate_params(0.2, 1.0, 1.0), 0.5)
         with pytest.raises(TypeError):
-            solve_moment_system(triple, 0.5, DEFAULT_INIT, tol=1e-6)
+            solve_moment_system(triple, DEFAULT_INIT, tol=1e-6)
 
     def test_window_stats_attached(self):
         events = self._simulated_events()

@@ -1241,11 +1241,21 @@ class TestMainExitCodes:
             for name, value in want.items():
                 assert printed[name] == pytest.approx(float(value), rel=1e-15, abs=0.0), name
 
-    # at 1e150 m3's ** raises; at 1e200 the products are inf
+    # at 1e150 and at 1e200 m3's ** raises
     @pytest.mark.parametrize("scale", ["1e150", "1e200"])
     def test_moments_beyond_float64_is_one_error_line(self, capsys, scale):
         code = main(["moments", "--alpha", scale, "--beta", f"2{scale}", "--lambda-inf", scale,
                      "--delta", "1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the moments at these parameters are beyond float64's range\n"
+
+    def test_intensity_moments_beyond_float64_is_one_error_line(self, capsys):
+        # the window moments fit float64, but Lambda2 and Lambda3 are products
+        # that reach inf without raising
+        code = main(["moments", "--alpha", "0", "--beta", "1", "--lambda-inf", "1e200",
+                     "--delta", "1e-100"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""

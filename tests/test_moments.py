@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -35,12 +36,14 @@ from hawkesmom import (
     moment_triple,
     simulate_batch,
     simulate_exact,
+    solve_moment_system,
     stationary_m1,
     stationary_m2,
     stationary_m3,
     validate_params,
     windowed_counts,
 )
+from hawkesmom.estimate import DEFAULT_INIT
 from hawkesmom.moments import _SHAPES, _taylor_coefficient
 
 P = validate_params(0.2, 1.0, 1.0, 1.0)
@@ -444,7 +447,8 @@ class TestNanArguments:
     """A NaN time or window length fails each closed form's range check, as
     a negative one does, instead of flowing through as a NaN result; so do
     an infinite window length or path-integral time, a NaN event time and a
-    NaN or negative intensity grid."""
+    NaN or negative intensity grid.  The solver checks its triple's window
+    length by the same rule."""
 
     @pytest.mark.parametrize("fn, args, message", [
         (mean_intensity, (P, NAN), "t must be >= 0"),
@@ -468,12 +472,16 @@ class TestNanArguments:
         (intensity_on_grid, (P, TEN_EVENTS, np.array([NAN])), "t must be >= 0"),
         (intensity_on_grid, (P, TEN_EVENTS, np.array([-1.0])), r"t must be >= 0, got -1\.0"),
         (EventSequence, (np.array([NAN]), 1.0), "times must be nonnegative"),
+        *[(solve_moment_system, (replace(moment_triple(P, 0.5), delta=d), DEFAULT_INIT),
+           rf"^delta must be > 0 and finite, got {d}$") for d in (0.0, -0.5, NAN, math.inf)],
     ], ids=["mean_intensity", "second_moment_intensity", "mean_count",
             "increment_mean_exact_t", "increment_mean_exact_delta", "moment_triple",
             "helper_integrals", "stationary_m1_inf", "moment_triple_inf",
             "helper_integrals_inf", "intensity_at", "count_at", "integrate_polynomial_on_path",
             "integrate_polynomial_on_path_inf", "intensity_on_grid_nan",
-            "intensity_on_grid_negative", "event_sequence"])
+            "intensity_on_grid_negative", "event_sequence", "solve_moment_system_zero",
+            "solve_moment_system_negative", "solve_moment_system_nan",
+            "solve_moment_system_inf"])
     def test_nan_rejected(self, fn, args, message):
         with pytest.raises(ValueError, match=message):
             fn(*args)

@@ -199,9 +199,9 @@ class TestSimulateExact:
             simulate_exact(p, 10_000.0, 5, cap=1000)
 
     def test_cap_where_lambda_star_overflows(self):
-        # beta lambda_inf overflows, so the expected count that sizes the
+        # lambda* = 2e308 overflows, so the expected count that sizes the
         # first block is NaN: the path still runs into its cap
-        p = validate_params(0.5e300, 1e300, 1e9)
+        p = validate_params(0.5e300, 1e300, 1e308)
         assert math.isnan(mean_count(p, 1.0))
         for run in (lambda: simulate_exact(p, 1.0, 1, cap=1000),
                     lambda: simulate_batch(p, 1.0, 1, 2 * simulate_module._MIN_LOCKSTEP,
@@ -1209,9 +1209,9 @@ class TestSliceRule:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
     def test_nan_expectation_never_forks(self, monkeypatch):
-        # lambda* overflows, so the batch's expected events are NaN: one
-        # slice, whose first path passes the cap at once
-        p = validate_params(0.5e300, 1e300, 1e9)
+        # lambda* = 2e308 overflows, so the batch's expected events are NaN:
+        # one slice, whose first path passes the cap at once
+        p = validate_params(0.5e300, 1e300, 1e308)
         assert math.isnan(mean_count(p, 1.0))
         self.forbid_forks(monkeypatch, 2)
         with pytest.raises(CapacityExceeded, match="exceeded 1000 events"):
