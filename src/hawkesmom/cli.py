@@ -1,10 +1,11 @@
 """Command-line surface: simulate | moments | estimate | validate.
 
-Exit codes: 0 success, 2 event-file parse errors, 3 estimation/convergence
-failures, 4 trajectory capacity exceeded, 1 anything else: main prints a
-failure as one "error:" line and takes its code from one table, _EXIT_CODES.
-Seeds come from --seed, falling back to the HAWKES_SEED environment variable;
-stochastic subcommands refuse to run without one so every run is reproducible.
+Exit codes: 0 success, 2 a command line argparse rejects or an event-file
+parse error, 3 estimation/convergence failures, 4 trajectory capacity
+exceeded, 1 anything else: main prints a failure as one "error:" line and
+takes its code from one table, _EXIT_CODES.  The seed comes from --seed
+alone, which simulate and validate require, so every run is reproducible
+from its command line.
 
 build_parser is the one configuration: each flag and its default are
 declared there once, and each subcommand's parser sets its cmd_* function
@@ -14,7 +15,8 @@ return the paths they wrote, estimate its report, or NoConvergence once it
 has written one that did not converge.  The library checks its own
 settings: estimate and validate make their EstimateConfig, which checks
 --delta, --t0 and --init, and validate counts its windows, before anything
-is read or sampled; moments leaves --delta to moment_triple.
+is read or sampled; moments leaves --delta to moment_triple, and the
+samplers check --seed and --cap before any draw.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -68,30 +69,11 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CAPACITY = 4
 
-SEED_ENV_VAR = "HAWKES_SEED"
-
 
 def _params(args: argparse.Namespace) -> HawkesParams:
     """The parameter flags as a HawkesParams; moments has no --lambda0."""
     return validate_params(args.alpha, args.beta, args.lambda_inf,
                            getattr(args, "lambda0", None))
-
-
-def _require_seed(seed: int | None) -> int:
-    """--seed, else $HAWKES_SEED; a stochastic run without either, or with a
-    seed that is not a non-negative integer, is an error."""
-    if seed is not None:
-        if seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        if not env.strip().isdecimal():
-            raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
-        return int(env)
-    raise ValueError(
-        f"a seed is required for stochastic runs: pass --seed or set {SEED_ENV_VAR}"
-    )
 
 
 def _step_grid(flag: str, horizon: float, step: float) -> int:
@@ -114,12 +96,6 @@ def _step_grid(flag: str, horizon: float, step: float) -> int:
     return n_pts
 
 
-def _check_cap(cap: int) -> None:
-    """Reject a cap below 1 before anything is sampled, not after the first path."""
-    if cap < 1:
-        raise ValueError(f"--cap must be at least 1, got {cap}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     """Simulate one trajectory; write the events file and its intensity on
     the grid.
@@ -128,17 +104,15 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     are made chunk by chunk by the process that formats those rows (see
     io.write_intensity_csv).
     """
-    _check_cap(args.cap)
     n_pts = _step_grid("--grid-step", args.horizon, args.grid_step)
     params = _params(args)
-    seed = _require_seed(args.seed)
-    traj = sampler(args.method)(params, args.horizon, seed, cap=args.cap)
+    traj = sampler(args.method)(params, args.horizon, args.seed, cap=args.cap)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     events_path = write_events(args.out_dir / "events.txt", traj.events)
     intensity_path = write_intensity_csv(args.out_dir / "intensity.csv", args.grid_step, n_pts,
                                          _intensity_on_blocks(params, traj.events))
-    print(f"simulated {len(traj.events)} events on [0, {args.horizon}] (seed {seed})")
+    print(f"simulated {len(traj.events)} events on [0, {args.horizon}] (seed {args.seed})")
     print(f"wrote {events_path} and {intensity_path}")
     return [events_path, intensity_path]
 
@@ -210,7 +184,6 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     if args.envelope_step is not None and not args.envelope:
         raise ValueError("--envelope-step spaces the envelope's grid; it needs --envelope")
     est_cfg = EstimateConfig(delta=args.delta, t0=args.t0, init=args.init)
-    _check_cap(args.cap)
     if args.envelope:
         step = args.envelope_step
         if step is None:
@@ -218,7 +191,6 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         grid = np.arange(_step_grid("--envelope-step", args.horizon, step),
                          dtype=np.float64) * step
     params = _params(args)
-    seed = _require_seed(args.seed)
     real = None
     if args.real_events_path is not None:
         # read before sampling, so a bad file costs no paths and writes nothing
@@ -242,7 +214,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
             )
         return report, count_at(traj.events, grid) if args.envelope else None
 
-    fitted = map_batch(params, args.horizon, seed, args.count, fit, method=args.method,
+    fitted = map_batch(params, args.horizon, args.seed, args.count, fit, method=args.method,
                        cap=args.cap)
     reports: list[EstimateReport] = [report for report, _ in fitted]
 
@@ -269,7 +241,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         "params": asdict(params),
         "delta": args.delta,
         "t0": args.t0,
-        "seed": seed,
+        "seed": args.seed,
         "summary": summary,
         "runs": [report_to_dict(r) for r in reports],
     }
@@ -310,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time span to simulate" if sampled else
                        "truncate events beyond this time (default: last event)")
         if sampled:
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+            p.add_argument("--seed", type=int, required=True, help="RNG seed")
             p.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP,
                            help="per-trajectory event cap")
             p.add_argument("--method", choices=("exact", "cluster"), default="exact")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
@@ -206,14 +207,24 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
     if not counts.any():
         raise InsufficientData(f"all {windows} count windows are empty")
     if windows < MIN_WINDOWS:
-        warnings.warn(f"only {windows} windows; moment estimates will be noisy "
-                      f"(fewer than {MIN_WINDOWS})", UserWarning, stacklevel=2)
+        _warn(f"only {windows} windows; moment estimates will be noisy "
+              f"(fewer than {MIN_WINDOWS})")
     powers = counts * counts
     m2 = float(powers.sum()) / windows
     powers *= counts
     triple = MomentTriple(m1=float(counts.sum()) / windows, m2=m2,
                           m3=float(powers.sum()) / windows, delta=float(delta))
     return EmpiricalMoments(triple=triple, window_count=windows, t0=float(t0))
+
+
+def _warn(message: str) -> None:
+    """A UserWarning at the first caller outside this module: a warning
+    reached through estimate() names estimate()'s caller, as a direct call
+    of the function that warns names its own."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 def _check_windows(delta: float, t0: float) -> None:
@@ -430,8 +441,7 @@ def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) 
             raise NoConvergence(f"{poisson}; no boundary fit is admissible")
         report = make_report(p, ())
         if not report.converged:
-            warnings.warn(f"{poisson}; best boundary fit has residual "
-                          f"{report.residual_norm:.3e}", UserWarning, stacklevel=2)
+            _warn(f"{poisson}; best boundary fit has residual {report.residual_norm:.3e}")
         return report
 
     k3_ratio = (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) / m1  # sample k3/M1
@@ -474,9 +484,8 @@ def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) 
                                      log_kappa - math.log(b0 - a0)))])
     report = make_report(params[i], flags)
     if not report.converged:
-        warnings.warn(f"no admissible parameters reach residual {TOL} x max(1, M_i) "
-                      f"(best residual {report.residual_norm:.3e} from init {report.init})",
-                      UserWarning, stacklevel=2)
+        _warn(f"no admissible parameters reach residual {TOL} x max(1, M_i) "
+              f"(best residual {report.residual_norm:.3e} from init {report.init})")
     return report
 
 
@@ -489,17 +498,14 @@ def estimate(events: EventSequence, config: EstimateConfig) -> EstimateReport:
     comes back with converged = False after the solver's UserWarning, so
     harness callers keep partial results.  InsufficientData propagates, and
     so does the solver's NoConvergence (no admissible parameters match the
-    first two moments).
+    first two moments).  Its warnings, the few windows', t0 = 0's and the
+    solver's, name the caller of estimate() (_warn).
     """
     emp = empirical_moments(events, config.t0, config.delta)
     extra_flags: tuple[str, ...] = ()
     if config.t0 == 0.0:
-        warnings.warn(
-            "t0 = 0 applies stationary-limit moment formulas from the start of "
-            "the record; consider discarding a burn-in interval",
-            UserWarning,
-            stacklevel=2,
-        )
+        _warn("t0 = 0 applies stationary-limit moment formulas from the start of "
+              "the record; consider discarding a burn-in interval")
         extra_flags = ("t0_in_transient",)
 
     report = solve_moment_system(emp.triple, config.init)

@@ -113,6 +113,14 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({' '.join(parts)})"
 
 
+def _power(x: float, n: int) -> float:
+    """x ** n for x >= 0, or inf where float ** raises OverflowError, as * would give."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> BivariatePolynomial:
     """Image of a polynomial test function under the generator, in canonical form.
 
@@ -129,10 +137,7 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
                 f"for the generator image (cap {MAX_EXPONENT})"
             )
         for j in range(m + 1):
-            try:
-                power = alpha ** (m - j)
-            except OverflowError:  # float ** raises where * gives inf: keep the inf
-                power = math.inf
+            power = _power(alpha, m - j)
             for k in range(l + 1):
                 key = (j + 1, k)
                 out[key] = out.get(key, 0.0) + c * math.comb(m, j) * math.comb(l, k) * power
@@ -300,7 +305,7 @@ def integrate_moments(
         if l != 0:
             y0[i] = 0.0
         elif m == 0 or initial_intensity_moments is None:
-            y0[i] = params.lambda0**m  # E[lambda_0^0] = 1 under either start
+            y0[i] = _power(params.lambda0, m)  # E[lambda_0^0] = 1 under either start
         elif m not in initial_intensity_moments:
             raise ValueError(f"initial_intensity_moments has no E[lambda_0^m] for m={m}")
         else:

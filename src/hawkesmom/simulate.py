@@ -117,6 +117,14 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
+def _check_seed_and_cap(seed: int, cap: int) -> None:
+    """Reject a negative seed or a cap below 1 before any generator is made."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 # the exact sampler's uniform blocks: a loop's first is _first_block's, and
 # each later one twice as many draws, up to _MAX_UNIFORMS
 _FIRST_UNIFORMS, _MAX_UNIFORMS = 16, 4096
@@ -163,9 +171,11 @@ def simulate_exact(
     (lam - lambda_inf) e^{-beta s} + lambda_inf + alpha.  When the state sits
     below the base level (possible only while lambda0 < lambda_inf), s1 has
     no valid inversion and the next event is drawn exactly by thinning
-    against the dominating constant rate lambda_inf.
+    against the dominating constant rate lambda_inf.  A bad horizon, a
+    negative seed or a cap below 1 is a ValueError before any draw.
     """
     _check_horizon(horizon)
+    _check_seed_and_cap(seed, cap)
     [rng] = generators(range(seed, seed + 1))
     t, lam, events = _base_level_start(rng, params, horizon, cap)
     if t <= horizon:
@@ -305,8 +315,10 @@ def simulate_cluster(
 
     The sorted proposals are thinned a _THIN_BLOCK at a time, the cap checked
     after each block, so a path over the cap holds its proposals (8 bytes
-    each) and one block's arrays."""
+    each) and one block's arrays.  A bad horizon, a negative seed or a cap
+    below 1 is a ValueError before any draw."""
     _check_horizon(horizon)
+    _check_seed_and_cap(seed, cap)
     rng = np.random.default_rng(seed)
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
 
@@ -588,8 +600,9 @@ def map_batch(
     closure.  Every slice's warnings are issued here in path order once all
     are back (see _fork.replay_warnings).  A path depends only on its seed,
     so neither the results nor what a successful run prints depend on the
-    CPU count.  A bad horizon or method, or a negative n_paths, fails before
-    any fork; n_paths = 0 gives [].
+    CPU count.  A bad horizon or method, a negative seed, a cap below 1 or
+    a negative n_paths is a ValueError before any draw or fork; n_paths = 0
+    gives [].
 
     An exception in a worker, the sampler's or ``fn``'s, is raised here
     unchanged: the first failure of the lowest failing slice, where a
@@ -603,6 +616,7 @@ def map_batch(
     the call returns or raises.
     """
     _check_horizon(horizon)
+    _check_seed_and_cap(seed, cap)
     sampler(method)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")

@@ -394,6 +394,33 @@ MUTANTS = [
         "BOUNDARY_ALPHA_RATIO = 1e-6", "BOUNDARY_ALPHA_RATIO = 1e-3",
         ("tests/test_estimate.py", "-k", "weak_excitation"),
         "an exact fit with alpha/beta = 1e-4 is flagged boundary_alpha"),
+    # the samplers' own seed and cap rule, the generator's start, and the
+    # fit's warnings at estimate()'s caller
+    Mutant(
+        "sampler_seed_unchecked", "src/hawkesmom/simulate.py",
+        "    if seed < 0:\n"
+        '        raise ValueError(f"seed must be a non-negative integer, got {seed}")\n',
+        "", ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
+        "a negative seed reaches the generator, which raises its own error"),
+    Mutant(
+        "sampler_cap_unchecked", "src/hawkesmom/simulate.py",
+        "    if cap < 1:\n"
+        '        raise ValueError(f"cap must be at least 1, got {cap}")\n',
+        "", ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
+        "a cap below 1 is found only after the first draws, and cap = -1 ends "
+        "the exact loop in an IndexError"),
+    Mutant(
+        "lambda0_power_unguarded", "src/hawkesmom/generator.py",
+        "y0[i] = _power(params.lambda0, m)", "y0[i] = params.lambda0**m",
+        ("tests/test_generator.py", "-k", "lambda0_power"),
+        "lambda0^3 = 2^1503 raises a bare OverflowError, not the moments overflow ValueError"),
+    Mutant(
+        "fit_warnings_at_the_package_line", "src/hawkesmom/estimate.py",
+        "warnings.warn(message, UserWarning, stacklevel=level)",
+        "warnings.warn(message, UserWarning, stacklevel=2)",
+        ("tests/test_estimate.py", "-k", "name_the_caller"),
+        "the few-windows and solver warnings name estimate.py's lines, not the "
+        "caller of estimate()"),
     Mutant(
         "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
         "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",

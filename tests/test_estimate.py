@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from closed_forms_mp import m2_mp, m3_mp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkesmom import (
@@ -24,11 +25,15 @@ from hawkesmom import (
     NonPositiveBase,
     empirical_moments,
     estimate,
+    integrate_moments,
     moment_triple,
+    simulate_batch,
+    simulate_cluster,
     simulate_exact,
     solve_moment_system,
     stationary_m1,
     validate_params,
+    windowed_counts,
 )
 from hawkesmom.estimate import (
     _SCAN_HI,
@@ -466,6 +471,27 @@ class TestEstimate:
         with pytest.raises(InsufficientData):
             estimate(events, EstimateConfig(delta=0.5, t0=0.0))
 
+    @pytest.mark.parametrize("times, tol, unconverged", [
+        (np.arange(0.5, 20.0), TOL, "window variance is at or below the Poisson level"),
+        # no float residual reaches a tolerance of 0
+        (np.array([0.1, 0.2, 0.3, 5.0, 9.1, 9.2, 13.0]), 0.0,
+         "no admissible parameters reach residual"),
+    ], ids=["sub_poisson", "missed_tolerance"])
+    def test_warnings_name_the_caller(self, monkeypatch, times, tol, unconverged):
+        # 20 windows from t0 = 0: the few-windows, t0 = 0 and solver
+        # warnings, in that order, each at this file's estimate() call
+        monkeypatch.setattr(importlib.import_module("hawkesmom.estimate"), "TOL", tol)
+        events = EventSequence(times=times, horizon=20.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = estimate(events, EstimateConfig(delta=1.0, t0=0.0))
+            line = sys._getframe().f_lineno - 1
+        assert not report.converged
+        starts = ["only 20 windows;", "t0 = 0 applies", unconverged]
+        assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (UserWarning, __file__, line)] * 3
+
     def test_scale_equivariance(self):
         events = self._simulated_events(seed=77)
         c = 60.0  # e.g. minutes -> hours rescale of the timeline
@@ -535,3 +561,63 @@ class TestEstimate:
         assert report.window_stats is not None
         assert report.window_stats.window_count == 14_000
         assert report.window_stats.t0 == 3_000.0
+
+
+class TestTimeScaleEquivariance:
+    """Event times carry no unit: times scaled by c = 2^k, with every rate
+    divided by c, give the same process.  A power of 2 scales each float
+    exactly, so every layer whose arithmetic is products and quotients of
+    scaled values is equivariant bit for bit; the generator's matrix
+    exponential is not, since the scaling of A t sets its squarings."""
+
+    # the generator's mixed moments up to total degree 3
+    INDICES = [(m, l) for m in range(4) for l in range(4 - m)]
+
+    @staticmethod
+    def scaled(p, c):
+        return validate_params(p.alpha / c, p.beta / c, p.lambda_inf / c, p.lambda0 / c)
+
+    @given(k=st.integers(-150, 150), alpha=st.sampled_from([0.2, 0.5, 0.8]),
+           t=st.sampled_from([0.1, 1.0, 3.0, 30.0]))
+    @example(k=-150, alpha=0.8, t=3.0)
+    @example(k=150, alpha=0.2, t=30.0)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_every_layer_commutes_with_the_time_unit(self, k, alpha, t):
+        c = 2.0**k
+        p = validate_params(alpha, 1.0, 1.0, 2.0)
+        q = self.scaled(p, c)
+        # the samplers, and a lockstep batch, bit for bit
+        for sample in (simulate_exact, simulate_cluster):
+            assert np.array_equal(sample(p, 200.0, 5).events.times * c,
+                                  sample(q, 200.0 * c, 5).events.times), sample.__name__
+        for a, b in zip(simulate_batch(p, 20.0, 100, 64), simulate_batch(q, 20.0 * c, 100, 64),
+                        strict=True):
+            assert np.array_equal(a.events.times * c, b.events.times), a.seed
+        # windows, empirical and closed-form moments: equal at both scales
+        events = simulate_exact(p, 2000.0, 7).events
+        rescaled = EventSequence(times=events.times * c, horizon=events.horizon * c)
+        pairs = windowed_counts(events, 100.0, 0.5, 3800)
+        pairs_c = windowed_counts(rescaled, 100.0 * c, 0.5 * c, 3800)
+        assert np.array_equal(pairs.index, pairs_c.index)
+        assert np.array_equal(pairs.counts, pairs_c.counts)
+        emp = empirical_moments(events, 100.0, 0.5).triple
+        emp_c = empirical_moments(rescaled, 100.0 * c, 0.5 * c).triple
+        exact, exact_c = moment_triple(p, 0.5), moment_triple(q, 0.5 * c)
+        for unit, other in ((emp, emp_c), (exact, exact_c)):
+            assert (unit.m1, unit.m2, unit.m3, unit.delta * c) == (
+                other.m1, other.m2, other.m3, other.delta)
+        # E[lambda^m N^l] scales as c^-m, up to the exponential's rounding:
+        # over every k, alpha and t that can be drawn here it is within 1.83e-15
+        moments = integrate_moments(p, self.INDICES, t)
+        moments_c = integrate_moments(q, self.INDICES, t * c)
+        for (m, l), v in moments.items():
+            assert moments_c[m, l] * c**m == pytest.approx(v, rel=4e-15, abs=0.0), (m, l)
+        # the fit: the unit fit's parameters, divided by c
+        init = (0.5, 1.5, 2.0)
+        unit = estimate(events, EstimateConfig(delta=0.5, t0=100.0, init=init))
+        fit = estimate(rescaled, EstimateConfig(delta=0.5 * c, t0=100.0 * c,
+                                                init=tuple(v / c for v in init)))
+        assert (fit.converged, fit.flags) == (unit.converged, unit.flags)
+        for name in ("alpha", "beta", "lambda_inf"):
+            assert getattr(fit.params_hat, name) * c == pytest.approx(
+                getattr(unit.params_hat, name), rel=1e-15, abs=0.0), name

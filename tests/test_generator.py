@@ -314,6 +314,14 @@ class TestIntegrateMoments:
         with pytest.raises(ValueError, match=r"moments overflow at t=1\.0"):
             integrate_moments(params, [(0, 3)], 1.0)
 
+    def test_overflowed_lambda0_power_names_t(self):
+        # lambda0^3 = 2^1503 is past float64 while every entry of A t is
+        # finite: the start keeps an inf rather than raising OverflowError
+        c = 2.0**-500
+        params = validate_params(0.5 / c, 1 / c, 1 / c, 2 / c)
+        with pytest.raises(ValueError, match=r"moments overflow at t=3\.05"):
+            integrate_moments(params, [(0, 1), (0, 2), (3, 0)], 10 * c)
+
     @pytest.mark.parametrize("initial, m", [
         ({1: 1.0}, 2),
         ({1: 1.0, 2: math.nan}, 2),

@@ -631,11 +631,11 @@ class TestParserDefaults:
     PARAMS = ["--alpha", "0.2", "--beta", "1", "--lambda-inf", "1"]
 
     def test_validate(self):
-        args = parse("validate", *self.PARAMS, "--horizon", 10, "--delta", 0.5)
+        # --seed has no default: the parser requires it
+        args = parse("validate", *self.PARAMS, "--horizon", 10, "--delta", 0.5, "--seed", 5)
         assert (args.t0, args.count, args.init, args.method, args.cap, args.envelope) == (
             3000.0, 20, DEFAULT_INIT, "exact", DEFAULT_EVENT_CAP, False)
-        assert (args.lambda0, args.seed, args.envelope_step, args.real_events_path) == (
-            None, None, None, None)
+        assert (args.lambda0, args.envelope_step, args.real_events_path) == (None, None, None)
         assert args.out_dir == Path(".") and not hasattr(args, "unit")
 
     def test_estimate(self):
@@ -644,10 +644,10 @@ class TestParserDefaults:
         assert (args.init, args.out_dir) == (DEFAULT_INIT, Path("."))
 
     def test_simulate(self):
-        args = parse("simulate", *self.PARAMS, "--horizon", 10)
+        args = parse("simulate", *self.PARAMS, "--horizon", 10, "--seed", 5)
         assert (args.method, args.grid_step, args.cap) == ("exact", 0.01, DEFAULT_EVENT_CAP)
         assert not hasattr(args, "unit")
-        assert (args.lambda0, args.seed, args.out_dir) == (None, None, Path("."))
+        assert (args.lambda0, args.out_dir) == (None, Path("."))
 
     def test_moments_has_no_window_start_or_lambda0(self):
         args = parse("moments", *self.PARAMS, "--delta", 0.5)
@@ -723,23 +723,15 @@ class TestCmdSimulate:
         seq = parse_events(events_path, horizon=50.0)
         assert len(seq) > 0
 
-    def test_seed_required(self, tmp_path, monkeypatch):
+    def test_seed_required(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("HAWKES_SEED", raising=False)
-        cfg = parse("simulate", "--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0,
-                    "--horizon", 10.0, "--out-dir", tmp_path)
-        with pytest.raises(ValueError, match="seed"):
-            cmd_simulate(cfg)
-
-    def test_env_seed_fallback_and_flag_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HAWKES_SEED", "123")
-        params = ["--alpha", 0.2, "--beta", 1.0, "--lambda-inf", 1.0, "--horizon", 30.0]
-        cfg_env = parse("simulate", *params, "--out-dir", tmp_path / "env")
-        cfg_flag = parse("simulate", *params, "--seed", 123, "--out-dir", tmp_path / "flag")
-        a = cmd_simulate(cfg_env)[0].read_bytes()
-        b = cmd_simulate(cfg_flag)[0].read_bytes()
-        assert a == b
-        cfg_diff = parse("simulate", *params, "--seed", 124, "--out-dir", tmp_path / "diff")
-        assert cmd_simulate(cfg_diff)[0].read_bytes() != a
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                  "--horizon", "10", "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdMoments:
@@ -1341,25 +1333,31 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_negative_seed_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "5"],
+    ], ids=["simulate", "validate"])
+    def test_negative_seed_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        self.forbid_drawing(monkeypatch)
         out = tmp_path / "out"
-        code = main(["simulate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
-                     "--horizon", "10", "--seed", "-1", "--out-dir", str(out)])
+        code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                               "--horizon", "10", "--seed", "-1", "--out-dir", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, "
+                                           "got -1\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("env", ["abc", "-1", "1.5", ""],
-                             ids=["letters", "negative", "fraction", "empty"])
+    @pytest.mark.parametrize("env", ["7", "abc", "-1", "1.5", ""],
+                             ids=["seed", "letters", "negative", "fraction", "empty"])
     def test_bad_env_seed_writes_nothing(self, tmp_path, capsys, monkeypatch, env):
+        # HAWKES_SEED is no seed source: without --seed the parser exits 2
         monkeypatch.setenv("HAWKES_SEED", env)
         out = tmp_path / "out"
-        code = main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
-                     "--horizon", "10", "--count", "2", "--delta", "0.5",
-                     "--out-dir", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: HAWKES_SEED must be a non-negative integer, got {env!r}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+                  "--horizon", "10", "--count", "2", "--delta", "0.5",
+                  "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod
@@ -1370,6 +1368,16 @@ class TestMainExitCodes:
 
         monkeypatch.setattr("hawkesmom.cli.sampler", no_sampling)
         monkeypatch.setattr("hawkesmom.cli.map_batch", no_sampling)
+
+    @staticmethod
+    def forbid_drawing(monkeypatch):
+        """Make any generator made or any process forked fail the test."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drawing started")
+
+        monkeypatch.setattr("hawkesmom.simulate.generators", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(os, "fork", no_draw)
 
     def run_windows(self, tmp_path, monkeypatch, command, flags):
         """main() for ``command`` plus ``flags``; sampling fails the test."""
@@ -1463,13 +1471,13 @@ class TestMainExitCodes:
         ["simulate"], ["validate", "--count", "2", "--delta", "0.5", "--t0", "10"],
     ], ids=["simulate", "validate"])
     def test_bad_cap_writes_nothing(self, tmp_path, monkeypatch, capsys, command, cap):
-        self.forbid_sampling(monkeypatch)
+        self.forbid_drawing(monkeypatch)
         out = tmp_path / "out"
         code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
                                "--horizon", "50", "--seed", "1", f"--cap={cap}",
                                "--out-dir", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: --cap must be at least 1, got {cap}\n"
+        assert capsys.readouterr() == ("", f"error: cap must be at least 1, got {cap}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, code, message", [

@@ -1430,3 +1430,31 @@ class TestHorizonCheck:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             self.SAMPLERS[name](p, horizon)
+
+
+class TestSeedAndCapCheck:
+    SAMPLERS = {
+        "exact": lambda p, seed, cap: simulate_exact(p, 10.0, seed, cap=cap),
+        "cluster": lambda p, seed, cap: simulate_cluster(p, 10.0, seed, cap=cap),
+        "batch_exact": lambda p, seed, cap: simulate_batch(p, 10.0, seed, 100, cap=cap),
+        "batch_cluster": lambda p, seed, cap: simulate_batch(p, 10.0, seed, 3, cap=cap,
+                                                             method="cluster"),
+        "map_batch": lambda p, seed, cap: map_batch(p, 10.0, seed, 0, len, cap=cap),
+    }
+
+    @pytest.mark.parametrize("seed, cap, message", [
+        (-1, 10, "seed must be a non-negative integer, got -1"),
+        (1, 0, "cap must be at least 1, got 0"),
+        (1, -1, "cap must be at least 1, got -1"),
+    ])
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_rejected_before_any_draw_or_fork(self, monkeypatch, name, seed, cap, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drawing started")
+
+        p = validate_params(0.2, 1.0, 1.0, 1.0)
+        monkeypatch.setattr(simulate_module, "generators", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(os, "fork", no_draw)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.SAMPLERS[name](p, seed, cap)
