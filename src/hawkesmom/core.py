@@ -59,7 +59,10 @@ class HawkesParams:
     lambda0     intensity at time zero (events/time); defaults to lambda_inf
 
     Subcriticality requires beta > alpha.  alpha = 0 is admitted and reduces
-    the model to an (eventually homogeneous) Poisson process.
+    the model to an (eventually homogeneous) Poisson process.  The fields are
+    converted with float() first; a non-finite one is a ValueError, and
+    then ExplosionRisk is raised when beta <= alpha, NonPositiveBase when
+    lambda_inf <= 0 and NegativeInput when alpha < 0 or lambda0 < 0.
     """
 
     alpha: float
@@ -68,14 +71,13 @@ class HawkesParams:
     lambda0: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "lambda_inf"):
-            v = getattr(self, name)
+        if self.lambda0 is None:
+            object.__setattr__(self, "lambda0", self.lambda_inf)
+        for name in ("alpha", "beta", "lambda_inf", "lambda0"):
+            v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.lambda0 is None:
-            object.__setattr__(self, "lambda0", float(self.lambda_inf))
-        if not math.isfinite(self.lambda0):
-            raise ValueError(f"lambda0 must be finite, got {self.lambda0!r}")
+            object.__setattr__(self, name, v)
         if self.alpha < 0.0:
             raise NegativeInput(f"alpha must be >= 0, got {self.alpha}")
         if self.lambda0 < 0.0:
@@ -104,14 +106,8 @@ class HawkesParams:
         return self.lambda_inf * (self.beta / self.kappa)
 
 
-def validate_params(alpha, beta, lambda_inf, lambda0=None) -> HawkesParams:
-    """Validate raw parameter values and return an immutable record.
-
-    Raises ExplosionRisk when beta <= alpha, NonPositiveBase when
-    lambda_inf <= 0 and NegativeInput when alpha < 0 or lambda0 < 0.
-    """
-    return HawkesParams(float(alpha), float(beta), float(lambda_inf),
-                        None if lambda0 is None else float(lambda0))
+# the name the README, the bench and the tests call the constructor by
+validate_params = HawkesParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +125,7 @@ class EventSequence:
     horizon: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if times.size and not np.all(np.diff(times) >= 0.0):
-            raise ValueError("times must be nondecreasing")
-        if times.size and not times[0] >= 0.0:
-            raise ValueError("times must be nonnegative")
+        times = _times(self.times)
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
         if times.size and not times[-1] <= self.horizon:
@@ -171,9 +161,19 @@ def _unpickled(raw, horizon: float) -> EventSequence:
 
 
 def _times(events) -> np.ndarray:
+    """An EventSequence's times, or raw times as float64, a ValueError
+    unless one-dimensional, nondecreasing and nonnegative (so NaN-free): the
+    one check on event times, which EventSequence's constructor runs too."""
     if isinstance(events, EventSequence):
         return events.times
-    return np.asarray(events, dtype=np.float64)
+    times = np.asarray(events, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if times.size and not np.all(np.diff(times) >= 0.0):
+        raise ValueError("times must be nondecreasing")
+    if times.size and not times[0] >= 0.0:
+        raise ValueError("times must be nonnegative")
+    return times
 
 
 def intensity_at(params: HawkesParams, events, t: float) -> float:

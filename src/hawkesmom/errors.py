@@ -1,4 +1,18 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the one warning helper, shared across the package."""
+
+import sys
+import warnings
+
+
+def _warn(message: str) -> None:
+    """A UserWarning at the first caller outside the module that calls this:
+    a warning reached through a package function names that function's
+    caller, as a direct call of the function that warns names its own."""
+    frame, level = sys._getframe(1), 2
+    module = frame.f_globals.get("__name__")
+    while frame.f_globals.get("__name__") == module:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 class HawkesError(Exception):

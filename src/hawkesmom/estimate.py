@@ -26,22 +26,22 @@ e-fold of the start's x, flagged "m3_best_fit".
 Positivity constraints hold by construction: x > 0 and eta in [0, 1) map to
 beta > alpha >= 0, lambda_inf > 0.  lambda0 is not identifiable from
 stationary window moments; fitted parameter records carry
-lambda0 = lambda_inf.
+lambda0 = lambda_inf.  Raw event times pass EventSequence's check
+(core._times) before they are windowed, and every warning of a fit comes
+from errors._warn, which names the caller of estimate().
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
-import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .core import EventSequence, HawkesParams, _times
-from .errors import HawkesError, InsufficientData, NoConvergence, WindowOutOfRange
+from .errors import HawkesError, InsufficientData, NoConvergence, WindowOutOfRange, _warn
 from .moments import _PHI, MomentTriple, _check_delta, _k3_over_m1, _window_shapes, moment_triple
 
 __all__ = [
@@ -215,16 +215,6 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
     triple = MomentTriple(m1=float(counts.sum()) / windows, m2=m2,
                           m3=float(powers.sum()) / windows, delta=float(delta))
     return EmpiricalMoments(triple=triple, window_count=windows, t0=float(t0))
-
-
-def _warn(message: str) -> None:
-    """A UserWarning at the first caller outside this module: a warning
-    reached through estimate() names estimate()'s caller, as a direct call
-    of the function that warns names its own."""
-    frame, level = sys._getframe(1), 2
-    while frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 def _check_windows(delta: float, t0: float) -> None:

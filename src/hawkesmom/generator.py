@@ -27,7 +27,9 @@ exploits that: Pade 13 with scaling and squaring (Higham 2005), whose
 diagonal and first superdiagonal are set to their exact values after the
 Pade step and after every squaring (Al-Mohy & Higham 2009).  It needs numpy
 only, and every moment comes out within a few units in the last place of
-the exact exponential.
+the exact exponential.  One builder, the cached _system, assembles the
+matrix once per (alpha, beta, lambda_inf, indices), keyed by the rates as
+floats.
 """
 
 from __future__ import annotations
@@ -149,53 +151,34 @@ def apply_generator(params: HawkesParams, poly: BivariatePolynomial) -> Bivariat
     return BivariatePolynomial._in_range(out)
 
 
-def _closure_images(params: HawkesParams, indices: Iterable) -> dict:
-    """Generator image coefficients of every index in the dependency closure."""
-    images: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-    stack = [_as_exponents(ix) for ix in indices]
-    while stack:
-        ix = stack.pop()
-        if ix in images:
-            continue
-        # the image of the monomial lambda^m n^l, with ix already checked
-        images[ix] = apply_generator(params, BivariatePolynomial._in_range({ix: 1.0}))._coeffs
-        stack.extend(dep for dep in images[ix] if dep not in images)
-    return images
-
-
-def _solve_order(ix: tuple[int, int]) -> tuple[int, int, int]:
-    """Sort key of the moment system: (total degree descending, m, l)."""
-    m, l = ix
-    return -m - l, m, l
-
-
 def moment_closure(params: HawkesParams, indices: Iterable) -> list[tuple[int, int]]:
     """Smallest index set containing ``indices`` closed under the ODE dependencies.
 
     Ordered by (total degree descending, m, l): the rows of the cached
-    _triangular_system, the order it is solved in.  Terminates because the
-    generator image of lambda^m n^l only references total degrees <= m + l.
+    _system, the order it is solved in.  Terminates because the generator
+    image of lambda^m n^l only references total degrees <= m + l.
     """
-    return list(_triangular_system(params, indices)[0])
-
-
-def _triangular_system(params: HawkesParams, indices: Iterable):
-    """Row of each index of the closure of ``indices``, and the ODE matrix A,
-    in moment_closure's order, where A is upper triangular.  Both are
-    read-only and built once per (alpha, beta, lambda_inf, indices), which
-    is all they depend on: the rates are keyed by their bits, so alpha =
-    -0.0 does not take alpha = 0.0's system."""
-    rates = (float(params.alpha).hex(), float(params.beta).hex(),
-             float(params.lambda_inf).hex())
-    return _system(*rates, tuple(map(_as_exponents, indices)))
+    return list(_system(params.alpha, params.beta, params.lambda_inf,
+                        tuple(map(_as_exponents, indices)))[0])
 
 
 @functools.lru_cache(maxsize=64)
-def _system(alpha: str, beta: str, lambda_inf: str, indices: tuple):
-    """_triangular_system's rows and matrix, for rates given by float.hex."""
-    images = _closure_images(HawkesParams(*map(float.fromhex, (alpha, beta, lambda_inf))),
-                             indices)
-    pos = {ix: i for i, ix in enumerate(sorted(images, key=_solve_order))}
+def _system(alpha: float, beta: float, lambda_inf: float, indices: tuple):
+    """Row of each index of the dependency closure of ``indices``, and the
+    ODE matrix A, in moment_closure's order, where A is upper triangular.
+    Both are read-only and built once per (alpha, beta, lambda_inf,
+    indices), which is all they depend on; alpha = -0.0 shares alpha =
+    0.0's system, whose A it equals bit for bit."""
+    params = HawkesParams(alpha, beta, lambda_inf)
+    images: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
+    stack = list(indices)
+    while stack:
+        ix = stack.pop()
+        if ix not in images:
+            # the image of the monomial lambda^m n^l, with ix already checked
+            images[ix] = apply_generator(params, BivariatePolynomial._in_range({ix: 1.0}))._coeffs
+            stack.extend(images[ix])
+    pos = {ix: i for i, ix in enumerate(sorted(images, key=lambda ix: (-sum(ix), ix)))}
     A = np.zeros((len(pos), len(pos)))
     for ix, image in images.items():
         for dep, c in image.items():
@@ -298,7 +281,7 @@ def integrate_moments(
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     requested = [_as_exponents(ix) for ix in indices]
-    pos, A = _triangular_system(params, requested)
+    pos, A = _system(params.alpha, params.beta, params.lambda_inf, tuple(requested))
 
     y0 = np.empty(len(pos))
     for (m, l), i in pos.items():

@@ -27,14 +27,13 @@ import math
 import os
 import shutil
 import stat
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from ._fork import in_slices
 from .core import EventSequence
-from .errors import EmptyFile, NegativeTimestamp, ParseError
+from .errors import EmptyFile, NegativeTimestamp, ParseError, _warn
 from .estimate import EstimateReport
 
 __all__ = [
@@ -89,18 +88,14 @@ def parse_events(path, horizon: float | None = None) -> EventSequence:
 
     times = np.asarray(values)
     if np.any(np.diff(times) < 0.0):
-        warnings.warn(f"{path}: timestamps were not sorted; sorting", UserWarning, stacklevel=2)
+        _warn(f"{path}: timestamps were not sorted; sorting")
         times = np.sort(times)
     if horizon is None:
         horizon = float(times[-1])
     else:
         dropped = int(np.sum(times > horizon))
         if dropped:
-            warnings.warn(
-                f"{path}: dropping {dropped} events beyond horizon {horizon}",
-                UserWarning,
-                stacklevel=2,
-            )
+            _warn(f"{path}: dropping {dropped} events beyond horizon {horizon}")
             times = times[times <= horizon]
         if times.size == 0:
             raise EmptyFile(f"{path}: no timestamps at or before horizon {horizon}")

@@ -15,7 +15,7 @@ Two independent constructions of the same law are provided:
   libm's (_libm.elementwise), so its paths do not depend on the CPU.
 
 Each call owns its RNG (PCG64 seeded from the given integer), so calls with
-distinct seeds may run concurrently.  Every generator of the exact sampler
+distinct seeds may run concurrently.  Every generator of both samplers
 comes from one seam, _seeding.generators, which gives
 np.random.default_rng(seed)'s generator bit for bit and seeds a lockstep
 group's in one numpy pass.  While the intensity sits below the base level a
@@ -319,7 +319,7 @@ def simulate_cluster(
     below 1 is a ValueError before any draw."""
     _check_horizon(horizon)
     _check_seed_and_cap(seed, cap)
-    rng = np.random.default_rng(seed)
+    [rng] = generators(range(seed, seed + 1))
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
 
     # Immigrants: thinning against the tight constant bound max(lambda_inf,
@@ -614,6 +614,13 @@ def map_batch(
     error.  A lockstep group fails at whichever of its paths passes the cap
     first.  A failed batch issues no warning.  Every child is reaped before
     the call returns or raises.
+
+    Recording this process's slice enters warnings.catch_warnings, which
+    resets every module's once-per-location registry, so a warning shown
+    once before a batch shows again after it (the t0 = 0 warning of an
+    estimate() loop between batches, say).  Showing that slice's warnings
+    as they are issued would keep the registry, but a failed batch would
+    then have issued some.
     """
     _check_horizon(horizon)
     _check_seed_and_cap(seed, cap)

@@ -1,6 +1,7 @@
-"""The cascade forecast's batch, whose children's paths are read back, and
-the same batch from a deficit start (lambda0 below the base level): prints
-a sha256 over every path's times for each, one a line.
+"""The cascade forecast's batch, whose children's paths are read back, the
+same batch from a deficit start (lambda0 below the base level), and the
+base-level batch drawn by the cluster sampler: prints a sha256 over every
+path's times for each, one a line.
 
 The deficit batch's digest equals the scalar loop's, path by path.  Both
 equal the batches drawn with every path on the scalar loop, those drawn in
@@ -9,7 +10,8 @@ _FIRST_UNIFORMS draws, those drawn with every generator seeded by
 np.random.default_rng, and those drawn with the map over math.* alone.  The
 batch forks exactly when more than one CPU is available, so comparing the
 output at one CPU and at all of them shows it does not depend on the CPU
-count.
+count.  The cluster batch's digest equals simulate_cluster's, path by
+path, and holds with the map over math.* too.
 
 Not collected by pytest.  Run it as
 
@@ -22,8 +24,8 @@ import hashlib
 import os
 import sys
 
-from hawkesmom import (_libm, _seeding, simulate, simulate_batch, simulate_exact,
-                       validate_params)
+from hawkesmom import (_libm, _seeding, simulate, simulate_batch, simulate_cluster,
+                       simulate_exact, validate_params)
 
 forks, real_fork = [], os.fork
 
@@ -52,8 +54,18 @@ def batches():
         yield batch
 
 
+def cluster_batch():
+    params = validate_params(0.772, 1.133, 0.243, 0.243)
+    forks.clear()
+    batch = digest(simulate_batch(params, 600.0, 1, 1000, method="cluster"))
+    assert bool(forks) == (len(os.sched_getaffinity(0)) > 1), len(forks)
+    assert batch == digest(simulate_cluster(params, 600.0, 1 + i) for i in range(1000))
+    return batch
+
+
 os.fork = counting_fork
 routed = list(batches())
+cluster = cluster_batch()
 # no group of at most _GROUP paths reaches the lockstep: every path
 # runs the scalar loop's blocks
 lockstep = simulate._MIN_LOCKSTEP
@@ -86,4 +98,5 @@ for fn in _libm._UFUNCS:
     print(f"_libm route for {fn.__name__}: {route}", file=sys.stderr)
 _libm._ROUTE.update(dict.fromkeys(_libm._UFUNCS))  # force the map
 assert list(batches()) == routed
-print(*routed, sep="\n")
+assert cluster_batch() == cluster
+print(*routed, cluster, sep="\n")

@@ -414,13 +414,26 @@ MUTANTS = [
         "y0[i] = _power(params.lambda0, m)", "y0[i] = params.lambda0**m",
         ("tests/test_generator.py", "-k", "lambda0_power"),
         "lambda0^3 = 2^1503 raises a bare OverflowError, not the moments overflow ValueError"),
+    # one route per concept: raw times checked, one parameter constructor,
+    # one warning helper
     Mutant(
-        "fit_warnings_at_the_package_line", "src/hawkesmom/estimate.py",
-        "warnings.warn(message, UserWarning, stacklevel=level)",
-        "warnings.warn(message, UserWarning, stacklevel=2)",
-        ("tests/test_estimate.py", "-k", "name_the_caller"),
-        "the few-windows and solver warnings name estimate.py's lines, not the "
-        "caller of estimate()"),
+        "raw_times_unchecked", "src/hawkesmom/core.py",
+        'counts = np.searchsorted(_times(events), t, side="right")',
+        'counts = np.searchsorted(np.asarray(getattr(events, "times", events), dtype=np.float64),'
+        ' t, side="right")',
+        ("tests/test_core.py", "-k", "RawTimes and count_at"),
+        "count_at([3.0, 1.0, 2.0], 2.5) searches unsorted times and returns 3, not the error"),
+    Mutant(
+        "params_without_float_conversion", "src/hawkesmom/core.py",
+        "v = float(getattr(self, name))", "v = getattr(self, name)",
+        ("tests/test_core.py", "-k", "one_constructor_holding_floats"),
+        "HawkesParams(1, 2, 1, 3) keeps int fields, and validate_params('0.5', ...) raises TypeError"),
+    Mutant(
+        "warnings_skip_the_helpers_module", "src/hawkesmom/errors.py",
+        'module = frame.f_globals.get("__name__")', "module = __name__",
+        ("tests/test_estimate.py", "tests/test_io_cli.py", "-k", "warnings_name_the_caller"),
+        "the fit's and parse_events' warnings name estimate.py's and io.py's lines, "
+        "not their caller's"),
     Mutant(
         "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
         "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",

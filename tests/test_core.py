@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from hawkesmom import (
     EventSequence,
     ExplosionRisk,
+    HawkesParams,
     NegativeInput,
     NonPositiveBase,
     count_at,
@@ -22,6 +23,7 @@ from hawkesmom import (
     validate_params,
 )
 from hawkesmom.core import _GRID_BLOCK
+from hawkesmom.estimate import windowed_counts
 
 
 def intensity_by_ode(params, events, t, rtol=1e-12, atol=1e-14):
@@ -95,6 +97,14 @@ class TestValidateParams:
         p = validate_params(0.3, 1.1, 0.9, 0.2)
         assert p.lambda_star >= p.lambda_inf
         assert p.kappa > 0
+
+    def test_one_constructor_holding_floats(self):
+        assert validate_params is HawkesParams
+        for p in (HawkesParams(1, 2, 1, 3), HawkesParams(np.float64(0.5), np.float32(2.0),
+                                                         np.int64(1)), validate_params("0.5", 2, 1)):
+            fields = (p.alpha, p.beta, p.lambda_inf, p.lambda0)
+            assert all(type(v) is float for v in fields), fields
+        assert HawkesParams(np.float64(0.5), 2, 1) == HawkesParams(0.5, 2.0, 1.0, 1.0)
 
 
 class TestEventSequence:
@@ -336,3 +346,41 @@ class TestCountAt:
     def test_negative_time_rejected(self, t):
         with pytest.raises(ValueError):
             count_at([1.0, 2.0], t)
+
+
+class TestRawTimes:
+    """Raw event times pass EventSequence's check in every function that
+    takes a path's events, and sorted ones answer as the sequence does."""
+
+    PARAMS = validate_params(0.5, 1.0, 1.0, 2.0)
+    ROUTES = {
+        "intensity_at": lambda events: intensity_at(TestRawTimes.PARAMS, events, 1.5),
+        "post_jump_intensities": lambda events: post_jump_intensities(TestRawTimes.PARAMS, events),
+        "intensity_on_grid": lambda events: intensity_on_grid(TestRawTimes.PARAMS, events,
+                                                              np.linspace(0.0, 4.0, 9)),
+        "count_at": lambda events: count_at(events, np.array([0.5, 2.5, 4.0])),
+        "windowed_counts": lambda events: windowed_counts(events, 0.25, 0.5, 7),
+    }
+
+    # unchecked, count_at searched [3, 1, 2] and counted 3 events by 2.5
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("times", [[3.0, 1.0, 2.0], [[1.0, 2.0]], [-1.0, 1.0, 2.0],
+                                       [1.0, math.nan, 2.0], [math.nan, 1.0]],
+                             ids=["unsorted", "two_dimensional", "negative", "nan", "nan_first"])
+    def test_bad_times_raise_the_sequences_error(self, route, times):
+        with pytest.raises(ValueError) as expected:
+            EventSequence(times=np.array(times), horizon=4.0)
+        with pytest.raises(ValueError) as raised:
+            self.ROUTES[route](times)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_sorted_times_answer_as_the_sequence(self, route):
+        times = np.sort(np.random.default_rng(41).uniform(0.0, 4.0, 30))
+        times[5] = times[4]  # a tie
+        raw, seq = (self.ROUTES[route](events)
+                    for events in (times.tolist(), EventSequence(times, horizon=4.0)))
+        # windowed_counts' result is a tuple of arrays, the others one value
+        raw, seq = ((r,) if not isinstance(r, tuple) else r for r in (raw, seq))
+        assert [np.asarray(part).tobytes() for part in raw] == [
+            np.asarray(part).tobytes() for part in seq]

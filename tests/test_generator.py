@@ -19,7 +19,7 @@ from hawkesmom import (
     simulate_exact,
     validate_params,
 )
-from hawkesmom.generator import MAX_EXPONENT, _expm_triangular, _system, _triangular_system
+from hawkesmom.generator import MAX_EXPONENT, _expm_triangular, _system
 
 P = validate_params(0.2, 1.0, 1.0, 1.0)
 
@@ -362,7 +362,7 @@ class TestTriangularExponential:
         params = validate_params(eta * beta, beta, lambda_inf)
         for degree in range(1, MAX_EXPONENT + 1):
             indices = [(m, degree - m) for m in range(min(degree, MAX_EXPONENT - 1) + 1)]
-            pos, A = _triangular_system(params, indices)
+            pos, A = system(params, indices)
             assert list(pos) == sorted(pos, key=lambda ix: (-(ix[0] + ix[1]), ix[0], ix[1]))
             assert all(pos[ix] == i for i, ix in enumerate(pos))
             assert not np.tril(A, -1).any()
@@ -403,10 +403,16 @@ class TestTriangularExponential:
         np.testing.assert_allclose(_expm_triangular(T), expected, rtol=1e-13, atol=0)
 
 
+def system(params, indices):
+    """The cached _system of ``params``' rates, as integrate_moments reads it."""
+    return _system(params.alpha, params.beta, params.lambda_inf, tuple(indices))
+
+
 class TestSystemCache:
     """integrate_moments builds each (alpha, beta, lambda_inf, indices)
     system once: the cached system is read-only, shared across lambda0 and
-    equal to a fresh build, and alpha = -0.0 keeps a system of its own."""
+    equal to a fresh build, and alpha = -0.0 shares alpha = 0.0's, which
+    it equals bit for bit."""
 
     INDICES = [(0, 1), (0, 2)]
 
@@ -415,33 +421,39 @@ class TestSystemCache:
         """The system built without the cache, and integrate_moments' values
         at a few times from an empty cache."""
         _system.cache_clear()
-        built = _system.__wrapped__(float(params.alpha).hex(), float(params.beta).hex(),
-                                    float(params.lambda_inf).hex(), tuple(indices))
+        built = _system.__wrapped__(params.alpha, params.beta, params.lambda_inf, tuple(indices))
         values = [integrate_moments(params, indices, t) for t in (0.5, 10.0, 600.0)]
         _system.cache_clear()
         return built, values
 
     def test_built_once_shared_across_lambda0_and_read_only(self):
-        first = _triangular_system(validate_params(0.772, 1.133, 0.243, 0.1), self.INDICES)
-        again = _triangular_system(validate_params(0.772, 1.133, 0.243, 5.0), self.INDICES)
+        first = system(validate_params(0.772, 1.133, 0.243, 0.1), self.INDICES)
+        again = system(validate_params(0.772, 1.133, 0.243, 5.0), self.INDICES)
         assert first[0] is again[0] and first[1] is again[1]
         pos, A = first
         assert not A.flags.writeable
         with pytest.raises(TypeError):
             pos[(9, 9)] = 0
 
+    @pytest.mark.parametrize("beta,lambda_inf", [(1.0, 1.0), (1e-3, 1e3), (1e3, 1e-3)])
     @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first",
                                                                           "minus_first"])
-    def test_signed_zero_alpha(self, order):
-        # a list, not a dict: 0.0 and -0.0 are one dict key
-        params = [validate_params(a, 1.0, 1.0, 2.0) for a in order]
-        expected = [self.fresh(p, self.INDICES) for p in params]
-        for p, ((pos, A), values) in zip(params, expected):
-            got_pos, got_A = _triangular_system(p, self.INDICES)
+    def test_signed_zero_alpha(self, order, beta, lambda_inf):
+        # built fresh, the two systems and their moments agree bit for bit,
+        # so whichever is cached first serves both
+        params = [validate_params(a, beta, lambda_inf, 2.0) for a in order]
+        ((pos, A), values), ((other_pos, other_A), other_values) = (
+            self.fresh(p, self.INDICES) for p in params)
+        assert dict(other_pos) == dict(pos) and other_A.tobytes() == A.tobytes()
+        assert [np.array(list(v.values())).tobytes() for v in other_values] == [
+            np.array(list(v.values())).tobytes() for v in values]
+        for p in params:
+            got_pos, got_A = system(p, self.INDICES)
             assert dict(got_pos) == dict(pos) and got_A.tobytes() == A.tobytes()
             assert [integrate_moments(p, self.INDICES, t) for t in (0.5, 10.0, 600.0)] == values
-        plus, minus = (_triangular_system(p, self.INDICES)[1] for p in params)
-        assert plus is not minus
+            assert moment_closure(p, self.INDICES) == list(pos)
+        plus, minus = (system(p, self.INDICES)[1] for p in params)
+        assert plus is minus
 
 
 class TestDynkinIdentity:

@@ -4,6 +4,7 @@ Timestamps are read as the file gives them: no command rescales them.
 """
 
 import codecs
+import functools
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -162,6 +164,20 @@ class TestParseEvents:
             seq = parse_events(path, horizon=6.0)
         assert list(seq.times) == [1.0, 5.0]
         assert seq.horizon == 6.0
+
+    def test_warnings_name_the_caller(self, tmp_path):
+        # the unsorted and dropped-events warnings, each at this file's call
+        path = write(tmp_path, "ev.txt", "2.0\n1.0\n9.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seq = parse_events(path, horizon=6.0)
+            line = sys._getframe().f_lineno - 1
+        assert list(seq.times) == [1.0, 2.0]
+        assert [str(w.message) for w in caught] == [
+            f"{path}: timestamps were not sorted; sorting",
+            f"{path}: dropping 1 events beyond horizon 6.0"]
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (UserWarning, __file__, line)] * 2
 
     @pytest.mark.parametrize("horizon", [-1.0, -math.inf, math.inf, math.nan])
     def test_bad_horizon_rejected_before_the_file_is_opened(self, tmp_path, horizon):
@@ -792,6 +808,61 @@ class TestCmdEstimate:
         hat = report.params_hat
         assert hat.beta > hat.alpha > 0.0 and hat.lambda_inf > 0.0
         assert "t0_in_transient" in report.flags
+
+
+class TestTimeUnitAtTheCli:
+    """estimate on an events file whose times are scaled by c = 2^k, with
+    --delta, --t0, --horizon and --init scaled to match, exits as the unit
+    run does and writes its report up to the scale: the window moments,
+    residual, iterations, flags and convergence equal, the parameters the
+    unit fit's divided by c.  The path is simulate_exact seed 30001 at
+    horizon 10^4, the one the lambda_star overflow was found on."""
+
+    INIT = (0.5, 1.5, 2.0)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def times(alpha):
+        return simulate_exact(validate_params(alpha, 1.0, 1.0), 1e4, 30001).events.times
+
+    def run(self, tmp_path, alpha, k, capsys):
+        c = 2.0**k
+        out = tmp_path / f"alpha{alpha}_k{k}"
+        out.mkdir()
+        events = out / "events.txt"
+        events.write_text("".join(f"{t * c!r}\n" for t in self.times(alpha).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an m3_best_fit fit warns
+            code = main(["estimate", "--events", str(events), "--delta", repr(0.5 * c),
+                         "--t0", repr(3000.0 * c), "--horizon", repr(1e4 * c),
+                         "--init", *(repr(v / c) for v in self.INIT), "--out-dir", str(out)])
+        report = out / "estimate.json"
+        return code, json.loads(report.read_text()) if report.exists() else None, \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha, k", [(0.8, -150), (0.8, 150), (0.8, -1020), (0.8, 1010),
+                                          (0.2, -150), (0.2, 150)])
+    def test_rescaled_file_fits_as_the_unit_file(self, tmp_path, capsys, alpha, k):
+        unit_code, unit, _ = self.run(tmp_path, alpha, 0, capsys)
+        code, report, _ = self.run(tmp_path, alpha, k, capsys)
+        c = 2.0**k
+        assert code == unit_code == EXIT_OK
+        # alpha 0.2's fit is the least-squares point near the scaled start
+        assert unit["flags"] == (["m3_best_fit"] if alpha == 0.2 else [])
+        for key in ("residual_norm", "iterations", "converged", "flags"):
+            assert report[key] == unit[key], key
+        window, unit_window = report["window_stats"], unit["window_stats"]
+        for key in ("m1", "m2", "m3", "count"):
+            assert window[key] == unit_window[key], key
+        assert (window["delta"], window["t0"]) == (0.5 * c, 3000.0 * c)
+        assert report["init"] == [v / c for v in self.INIT]
+        assert {name: v * c for name, v in report["params_hat"].items()} == unit["params_hat"]
+
+    def test_t0_past_float64_exits_1(self, tmp_path, capsys):
+        # 3000 2^1020 overflows to inf, which EstimateConfig rejects first
+        code, report, err = self.run(tmp_path, 0.8, 1020, capsys)
+        assert (code, report) == (1, None)
+        assert err == "error: t0 must be finite and >= 0, got inf\n"
 
 
 class TestImports:

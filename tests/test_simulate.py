@@ -496,18 +496,25 @@ class TestWindowedCounts:
         # events on the edges and one ulp either side of them, before t0
         # and past the last edge; t0 = 2^53 with delta = 0.5, or a subnormal
         # delta, collapses edges, and at t0 = 1e9 a delta of 1e-8 is under
-        # one ulp of t0
+        # one ulp of t0.  Raw times below 0 raise (see
+        # test_negative_raw_times_raise), so they are dropped
         edges = t0 + delta * np.arange(count + 1)
         ties = edges[np.minimum(np.array(on_edge, dtype=np.int64), count)]
         times = np.sort(np.concatenate([
             ties, np.nextafter(ties, -math.inf), np.nextafter(ties, math.inf),
             t0 + delta * np.array(offsets, dtype=float)]))
+        times = times[times >= 0.0]
         pairs = windowed_counts(times, t0, delta, count)
         assert pairs.index.dtype == pairs.counts.dtype == np.int64
         assert (pairs.counts > 0).all()
         assert (np.diff(pairs.index) > 0).all()
         assert np.array_equal(dense_counts(pairs, count),
                               windowed_counts_reference(times, t0, delta, count))
+
+    @pytest.mark.parametrize("times", [[-1.0, 0.5, 1.0], [-5e-324, 0.0, 0.25]])
+    def test_negative_raw_times_raise(self, times):
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            windowed_counts(np.array(times), 0.0, 0.5, 4)
 
     @staticmethod
     def _searches_for_strays(monkeypatch) -> list:
@@ -1458,3 +1465,19 @@ class TestSeedAndCapCheck:
         monkeypatch.setattr(os, "fork", no_draw)
         with pytest.raises(ValueError, match=f"^{message}$"):
             self.SAMPLERS[name](p, seed, cap)
+
+
+class TestGeneratorSeam:
+    """Both samplers take their generator from one seam, _seeding.generators."""
+
+    @pytest.mark.parametrize("sampler", [simulate_exact, simulate_cluster])
+    def test_a_failing_seam_fails_before_any_draw(self, monkeypatch, sampler):
+        class SeamClosed(Exception):
+            pass
+
+        def closed(seeds):
+            raise SeamClosed(list(seeds))
+
+        monkeypatch.setattr(simulate_module, "generators", closed)
+        with pytest.raises(SeamClosed, match=r"^\[7\]$"):
+            sampler(validate_params(0.2, 1.0, 1.0, 2.0), 10.0, 7)
