@@ -16,7 +16,9 @@ has written one that did not converge.  The library checks its own
 settings: estimate and validate make their EstimateConfig, which checks
 --delta, --t0 and --init, and validate counts its windows, before anything
 is read or sampled; moments leaves --delta to moment_triple, and the
-samplers check --seed and --cap before any draw.
+samplers check --seed and --cap before any draw.  --horizon, --grid-step
+and --envelope-step are lengths and an estimate --horizon a time, each
+checked by core's one rule for it (_check_length, _check_time).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesParams, _intensity_on_blocks, count_at, validate_params
+from .core import HawkesParams, _check_length, _intensity_on_blocks, count_at, validate_params
 from .errors import (
     CapacityExceeded,
     HawkesError,
@@ -48,7 +50,7 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .simulate import DEFAULT_EVENT_CAP, _check_horizon, map_batch, sampler
+from .simulate import DEFAULT_EVENT_CAP, map_batch, sampler
 
 __all__ = [
     "EXIT_OK",
@@ -77,18 +79,25 @@ def _params(args: argparse.Namespace) -> HawkesParams:
 
 
 def _step_grid(flag: str, horizon: float, step: float) -> int:
-    """The number of points of the grid 0, step, 2 step, ... up to horizon,
-    checked before anything is sampled or written, so a bad step or horizon,
-    or a grid too large to allocate, is an error with no output.  The check
-    asks numpy for the whole grid, uninitialised, and releases it untouched:
-    a block that large is mapped, never written, so it costs no resident
-    memory."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"{flag} must be positive and finite, got {step}")
-    _check_horizon(horizon)
+    """The number of points of the grid 0, step, 2 step, ... up to horizon:
+    the largest n whose last point, (n - 1) * step as the writers form it,
+    is <= horizon.  Checked before anything is sampled or written, so a bad
+    step or horizon (core._check_length), or a grid too large to allocate,
+    is an error with no output.  The check asks numpy for the whole grid,
+    uninitialised, and releases it untouched: a block that large is mapped,
+    never written, so it costs no resident memory."""
+    _check_length(flag, step)
+    _check_length("horizon", horizon)
     n_pts = horizon / step  # inf for a step as small as a subnormal
     try:
-        n_pts = int(round(n_pts)) + 1  # OverflowError at inf
+        last = math.floor(n_pts)  # OverflowError at inf
+        # the quotient's rounding leaves the last index within one of its
+        # floor wherever the grid can be allocated (below 2^52 points)
+        if last * step > horizon:
+            last -= 1
+        elif (last + 1) * step <= horizon:
+            last += 1
+        n_pts = last + 1
         np.empty(n_pts)  # numpy's ValueError: "Maximum allowed dimension exceeded"
     except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"{flag} {step} asks for {n_pts:.3g} grid points, "
@@ -197,7 +206,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
         real_events = parse_events(args.real_events_path, horizon=args.horizon)
         real = count_at(real_events, grid)
     # no whole window, or more than 2^53 of them, fails before sampling
-    _check_horizon(args.horizon)
+    _check_length("horizon", args.horizon)
     _window_count(args.horizon, args.t0, args.delta)
 
     def fit(traj):

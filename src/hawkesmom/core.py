@@ -24,6 +24,14 @@ to 1e5 and for any event spacing.
 Times carry no declared scale: the intensity, beta and lambda_inf are
 rates per whatever step the event times count in (per minute for times in
 minutes).  All functions here are pure; inputs are immutable records.
+
+Each argument rule of the package has one owner here, which every module
+calls and none copies, and one message, "{name} must be ..., got {x}":
+_check_length (> 0 and finite: a window length, a horizon to sample, a grid
+step), _check_time (finite and >= 0: a window start, a record's horizon,
+the moment ODE's t), _check_point (>= 0 with NaN rejected and +inf kept:
+an evaluation point, or an array of them) and _times (a sorted time array:
+one-dimensional, nondecreasing, its first point an evaluation point).
 """
 
 from __future__ import annotations
@@ -126,8 +134,7 @@ class EventSequence:
 
     def __post_init__(self):
         times = _times(self.times)
-        if not math.isfinite(self.horizon) or self.horizon < 0.0:
-            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
+        _check_time("horizon", self.horizon)
         if times.size and not times[-1] <= self.horizon:
             raise ValueError("all times must be <= horizon")
         times.setflags(write=False)
@@ -160,19 +167,47 @@ def _unpickled(raw, horizon: float) -> EventSequence:
     return EventSequence._sampled(np.frombuffer(raw), horizon)
 
 
-def _times(events) -> np.ndarray:
-    """An EventSequence's times, or raw times as float64, a ValueError
-    unless one-dimensional, nondecreasing and nonnegative (so NaN-free): the
-    one check on event times, which EventSequence's constructor runs too."""
+def _check_length(name: str, x: float) -> None:
+    """The one length rule, for a window length, a horizon to sample or a
+    grid step: > 0 and finite."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be > 0 and finite, got {x}")
+
+
+def _check_time(name: str, x: float) -> None:
+    """The one time rule, for a window start, a record's horizon or the
+    moment ODE's t: finite and >= 0."""
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and >= 0, got {x}")
+
+
+def _check_point(name: str, t) -> None:
+    """The one evaluation-point rule, on a float or on each point of an
+    array (reporting the least): >= 0, so NaN fails and +inf passes."""
+    if not (np.all(t >= 0.0) if isinstance(t, np.ndarray) else t >= 0.0):
+        raise ValueError(f"{name} must be >= 0, got {np.min(t)}")
+
+
+# points per block: the per-block temporaries stay near 64 kB each
+_GRID_BLOCK = 8192
+
+
+def _times(events, name: str = "times") -> np.ndarray:
+    """An EventSequence's times, or a raw array as float64, a ValueError
+    unless one-dimensional, nondecreasing and with a first point that
+    passes _check_point (so NaN-free): the one sorted-time-array check, on
+    event times and on intensity_on_grid's grid.  The order is checked a
+    _GRID_BLOCK at a time, so no temporary is the array's size."""
     if isinstance(events, EventSequence):
         return events.times
     times = np.asarray(events, dtype=np.float64)
     if times.ndim != 1:
-        raise ValueError("times must be one-dimensional")
-    if times.size and not np.all(np.diff(times) >= 0.0):
-        raise ValueError("times must be nondecreasing")
-    if times.size and not times[0] >= 0.0:
-        raise ValueError("times must be nonnegative")
+        raise ValueError(f"{name} must be one-dimensional")
+    for lo in range(0, times.size, _GRID_BLOCK):
+        if not np.all(np.diff(times[max(lo - 1, 0):lo + _GRID_BLOCK]) >= 0.0):
+            raise ValueError(f"{name} must be nondecreasing")
+    if times.size:
+        _check_point(name, times[0])
     return times
 
 
@@ -183,8 +218,7 @@ def intensity_at(params: HawkesParams, events, t: float) -> float:
     is the pre-jump value lambda(t-).  Its exps are libm's
     (_libm.elementwise), so the value does not depend on the CPU.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_point("t", t)
     times = _times(events)
     k = np.searchsorted(times, t, side="left")
     base = params.lambda_inf + (params.lambda0 - params.lambda_inf) * math.exp(-params.beta * t)
@@ -192,10 +226,6 @@ def intensity_at(params: HawkesParams, events, t: float) -> float:
         return base
     decay = elementwise(math.exp, -params.beta * (t - times[:k]))
     return base + params.alpha * float(decay.sum())
-
-
-# grid points per block: the per-block temporaries stay near 64 kB each
-_GRID_BLOCK = 8192
 
 
 def _excess_after_events(params: HawkesParams, times: np.ndarray) -> np.ndarray:
@@ -259,21 +289,14 @@ def intensity_on_grid(params: HawkesParams, events, grid) -> np.ndarray:
     """Intensity on a nondecreasing grid of times t >= 0, left-continuous at
     events.
 
-    The grid is checked and evaluated in blocks of _GRID_BLOCK points (each
-    block's order check takes in the point before it), so beside the
-    returned array the temporaries stay small for any grid.
+    The grid passes _times' check and is evaluated in blocks of _GRID_BLOCK
+    points, so beside the returned array the temporaries stay small for any
+    grid.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1:
-        raise ValueError("grid must be one-dimensional")
-    blocks = range(0, grid.size, _GRID_BLOCK)
-    if not all(np.all(np.diff(grid[max(lo - 1, 0):lo + _GRID_BLOCK]) >= 0.0) for lo in blocks):
-        raise ValueError("grid must be nondecreasing")
-    if grid.size and not grid[0] >= 0.0:
-        raise ValueError(f"t must be >= 0, got {grid[0]}")
+    grid = _times(grid, "grid")
     on_block = _intensity_on_blocks(params, events)
     out = np.empty(grid.size)
-    for lo in blocks:
+    for lo in range(0, grid.size, _GRID_BLOCK):
         on_block(grid[lo:lo + _GRID_BLOCK], out=out[lo:lo + _GRID_BLOCK])
     return out
 
@@ -285,7 +308,6 @@ def count_at(events, t):
     same shape.
     """
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(t >= 0.0):
-        raise ValueError(f"t must be >= 0, got {t.min()}")
+    _check_point("t", t)
     counts = np.searchsorted(_times(events), t, side="right")
     return int(counts) if counts.ndim == 0 else counts

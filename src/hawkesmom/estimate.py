@@ -40,9 +40,9 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .core import EventSequence, HawkesParams, _times
+from .core import EventSequence, HawkesParams, _check_length, _check_time, _times
 from .errors import HawkesError, InsufficientData, NoConvergence, WindowOutOfRange, _warn
-from .moments import _PHI, MomentTriple, _check_delta, _k3_over_m1, _window_shapes, moment_triple
+from .moments import _PHI, MomentTriple, _k3_over_m1, _window_shapes, moment_triple
 
 __all__ = [
     "MIN_WINDOWS",
@@ -112,9 +112,9 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class EstimateConfig:
-    """Settings for estimate(), checked as made (_check_windows, _check_start),
-    so a caller that makes them first reads nothing for bad ones; tol is
-    the solver's constant TOL."""
+    """Settings for estimate(), checked as made (delta a length, t0 a time,
+    init by _check_start), so a caller that makes them first reads nothing
+    for bad ones; tol is the solver's constant TOL."""
 
     delta: float
     t0: float = 0.0
@@ -122,7 +122,8 @@ class EstimateConfig:
     tol: ClassVar[float] = TOL
 
     def __post_init__(self):
-        _check_windows(self.delta, self.t0)
+        _check_length("delta", self.delta)
+        _check_time("t0", self.t0)
         _check_start(self.init)
 
 
@@ -145,10 +146,10 @@ def _bisect_windows(t: np.ndarray, t0: float, delta: float, count: int) -> np.nd
 
 def windowed_counts(events, t0: float, delta: float, count: int) -> WindowCounts:
     """Event counts in the non-empty windows among ``count`` consecutive
-    half-open windows [t0 + j delta, t0 + (j+1) delta), with delta and t0
-    checked by _check_windows and 1 <= count <= the _window_count of a path's
-    horizon (_MAX_WINDOWS for raw times), else WindowOutOfRange; time and
-    memory are linear in the events.
+    half-open windows [t0 + j delta, t0 + (j+1) delta), with delta a length
+    and t0 a time (core's rules) and 1 <= count <= the _window_count of a
+    path's horizon (_MAX_WINDOWS for raw times), else WindowOutOfRange; time
+    and memory are linear in the events.
 
     The events are placed a chunk of _COUNT_CHUNK_EVENTS at a time: each
     window is guessed as floor((t - t0) / delta), clipped to the windows,
@@ -163,7 +164,8 @@ def windowed_counts(events, t0: float, delta: float, count: int) -> WindowCounts
     np.diff(np.searchsorted(times, edges)).  A window that straddles two
     chunks is still one pair.
     """
-    _check_windows(delta, t0)
+    _check_length("delta", delta)
+    _check_time("t0", t0)
     fit = (_window_count(events.horizon, t0, delta) if isinstance(events, EventSequence)
            else _MAX_WINDOWS)
     if not 1 <= count <= fit:
@@ -217,18 +219,12 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
     return EmpiricalMoments(triple=triple, window_count=windows, t0=float(t0))
 
 
-def _check_windows(delta: float, t0: float) -> None:
-    """ValueError unless delta passes _check_delta and the start t0 >= 0 is finite."""
-    _check_delta(delta)
-    if not (math.isfinite(t0) and t0 >= 0.0):
-        raise ValueError(f"t0 must be finite and >= 0, got {t0}")
-
-
 def _window_count(horizon: float, t0: float, delta: float) -> int:
     """The maximal whole number of windows of length delta in [t0, horizon]:
     InsufficientData when none fits, and a ValueError naming the count
     past 2^53, where t0 + j delta no longer names each window."""
-    _check_windows(delta, t0)
+    _check_length("delta", delta)
+    _check_time("t0", t0)
     if t0 >= horizon:
         raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
     n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
@@ -357,7 +353,7 @@ def _params_or_none(alpha: float, beta: float, lam_inf: float) -> HawkesParams |
 
 def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) -> EstimateReport:
     """Solve the three-equation moment system for (alpha, beta, lambda_inf)
-    at the triple's window length triple.delta (_check_delta's rule).
+    at the triple's window length triple.delta (core._check_length's rule).
 
     The system is reduced exactly: M1 pins lambda*, the variance excess pins
     eta = alpha/beta as a closed-form function of x = kappa delta, and the
@@ -391,7 +387,7 @@ def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) 
     1e-10 around the least |residual|).  ``iterations`` reports the number of
     residual evaluations, each grid or sub-grid point counting as one.
     """
-    _check_delta(triple.delta)
+    _check_length("delta", triple.delta)
     for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"moment {name} must be finite and positive, got {v}")

@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._libm import elementwise
-from .core import HawkesParams
+from .core import HawkesParams, _check_time
 
 __all__ = [
     "MAX_EXPONENT",
@@ -278,8 +278,7 @@ def integrate_moments(
     m >= 1 of the closure) instead starts from a random initial intensity
     with N_0 = 0, e.g. the stationary intensity law.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _check_time("t", t)
     requested = [_as_exponents(ix) for ix in indices]
     pos, A = _system(params.alpha, params.beta, params.lambda_inf, tuple(requested))
 

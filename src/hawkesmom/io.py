@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fork import in_slices
-from .core import EventSequence
+from .core import EventSequence, _check_time
 from .errors import EmptyFile, NegativeTimestamp, ParseError, _warn
 from .estimate import EstimateReport
 
@@ -54,8 +54,8 @@ def parse_events(path, horizon: float | None = None) -> EventSequence:
     input is sorted with a warning; ties are preserved.  A negative or
     non-finite ``horizon`` is a ValueError before the file is opened.
     """
-    if horizon is not None and not (math.isfinite(horizon) and horizon >= 0.0):
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    if horizon is not None:
+        _check_time("horizon", horizon)
     path = Path(path)
     values: list[float] = []
     with path.open("r", encoding="utf-8-sig") as fh:

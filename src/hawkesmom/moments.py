@@ -9,18 +9,21 @@ computed in cumulant form: k2/M1 and k3/M1 depend only on eta = alpha/beta
 and x = kappa delta, through a few window-shape functions of x that are
 evaluated stably at every x.  The printed kappa-factored closed forms, which
 cancel through kappa^-6 as kappa delta -> 0, are documented but never
-evaluated.
+evaluated.  A window length delta passes core's length rule (_check_length)
+and mean_count's t its evaluation-point rule (_check_point); neither has a
+copy here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._libm import elementwise
-from .core import HawkesParams
+from .core import HawkesParams, _check_length, _check_point
 
 __all__ = [
     "MomentTriple",
@@ -44,21 +47,14 @@ class MomentTriple:
 
 def mean_count(params: HawkesParams, t: float) -> float:
     """E[N_t] = lambda* t - (lambda* - lambda0)(1 - e^{-kappa t}) / kappa."""
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_point("t", t)
     lam_star = params.lambda_star
     return lam_star * t + (lam_star - params.lambda0) * math.expm1(-params.kappa * t) / params.kappa
 
 
-def _check_delta(delta: float) -> None:
-    """ValueError unless the window length delta is > 0 and finite."""
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be > 0 and finite, got {delta}")
-
-
 def stationary_m1(params: HawkesParams, delta: float) -> float:
     """lim_t E[N_{t+delta} - N_t] = lambda* delta."""
-    _check_delta(delta)
+    _check_length("delta", delta)
     return params.lambda_star * delta
 
 
@@ -114,8 +110,10 @@ def _window_cumulants(params: HawkesParams, delta: float) -> tuple[float, float,
     m1 = stationary_m1(params, delta)
     a, b, k = params.alpha, params.beta, params.kappa
     shapes = _window_shapes(np.array([k * delta]))[:, 0]
-    # eta (2 - eta) u^2 = alpha (beta + kappa) / kappa^2
-    k2 = m1 * (1.0 + a / k * ((b + k) / k) * shapes[_PHI])
+    # eta (2 - eta) u^2 = alpha (beta + kappa) / kappa^2, with beta / kappa
+    # + 1 for (beta + kappa) / kappa where the sum overflows (rates near 2^1023)
+    ratio = (b + k) / k if b + k <= sys.float_info.max else b / k + 1.0
+    k2 = m1 * (1.0 + a / k * ratio * shapes[_PHI])
     k3 = m1 * _k3_over_m1(shapes, b / k)
     return m1, float(k2), float(k3)
 

@@ -80,7 +80,7 @@ import numpy as np
 from ._fork import in_slices, record_warnings, replay_warnings
 from ._libm import elementwise
 from ._seeding import generators
-from .core import EventSequence, HawkesParams
+from .core import EventSequence, HawkesParams, _check_length
 from .errors import CapacityExceeded
 from .moments import mean_count
 
@@ -109,12 +109,6 @@ class Trajectory:
 
     events: EventSequence
     seed: int
-
-
-def _check_horizon(horizon: float) -> None:
-    """Reject a horizon before any sampling: NaN or infinity would run to the cap."""
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
 def _check_seed_and_cap(seed: int, cap: int) -> None:
@@ -174,7 +168,7 @@ def simulate_exact(
     against the dominating constant rate lambda_inf.  A bad horizon, a
     negative seed or a cap below 1 is a ValueError before any draw.
     """
-    _check_horizon(horizon)
+    _check_length("horizon", horizon)
     _check_seed_and_cap(seed, cap)
     [rng] = generators(range(seed, seed + 1))
     t, lam, events = _base_level_start(rng, params, horizon, cap)
@@ -317,7 +311,7 @@ def simulate_cluster(
     after each block, so a path over the cap holds its proposals (8 bytes
     each) and one block's arrays.  A bad horizon, a negative seed or a cap
     below 1 is a ValueError before any draw."""
-    _check_horizon(horizon)
+    _check_length("horizon", horizon)
     _check_seed_and_cap(seed, cap)
     [rng] = generators(range(seed, seed + 1))
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
@@ -622,7 +616,7 @@ def map_batch(
     as they are issued would keep the registry, but a failed batch would
     then have issued some.
     """
-    _check_horizon(horizon)
+    _check_length("horizon", horizon)
     _check_seed_and_cap(seed, cap)
     sampler(method)
     if n_paths < 0:

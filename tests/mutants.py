@@ -70,6 +70,7 @@ CAP = ("tests/test_simulate.py", "-k", "cap_at_a_block_edge or cap_names_the_fir
 ASSEMBLY = ("tests/test_simulate.py", "-k", "Assembly or bitwise_equal_to_simulate_exact")
 ZEROS = ("tests/test_simulate.py", "-k", "Oracle or Lockstep or zero")
 SLICES = ("tests/test_simulate.py", "-k", "SliceRule")
+RULES = ("tests/test_moments.py", "-k", "each_rule_has_one_message")
 
 MUTANTS = [
     Mutant(
@@ -317,7 +318,8 @@ MUTANTS = [
     Mutant(
         "estimate_config_unchecked", "src/hawkesmom/estimate.py",
         "    def __post_init__(self):\n"
-        "        _check_windows(self.delta, self.t0)\n"
+        '        _check_length("delta", self.delta)\n'
+        '        _check_time("t0", self.t0)\n'
         "        _check_start(self.init)\n",
         "    def __post_init__(self):\n        pass\n",
         ("tests/test_io_cli.py", "-k", "bad_init_writes_nothing"),
@@ -369,7 +371,7 @@ MUTANTS = [
         "moment_triple's m3 overflows where m2 is finite"),
     Mutant(
         "solver_delta_unchecked", "src/hawkesmom/estimate.py",
-        "    _check_delta(triple.delta)\n", "",
+        '    _check_length("delta", triple.delta)\n', "",
         ("tests/test_moments.py", "-k", "solve_moment_system"),
         "a zero delta divides by zero, and a NaN, inf or negative one ends in "
         "NoConvergence, neither with the window-length message"),
@@ -434,6 +436,53 @@ MUTANTS = [
         ("tests/test_estimate.py", "tests/test_io_cli.py", "-k", "warnings_name_the_caller"),
         "the fit's and parse_events' warnings name estimate.py's and io.py's lines, "
         "not their caller's"),
+    # one owner per argument rule, and the grid and moment edges found
+    # while moving the rules there
+    Mutant(
+        "length_admits_inf", "src/hawkesmom/core.py",
+        "    if not (x > 0.0 and math.isfinite(x)):\n", "    if not x > 0.0:\n", RULES,
+        "an infinite delta passes the length rule, and stationary_m1 returns inf"),
+    Mutant(
+        "time_admits_negative", "src/hawkesmom/core.py",
+        "    if not (x >= 0.0 and math.isfinite(x)):\n", "    if not math.isfinite(x):\n", RULES,
+        "a negative t0, horizon or ODE time passes"),
+    Mutant(
+        "point_admits_nan", "src/hawkesmom/core.py",
+        "    if not (np.all(t >= 0.0) if isinstance(t, np.ndarray) else t >= 0.0):\n",
+        "    if np.any(np.less(t, 0.0)):\n",
+        RULES, "a NaN evaluation point or first event time passes and reads as no events"),
+    Mutant(
+        "sorted_check_on_the_whole_array", "src/hawkesmom/core.py",
+        "    for lo in range(0, times.size, _GRID_BLOCK):\n"
+        "        if not np.all(np.diff(times[max(lo - 1, 0):lo + _GRID_BLOCK]) >= 0.0):\n",
+        "    for lo in range(0, min(times.size, 1)):\n"
+        "        if not np.all(np.diff(times) >= 0.0):\n",
+        ("tests/test_moments.py", "-k", "no_array_sized_temporary"),
+        "np.diff of 10^6 times takes 8 MB, which tracemalloc sees"),
+    Mutant(
+        "window_cumulants_sum_unguarded", "src/hawkesmom/moments.py",
+        "ratio = (b + k) / k if b + k <= sys.float_info.max else b / k + 1.0",
+        "ratio = (b + k) / k",
+        ("tests/test_io_cli.py", "-k", "TimeUnit"),
+        "at the fit of times x 2^-1021, beta + kappa overflows, m2 and m3 are inf "
+        "and the run exits 3"),
+    Mutant(
+        "grid_count_rounded", "src/hawkesmom/cli.py",
+        "        last = math.floor(n_pts)  # OverflowError at inf\n",
+        "        last = round(n_pts)  # OverflowError at inf\n"
+        "        n_pts = last + 1\n        np.empty(n_pts)\n        return n_pts\n",
+        ("tests/test_io_cli.py", "-k", "grid_stops_at_the_horizon"),
+        "round(10 / 6) + 1 = 3 points put a row at t = 12 on a horizon of 10"),
+    Mutant(
+        "grid_count_not_lowered", "src/hawkesmom/cli.py",
+        "        if last * step > horizon:\n            last -= 1\n        elif",
+        "        if", ("tests/test_io_cli.py", "-k", "StepGrid"),
+        "3 / (1/91) rounds to 273.0, and the point 273 step is past 3"),
+    Mutant(
+        "grid_count_not_raised", "src/hawkesmom/cli.py",
+        "        elif (last + 1) * step <= horizon:\n            last += 1\n", "",
+        ("tests/test_io_cli.py", "-k", "StepGrid"),
+        "1 / (1/93) rounds to 92.99999999999999, and the point 93 step <= 1 is dropped"),
     Mutant(
         "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
         "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",

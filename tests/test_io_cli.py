@@ -243,10 +243,29 @@ class TestStepGrid:
 
     @pytest.mark.parametrize("horizon, step", [
         (20.0, 0.01), (10_000.0, 0.01), (100.0, 0.0003), (7.0, 3.0), (1e-300, 3e-302),
+        # horizon / step rounds to 92.99999999999999, where 93 step <= 1, and
+        # to 273.0, where 273 step > 3
+        (1.0, 1 / 93), (3.0, 1 / 91),
     ])
     def test_step_grid_has_the_allocated_grids_points(self, horizon, step):
-        expected = np.arange(int(round(horizon / step)) + 1, dtype=np.float64)
-        assert _step_grid("--grid-step", horizon, step) == expected.size
+        # the grid's points as the writers form them, up to the last <= horizon
+        points = np.arange(int(horizon / step) + 3, dtype=np.float64) * step
+        assert _step_grid("--grid-step", horizon, step) == np.count_nonzero(points <= horizon)
+
+    # a step that does not divide the horizon: round(horizon / step) points
+    # past the first would put the last one past the horizon
+    @pytest.mark.parametrize("argv, path, last", [
+        (["simulate", "--horizon", "10", "--grid-step", "6"], "intensity.csv", "6.0"),
+        (["validate", "--horizon", "100", "--delta", "0.7", "--t0", "10", "--envelope"],
+         "envelope.csv", "99.39999999999999"),
+    ], ids=["simulate", "validate_envelope"])
+    def test_grid_stops_at_the_horizon(self, tmp_path, argv, path, last):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some of the fits warn
+            assert main([*argv, "--alpha", "0.2", "--beta", "1", "--lambda-inf", "1",
+                         "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / path).read_text().splitlines()[1:]
+        assert rows[-1].split(",")[0] == last
 
 
 class TestWriteIntensityCsv:
@@ -840,8 +859,8 @@ class TestTimeUnitAtTheCli:
         return code, json.loads(report.read_text()) if report.exists() else None, \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha, k", [(0.8, -150), (0.8, 150), (0.8, -1020), (0.8, 1010),
-                                          (0.2, -150), (0.2, 150)])
+    @pytest.mark.parametrize("alpha, k", [(0.8, -150), (0.8, 150), (0.8, -1020), (0.8, -1021),
+                                          (0.8, 1010), (0.2, -150), (0.2, 150)])
     def test_rescaled_file_fits_as_the_unit_file(self, tmp_path, capsys, alpha, k):
         unit_code, unit, _ = self.run(tmp_path, alpha, 0, capsys)
         code, report, _ = self.run(tmp_path, alpha, k, capsys)
@@ -1334,7 +1353,8 @@ class TestMainExitCodes:
         code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
                                f"--horizon={horizon}", "--seed", "1", "--out-dir", str(out)])
         assert code == 1
-        assert "error: horizon must be positive and finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: horizon must be > 0 and finite, got {float(horizon)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])

@@ -11,6 +11,8 @@ Oracles used here:
 """
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -25,6 +27,7 @@ from scipy.integrate import quad
 
 from hawkesmom import (
     BivariatePolynomial,
+    EstimateConfig,
     EventSequence,
     apply_generator,
     count_at,
@@ -34,7 +37,10 @@ from hawkesmom import (
     limit_intensity_moments,
     mean_count,
     moment_triple,
+    parse_events,
+    post_jump_intensities,
     simulate_batch,
+    simulate_cluster,
     simulate_exact,
     solve_moment_system,
     stationary_m1,
@@ -43,6 +49,8 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
+from hawkesmom.cli import _step_grid
+from hawkesmom.core import _times
 from hawkesmom.estimate import DEFAULT_INIT
 from hawkesmom.moments import _SHAPES, _taylor_coefficient
 
@@ -448,7 +456,10 @@ class TestNanArguments:
     a negative one does, instead of flowing through as a NaN result; so do
     an infinite window length or path-integral time, a NaN event time and a
     NaN or negative intensity grid.  The solver checks its triple's window
-    length by the same rule."""
+    length by the same rule.  Every entry point of core's four argument
+    rules (a length, a time, an evaluation point, a sorted time array)
+    raises that rule's one message for 0, -0.0, -1, NaN and +-inf, or
+    admits the value as the rule does."""
 
     @pytest.mark.parametrize("fn, args, message", [
         (mean_intensity, (P, NAN), "t must be >= 0"),
@@ -469,9 +480,9 @@ class TestNanArguments:
         (integrate_polynomial_on_path,
          (P, [], BivariatePolynomial({(0, 0): 1.0, (1, 0): -1.0}), math.inf),
          "t must be finite and >= 0, got inf"),
-        (intensity_on_grid, (P, TEN_EVENTS, np.array([NAN])), "t must be >= 0"),
-        (intensity_on_grid, (P, TEN_EVENTS, np.array([-1.0])), r"t must be >= 0, got -1\.0"),
-        (EventSequence, (np.array([NAN]), 1.0), "times must be nonnegative"),
+        (intensity_on_grid, (P, TEN_EVENTS, np.array([NAN])), "grid must be >= 0, got nan"),
+        (intensity_on_grid, (P, TEN_EVENTS, np.array([-1.0])), r"grid must be >= 0, got -1\.0"),
+        (EventSequence, (np.array([NAN]), 1.0), "times must be >= 0, got nan"),
         *[(solve_moment_system, (replace(moment_triple(P, 0.5), delta=d), DEFAULT_INIT),
            rf"^delta must be > 0 and finite, got {d}$") for d in (0.0, -0.5, NAN, math.inf)],
     ], ids=["mean_intensity", "second_moment_intensity", "mean_count",
@@ -489,3 +500,67 @@ class TestNanArguments:
     def test_infinite_time_is_the_limit(self):
         assert mean_intensity(P, math.inf) == P.lambda_star
         assert count_at(TEN_EVENTS, math.inf) == TEN_EVENTS.size
+
+    # Each argument rule: its one message, and the values it admits.
+    RULES = {
+        "length": ("{name} must be > 0 and finite, got {x}", lambda x: 0.0 < x < math.inf),
+        "time": ("{name} must be finite and >= 0, got {x}", lambda x: 0.0 <= x < math.inf),
+        "point": ("{name} must be >= 0, got {x}", lambda x: x >= 0.0),
+    }
+    # Every entry point of each rule, as (rule, argument name, call); a
+    # sorted time array's first point is an evaluation point.  parse_events
+    # reads events.txt in the working directory.
+    ENTRY_POINTS = [
+        ("length", "delta", lambda x: stationary_m1(P, x)),
+        ("length", "delta", lambda x: moment_triple(P, x)),
+        ("length", "delta", lambda x: stationary_m2(P, x)),
+        ("length", "delta", lambda x: solve_moment_system(
+            replace(moment_triple(P, 0.5), delta=x), DEFAULT_INIT)),
+        ("length", "delta", lambda x: EstimateConfig(delta=x)),
+        ("length", "delta", lambda x: windowed_counts(TEN_EVENTS, 0.0, x, 1)),
+        ("length", "horizon", lambda x: simulate_exact(P, x, 1)),
+        ("length", "horizon", lambda x: simulate_cluster(P, x, 1)),
+        ("length", "horizon", lambda x: simulate_batch(P, x, 1, 2)),
+        ("length", "horizon", lambda x: _step_grid("--grid-step", x, 1.0)),
+        ("length", "--grid-step", lambda x: _step_grid("--grid-step", 10.0, x)),
+        ("length", "--envelope-step", lambda x: _step_grid("--envelope-step", 10.0, x)),
+        ("time", "t0", lambda x: EstimateConfig(delta=0.5, t0=x)),
+        ("time", "t0", lambda x: windowed_counts(TEN_EVENTS, x, 0.5, 1)),
+        ("time", "horizon", lambda x: EventSequence(np.empty(0), x)),
+        ("time", "horizon", lambda x: parse_events("events.txt", horizon=x)),
+        ("time", "t", lambda x: integrate_moments(P, [(0, 1)], x)),
+        ("point", "t", lambda x: mean_count(P, x)),
+        ("point", "t", lambda x: intensity_at(P, TEN_EVENTS, x)),
+        ("point", "t", lambda x: count_at(TEN_EVENTS, x)),
+        ("point", "t", lambda x: count_at(TEN_EVENTS, np.array([1.0, x]))),
+        ("point", "grid", lambda x: intensity_on_grid(P, TEN_EVENTS, [x])),
+        ("point", "times", lambda x: post_jump_intensities(P, [x])),
+        ("point", "times", lambda x: count_at([x], 1.0)),
+        ("point", "times", lambda x: windowed_counts(np.array([x]), 0.0, 0.5, 1)),
+    ]
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, NAN, math.inf, -math.inf])
+    @pytest.mark.parametrize("rule, name, call", ENTRY_POINTS,
+                             ids=[f"{rule}-{name}-{i}" for i, (rule, name, _)
+                                  in enumerate(ENTRY_POINTS)])
+    def test_each_rule_has_one_message(self, tmp_path, monkeypatch, rule, name, call, x):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "events.txt").write_text("0.0\n")
+        form, admits = self.RULES[rule]
+        if admits(x):
+            call(x)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(form.format(name=name, x=x))}$"):
+                call(x)
+
+    def test_sorted_check_holds_no_array_sized_temporary(self):
+        # the order is checked a block at a time: np.diff of the whole array
+        # would take 8 MB, and its comparison 1 MB more
+        times = np.arange(1e6)
+        tracemalloc.start()
+        try:
+            assert _times(times) is times
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < times.nbytes / 8

@@ -513,7 +513,7 @@ class TestWindowedCounts:
 
     @pytest.mark.parametrize("times", [[-1.0, 0.5, 1.0], [-5e-324, 0.0, 0.25]])
     def test_negative_raw_times_raise(self, times):
-        with pytest.raises(ValueError, match="times must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^times must be >= 0, got {times[0]}$"):
             windowed_counts(np.array(times), 0.0, 0.5, 4)
 
     @staticmethod
@@ -1435,7 +1435,7 @@ class TestHorizonCheck:
 
         p = validate_params(0.2, 1.0, 1.0, 1.0)
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^horizon must be > 0 and finite, got {horizon}$"):
             self.SAMPLERS[name](p, horizon)
 
 
