@@ -15,10 +15,10 @@ return the paths they wrote, estimate its report, or NoConvergence once it
 has written one that did not converge.  The library checks its own
 settings: estimate and validate make their EstimateConfig, which checks
 --delta, --t0 and --init, and validate counts its windows, before anything
-is read or sampled; moments leaves --delta to moment_triple, and the
-samplers check --seed and --cap before any draw.  --horizon, --grid-step
-and --envelope-step are lengths and an estimate --horizon a time, each
-checked by core's one rule for it (_check_length, _check_time).
+is read or sampled; moments leaves --delta to moment_triple.  Core's one
+rule for each flag checks it: --seed and --cap (counts, in the samplers,
+before any draw), --count (a count), --horizon, --grid-step and
+--envelope-step (lengths) and an estimate --horizon (a time).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesParams, _check_length, _intensity_on_blocks, count_at, validate_params
+from .core import HawkesParams, _check_count, _check_length, _intensity_on_blocks, count_at
 from .errors import (
     CapacityExceeded,
     HawkesError,
@@ -74,8 +74,7 @@ EXIT_CAPACITY = 4
 
 def _params(args: argparse.Namespace) -> HawkesParams:
     """The parameter flags as a HawkesParams; moments has no --lambda0."""
-    return validate_params(args.alpha, args.beta, args.lambda_inf,
-                           getattr(args, "lambda0", None))
+    return HawkesParams(args.alpha, args.beta, args.lambda_inf, getattr(args, "lambda0", None))
 
 
 def _step_grid(flag: str, horizon: float, step: float) -> int:
@@ -186,8 +185,7 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     cumulative counts are written on a shared grid, optionally alongside a
     real events file for data-vs-simulation comparison.
     """
-    if args.count < 2:
-        raise ValueError(f"validate needs at least 2 trajectories, got {args.count}")
+    _check_count("--count", args.count, 2)
     if args.real_events_path is not None and not args.envelope:
         raise ValueError("--real-events is overlaid on the envelope; it needs --envelope")
     if args.envelope_step is not None and not args.envelope:

@@ -28,10 +28,16 @@ minutes).  All functions here are pure; inputs are immutable records.
 Each argument rule of the package has one owner here, which every module
 calls and none copies, and one message, "{name} must be ..., got {x}":
 _check_length (> 0 and finite: a window length, a horizon to sample, a grid
-step), _check_time (finite and >= 0: a window start, a record's horizon,
-the moment ODE's t), _check_point (>= 0 with NaN rejected and +inf kept:
-an evaluation point, or an array of them) and _times (a sorted time array:
-one-dimensional, nondecreasing, its first point an evaluation point).
+step, the solver's moments), _check_time (finite and >= 0: a window start,
+a record's horizon, the moment ODE's t), _check_point (>= 0 with NaN
+rejected and +inf kept: an evaluation point, or an array of them), _times
+(a sorted time array: one-dimensional, nondecreasing, its first point an
+evaluation point), _check_count (>= its least: a seed, a cap, a batch's
+path count, validate's --count) and _check_finite (HawkesParams' fields, a
+polynomial's coefficients, the ODE's initial intensity moments).  Only the
+typed rules (HawkesParams' NegativeInput, NonPositiveBase and
+ExplosionRisk) and the line-numbered or compound ones (the solver's start,
+the generator's exponents, parse_events' lines) stay with their callers.
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ class HawkesParams:
 
     Subcriticality requires beta > alpha.  alpha = 0 is admitted and reduces
     the model to an (eventually homogeneous) Poisson process.  The fields are
-    converted with float() first; a non-finite one is a ValueError, and
-    then ExplosionRisk is raised when beta <= alpha, NonPositiveBase when
-    lambda_inf <= 0 and NegativeInput when alpha < 0 or lambda0 < 0.
+    converted with float() first; a non-finite one is a ValueError
+    (_check_finite), and then ExplosionRisk is raised when beta <= alpha,
+    NonPositiveBase when lambda_inf <= 0 and NegativeInput when alpha < 0 or
+    lambda0 < 0.
     """
 
     alpha: float
@@ -82,10 +89,7 @@ class HawkesParams:
         if self.lambda0 is None:
             object.__setattr__(self, "lambda0", self.lambda_inf)
         for name in ("alpha", "beta", "lambda_inf", "lambda0"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if self.alpha < 0.0:
             raise NegativeInput(f"alpha must be >= 0, got {self.alpha}")
         if self.lambda0 < 0.0:
@@ -168,8 +172,8 @@ def _unpickled(raw, horizon: float) -> EventSequence:
 
 
 def _check_length(name: str, x: float) -> None:
-    """The one length rule, for a window length, a horizon to sample or a
-    grid step: > 0 and finite."""
+    """The one length rule, for a window length, a horizon to sample, a
+    grid step or the solver's moments m1, m2 and m3: > 0 and finite."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"{name} must be > 0 and finite, got {x}")
 
@@ -186,6 +190,24 @@ def _check_point(name: str, t) -> None:
     array (reporting the least): >= 0, so NaN fails and +inf passes."""
     if not (np.all(t >= 0.0) if isinstance(t, np.ndarray) else t >= 0.0):
         raise ValueError(f"{name} must be >= 0, got {np.min(t)}")
+
+
+def _check_count(name: str, n, least: int) -> None:
+    """The one count rule, for a seed (least 0), a cap (1), a batch's n_paths
+    (0) and validate's --count (2): only n < least fails, so a float cap,
+    inf or NaN, passes as a cap that never binds."""
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
+def _check_finite(name: str, x) -> float:
+    """The one finite rule, for HawkesParams' fields, a polynomial's
+    coefficients and the moment ODE's initial intensity moments: x as a
+    float, a ValueError unless finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 # points per block: the per-block temporaries stay near 64 kB each

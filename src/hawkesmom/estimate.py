@@ -221,19 +221,28 @@ def empirical_from_counts(counts, windows: int, delta: float, t0: float = 0.0) -
 
 def _window_count(horizon: float, t0: float, delta: float) -> int:
     """The maximal whole number of windows of length delta in [t0, horizon]:
-    InsufficientData when none fits, and a ValueError naming the count
-    past 2^53, where t0 + j delta no longer names each window."""
+    the quotient's floor, with a tolerance of 1e-12 that counts the last
+    window of (871.8, 0, 0.1) although 0.1 * 8718 rounds past 871.8, raised
+    while t0 + delta (n + 1) <= horizon, the last edge as windowed_counts
+    forms it.  InsufficientData when none fits, and a ValueError naming the
+    count past 2^53, where t0 + j delta no longer names each window."""
     _check_length("delta", delta)
     _check_time("t0", t0)
     if t0 >= horizon:
         raise InsufficientData(f"window start t0={t0} leaves no room before horizon {horizon}")
     n_windows = (horizon - t0) / delta + 1e-12  # inf for a delta as small as a subnormal
+    if n_windows <= _MAX_WINDOWS:
+        # the quotient's rounding can drop a whole window that fits, as the
+        # writers' grid can drop a point (cli._step_grid)
+        n_windows = int(n_windows)
+        while t0 + delta * (n_windows + 1) <= horizon:
+            n_windows += 1
     if not n_windows <= _MAX_WINDOWS:
         raise ValueError(f"delta {delta} asks for {n_windows:.3g} windows in [{t0}, {horizon}], "
                          f"more than 2^53")
     if n_windows < 1:
         raise InsufficientData(f"no window of length {delta} fits in [{t0}, {horizon}]")
-    return int(n_windows)
+    return n_windows
 
 
 def empirical_moments(events: EventSequence, t0: float, delta: float) -> EmpiricalMoments:
@@ -353,7 +362,8 @@ def _params_or_none(alpha: float, beta: float, lam_inf: float) -> HawkesParams |
 
 def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) -> EstimateReport:
     """Solve the three-equation moment system for (alpha, beta, lambda_inf)
-    at the triple's window length triple.delta (core._check_length's rule).
+    at the triple's window length triple.delta; delta, m1, m2 and m3 pass
+    core._check_length's rule (> 0 and finite).
 
     The system is reduced exactly: M1 pins lambda*, the variance excess pins
     eta = alpha/beta as a closed-form function of x = kappa delta, and the
@@ -376,7 +386,8 @@ def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) 
     best attempt that misses the tolerance (variance at or below Poisson,
     say, where only the alpha -> 0 boundary is left) comes back with
     converged = False and a UserWarning.  NoConvergence is raised only when
-    there is no attempt to return, that is, when no point of the (m1,
+    there is no attempt to return, that is, when lambda* = m1/delta
+    overflows float64 (a subnormal delta, say) or no point of the (m1,
     m2)-exact curve is admissible (beta == alpha in floats, say, at a huge
     variance excess).  The report carries no window_stats; estimate()
     attaches them.
@@ -387,15 +398,15 @@ def solve_moment_system(triple: MomentTriple, init: tuple[float, float, float]) 
     1e-10 around the least |residual|).  ``iterations`` reports the number of
     residual evaluations, each grid or sub-grid point counting as one.
     """
-    _check_length("delta", triple.delta)
-    for name, v in (("m1", triple.m1), ("m2", triple.m2), ("m3", triple.m3)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"moment {name} must be finite and positive, got {v}")
+    for name in ("delta", "m1", "m2", "m3"):
+        _check_length(name, getattr(triple, name))
     start = _check_start(init)
     a0, b0, _ = start
 
     m1, m2, m3, delta = triple.m1, triple.m2, triple.m3, triple.delta
     lam_star = m1 / delta
+    if lam_star == math.inf:
+        raise NoConvergence(f"lambda* = m1/delta overflows float64 (m1 {m1}, delta {delta})")
     excess = (m2 - m1 - m1 * m1) / m1
     evaluations = 0
 

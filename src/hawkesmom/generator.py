@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._libm import elementwise
-from .core import HawkesParams, _check_time
+from .core import HawkesParams, _check_finite, _check_time
 
 __all__ = [
     "MAX_EXPONENT",
@@ -80,9 +80,7 @@ class BivariatePolynomial:
             c = float(c)
             if c != 0.0:
                 key = _as_exponents(key)
-                if not math.isfinite(c):
-                    raise ValueError(f"coefficient of exponents {key} must be finite, got {c}")
-                clean[key] = c
+                clean[key] = _check_finite(f"coefficient of exponents {key}", c)
         self._coeffs = clean
 
     @classmethod
@@ -291,9 +289,7 @@ def integrate_moments(
         elif m not in initial_intensity_moments:
             raise ValueError(f"initial_intensity_moments has no E[lambda_0^m] for m={m}")
         else:
-            y0[i] = float(initial_intensity_moments[m])
-            if not math.isfinite(y0[i]):
-                raise ValueError(f"initial_intensity_moments[{m}] must be finite, got {y0[i]}")
+            y0[i] = _check_finite(f"initial_intensity_moments[{m}]", initial_intensity_moments[m])
 
     # a moment past float64's range overflows in A t or in the squarings
     with np.errstate(over="ignore", invalid="ignore"):

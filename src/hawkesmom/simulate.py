@@ -62,11 +62,14 @@ raw bytes (EventSequence.__reduce_ex__).  A path depends only on its
 seed, so the output bytes do not depend on the CPU count; validate's
 K = 20 at horizon 10^4 on two CPUs, say, runs as two slices of 10 paths.
 
-The samplers build their EventSequences without re-checking the times;
-simulate_exact's and the lockstep's are nondecreasing and within
-[0, horizon] by construction.  simulate_cluster keeps the checks: an
-offspring time is a rounded T - ln(1 - U F) / beta, which is not bounded by
-the horizon to the last bit.
+Both samplers and map_batch check the horizon, the seed and the cap by
+core's length and count rules (_check_length, _check_count; seed >= 0,
+cap >= 1), and map_batch its n_paths (>= 0), before any generator is made
+or any child forked.  The samplers build their EventSequences without
+re-checking the times; simulate_exact's and the lockstep's are
+nondecreasing and within [0, horizon] by construction.  simulate_cluster
+keeps the checks: an offspring time is a rounded T - ln(1 - U F) / beta,
+which is not bounded by the horizon to the last bit.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ import numpy as np
 from ._fork import in_slices, record_warnings, replay_warnings
 from ._libm import elementwise
 from ._seeding import generators
-from .core import EventSequence, HawkesParams, _check_length
+from .core import EventSequence, HawkesParams, _check_count, _check_length
 from .errors import CapacityExceeded
 from .moments import mean_count
 
@@ -109,14 +112,6 @@ class Trajectory:
 
     events: EventSequence
     seed: int
-
-
-def _check_seed_and_cap(seed: int, cap: int) -> None:
-    """Reject a negative seed or a cap below 1 before any generator is made."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
 
 
 # the exact sampler's uniform blocks: a loop's first is _first_block's, and
@@ -169,7 +164,8 @@ def simulate_exact(
     negative seed or a cap below 1 is a ValueError before any draw.
     """
     _check_length("horizon", horizon)
-    _check_seed_and_cap(seed, cap)
+    _check_count("seed", seed, 0)
+    _check_count("cap", cap, 1)
     [rng] = generators(range(seed, seed + 1))
     t, lam, events = _base_level_start(rng, params, horizon, cap)
     if t <= horizon:
@@ -312,7 +308,8 @@ def simulate_cluster(
     each) and one block's arrays.  A bad horizon, a negative seed or a cap
     below 1 is a ValueError before any draw."""
     _check_length("horizon", horizon)
-    _check_seed_and_cap(seed, cap)
+    _check_count("seed", seed, 0)
+    _check_count("cap", cap, 1)
     [rng] = generators(range(seed, seed + 1))
     alpha, beta, lam_inf, lam0 = params.alpha, params.beta, params.lambda_inf, params.lambda0
 
@@ -617,10 +614,10 @@ def map_batch(
     then have issued some.
     """
     _check_length("horizon", horizon)
-    _check_seed_and_cap(seed, cap)
+    _check_count("seed", seed, 0)
+    _check_count("cap", cap, 1)
     sampler(method)
-    if n_paths < 0:
-        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
+    _check_count("n_paths", n_paths, 0)
     done = []
 
     def run(lo, hi, out):

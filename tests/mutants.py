@@ -371,7 +371,7 @@ MUTANTS = [
         "moment_triple's m3 overflows where m2 is finite"),
     Mutant(
         "solver_delta_unchecked", "src/hawkesmom/estimate.py",
-        '    _check_length("delta", triple.delta)\n', "",
+        'for name in ("delta", "m1", "m2", "m3"):', 'for name in ("m1", "m2", "m3"):',
         ("tests/test_moments.py", "-k", "solve_moment_system"),
         "a zero delta divides by zero, and a NaN, inf or negative one ends in "
         "NoConvergence, neither with the window-length message"),
@@ -400,17 +400,20 @@ MUTANTS = [
     # fit's warnings at estimate()'s caller
     Mutant(
         "sampler_seed_unchecked", "src/hawkesmom/simulate.py",
-        "    if seed < 0:\n"
-        '        raise ValueError(f"seed must be a non-negative integer, got {seed}")\n',
-        "", ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
-        "a negative seed reaches the generator, which raises its own error"),
+        '    _check_count("seed", seed, 0)\n    _check_count("cap", cap, 1)\n'
+        "    [rng] = generators(range(seed, seed + 1))\n    t, lam, events",
+        '    _check_count("cap", cap, 1)\n'
+        "    [rng] = generators(range(seed, seed + 1))\n    t, lam, events",
+        ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
+        "simulate_exact's negative seed reaches the generator, which raises its own error"),
     Mutant(
         "sampler_cap_unchecked", "src/hawkesmom/simulate.py",
-        "    if cap < 1:\n"
-        '        raise ValueError(f"cap must be at least 1, got {cap}")\n',
-        "", ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
-        "a cap below 1 is found only after the first draws, and cap = -1 ends "
-        "the exact loop in an IndexError"),
+        '    _check_count("cap", cap, 1)\n'
+        "    [rng] = generators(range(seed, seed + 1))\n    t, lam, events",
+        "    [rng] = generators(range(seed, seed + 1))\n    t, lam, events",
+        ("tests/test_simulate.py", "-k", "SeedAndCapCheck"),
+        "simulate_exact finds a cap below 1 only after the first draws, and cap = -1 "
+        "ends the exact loop in an IndexError"),
     Mutant(
         "lambda0_power_unguarded", "src/hawkesmom/generator.py",
         "y0[i] = _power(params.lambda0, m)", "y0[i] = params.lambda0**m",
@@ -427,7 +430,7 @@ MUTANTS = [
         "count_at([3.0, 1.0, 2.0], 2.5) searches unsorted times and returns 3, not the error"),
     Mutant(
         "params_without_float_conversion", "src/hawkesmom/core.py",
-        "v = float(getattr(self, name))", "v = getattr(self, name)",
+        "    x = float(x)\n    if not math.isfinite(x):\n", "    if not math.isfinite(x):\n",
         ("tests/test_core.py", "-k", "one_constructor_holding_floats"),
         "HawkesParams(1, 2, 1, 3) keeps int fields, and validate_params('0.5', ...) raises TypeError"),
     Mutant(
@@ -483,6 +486,42 @@ MUTANTS = [
         "        elif (last + 1) * step <= horizon:\n            last += 1\n", "",
         ("tests/test_io_cli.py", "-k", "StepGrid"),
         "1 / (1/93) rounds to 92.99999999999999, and the point 93 step <= 1 is dropped"),
+    # the count and finite rules' owners, the solver's moments, and the
+    # two edges found beside them
+    Mutant(
+        "count_rule_admits_below_least", "src/hawkesmom/core.py",
+        "    if n < least:\n", "    if n < least - 1:\n",
+        ("tests/test_moments.py", "-k", "each_count_rule_has_one_message"),
+        "a seed of -1 reaches the generator and a cap of 0 the sampler, neither "
+        "with the count message"),
+    Mutant(
+        "finite_rule_admits_inf", "src/hawkesmom/core.py",
+        "    if not math.isfinite(x):\n", "    if math.isnan(x):\n",
+        ("tests/test_moments.py", "-k", "each_finite_rule_has_one_message"),
+        "an infinite alpha is ExplosionRisk, and an infinite coefficient or "
+        "initial moment is taken as it is"),
+    Mutant(
+        "solver_moments_admit_zero", "src/hawkesmom/estimate.py",
+        "        _check_length(name, getattr(triple, name))\n",
+        '        (_check_length if name == "delta" else _check_time)'
+        "(name, getattr(triple, name))\n",
+        RULES,
+        "m1 = 0 divides by zero, and m2 = 0 or m3 = 0 is fitted without the length message"),
+    Mutant(
+        "lambda_star_overflow_unreported", "src/hawkesmom/estimate.py",
+        "    if lam_star == math.inf:\n"
+        '        raise NoConvergence(f"lambda* = m1/delta overflows float64 '
+        '(m1 {m1}, delta {delta})")\n', "",
+        ("tests/test_io_cli.py", "-k", "TimeUnit"),
+        "at times x 2^-1022 the run exits 3 with 'no admissible parameters', "
+        "not the overflow line"),
+    Mutant(
+        "window_count_not_raised", "src/hawkesmom/estimate.py",
+        "        while t0 + delta * (n_windows + 1) <= horizon:\n"
+        "            n_windows += 1\n", "",
+        ("tests/test_estimate.py", "-k", "window_count_keeps"),
+        "(3026.91 - 3000) / 0.01 rounds below 2691, and the window that ends at 3026.91 "
+        "is dropped"),
     Mutant(
         "residual_scan_without_alpha_check", "src/hawkesmom/estimate.py",
         "& (alpha >= 0.0) & (lam_inf > 0.0)", "& (lam_inf > 0.0)",

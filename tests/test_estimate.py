@@ -43,6 +43,7 @@ from hawkesmom.estimate import (
     TOL,
     _curve,
     _k3_residual,
+    _window_count,
     empirical_from_counts,
 )
 
@@ -127,6 +128,21 @@ class TestEmpiricalMoments:
         emp = empirical_moments(events, t0=10.0, delta=0.7)
         assert emp.window_count == int((100.0 - 10.0) / 0.7)
         assert emp.t0 == 10.0
+
+    # the quotient (horizon - t0) / delta rounds below 2691 and 40489,
+    # whose last edges t0 + delta n equal the horizon; 0.1 * 8718 rounds
+    # past 871.8, and the 1e-12 tolerance still counts that window
+    @pytest.mark.parametrize("horizon, t0, delta, windows", [
+        (3026.91, 3000.0, 0.01, 2691),
+        (2124.45, 100.0, 0.05, 40489),
+        (871.8, 0.0, 0.1, 8718),
+        (10000.0, 3000.0, 0.5, 14000),
+    ])
+    def test_window_count_keeps_every_window_that_fits(self, horizon, t0, delta, windows):
+        assert _window_count(horizon, t0, delta) == windows
+        assert t0 + delta * (windows - 1) < horizon < t0 + delta * (windows + 1)
+        events = EventSequence(times=np.array([t0]), horizon=horizon)
+        assert empirical_moments(events, t0=t0, delta=delta).window_count == windows
 
     def test_simulated_mean_near_stationary_m1(self):
         p = validate_params(0.2, 1.0, 1.0, 1.0)
@@ -355,13 +371,16 @@ class TestSolveMomentSystem:
         assert math.isfinite(best.residual_norm)
 
     # beta == alpha in floats at every point of the (M1, M2)-exact curve;
-    # below Poisson variance, lambda* = M1/delta overflows at the boundary
-    @pytest.mark.parametrize("m2, delta", [(1e40 + 2, 1.0), (1.5, 1e-310)],
-                             ids=["excess", "sub_poisson"])
-    def test_no_admissible_candidate_declines(self, m2, delta):
+    # below Poisson variance with a subnormal delta, lambda* = M1/delta
+    # overflows before any curve is formed, and the error says so
+    @pytest.mark.parametrize("m2, delta, message", [
+        (1e40 + 2, 1.0, "^no admissible parameters"),
+        (1.5, 1e-310, r"^lambda\* = m1/delta overflows float64 \(m1 1, delta 1e-310\)$"),
+    ], ids=["excess", "sub_poisson"])
+    def test_no_admissible_candidate_declines(self, m2, delta, message):
         from hawkesmom import MomentTriple
 
-        with pytest.raises(NoConvergence, match="admissible"):
+        with pytest.raises(NoConvergence, match=message):
             solve_moment_system(MomentTriple(1, m2, 2, delta), DEFAULT_INIT)
 
     @pytest.mark.parametrize("m3_scale, flags", [(1.0, ()), (1.5, ("m3_best_fit",))],

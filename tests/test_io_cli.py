@@ -877,6 +877,13 @@ class TestTimeUnitAtTheCli:
         assert report["init"] == [v / c for v in self.INIT]
         assert {name: v * c for name, v in report["params_hat"].items()} == unit["params_hat"]
 
+    def test_lambda_star_past_float64_exits_3(self, tmp_path, capsys):
+        # delta = 2^-1023 is subnormal, and lambda* = M1 / delta overflows
+        code, report, err = self.run(tmp_path, 0.8, -1022, capsys)
+        assert (code, report) == (EXIT_CONVERGENCE, None)
+        assert err == ("error: lambda* = m1/delta overflows float64 "
+                       "(m1 2.6150714285714285, delta 1.1125369292536007e-308)\n")
+
     def test_t0_past_float64_exits_1(self, tmp_path, capsys):
         # 3000 2^1020 overflows to inf, which EstimateConfig rejects first
         code, report, err = self.run(tmp_path, 0.8, 1020, capsys)
@@ -1433,8 +1440,7 @@ class TestMainExitCodes:
         code = main(command + ["--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
                                "--horizon", "10", "--seed", "-1", "--out-dir", str(out)])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, "
-                                           "got -1\n")
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("env", ["7", "abc", "-1", "1.5", ""],
@@ -1568,7 +1574,7 @@ class TestMainExitCodes:
                                "--horizon", "50", "--seed", "1", f"--cap={cap}",
                                "--out-dir", str(out)])
         assert code == 1
-        assert capsys.readouterr() == ("", f"error: cap must be at least 1, got {cap}\n")
+        assert capsys.readouterr() == ("", f"error: cap must be >= 1, got {cap}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, code, message", [
@@ -1597,8 +1603,7 @@ class TestMainExitCodes:
         assert main(["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
                      "--horizon", "100", "--count", "1", "--delta", "0.5", "--t0", "10",
                      "--seed", "1", "--out-dir", str(out)]) == 1
-        assert capsys.readouterr() == (
-            "", "error: validate needs at least 2 trajectories, got 1\n")
+        assert capsys.readouterr() == ("", "error: --count must be >= 2, got 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, text, message", [

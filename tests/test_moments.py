@@ -49,12 +49,16 @@ from hawkesmom import (
     validate_params,
     windowed_counts,
 )
-from hawkesmom.cli import _step_grid
+from hawkesmom.cli import _step_grid, build_parser, cmd_validate
 from hawkesmom.core import _times
 from hawkesmom.estimate import DEFAULT_INIT
 from hawkesmom.moments import _SHAPES, _taylor_coefficient
+from hawkesmom.simulate import map_batch
 
 P = validate_params(0.2, 1.0, 1.0, 1.0)
+SPARSE = validate_params(0.2, 1.0, 1e-3)
+VALIDATE = ["validate", "--alpha", "0.2", "--beta", "1.0", "--lambda-inf", "1.0",
+            "--horizon", "50", "--t0", "10", "--delta", "0.5", "--seed", "1", "--count"]
 
 # frozen from the generator/ODE oracle (stationary start, RK tolerances 1e-11):
 M1_REF = 0.625
@@ -456,10 +460,11 @@ class TestNanArguments:
     a negative one does, instead of flowing through as a NaN result; so do
     an infinite window length or path-integral time, a NaN event time and a
     NaN or negative intensity grid.  The solver checks its triple's window
-    length by the same rule.  Every entry point of core's four argument
-    rules (a length, a time, an evaluation point, a sorted time array)
-    raises that rule's one message for 0, -0.0, -1, NaN and +-inf, or
-    admits the value as the rule does."""
+    length and moments by the same rule.  Every entry point of core's four
+    argument rules on times (a length, a time, an evaluation point, a sorted
+    time array) raises that rule's one message for 0, -0.0, -1, NaN and
+    +-inf, or admits the value as the rule does; so does every entry point
+    of its count and finite rules, for the values each argument can take."""
 
     @pytest.mark.parametrize("fn, args, message", [
         (mean_intensity, (P, NAN), "t must be >= 0"),
@@ -516,6 +521,8 @@ class TestNanArguments:
         ("length", "delta", lambda x: stationary_m2(P, x)),
         ("length", "delta", lambda x: solve_moment_system(
             replace(moment_triple(P, 0.5), delta=x), DEFAULT_INIT)),
+        *[("length", m, lambda x, m=m: solve_moment_system(
+            replace(moment_triple(P, 0.5), **{m: x}), DEFAULT_INIT)) for m in ("m1", "m2", "m3")],
         ("length", "delta", lambda x: EstimateConfig(delta=x)),
         ("length", "delta", lambda x: windowed_counts(TEN_EVENTS, 0.0, x, 1)),
         ("length", "horizon", lambda x: simulate_exact(P, x, 1)),
@@ -551,6 +558,62 @@ class TestNanArguments:
             call(x)
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(form.format(name=name, x=x))}$"):
+                call(x)
+
+    # Every entry point of the count rule, with the least admitted count,
+    # the one below it and the non-finite values the rule decides: -inf
+    # fails for each, and a cap's NaN and inf pass as caps that never bind
+    # (a seed or n_paths of NaN or inf passes the rule and fails in range(),
+    # and --count is an integer flag).  SPARSE draws no event on [0, 1] at
+    # these seeds, so a cap of 1 passes too.
+    COUNT_POINTS = [
+        ("seed", 0, (0, -1, -math.inf), lambda x: simulate_exact(SPARSE, 1.0, x)),
+        ("seed", 0, (0, -1, -math.inf), lambda x: simulate_cluster(SPARSE, 1.0, x)),
+        ("seed", 0, (0, -1, -math.inf), lambda x: simulate_batch(SPARSE, 1.0, x, 2)),
+        ("cap", 1, (1, 0, NAN, math.inf, -math.inf),
+         lambda x: simulate_exact(SPARSE, 1.0, 1, cap=x)),
+        ("cap", 1, (1, 0, NAN, math.inf, -math.inf),
+         lambda x: simulate_cluster(SPARSE, 1.0, 1, cap=x)),
+        ("cap", 1, (1, 0, NAN, math.inf, -math.inf),
+         lambda x: simulate_batch(SPARSE, 1.0, 1, 2, cap=x)),
+        ("n_paths", 0, (0, -1, -math.inf), lambda x: map_batch(SPARSE, 1.0, 1, x, len)),
+        ("--count", 2, (2, 1),
+         lambda x: cmd_validate(build_parser().parse_args(VALIDATE + [str(x)]))),
+    ]
+    COUNT_CASES = [(name, least, x, call) for name, least, values, call in COUNT_POINTS
+                   for x in values]
+
+    @pytest.mark.parametrize("name, least, x, call", COUNT_CASES,
+                             ids=[f"{name}-{i}-{x}" for i, (name, _, x, _)
+                                  in enumerate(COUNT_CASES)])
+    def test_each_count_rule_has_one_message(self, tmp_path, monkeypatch, name, least, x, call):
+        monkeypatch.chdir(tmp_path)  # validate writes to the working directory
+        if x < least:
+            message = f"{name} must be >= {least}, got {x}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(x)
+        else:
+            call(x)
+
+    # Every entry point of the finite rule.
+    FINITE_POINTS = [
+        ("alpha", lambda x: validate_params(x, 1.0, 1.0)),
+        ("beta", lambda x: validate_params(0.2, x, 1.0)),
+        ("lambda_inf", lambda x: validate_params(0.2, 1.0, x)),
+        ("lambda0", lambda x: validate_params(0.2, 1.0, 1.0, x)),
+        ("coefficient of exponents (1, 0)", lambda x: BivariatePolynomial({(1, 0): x})),
+        ("initial_intensity_moments[1]",
+         lambda x: integrate_moments(P, [(1, 0)], 1.0, initial_intensity_moments={1: x})),
+    ]
+
+    @pytest.mark.parametrize("x", [0.5, NAN, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, call", FINITE_POINTS, ids=[n for n, _ in FINITE_POINTS])
+    def test_each_finite_rule_has_one_message(self, name, call, x):
+        if math.isfinite(x):
+            call(x)
+        else:
+            message = f"{name} must be finite, got {x!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(x)
 
     def test_sorted_check_holds_no_array_sized_temporary(self):

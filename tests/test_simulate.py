@@ -1450,9 +1450,9 @@ class TestSeedAndCapCheck:
     }
 
     @pytest.mark.parametrize("seed, cap, message", [
-        (-1, 10, "seed must be a non-negative integer, got -1"),
-        (1, 0, "cap must be at least 1, got 0"),
-        (1, -1, "cap must be at least 1, got -1"),
+        (-1, 10, "seed must be >= 0, got -1"),
+        (1, 0, "cap must be >= 1, got 0"),
+        (1, -1, "cap must be >= 1, got -1"),
     ])
     @pytest.mark.parametrize("name", list(SAMPLERS))
     def test_rejected_before_any_draw_or_fork(self, monkeypatch, name, seed, cap, message):
